@@ -12,33 +12,9 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exactnum import AffineForm, RatFunc, pochhammer
+from .exactnum import AffineForm, RatFunc, inverse, pochhammer
 
 BASE_A = ((2, 2, 1), (56, 8, -4), (140, -20, 6))
-
-
-def _mat_fractions(rows):
-    return tuple(tuple(Fraction(x) for x in row) for row in rows)
-
-
-def _transpose(m):
-    return tuple(tuple(m[j][i] for j in range(3)) for i in range(3))
-
-
-def _invert3(m):
-    n = 3
-    aug = [list(row) + [Fraction(int(i == j)) for j in range(n)]
-           for i, row in enumerate(m)]
-    for i in range(n):
-        piv = next(r for r in range(i, n) if aug[r][i] != 0)
-        aug[i], aug[piv] = aug[piv], aug[i]
-        p = aug[i][i]
-        aug[i] = [x / p for x in aug[i]]
-        for r in range(n):
-            if r != i and aug[r][i] != 0:
-                f = aug[r][i]
-                aug[r] = [x - f * y for x, y in zip(aug[r], aug[i])]
-    return tuple(tuple(aug[i][n:]) for i in range(n))
 
 
 @dataclass(frozen=True)
@@ -51,9 +27,9 @@ class BaseMatrix:
 
     @classmethod
     def standard(cls) -> "BaseMatrix":
-        a = _mat_fractions(BASE_A)
-        a1 = _transpose(a)
-        inv = _invert3(a1)
+        a = tuple(tuple(Fraction(x) for x in row) for row in BASE_A)
+        a1 = tuple(zip(*a))
+        inv = tuple(map(tuple, inverse(a1)))
         # sanity: A1 * A1^{-1} = I
         for i in range(3):
             for j in range(3):
@@ -140,10 +116,12 @@ class RecipeCatalog:
         self.base = base or BaseMatrix.standard()
         self._by_key: dict[tuple[str, tuple[int, ...]], MatrixRecipe] = {}
         self._by_name: dict[str, MatrixRecipe] = {}
+        self._values: dict[str, MultiplierVector] = {}
 
     def add(self, recipe: MatrixRecipe):
         self._by_key[(recipe.case, recipe.word)] = recipe
         self._by_name[recipe.name] = recipe
+        self._values.clear()   # a replaced recipe may be referenced by others
 
     def lookup(self, case: str, word) -> MatrixRecipe | None:
         return self._by_key.get((case, tuple(word)))
@@ -155,7 +133,10 @@ class RecipeCatalog:
         return sorted(self._by_name)
 
     def evaluate(self, recipe: MatrixRecipe) -> MultiplierVector:
-        """Exact right-to-left evaluation over RatFunc entries."""
+        """Exact right-to-left evaluation over RatFunc entries, memoized by
+        recipe name (RatFunc values are never mutated)."""
+        if recipe.name in self._values:
+            return self._values[recipe.name]
         vec: MultiplierVector | None = None
         for tok in reversed(recipe.tokens):
             if tok.kind == "base":
@@ -174,6 +155,7 @@ class RecipeCatalog:
                     for i in range(3))
             if vec is None:
                 raise ValueError("recipe does not end in the base vector")
+        self._values[recipe.name] = vec
         return vec
 
 

@@ -14,20 +14,18 @@ values carried by the config.  A row's status is
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass
 from fractions import Fraction
 
 from . import compalg
 from .archmult import pattern_check, vanishing_order
 from .config import CaseSpec, Config, RowSpec, TableSpec
-from .eiscalc import (CoordVector, ZetaProduct, apply_word, intertwiner_verdict,
-                      order_report, rational_cfunction, shifted_exponent)
-from .exactnum import AffineForm
+from .eiscalc import (ConvergenceVerdict, CoordVector, ZetaProduct, apply_word,
+                      intertwiner_verdict, order_report, rational_cfunction,
+                      shifted_exponent)
+from .exactnum import AffineForm, solve
 from .rootsys import ParabolicSpec, RootSystem, Word, mat_vec
-
-
-def _frs(x: Fraction) -> str:
-    return str(x)
 
 
 @dataclass
@@ -38,10 +36,6 @@ class Check:
 
     def as_dict(self):
         return {"name": self.name, "ok": self.ok, "detail": self.detail}
-
-
-def _census(system: RootSystem, left: ParabolicSpec, right: ParabolicSpec) -> list[Word]:
-    return system.double_coset_reps(left, right)
 
 
 def _match_row_to_rep(system: RootSystem, row: RowSpec, reps: list[Word]) -> tuple[Word | None, Check]:
@@ -79,7 +73,7 @@ def build_table_report(cfg: Config, case: CaseSpec, table: TableSpec,
     rules = cfg.system_rules(case.system, case.etale_variant or "")
     lam = CoordVector.lambda_s(system)
 
-    reps = _census(system, target, source)
+    reps = system.double_coset_reps(target, source)
     rows = []
     used: set[Word] = set()
     any_mismatch = False
@@ -163,16 +157,14 @@ def build_table_report(cfg: Config, case: CaseSpec, table: TableSpec,
                 if ec.scale is not None:
                     form = lam_prime.pairing(system, alpha).scale(ec.scale)
             value = form.eval(s0)
-            margin = value - ec.threshold
-            status = ("AbsolutelyConvergent" if margin > 0
-                      else "Boundary" if margin == 0 else "NotConvergent")
-            ok = (status == ec.status) if with_expect else True
-            eis_rows.append({"value": _frs(value), "threshold": _frs(ec.threshold),
-                             "margin": _frs(margin), "status": status,
+            verdict = ConvergenceVerdict.compare(value, ec.threshold)
+            ok = (verdict.status == ec.status) if with_expect else True
+            eis_rows.append({"value": str(value), "threshold": str(ec.threshold),
+                             "margin": str(verdict.margin), "status": verdict.status,
                              "expected": ec.status, "ok": ok,
                              "printed": ec.printed})
             checks.append(Check("eisenstein", ok,
-                                f"value {value} vs threshold {ec.threshold}: {status}"))
+                                f"value {value} vs threshold {ec.threshold}: {verdict.status}"))
         rec["eis"] = eis_rows
 
         # intertwining operator
@@ -181,7 +173,7 @@ def build_table_report(cfg: Config, case: CaseSpec, table: TableSpec,
             "local": iv.local_status,
             "global": iv.global_status,
             "order": iv.global_order,
-            "min_pairing": None if iv.min_pairing is None else _frs(iv.min_pairing),
+            "min_pairing": None if iv.min_pairing is None else str(iv.min_pairing),
         }
         if with_expect and row.intertwiner_local is not None:
             checks.append(Check("intertwiner_local",
@@ -268,7 +260,7 @@ def build_table_report(cfg: Config, case: CaseSpec, table: TableSpec,
         "system": case.system,
         "source": case.source,
         "target": table.target,
-        "s0": _frs(s0),
+        "s0": str(s0),
         "census_size": len(reps),
         "census_expected": len(table.rows),
         "census_unmatched": extra,
@@ -353,7 +345,7 @@ def modulus_report(cfg: Config) -> dict:
         match = got == mc.expect
         ok &= match
         rows.append({"system": mc.system, "parabolic": mc.parabolic,
-                     "computed": _frs(got), "expected": _frs(mc.expect),
+                     "computed": str(got), "expected": str(mc.expect),
                      "ok": match})
     return {"kind": "modulus", "rows": rows,
             "status": "Verified" if ok else "Mismatch"}
@@ -450,234 +442,230 @@ def _small_height_sparse(jalg):
                             yield jalg.element((c1, c2, c3), (x1, x2, x3))
 
 
+def _composition(cfg: Config, jalg: compalg.JordanAlgebra, count: int, rng) -> dict:
+    algs = [jalg.oct, compalg.OctonionAlgebra(compalg.RationalScalars(),
+                                              cfg.algebras["split"], "split")]
+    fails = 0
+    for alg in algs:
+        for _ in range(count):
+            x, y = alg.random(rng), alg.random(rng)
+            if alg.norm(alg.mul(x, y)) != alg.norm(x) * alg.norm(y):
+                fails += 1
+    return {"cases": count * len(algs), "failures": fails}
+
+
+def _sharp(cfg: Config, jalg: compalg.JordanAlgebra, count: int, rng) -> dict:
+    fails = 0
+    for _ in range(count):
+        x = jalg.random(rng)
+        s = jalg.sharp(x)
+        n = jalg.norm(x)
+        prod = jalg.jordan_product(x, s)
+        if prod != jalg.scale(n, jalg.identity()):
+            fails += 1
+        if jalg.sharp(s) != jalg.scale(n, x):
+            fails += 1
+    return {"cases": 2 * count, "failures": fails}
+
+
+def _trace_identity(cfg: Config, jalg: compalg.JordanAlgebra, count: int, rng) -> dict:
+    fails = 0
+    for _ in range(count):
+        x = jalg.random(rng)
+        lhs = jalg.trace(x) ** 2 - jalg.trace(jalg.square(x))
+        if lhs != 2 * jalg.trace(jalg.sharp(x)):
+            fails += 1
+    return {"cases": count, "failures": fails}
+
+
+def _positivity(cfg: Config, jalg: compalg.JordanAlgebra, count: int, rng) -> dict:
+    fails = 0
+    for _ in range(count):
+        x = jalg.random(rng)
+        q = jalg.trace_pairing(x, x)
+        if x.is_zero():
+            continue
+        if not q > 0:
+            fails += 1
+    return {"cases": count, "failures": fails}
+
+
+def _rank_one(cfg: Config, jalg: compalg.JordanAlgebra, count: int, rng) -> dict:
+    fails = 0
+    for _ in range(count):
+        z = compalg.rank_one_sample(jalg, rng)
+        if z.is_zero() or not jalg.sharp(z).is_zero() or jalg.rank(z) != 1:
+            fails += 1
+    return {"cases": count, "failures": fails}
+
+
+def _ve_claims(cfg: Config, jalg: compalg.JordanAlgebra, count: int, rng) -> dict:
+    split3 = compalg.CubicEtale(jalg, ("split3",))
+    qxf = compalg.CubicEtale(jalg, ("QxF", cfg.claims.qxf_disc))
+    fails = 0
+    dims_ok = (len(split3.ve_basis) == 24 and len(qxf.ve_basis) == 24)
+    for _ in range(count):
+        z = compalg.rank_one_sample(jalg, rng)
+        for et in (split3, qxf):
+            if et.in_ve(z):
+                fails += 1   # nonzero rank one inside V_E
+    # exhaustive small-height sweep: no sparse rank-one element lies in
+    # either complement
+    hits = 0
+    for v in _small_height_sparse(jalg):
+        if not v.is_zero() and jalg.rank(v) == 1:
+            hits += 1
+            if split3.in_ve(v) or qxf.in_ve(v):
+                fails += 1
+    return {"cases": 2 * count, "failures": fails,
+            "dims_ok": dims_ok, "small_height_rank_ones": hits}
+
+
+def _rank_one_c1(cfg: Config, jalg: compalg.JordanAlgebra, count: int, rng) -> dict:
+    fails = 0
+    for _ in range(count):
+        x = jalg.random(rng)
+        v = jalg.element((0, x.c[1], x.c[2]), x.x)
+        sh = jalg.sharp(v)
+        # with c1 = 0 the adjoint diagonal reads off -N(x2), -N(x3)
+        if sh.c[1] != -jalg.oct.norm(v.x[1]) or sh.c[2] != -jalg.oct.norm(v.x[2]):
+            fails += 1
+        if jalg.rank(v) <= 1 and not (jalg.oct.is_zero(v.x[1])
+                                      and jalg.oct.is_zero(v.x[2])):
+            fails += 1
+    # directed family: rank-one elements with c1 = 0
+    for _ in range(count // 10):
+        x1 = jalg.oct.random(rng)
+        c2 = jalg.scalars.randint(rng)
+        if c2 == 0:
+            continue
+        v = jalg.element((0, c2, Fraction(jalg.oct.norm(x1), c2)),
+                         (x1, [0] * 8, [0] * 8))
+        if jalg.rank(v) > 1:
+            fails += 1
+    # exhaustive small-height search over sparse elements with c1 = 0
+    hits = 0
+    for v in _small_height_c1_zero(jalg):
+        if jalg.rank(v) <= 1 and not v.is_zero():
+            hits += 1
+            if not (jalg.oct.is_zero(v.x[1]) and jalg.oct.is_zero(v.x[2])):
+                fails += 1
+    return {"cases": count, "failures": fails, "small_height_rank_ones": hits}
+
+
+def _rank_one_orth_f(cfg: Config, jalg: compalg.JordanAlgebra, count: int, rng) -> dict:
+    qxf = compalg.CubicEtale(jalg, ("QxF", cfg.claims.qxf_disc))
+    e2, e3 = qxf.basis_elements[1], qxf.basis_elements[2]
+    u = e3.x[0]
+    fails = 0
+    for _ in range(count):
+        x = jalg.random(rng)
+        # project away the F-components (span of e2, e3)
+        gram = [[jalg.trace_pairing(a, b) for b in (e2, e3)] for a in (e2, e3)]
+        rhs = [jalg.trace_pairing(x, e2), jalg.trace_pairing(x, e3)]
+        coeff = solve(gram, rhs)
+        v = jalg.sub(x, jalg.add(jalg.scale(coeff[0], e2), jalg.scale(coeff[1], e3)))
+        # orthogonality forces c3 = -c2; then c1 of the adjoint is
+        # -c2^2 - N(x1), which vanishes only when both pieces do
+        if v.c[2] != -v.c[1]:
+            fails += 1
+        if jalg.sharp(v).c[0] != -(v.c[1] ** 2) - jalg.oct.norm(v.x[0]):
+            fails += 1
+        if jalg.rank(v) <= 1:
+            e11 = jalg.e11()
+            if jalg.sub(v, jalg.scale(v.c[0], e11)).is_zero() is False:
+                fails += 1
+    # small-height directed search within the orthogonal complement
+    hits = 0
+    for c1 in range(-2, 3):
+        for c2 in range(-1, 2):
+            for t in range(-1, 2):
+                v = jalg.element((c1, c2, -c2), (jalg.oct.scale(t, u),
+                                                 [0] * 8, [0] * 8))
+                if v.is_zero():
+                    continue
+                if jalg.rank(v) <= 1:
+                    hits += 1
+                    if not jalg.sub(v, jalg.scale(v.c[0], jalg.e11())).is_zero():
+                        fails += 1
+    return {"cases": count, "failures": fails, "small_height_rank_ones": hits}
+
+
+def _freudenthal(cfg: Config, jalg: compalg.JordanAlgebra, count: int, rng) -> dict:
+    split3 = compalg.CubicEtale(jalg, ("split3",))
+    qxf = compalg.CubicEtale(jalg, ("QxF", cfg.claims.qxf_disc))
+    fails = 0
+    for _ in range(count):
+        z = jalg.random(rng)
+        lam = Fraction(rng.randint(1, 5), rng.randint(1, 3))
+        if rng.randrange(2):
+            lam = -lam
+        w = compalg.freudenthal_r0(jalg, z, lam)
+        for et in (split3, qxf):
+            we, _ve = compalg.we_projection(w, et)
+            if compalg.we_part_is_zero(we):
+                fails += 1
+            # symplectic flip translate keeps a nonzero corner too
+            flip = compalg.FreudenthalElement(-w.d, w.c, jalg.scale(-1, w.b), w.a)
+            we2, _ = compalg.we_projection(flip, et)
+            if compalg.we_part_is_zero(we2):
+                fails += 1
+    return {"cases": count, "failures": fails}
+
+
+def _triality(cfg: Config, jalg: compalg.JordanAlgebra, count: int, rng) -> dict:
+    primes = cfg.claims.primes
+    fails = 0
+    total = 0
+    for _ in range(count):
+        pairs = compalg.random_triality_pairs(jalg.oct, rng)
+        triple = compalg.triality_triple(jalg.oct, pairs)
+        total += 1
+        if not compalg.triality_verify(jalg.oct, triple):
+            fails += 1
+    for p in primes:
+        alg = compalg.OctonionAlgebra(compalg.PrimeFieldScalars(p),
+                                      cfg.algebras["split"], "split")
+        for _ in range(count):
+            pairs = compalg.random_triality_pairs(alg, rng)
+            triple = compalg.triality_triple(alg, pairs)
+            total += 1
+            if not compalg.triality_verify(alg, triple):
+                fails += 1
+    return {"cases": total, "failures": fails,
+            "fields": ["Q"] + [f"GF({p})" for p in primes]}
+
+
+# The suites in report order.  Each returns its counts and extras;
+# algebra_report adds the name and derives the status.
+SUITES = (
+    ("composition", _composition),
+    ("sharp", _sharp),
+    ("trace-identity", _trace_identity),
+    ("positivity", _positivity),
+    ("rank-one", _rank_one),
+    ("ve-claims", _ve_claims),
+    ("rank-one-c1", _rank_one_c1),
+    ("rank-one-orth-f", _rank_one_orth_f),
+    ("freudenthal", _freudenthal),
+    ("triality", _triality),
+)
+
+
 def algebra_report(cfg: Config, suite: str = "all", seed: int | None = None,
                    count: int | None = None) -> dict:
-    import random
-
     seed = cfg.claims.seed if seed is None else seed
     count = cfg.claims.count if count is None else count
-    suites = []
-
-    def run(name, fn):
-        if suite not in ("all", name):
-            return
-        rng = random.Random(f"{seed}:{name}")
-        res = fn(rng)
-        suites.append({"name": name, **res})
-
-    oct_def = compalg.OctonionAlgebra(compalg.RationalScalars(),
-                                      cfg.algebras["definite"], "definite")
-    oct_split = compalg.OctonionAlgebra(compalg.RationalScalars(),
-                                        cfg.algebras["split"], "split")
-    jalg = compalg.JordanAlgebra(oct_def)
-
-    def s_composition(rng):
-        algs = [oct_def, oct_split]
-        fails = 0
-        for alg in algs:
-            for _ in range(count):
-                x, y = alg.random(rng), alg.random(rng)
-                if alg.norm(alg.mul(x, y)) != alg.norm(x) * alg.norm(y):
-                    fails += 1
-        return {"cases": count * len(algs), "failures": fails,
-                "status": "Verified" if fails == 0 else "Mismatch"}
-
-    def s_sharp(rng):
-        fails = 0
-        for _ in range(count):
-            x = jalg.random(rng)
-            s = jalg.sharp(x)
-            n = jalg.norm(x)
-            prod = jalg.jordan_product(x, s)
-            if prod != jalg.scale(n, jalg.identity()):
-                fails += 1
-            if jalg.sharp(s) != jalg.scale(n, x):
-                fails += 1
-        return {"cases": 2 * count, "failures": fails,
-                "status": "Verified" if fails == 0 else "Mismatch"}
-
-    def s_trace_identity(rng):
-        fails = 0
-        for _ in range(count):
-            x = jalg.random(rng)
-            lhs = jalg.trace(x) ** 2 - jalg.trace(jalg.square(x))
-            if lhs != 2 * jalg.trace(jalg.sharp(x)):
-                fails += 1
-        return {"cases": count, "failures": fails,
-                "status": "Verified" if fails == 0 else "Mismatch"}
-
-    def s_positivity(rng):
-        fails = 0
-        for _ in range(count):
-            x = jalg.random(rng)
-            q = jalg.trace_pairing(x, x)
-            if x.is_zero():
-                continue
-            if not q > 0:
-                fails += 1
-        return {"cases": count, "failures": fails,
-                "status": "Verified" if fails == 0 else "Mismatch"}
-
-    def s_rank_one(rng):
-        fails = 0
-        for _ in range(count):
-            z = compalg.rank_one_sample(jalg, rng)
-            if z.is_zero() or not jalg.sharp(z).is_zero() or jalg.rank(z) != 1:
-                fails += 1
-        return {"cases": count, "failures": fails,
-                "status": "Verified" if fails == 0 else "Mismatch"}
-
-    def s_ve_claims(rng):
-        split3 = compalg.CubicEtale(jalg, ("split3",))
-        qxf = compalg.CubicEtale(jalg, ("QxF", cfg.claims.qxf_disc))
-        fails = 0
-        dims_ok = (len(split3.ve_basis) == 24 and len(qxf.ve_basis) == 24)
-        for _ in range(count):
-            z = compalg.rank_one_sample(jalg, rng)
-            for et in (split3, qxf):
-                if et.in_ve(z):
-                    fails += 1   # nonzero rank one inside V_E
-        # exhaustive small-height sweep: no sparse rank-one element lies in
-        # either complement
-        hits = 0
-        for v in _small_height_sparse(jalg):
-            if not v.is_zero() and jalg.rank(v) == 1:
-                hits += 1
-                if split3.in_ve(v) or qxf.in_ve(v):
-                    fails += 1
-        return {"cases": 2 * count, "failures": fails,
-                "dims_ok": dims_ok, "small_height_rank_ones": hits,
-                "status": "Verified" if fails == 0 and dims_ok else "Mismatch"}
-
-    def s_rank_one_c1(rng):
-        fails = 0
-        for _ in range(count):
-            x = jalg.random(rng)
-            v = jalg.element((0, x.c[1], x.c[2]), x.x)
-            sh = jalg.sharp(v)
-            # with c1 = 0 the adjoint diagonal reads off -N(x2), -N(x3)
-            if sh.c[1] != -jalg.oct.norm(v.x[1]) or sh.c[2] != -jalg.oct.norm(v.x[2]):
-                fails += 1
-            if jalg.rank(v) <= 1 and not (jalg.oct.is_zero(v.x[1])
-                                          and jalg.oct.is_zero(v.x[2])):
-                fails += 1
-        # directed family: rank-one elements with c1 = 0
-        for _ in range(count // 10):
-            x1 = jalg.oct.random(rng)
-            c2 = jalg.scalars.randint(rng)
-            if c2 == 0:
-                continue
-            v = jalg.element((0, c2, Fraction(jalg.oct.norm(x1), c2)),
-                             (x1, [0] * 8, [0] * 8))
-            if jalg.rank(v) > 1:
-                fails += 1
-        # exhaustive small-height search over sparse elements with c1 = 0
-        hits = 0
-        for v in _small_height_c1_zero(jalg):
-            if jalg.rank(v) <= 1 and not v.is_zero():
-                hits += 1
-                if not (jalg.oct.is_zero(v.x[1]) and jalg.oct.is_zero(v.x[2])):
-                    fails += 1
-        return {"cases": count, "failures": fails,
-                "small_height_rank_ones": hits,
-                "status": "Verified" if fails == 0 else "Mismatch"}
-
-    def s_rank_one_orth_f(rng):
-        qxf = compalg.CubicEtale(jalg, ("QxF", cfg.claims.qxf_disc))
-        e2, e3 = qxf.basis_elements[1], qxf.basis_elements[2]
-        u = e3.x[0]
-        fails = 0
-        for _ in range(count):
-            x = jalg.random(rng)
-            # project away the F-components (span of e2, e3)
-            from .rootsys import solve_linear
-            gram = [[jalg.trace_pairing(a, b) for b in (e2, e3)] for a in (e2, e3)]
-            rhs = [jalg.trace_pairing(x, e2), jalg.trace_pairing(x, e3)]
-            coeff = solve_linear([list(map(Fraction, g)) for g in gram],
-                                 list(map(Fraction, rhs)))
-            v = jalg.sub(x, jalg.add(jalg.scale(coeff[0], e2), jalg.scale(coeff[1], e3)))
-            # orthogonality forces c3 = -c2; then c1 of the adjoint is
-            # -c2^2 - N(x1), which vanishes only when both pieces do
-            if v.c[2] != -v.c[1]:
-                fails += 1
-            if jalg.sharp(v).c[0] != -(v.c[1] ** 2) - jalg.oct.norm(v.x[0]):
-                fails += 1
-            if jalg.rank(v) <= 1:
-                e11 = jalg.e11()
-                if jalg.sub(v, jalg.scale(v.c[0], e11)).is_zero() is False:
-                    fails += 1
-        # small-height directed search within the orthogonal complement
-        hits = 0
-        for c1 in range(-2, 3):
-            for c2 in range(-1, 2):
-                for t in range(-1, 2):
-                    v = jalg.element((c1, c2, -c2), (jalg.oct.scale(t, u),
-                                                     [0] * 8, [0] * 8))
-                    if v.is_zero():
-                        continue
-                    if jalg.rank(v) <= 1:
-                        hits += 1
-                        if not jalg.sub(v, jalg.scale(v.c[0], jalg.e11())).is_zero():
-                            fails += 1
-        return {"cases": count, "failures": fails, "small_height_rank_ones": hits,
-                "status": "Verified" if fails == 0 else "Mismatch"}
-
-    def s_freudenthal(rng):
-        split3 = compalg.CubicEtale(jalg, ("split3",))
-        qxf = compalg.CubicEtale(jalg, ("QxF", cfg.claims.qxf_disc))
-        fails = 0
-        for _ in range(count):
-            z = jalg.random(rng)
-            lam = Fraction(rng.randint(1, 5), rng.randint(1, 3))
-            if rng.random() < 0.5:
-                lam = -lam
-            w = compalg.freudenthal_r0(jalg, z, lam)
-            for et in (split3, qxf):
-                we, _ve = compalg.we_projection(w, et)
-                if compalg.we_part_is_zero(we):
-                    fails += 1
-                # symplectic flip translate keeps a nonzero corner too
-                flip = compalg.FreudenthalElement(-w.d, w.c, jalg.scale(-1, w.b), w.a)
-                we2, _ = compalg.we_projection(flip, et)
-                if compalg.we_part_is_zero(we2):
-                    fails += 1
-        return {"cases": count, "failures": fails,
-                "status": "Verified" if fails == 0 else "Mismatch"}
-
-    def s_triality(rng):
-        fails = 0
-        total = 0
-        for _ in range(count):
-            pairs = compalg.random_triality_pairs(oct_def, rng)
-            triple = compalg.triality_triple(oct_def, pairs)
-            total += 1
-            if not compalg.triality_verify(oct_def, triple):
-                fails += 1
-        for p in cfg.claims.primes:
-            alg = compalg.OctonionAlgebra(compalg.PrimeFieldScalars(p),
-                                          cfg.algebras["split"], "split")
-            for _ in range(count):
-                pairs = compalg.random_triality_pairs(alg, rng)
-                triple = compalg.triality_triple(alg, pairs)
-                total += 1
-                if not compalg.triality_verify(alg, triple):
-                    fails += 1
-        return {"cases": total, "failures": fails,
-                "fields": ["Q"] + [f"GF({p})" for p in cfg.claims.primes],
-                "status": "Verified" if fails == 0 else "Mismatch"}
-
-    run("composition", s_composition)
-    run("sharp", s_sharp)
-    run("trace-identity", s_trace_identity)
-    run("positivity", s_positivity)
-    run("rank-one", s_rank_one)
-    run("ve-claims", s_ve_claims)
-    run("rank-one-c1", s_rank_one_c1)
-    run("rank-one-orth-f", s_rank_one_orth_f)
-    run("freudenthal", s_freudenthal)
-    run("triality", s_triality)
-    if not suites:
+    chosen = [(name, fn) for name, fn in SUITES if suite in ("all", name)]
+    if not chosen:
         raise ValueError(f"unknown algebra suite {suite!r}")
+    jalg = compalg.JordanAlgebra(compalg.OctonionAlgebra(
+        compalg.RationalScalars(), cfg.algebras["definite"], "definite"))
+    suites = []
+    for name, fn in chosen:
+        res = fn(cfg, jalg, count, random.Random(f"{seed}:{name}"))
+        ok = res["failures"] == 0 and res.get("dims_ok") is not False
+        suites.append({"name": name, **res, "status": "Verified" if ok else "Mismatch"})
     status = ("Verified" if all(s["status"] == "Verified" for s in suites)
               else "Mismatch")
     return {"kind": "algebra", "suite": suite, "seed": seed, "count": count,

@@ -17,10 +17,13 @@ than assumed, since they pin the two formulas against each other.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
+
+from .exactnum import nullspace, solve
 
 
 class RationalScalars:
@@ -54,7 +57,7 @@ class PrimeFieldScalars:
     characteristic = None
 
     def __init__(self, p: int):
-        if p < 3 or any(p % q == 0 for q in range(2, int(p ** 0.5) + 1)):
+        if p < 3 or any(p % q == 0 for q in range(2, math.isqrt(p) + 1)):
             raise ValueError("need an odd prime")
         self.p = p
         self.name = f"GF({p})"
@@ -476,8 +479,7 @@ class CubicEtale:
             d = Fraction(self.descriptor[1])
             if d <= 0 or d.denominator != 1:
                 raise ValueError("QxF needs a positive integer discriminant parameter")
-            root = d.numerator ** 0.5
-            if abs(round(root) ** 2 - d) < 1e-9 and round(root) ** 2 == d:
+            if math.isqrt(d.numerator) ** 2 == d.numerator:
                 raise ValueError("QxF discriminant must be a nonsquare")
             u = self._imaginary_of_norm(d - 1)
             z = j.oct.zero()
@@ -501,7 +503,6 @@ class CubicEtale:
         coords = [0] * 8
         rem = target
         idx = 1
-        import math
         while rem > 0 and idx < 8:
             c = int(math.isqrt(rem))
             while c > 0 and not _is_sum_of_squares(rem - c * c, 7 - idx):
@@ -548,30 +549,7 @@ class CubicEtale:
         j = self.jordan
         basis27 = j.basis()
         rows = [[j.trace_pairing(e, b) for b in basis27] for e in self.basis_elements]
-        # gaussian elimination to reduced row echelon form
-        m = [list(map(Fraction, row)) for row in rows]
-        pivots = []
-        r = 0
-        for col in range(27):
-            piv = next((k for k in range(r, len(m)) if m[k][col] != 0), None)
-            if piv is None:
-                continue
-            m[r], m[piv] = m[piv], m[r]
-            m[r] = [x / m[r][col] for x in m[r]]
-            for k in range(len(m)):
-                if k != r and m[k][col] != 0:
-                    f = m[k][col]
-                    m[k] = [x - f * y for x, y in zip(m[k], m[r])]
-            pivots.append(col)
-            r += 1
-        free = [c for c in range(27) if c not in pivots]
-        out = []
-        for fc in free:
-            vec = [Fraction(0)] * 27
-            vec[fc] = Fraction(1)
-            for i, pc in enumerate(pivots):
-                vec[pc] = -m[i][fc]
-            out.append(j.from_coords(vec))
+        out = [j.from_coords(v) for v in nullspace(rows)]
         assert len(out) == 27 - len(self.basis_elements)
         return out
 
@@ -580,9 +558,7 @@ class CubicEtale:
         V_E component)."""
         j = self.jordan
         rhs = [j.trace_pairing(el, b) for b in self.basis_elements]
-        from .rootsys import solve_linear
-        coeffs = solve_linear([list(map(Fraction, row)) for row in self._gram],
-                              list(map(Fraction, rhs)))
+        coeffs = solve(self._gram, rhs)
         ve = j.sub(el, self.embed(coeffs))
         return tuple(coeffs), ve
 
@@ -645,7 +621,6 @@ class ScaledMatrix:
     def reduce(self, ch: int | None) -> "ScaledMatrix":
         if ch:
             return ScaledMatrix([[v % ch for v in row] for row in self.mat], 1)
-        import math
         g = self.den
         for row in self.mat:
             for v in row:
@@ -676,7 +651,6 @@ def _sidentity() -> ScaledMatrix:
 
 def _int_coords(x) -> tuple[list[int], int]:
     """Clear denominators: x = vec/den with integer vec."""
-    import math
     den = 1
     for c in x:
         if isinstance(c, Fraction):
@@ -839,7 +813,6 @@ def _rational_sqrt(q) -> Fraction | None:
     q = Fraction(q)
     if q < 0:
         return None
-    import math
     a, b = math.isqrt(q.numerator), math.isqrt(q.denominator)
     if a * a == q.numerator and b * b == q.denominator:
         return Fraction(a, b)
@@ -1002,7 +975,6 @@ def _is_sum_of_squares(n: int, k: int) -> bool:
         return False
     if k >= 4:
         return True
-    import math
     c = int(math.isqrt(n))
     for a in range(c, -1, -1):
         if _is_sum_of_squares(n - a * a, k - 1):

@@ -313,14 +313,14 @@ def default_config_path() -> Path:
     return Path(str(importlib.resources.files("exceis") / "data" / "config.yaml"))
 
 
-_cache: dict[tuple[str, float], Config] = {}
+_cache: dict[tuple[str, int], Config] = {}
 
 
 def load_config(path: str | Path | None = None) -> Config:
     """Load (and cache) a config file; the cache keys on path and mtime, and
     the returned object is treated as immutable."""
     p = Path(path) if path else default_config_path()
-    key = (str(p.resolve()), p.stat().st_mtime)
+    key = (str(p.resolve()), p.stat().st_mtime_ns)
     if key not in _cache:
         with open(p, "r", encoding="utf-8") as fh:
             raw = yaml.safe_load(fh)

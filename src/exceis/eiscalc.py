@@ -25,9 +25,8 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exactnum import AffineForm
-from .rootsys import (RootSystem, Vector, Word, dot, mat_vec, smul,
-                      solve_linear, vadd)
+from .exactnum import AffineForm, inverse, solve
+from .rootsys import RootSystem, Vector, Word, dot, mat_vec, smul, vadd
 
 # ---------------------------------------------------------------------------
 # exponent vectors and traces
@@ -241,12 +240,6 @@ class ZetaProduct:
                 add(f, e)
         return ZetaProduct(out)
 
-    def finite_part(self) -> "ZetaProduct":
-        return ZetaProduct({f: e for f, e in self.factors.items() if f.is_finite()})
-
-    def arch_part(self) -> "ZetaProduct":
-        return ZetaProduct({f: e for f, e in self.factors.items() if not f.is_finite()})
-
     def same_function(self, other: "ZetaProduct") -> bool:
         """Factor-multiset equality after expansion."""
         return self.expanded() == other.expanded()
@@ -306,10 +299,6 @@ def _dedekind_field_order(a: Fraction) -> int | None:
     if a == 1:
         return -1
     return None
-
-
-class UndecidedOrderError(ValueError):
-    pass
 
 
 def factor_order(f: ZetaFactor, s0, symbols: dict[str, Fraction] | None = None) -> int | None:
@@ -388,12 +377,6 @@ class OrderReport:
             return f"PoleOrder({-t})"
         return f"ZeroOrder({t})"
 
-    def require_total(self) -> int:
-        if self.undecided:
-            bad = [str(e.factor) for e in self.entries if e.contribution is None]
-            raise UndecidedOrderError(f"orders undecided for: {', '.join(bad)}")
-        return self.decided_total
-
 
 def order_report(p: ZetaProduct, s0,
                  symbols: dict[str, Fraction] | None = None) -> OrderReport:
@@ -430,10 +413,6 @@ class ConvergenceVerdict:
         if margin == 0:
             return cls("Boundary", margin)
         return cls("NotConvergent", margin)
-
-
-def convergence_verdict(pairing: AffineForm, s0, threshold) -> ConvergenceVerdict:
-    return ConvergenceVerdict.compare(pairing.eval(s0), Fraction(threshold))
 
 
 # ---------------------------------------------------------------------------
@@ -515,28 +494,11 @@ class AbsoluteOracle:
         self._restriction: dict[Vector, Vector | None] = {}
         self._build()
 
-    def _inverse(self, gram):
-        n = len(gram)
-        aug = [list(row) + [Fraction(int(i == j)) for j in range(n)]
-               for i, row in enumerate(gram)]
-        for i in range(n):
-            piv = next(r for r in range(i, n) if aug[r][i] != 0)
-            aug[i], aug[piv] = aug[piv], aug[i]
-            d = aug[i][i]
-            aug[i] = [x / d for x in aug[i]]
-            for r in range(n):
-                if r != i and aug[r][i] != 0:
-                    f = aug[r][i]
-                    aug[r] = [x - f * y for x, y in zip(aug[r], aug[i])]
-        return [row[n:] for row in aug]
-
     def _project(self, v: Vector) -> Vector:
         ker = self._kernel_roots
         if not ker:
             return v
-        rhs = [dot(v, a) for a in ker]
-        coeff = [sum(self._ker_gram_inv[i][j] * rhs[j] for j in range(len(ker)))
-                 for i in range(len(ker))]
+        coeff = mat_vec(self._ker_gram_inv, tuple(dot(v, a) for a in ker))
         out = list(v)
         for c, a in zip(coeff, ker):
             for d in range(len(out)):
@@ -546,13 +508,13 @@ class AbsoluteOracle:
     def _build(self):
         self._kernel_roots = [self.absolute.simples[i - 1] for i in self.kernel]
         if self._kernel_roots:
-            self._ker_gram_inv = self._inverse(
+            self._ker_gram_inv = inverse(
                 [[dot(a, b) for b in self._kernel_roots] for a in self._kernel_roots])
         basis = [self._project(self.absolute.simples[i - 1])
                  for i in sorted(self.node_map)]
         targets = [self.rational.simples[self.node_map[i] - 1]
                    for i in sorted(self.node_map)]
-        gram_inv = self._inverse([[dot(a, b) for b in basis] for a in basis])
+        gram_inv = inverse([[dot(a, b) for b in basis] for a in basis])
         rational_roots = set(self.rational.roots)
         counts: dict[Vector, int] = {}
         for r in self.absolute.roots:
@@ -560,9 +522,7 @@ class AbsoluteOracle:
             if all(c == 0 for c in p):
                 self._restriction[r] = None
                 continue
-            rhs = [dot(p, b) for b in basis]
-            coeff = [sum(gram_inv[i][j] * rhs[j] for j in range(len(basis)))
-                     for i in range(len(basis))]
+            coeff = mat_vec(gram_inv, tuple(dot(p, b) for b in basis))
             img = tuple(sum(coeff[j] * targets[j][d] for j in range(len(targets)))
                         for d in range(self.rational.dim))
             if img not in rational_roots:
@@ -579,7 +539,7 @@ class AbsoluteOracle:
         sys = self.absolute
         gram = [[2 * dot(a, b) / dot(b, b) for a in sys.simples] for b in sys.simples]
         rhs = [Fraction(int(j + 1 == node)) for j in range(sys.rank)]
-        coeff = solve_linear(gram, rhs)
+        coeff = solve(gram, rhs)
         return tuple(sum(coeff[i] * sys.simples[i][d] for i in range(sys.rank))
                      for d in range(sys.dim))
 

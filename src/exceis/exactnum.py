@@ -1,10 +1,12 @@
-"""Exact univariate rational arithmetic in the parameter s.
+"""Exact univariate rational arithmetic in the parameter s, and exact
+linear algebra over the rationals.
 
 Everything here is built on :class:`fractions.Fraction`; no floating point
 enters at any stage.  Polynomials are stored dense by degree (degrees in
 this project stay below ~30) and rational functions are kept in a canonical
 form (coprime numerator/denominator, monic denominator) so that equality is
-decidable coefficientwise.
+decidable coefficientwise.  Linear systems, inverses and nullspaces all go
+through one Gauss-Jordan elimination, :func:`_eliminate`.
 """
 
 from __future__ import annotations
@@ -245,9 +247,6 @@ class AffineForm:
     def as_poly(self) -> Poly:
         return Poly([self.intercept, self.slope])
 
-    def is_constant(self) -> bool:
-        return self.slope == 0
-
     def normalized_sign(self) -> "AffineForm":
         """The form with positive leading coefficient (for sign-insensitive matching)."""
         lead = self.slope if self.slope != 0 else self.intercept
@@ -308,10 +307,6 @@ class RatFunc:
     @classmethod
     def const(cls, c) -> "RatFunc":
         return cls(Poly.const(c))
-
-    @classmethod
-    def from_affine(cls, a: AffineForm) -> "RatFunc":
-        return cls(a.as_poly())
 
     @classmethod
     def s(cls) -> "RatFunc":
@@ -391,13 +386,56 @@ def pochhammer(z: AffineForm, n: int) -> RatFunc:
     return RatFunc(acc)
 
 
-def order_at(f: RatFunc, s0) -> int:
-    return f.order_at(s0)
+def _eliminate(rows: list[list[Fraction]], ncols: int) -> list[int]:
+    """Reduce `rows` in place to reduced row echelon form on its first
+    `ncols` columns (later columns ride along as an augmentation) and
+    return the pivot columns."""
+    pivots: list[int] = []
+    for col in range(ncols):
+        r = len(pivots)
+        piv = next((k for k in range(r, len(rows)) if rows[k][col] != 0), None)
+        if piv is None:
+            continue
+        rows[r], rows[piv] = rows[piv], rows[r]
+        p = rows[r][col]
+        rows[r] = [x / p for x in rows[r]]
+        for k in range(len(rows)):
+            if k != r and rows[k][col] != 0:
+                f = rows[k][col]
+                rows[k] = [x - f * y for x, y in zip(rows[k], rows[r])]
+        pivots.append(col)
+    return pivots
 
 
-def eval_at(f: RatFunc, s0) -> Fraction:
-    return f.eval_at(s0)
+def solve(a, b) -> list[Fraction]:
+    """The unique x with a x = b; ValueError if the square matrix a is singular."""
+    n = len(a)
+    m = [[Fraction(x) for x in row] + [Fraction(y)] for row, y in zip(a, b)]
+    if len(_eliminate(m, n)) < n:
+        raise ValueError("singular system")
+    return [row[n] for row in m]
 
 
-def derivative(f: RatFunc) -> RatFunc:
-    return f.derivative()
+def inverse(a) -> list[list[Fraction]]:
+    """The inverse of a square matrix; ValueError if it is singular."""
+    n = len(a)
+    m = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
+         for i, row in enumerate(a)]
+    if len(_eliminate(m, n)) < n:
+        raise ValueError("singular matrix")
+    return [row[n:] for row in m]
+
+
+def nullspace(a) -> list[list[Fraction]]:
+    """The basis of {v : a v = 0} read off the reduced row echelon form: one
+    vector per free column, with a 1 there and 0 in the other free columns."""
+    ncols = len(a[0])
+    m = [[Fraction(x) for x in row] for row in a]
+    pivots = _eliminate(m, ncols)
+    out = []
+    for free in (c for c in range(ncols) if c not in pivots):
+        v = [Fraction(int(c == free)) for c in range(ncols)]
+        for row, pc in zip(m, pivots):
+            v[pc] = -row[free]
+        out.append(v)
+    return out

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .exactnum import AffineForm
+from .exactnum import AffineForm, inverse
 
 Vector = tuple[Fraction, ...]
 Matrix = tuple[tuple[Fraction, ...], ...]
@@ -52,31 +52,12 @@ def mat_vec(m: Matrix, v: Vector) -> Vector:
 
 
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:
-    n = len(a)
     bt = tuple(zip(*b))
     return tuple(tuple(dot(row, col) for col in bt) for row in a)
 
 
 def identity_matrix(n: int) -> Matrix:
     return tuple(tuple(Fraction(int(i == j)) for j in range(n)) for i in range(n))
-
-
-def solve_linear(a: list[list[Fraction]], b: list[Fraction]) -> list[Fraction]:
-    """Solve a square exact linear system by Gaussian elimination."""
-    n = len(a)
-    m = [list(row) + [b[i]] for i, row in enumerate(a)]
-    for i in range(n):
-        piv = next((r for r in range(i, n) if m[r][i] != 0), None)
-        if piv is None:
-            raise ValueError("singular system")
-        m[i], m[piv] = m[piv], m[i]
-        p = m[i][i]
-        m[i] = [x / p for x in m[i]]
-        for r in range(n):
-            if r != i and m[r][i] != 0:
-                f = m[r][i]
-                m[r] = [x - f * y for x, y in zip(m[r], m[i])]
-    return [m[i][n] for i in range(n)]
 
 
 class NotMinimalRepresentativeError(ValueError):
@@ -114,6 +95,7 @@ class RootSystem:
         self.roots: list[Vector] = self._close()
         self._pos_set: set[Vector] = set()
         self.positives: list[Vector] = []
+        self._gram_inv = inverse([[dot(a, b) for b in self.simples] for a in self.simples])
         self._coords_cache: dict[Vector, tuple[Fraction, ...]] = {}
         for r in self.roots:
             if self._is_positive(r):
@@ -126,6 +108,7 @@ class RootSystem:
         self.parabolic_labels = dict(parabolic_labels or {})
         self._simple_mats = [self._reflection_matrix(a) for a in self.simples]
         self._coset_cache: dict[frozenset[int], list[Word]] = {}
+        self._census_cache: dict[tuple[frozenset[int], frozenset[int]], list[Word]] = {}
 
     # ----- construction -------------------------------------------------
 
@@ -150,9 +133,8 @@ class RootSystem:
     def coords(self, root: Vector) -> tuple[Fraction, ...]:
         """Coordinates of a root in the simple-root basis."""
         if root not in self._coords_cache:
-            gram = [[dot(a, b) for b in self.simples] for a in self.simples]
-            rhs = [dot(root, a) for a in self.simples]
-            self._coords_cache[root] = tuple(solve_linear(gram, rhs))
+            self._coords_cache[root] = mat_vec(self._gram_inv,
+                                               tuple(dot(root, a) for a in self.simples))
         return self._coords_cache[root]
 
     def _is_positive(self, root: Vector) -> bool:
@@ -280,9 +262,6 @@ class RootSystem:
 
     # ----- pairings -------------------------------------------------------
 
-    def coroot_pairing_vec(self, v: Vector, root: Vector) -> Fraction:
-        return Fraction(2) * dot(v, root) / dot(root, root)
-
     def coroot_pairing(self, slope: Vector, icept: Vector, root: Vector) -> AffineForm:
         """Pairing <a*s + b, root^vee> as an exact affine form."""
         na = dot(root, root)
@@ -306,9 +285,8 @@ class RootSystem:
         levi = frozenset(right.levi(self.rank))
         if levi in self._coset_cache:
             return self._coset_cache[levi]
-        gram = [[dot(a, b) for b in self.simples] for a in self.simples]
-        rhs = [Fraction(0) if (i + 1) in levi else Fraction(1) for i in range(self.rank)]
-        coeff = solve_linear(gram, rhs)
+        rhs = tuple(Fraction(0) if (i + 1) in levi else Fraction(1) for i in range(self.rank))
+        coeff = mat_vec(self._gram_inv, rhs)
         base = tuple(sum(coeff[i] * self.simples[i][d] for i in range(self.rank))
                      for d in range(self.dim))
         words: dict[Vector, Word] = {base: ()}
@@ -336,7 +314,11 @@ class RootSystem:
                    for j in left.levi(self.rank))
 
     def double_coset_reps(self, left: ParabolicSpec, right: ParabolicSpec) -> list[Word]:
-        return [w for w in self.coset_reps(right) if self.in_left_set(w, left)]
+        key = (left.radical, right.radical)
+        if key not in self._census_cache:
+            self._census_cache[key] = [w for w in self.coset_reps(right)
+                                       if self.in_left_set(w, left)]
+        return self._census_cache[key]
 
     def longest_rep(self, right: ParabolicSpec) -> Word:
         """The unique maximal-length element of [W/W_M]."""
@@ -346,16 +328,6 @@ class RootSystem:
         if len(longest) != 1:
             raise ValueError("[W/W_M] has no unique longest element?")
         return longest[0]
-
-    def find_double_coset_rep(self, word: Sequence[int],
-                              left: ParabolicSpec, right: ParabolicSpec) -> Word:
-        """Canonical representative with the same group element as `word`."""
-        target = self.word_matrix(word)
-        for w in self.double_coset_reps(left, right):
-            if self.word_matrix(w) == target:
-                return w
-        raise NotMinimalRepresentativeError(
-            f"{list(word)} is not a minimal representative in the double-coset set")
 
     def associated_simple_roots(self, word: Sequence[int],
                                 left: ParabolicSpec, source: ParabolicSpec) -> tuple[int, ...]:

@@ -4,9 +4,8 @@ import pytest
 
 from exceis.config import load_config
 from exceis.eiscalc import (ConvergenceVerdict, CoordVector, ZetaFactor,
-                            ZetaProduct, apply_word, convergence_verdict,
-                            gk_cfunction, order_report, parse_factor,
-                            rational_cfunction, shifted_exponent)
+                            ZetaProduct, apply_word, gk_cfunction, order_report,
+                            parse_factor, rational_cfunction, shifted_exponent)
 from exceis.exactnum import AffineForm
 
 
@@ -245,15 +244,15 @@ class TestOrderReports:
 
 class TestConvergence:
     def test_margin_six(self):
-        v = convergence_verdict(AffineForm(1, -6), 24, 12)
+        v = ConvergenceVerdict.compare(AffineForm(1, -6).eval(24), 12)
         assert v.status == "AbsolutelyConvergent" and v.margin == 6
 
     def test_boundary(self):
-        v = convergence_verdict(AffineForm(1, -1), 5, 4)
+        v = ConvergenceVerdict.compare(AffineForm(1, -1).eval(5), 4)
         assert v.status == "Boundary" and v.margin == 0
 
     def test_trivial(self):
-        v = convergence_verdict(AffineForm(1, -3), 5, 1)
+        v = ConvergenceVerdict.compare(AffineForm(1, -3).eval(5), 1)
         assert v.status == "AbsolutelyConvergent" and v.margin == 1
 
     def test_not_convergent(self):

@@ -1,11 +1,13 @@
 from fractions import Fraction
+from itertools import combinations, permutations
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from exceis.exactnum import (AffineForm, PoleError, Poly, RatFunc,
-                             ZeroFunctionError, pochhammer)
+                             ZeroFunctionError, inverse, nullspace, pochhammer,
+                             solve)
 
 
 def rf(num, den=(1,)):
@@ -154,3 +156,94 @@ def test_pochhammer_composition(a, b, m, n):
 @given(ratfuncs(), ratfuncs(), ratfuncs())
 def test_field_axioms_spotcheck(f, g, h):
     assert (f + g) * h == f * h + g * h
+
+
+# ---------------------------------------------------------------------------
+# exact linear algebra, checked against Leibniz determinants
+# ---------------------------------------------------------------------------
+
+scalars = st.one_of(st.integers(min_value=-3, max_value=3),
+                    st.fractions(min_value=-3, max_value=3, max_denominator=4))
+
+
+def matrices(nrows, ncols):
+    return st.lists(st.lists(scalars, min_size=ncols, max_size=ncols),
+                    min_size=nrows, max_size=nrows)
+
+
+def square_systems():
+    return st.integers(min_value=1, max_value=4).flatmap(
+        lambda n: st.tuples(matrices(n, n), st.lists(scalars, min_size=n, max_size=n)))
+
+
+def mat_vec(a, v):
+    return [sum((x * y for x, y in zip(row, v)), Fraction(0)) for row in a]
+
+
+def det(a):
+    total = Fraction(0)
+    for perm in permutations(range(len(a))):
+        inversions = sum(1 for i, j in combinations(range(len(a)), 2) if perm[i] > perm[j])
+        term = Fraction((-1) ** inversions)
+        for i, j in enumerate(perm):
+            term *= a[i][j]
+        total += term
+    return total
+
+
+def rank(a):
+    """Largest order of a nonzero minor."""
+    for k in range(min(len(a), len(a[0])), 0, -1):
+        for rows in combinations(range(len(a)), k):
+            for cols in combinations(range(len(a[0])), k):
+                if det([[a[r][c] for c in cols] for r in rows]) != 0:
+                    return k
+    return 0
+
+
+@settings(max_examples=150, deadline=None)
+@given(square_systems())
+def test_solve(system):
+    a, b = system
+    if det(a) == 0:
+        with pytest.raises(ValueError):
+            solve(a, b)
+    else:
+        assert mat_vec(a, solve(a, b)) == b
+
+
+@settings(max_examples=60, deadline=None)
+@given(square_systems(), st.integers(min_value=0, max_value=3))
+def test_solve_rejects_singular(system, k):
+    a, b = system
+    k %= len(a)
+    # append row k again, with one more column taken from b: row n repeats row k
+    a = [row + [y] for row, y in zip(a + [a[k]], b + [b[k]])]
+    with pytest.raises(ValueError):
+        solve(a, [Fraction(1)] * len(a))
+    with pytest.raises(ValueError):
+        inverse(a)
+
+
+@settings(max_examples=150, deadline=None)
+@given(square_systems())
+def test_inverse(system):
+    a, _ = system
+    n = len(a)
+    if det(a) == 0:
+        with pytest.raises(ValueError):
+            inverse(a)
+        return
+    inv = inverse(a)
+    for j in range(n):
+        assert mat_vec(a, [row[j] for row in inv]) == [int(i == j) for i in range(n)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.tuples(st.integers(min_value=1, max_value=4),
+                 st.integers(min_value=1, max_value=5)).flatmap(lambda nm: matrices(*nm)))
+def test_nullspace(a):
+    basis = nullspace(a)
+    for v in basis:
+        assert mat_vec(a, v) == [0] * len(a)
+    assert len(basis) == len(a[0]) - rank(a)

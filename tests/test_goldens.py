@@ -1,9 +1,11 @@
 """Byte-level golden-report regression tests.
 
 The JSON renderings are deterministic for a fixed config, so representative
-reports are frozen under tests/goldens/ and compared bytewise.
+reports are frozen under tests/goldens/ and compared bytewise; the remaining
+table, modulus, oracle and arch reports are pinned by one digest.
 """
 
+import hashlib
 from pathlib import Path
 
 import pytest
@@ -13,6 +15,10 @@ from exceis.config import load_config
 from exceis.report import to_json
 
 GOLDENS = Path(__file__).parent / "goldens"
+
+# sha256 of the concatenated to_json of all 23 table reports, then the
+# modulus, oracle and arch reports, in run_all order (162,992 bytes)
+TABLES_SHA256 = "fa16c2e56cbc2f8f101882bae11f43970d0619915eae8331bf9538a17762527f"
 
 
 @pytest.fixture(scope="module")
@@ -28,3 +34,12 @@ def test_e7_siegel_table_golden(cfg):
 def test_modulus_golden(cfg):
     assert to_json(cases.modulus_report(cfg)) == \
         (GOLDENS / "modulus.json").read_text()
+
+
+def test_all_tables_digest(cfg):
+    docs = [cases.build_table_report(cfg, cfg.cases[name], table)
+            for name in sorted(cfg.cases) for table in cfg.cases[name].tables]
+    assert len(docs) == 23
+    docs += [cases.modulus_report(cfg), cases.oracle_report(cfg), cases.arch_report(cfg)]
+    blob = "".join(to_json(doc) for doc in docs).encode()
+    assert hashlib.sha256(blob).hexdigest() == TABLES_SHA256

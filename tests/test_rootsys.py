@@ -42,6 +42,15 @@ class TestGenerate:
             assert len(sys.roots) == nroots
             assert sys.weyl_order() == order
 
+    def test_coords_recombine_to_root(self, cfg):
+        assert len(cfg.raw["systems"]) == 15
+        for name in cfg.raw["systems"]:
+            sys = cfg.system(name)
+            for r in sys.roots:
+                c = sys.coords(r)
+                assert tuple(sum(c[i] * a[d] for i, a in enumerate(sys.simples))
+                             for d in range(sys.dim)) == r
+
     def test_reflections_preserve_roots_and_form(self, cfg):
         sys = cfg.system("F4")
         roots = set(sys.roots)
