@@ -25,7 +25,7 @@ from .eiscalc import (ConvergenceVerdict, CoordVector, ZetaProduct, apply_word,
                       intertwiner_verdict, order_report, rational_cfunction,
                       shifted_exponent)
 from .exactnum import AffineForm, solve
-from .rootsys import ParabolicSpec, RootSystem, Word, mat_vec
+from .rootsys import ParabolicSpec, RootSystem, Word
 
 
 @dataclass
@@ -42,21 +42,17 @@ def _match_row_to_rep(system: RootSystem, row: RowSpec, reps: list[Word]) -> tup
     """Identify the configured row (word or permutation action) with one of
     the computed canonical representatives, as group elements."""
     if row.action:
-        for w in reps:
-            m = system.word_matrix(w)
-            ok = True
-            for i, (sign, j) in row.action.items():
-                src = tuple(Fraction(int(d == i - 1)) for d in range(system.dim))
-                dst = tuple(Fraction(sign * int(d == j - 1)) for d in range(system.dim))
-                if mat_vec(m, src) != dst:
-                    ok = False
-                    break
-            if ok and tuple(row.word) == w:
-                return w, Check("census", True, f"action matches representative {list(w)}")
+        def unit(i: int, sign: int = 1):
+            return tuple(Fraction(sign * int(d == i - 1)) for d in range(system.dim))
+
+        w = tuple(row.word)
+        if w in reps and all(system.act(w, unit(i)) == unit(j, sign)
+                             for i, (sign, j) in row.action.items()):
+            return w, Check("census", True, f"action matches representative {list(w)}")
         return None, Check("census", False, f"no representative with the stated action")
-    target = system.word_matrix(row.word)
+    target = system.element(row.word)
     for w in reps:
-        if system.word_matrix(w) == target:
+        if system.element(w) == target:
             return w, Check("census", True,
                             f"word {list(row.word)} = representative {list(w)}")
     return None, Check("census", False,
@@ -656,6 +652,8 @@ def algebra_report(cfg: Config, suite: str = "all", seed: int | None = None,
                    count: int | None = None) -> dict:
     seed = cfg.claims.seed if seed is None else seed
     count = cfg.claims.count if count is None else count
+    if count < 1:
+        raise ValueError(f"algebra sample count must be at least 1, got {count}")
     chosen = [(name, fn) for name, fn in SUITES if suite in ("all", name)]
     if not chosen:
         raise ValueError(f"unknown algebra suite {suite!r}")
@@ -673,6 +671,7 @@ def algebra_report(cfg: Config, suite: str = "all", seed: int | None = None,
 
 
 def run_all(cfg: Config, seed: int | None = None, count: int | None = None) -> dict:
+    algebra = algebra_report(cfg, "all", seed=seed, count=count)  # rejects a bad count early
     sections = []
     for case_name in sorted(cfg.cases):
         case = cfg.cases[case_name]
@@ -681,7 +680,7 @@ def run_all(cfg: Config, seed: int | None = None, count: int | None = None) -> d
     sections.append(modulus_report(cfg))
     sections.append(oracle_report(cfg))
     sections.append(arch_report(cfg))
-    sections.append(algebra_report(cfg, "all", seed=seed, count=count))
+    sections.append(algebra)
     worst = "Verified"
     for s in sections:
         if s["status"] == "Mismatch":

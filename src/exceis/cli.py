@@ -23,6 +23,16 @@ def _emit(doc: dict, fmt: str) -> None:
         sys.exit(1)
 
 
+def _report(ctx, build, *args, **kwargs) -> None:
+    """Emit build(cfg, *args, **kwargs); a KeyError or ValueError (unknown
+    name, bad argument) becomes an error exit with its message."""
+    try:
+        doc = build(ctx.obj["cfg"], *args, **kwargs)
+    except (KeyError, ValueError) as exc:
+        raise click.ClickException(str(exc))
+    _emit(doc, ctx.obj["fmt"])
+
+
 @click.group()
 @click.option("--config", "config_path", type=click.Path(exists=True), default=None,
               help="Alternative config file (defaults to the packaged one).")
@@ -43,12 +53,7 @@ def main(ctx, config_path, fmt):
 @click.pass_context
 def cosets(ctx, system, left, right):
     """Minimal double-coset representatives [W_LEFT \\ W / W_RIGHT]."""
-    cfg = ctx.obj["cfg"]
-    try:
-        doc = cases.cosets_report(cfg, system, left, right)
-    except (KeyError, ValueError) as exc:
-        raise click.ClickException(str(exc))
-    _emit(doc, ctx.obj["fmt"])
+    _report(ctx, cases.cosets_report, system, left, right)
 
 
 @main.command("constant-term")
@@ -59,12 +64,7 @@ def cosets(ctx, system, left, right):
 @click.pass_context
 def constant_term(ctx, case_name, source, target, s0):
     """Constant-term table of CASE from SOURCE down to TARGET."""
-    cfg = ctx.obj["cfg"]
-    try:
-        doc = cases.constant_term_report(cfg, case_name, source, target, s0=s0)
-    except (KeyError, ValueError) as exc:
-        raise click.ClickException(str(exc))
-    _emit(doc, ctx.obj["fmt"])
+    _report(ctx, cases.constant_term_report, case_name, source, target, s0=s0)
 
 
 @main.command()
@@ -72,8 +72,7 @@ def constant_term(ctx, case_name, source, target, s0):
 @click.pass_context
 def arch(ctx, case_name):
     """Verify the archimedean multiplier recipes (all cases by default)."""
-    cfg = ctx.obj["cfg"]
-    _emit(cases.arch_report(cfg, case_name), ctx.obj["fmt"])
+    _report(ctx, cases.arch_report, case_name)
 
 
 @main.command()
@@ -83,26 +82,21 @@ def arch(ctx, case_name):
 @click.pass_context
 def algebra(ctx, suite, seed, count):
     """Seeded algebra property suites (composition, sharp, triality, ...)."""
-    cfg = ctx.obj["cfg"]
-    try:
-        doc = cases.algebra_report(cfg, suite, seed=seed, count=count)
-    except ValueError as exc:
-        raise click.ClickException(str(exc))
-    _emit(doc, ctx.obj["fmt"])
+    _report(ctx, cases.algebra_report, suite, seed=seed, count=count)
 
 
 @main.command()
 @click.pass_context
 def modulus(ctx):
     """Check the configured modulus-character exponents."""
-    _emit(cases.modulus_report(ctx.obj["cfg"]), ctx.obj["fmt"])
+    _report(ctx, cases.modulus_report)
 
 
 @main.command()
 @click.pass_context
 def oracle(ctx):
     """Rational c-functions against the absolute-system oracle."""
-    _emit(cases.oracle_report(ctx.obj["cfg"]), ctx.obj["fmt"])
+    _report(ctx, cases.oracle_report)
 
 
 @main.command("all")
@@ -112,8 +106,7 @@ def oracle(ctx):
 @click.pass_context
 def run_everything(ctx, seed, count):
     """Run every configured verification."""
-    cfg = ctx.obj["cfg"]
-    _emit(cases.run_all(cfg, seed=seed, count=count), ctx.obj["fmt"])
+    _report(ctx, cases.run_all, seed=seed, count=count)
 
 
 if __name__ == "__main__":

@@ -25,7 +25,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exactnum import AffineForm, inverse, solve
+from .exactnum import AffineForm, solve
 from .rootsys import RootSystem, Vector, Word, dot, mat_vec, smul, vadd
 
 # ---------------------------------------------------------------------------
@@ -478,10 +478,12 @@ class AbsoluteOracle:
 
     `kernel` lists the absolute simple roots restricting to zero (the
     anisotropic part); `node_map` sends each remaining absolute node to the
-    rational simple root it restricts to.  Restriction is orthogonal
-    projection onto the complement of the kernel span, rewritten in the
-    rational coordinates; the fibre sizes must reproduce the rational
-    multiplicity table.
+    rational simple root it restricts to, and the two must partition the
+    absolute nodes.  Restriction is the induced map on simple-root
+    coordinates (orthogonal projection onto the complement of the kernel
+    span, read in the rational basis); the fibre sizes must reproduce the
+    rational multiplicity table.  `restriction` maps each absolute root to
+    its rational image, or to None when it restricts to zero.
     """
 
     def __init__(self, absolute: RootSystem, rational: RootSystem,
@@ -491,43 +493,29 @@ class AbsoluteOracle:
         self.kernel = list(kernel)
         self.node_map = dict(node_map)
         self.source_node = source_node
-        self._restriction: dict[Vector, Vector | None] = {}
+        self.restriction: dict[Vector, Vector | None] = {}
         self._build()
 
-    def _project(self, v: Vector) -> Vector:
-        ker = self._kernel_roots
-        if not ker:
-            return v
-        coeff = mat_vec(self._ker_gram_inv, tuple(dot(v, a) for a in ker))
-        out = list(v)
-        for c, a in zip(coeff, ker):
-            for d in range(len(out)):
-                out[d] -= c * a[d]
-        return tuple(out)
-
     def _build(self):
-        self._kernel_roots = [self.absolute.simples[i - 1] for i in self.kernel]
-        if self._kernel_roots:
-            self._ker_gram_inv = inverse(
-                [[dot(a, b) for b in self._kernel_roots] for a in self._kernel_roots])
-        basis = [self._project(self.absolute.simples[i - 1])
-                 for i in sorted(self.node_map)]
-        targets = [self.rational.simples[self.node_map[i] - 1]
-                   for i in sorted(self.node_map)]
-        gram_inv = inverse([[dot(a, b) for b in basis] for a in basis])
+        n = self.absolute.rank
+        if (sorted(self.kernel + list(self.node_map)) != list(range(1, n + 1))
+                or not set(self.node_map.values()) <= set(range(1, self.rational.rank + 1))):
+            raise ValueError(f"kernel {self.kernel} and nodes {sorted(self.node_map)} do not "
+                             f"partition the absolute nodes 1..{n} onto rational nodes")
         rational_roots = set(self.rational.roots)
         counts: dict[Vector, int] = {}
         for r in self.absolute.roots:
-            p = self._project(r)
-            if all(c == 0 for c in p):
-                self._restriction[r] = None
+            c = self.absolute.coords(r)
+            coeff = [0] * self.rational.rank
+            for i, j in self.node_map.items():
+                coeff[j - 1] += c[i - 1]
+            if not any(coeff):
+                self.restriction[r] = None
                 continue
-            coeff = mat_vec(gram_inv, tuple(dot(p, b) for b in basis))
-            img = tuple(sum(coeff[j] * targets[j][d] for j in range(len(targets)))
-                        for d in range(self.rational.dim))
+            img = self.rational.vector(coeff)
             if img not in rational_roots:
                 raise ValueError("restriction image is not a rational root")
-            self._restriction[r] = img
+            self.restriction[r] = img
             counts[img] = counts.get(img, 0) + 1
         for root in self.rational.roots:
             if counts.get(root, 0) != self.rational.multiplicity(root):
@@ -537,11 +525,8 @@ class AbsoluteOracle:
 
     def fundamental_weight(self, node: int) -> Vector:
         sys = self.absolute
-        gram = [[2 * dot(a, b) / dot(b, b) for a in sys.simples] for b in sys.simples]
-        rhs = [Fraction(int(j + 1 == node)) for j in range(sys.rank)]
-        coeff = solve(gram, rhs)
-        return tuple(sum(coeff[i] * sys.simples[i][d] for i in range(sys.rank))
-                     for d in range(sys.dim))
+        rhs = [int(j + 1 == node) for j in range(sys.rank)]
+        return sys.vector(solve([list(col) for col in zip(*sys.cartan)], rhs))
 
     def lambda_abs(self) -> CoordVector:
         """s * omega_{source node} - rho on the absolute side."""
@@ -557,7 +542,7 @@ class AbsoluteOracle:
         lam = self.lambda_abs()
         out: dict[ZetaFactor, int] = {}
         for r in self.absolute.positives:
-            img = self._restriction.get(r)
+            img = self.restriction.get(r)
             if img is None or img not in flipped:
                 continue
             z = lam.pairing(self.absolute, r)

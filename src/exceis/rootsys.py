@@ -1,8 +1,11 @@
 """Root systems, Weyl groups, and minimal coset representatives.
 
 A :class:`RootSystem` is generated from an explicit list of simple roots in
-Euclidean coordinates (exact rationals).  Weyl elements are canonically the
-orthogonal matrices they induce; bracket words [i1,...,iN] are reduced
+Euclidean coordinates (exact rationals).  Its roots are closed under the
+simple reflections in simple-root coordinates, with the integer Cartan
+matrix; Euclidean vectors serve only at the boundary (input, pairings,
+characters).  Weyl elements are canonically the permutations they induce on
+the roots, a faithful action; bracket words [i1,...,iN] are reduced
 expressions used for display and for factoring intertwining operators, with
 the rightmost letter acting first on vectors.
 
@@ -12,7 +15,7 @@ Minimal coset representatives follow the positivity definitions
     [W_L\\W]      = { w : w^{-1}(beta) > 0 for all simple beta of L },
     [W_L\\W/W_M]  = intersection of the two,
 
-enumerated by a breadth-first search over the orbit of a point whose
+enumerated by a breadth-first search over the orbit of a weight whose
 stabilizer is W_M, then filtered by the left condition.
 """
 
@@ -22,11 +25,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .exactnum import AffineForm, inverse
+from .exactnum import AffineForm, nullspace
 
 Vector = tuple[Fraction, ...]
 Matrix = tuple[tuple[Fraction, ...], ...]
 Word = tuple[int, ...]
+Coords = tuple[int, ...]
+Element = tuple[int, ...]
 
 
 def dot(x: Vector, y: Vector) -> Fraction:
@@ -92,21 +97,36 @@ class RootSystem:
         self.simples: list[Vector] = [tuple(Fraction(c) for c in v) for v in simple_roots]
         self.rank = len(self.simples)
         self.dim = len(self.simples[0])
-        self.roots: list[Vector] = self._close()
-        self._pos_set: set[Vector] = set()
-        self.positives: list[Vector] = []
-        self._gram_inv = inverse([[dot(a, b) for b in self.simples] for a in self.simples])
-        self._coords_cache: dict[Vector, tuple[Fraction, ...]] = {}
-        for r in self.roots:
-            if self._is_positive(r):
-                self.positives.append(r)
-                self._pos_set.add(r)
+        if nullspace([list(col) for col in zip(*self.simples)]):
+            raise ValueError(f"{name}: simple roots are linearly dependent")
+        cartan = [[2 * dot(a, b) / dot(b, b) for b in self.simples] for a in self.simples]
+        if any(x.denominator != 1 for row in cartan for x in row):
+            raise ValueError(f"{name}: Cartan matrix is not integral")
+        self.cartan = [[int(x) for x in row] for row in cartan]  # <alpha_i, alpha_j^vee>
+        vectors = {c: self.vector(c) for c in self._close()}
+        coords = sorted(vectors, key=vectors.__getitem__)
+        self.roots: list[Vector] = [vectors[c] for c in coords]
+        self._coords: dict[Vector, Coords] = dict(zip(self.roots, coords))
+        index = {c: k for k, c in enumerate(coords)}
+        self._coord_list = coords
+        self._positive = [all(x >= 0 for x in c) for c in coords]
+        if any(not p and any(x > 0 for x in c) for p, c in zip(self._positive, coords)):
+            raise ValueError(f"{name}: simple roots do not form a simple system")
+        self._pos_idx = [k for k, p in enumerate(self._positive) if p]
+        self.positives: list[Vector] = [self.roots[k] for k in self._pos_idx]
+        self._pos_set: set[Vector] = set(self.positives)
+        self._simple_idx = [index[tuple(int(i == j) for j in range(self.rank))]
+                            for i in range(self.rank)]
+        self._reflections = [tuple(index[self._reflect_coords(i, c)] for c in coords)
+                             for i in range(self.rank)]
         self._mult = {Fraction(k): int(v) for k, v in (multiplicities or {}).items()}
         self._print_scale = {Fraction(k): Fraction(v)
                              for k, v in (print_coroot_scale or {}).items()}
         self.nu: Vector | None = tuple(Fraction(c) for c in nu) if nu is not None else None
         self.parabolic_labels = dict(parabolic_labels or {})
-        self._simple_mats = [self._reflection_matrix(a) for a in self.simples]
+        basis = [tuple(Fraction(int(i == j)) for i in range(self.dim)) for j in range(self.dim)]
+        self._simple_mats = [tuple(zip(*(self.reflect(a, e) for e in basis)))
+                             for a in self.simples]
         self._coset_cache: dict[frozenset[int], list[Word]] = {}
         self._census_cache: dict[tuple[frozenset[int], frozenset[int]], list[Word]] = {}
 
@@ -116,42 +136,33 @@ class RootSystem:
         c = 2 * dot(v, alpha) / dot(alpha, alpha)
         return vsub(v, smul(c, alpha))
 
-    def _close(self) -> list[Vector]:
-        roots = set(self.simples) | {smul(Fraction(-1), a) for a in self.simples}
+    def _reflect_coords(self, i: int, c: Coords) -> Coords:
+        """s_{i+1} on simple-root coordinates: c - <c, alpha_{i+1}^vee> e_{i+1}."""
+        k = sum(x * row[i] for x, row in zip(c, self.cartan))
+        return c[:i] + (c[i] - k,) + c[i + 1:]
+
+    def _close(self) -> set[Coords]:
+        units = [tuple(int(i == j) for j in range(self.rank)) for i in range(self.rank)]
+        roots = set(units) | {tuple(-x for x in e) for e in units}
         frontier = set(roots)
         while frontier:
-            new = set()
-            for r in frontier:
-                for a in self.simples:
-                    r2 = self.reflect(a, r)
-                    if r2 not in roots:
-                        new.add(r2)
+            new = {self._reflect_coords(i, c) for c in frontier
+                   for i in range(self.rank)} - roots
             roots |= new
             frontier = new
-        return sorted(roots)
+        return roots
 
-    def coords(self, root: Vector) -> tuple[Fraction, ...]:
+    def vector(self, coords: Sequence) -> Vector:
+        """The Euclidean vector sum_i coords[i] * alpha_{i+1}."""
+        return tuple(sum(c * a[d] for c, a in zip(coords, self.simples))
+                     for d in range(self.dim))
+
+    def coords(self, root: Vector) -> Coords:
         """Coordinates of a root in the simple-root basis."""
-        if root not in self._coords_cache:
-            self._coords_cache[root] = mat_vec(self._gram_inv,
-                                               tuple(dot(root, a) for a in self.simples))
-        return self._coords_cache[root]
-
-    def _is_positive(self, root: Vector) -> bool:
-        for c in self.coords(root):
-            if c != 0:
-                return c > 0
-        return False
+        return self._coords[root]
 
     def is_positive_root(self, v: Vector) -> bool:
         return v in self._pos_set
-
-    def _reflection_matrix(self, alpha: Vector) -> Matrix:
-        cols = []
-        for j in range(self.dim):
-            e = tuple(Fraction(int(i == j)) for i in range(self.dim))
-            cols.append(self.reflect(alpha, e))
-        return tuple(tuple(cols[j][i] for j in range(self.dim)) for i in range(self.dim))
 
     # ----- multiplicities and characters ---------------------------------
 
@@ -171,23 +182,25 @@ class RootSystem:
         The partition of Phi+ by height is conjugate to the partition given
         by the exponents, and |W| is the product of (exponent + 1).
         """
-        heights: dict[int, int] = {}
-        for r in self.positives:
-            h = sum(self.coords(r))
-            assert h.denominator == 1
-            heights[int(h)] = heights.get(int(h), 0) + 1
-        counts = [heights.get(h, 0) for h in range(1, max(heights) + 1)]
-        exps = []
-        for k in range(1, len(self.simples) + 1):
-            exps.append(sum(1 for c in counts if c >= k))
+        heights = [sum(self._coord_list[k]) for k in self._pos_idx]
+        counts = [heights.count(h) for h in range(1, max(heights) + 1)]
         order = 1
-        for part in exps:
-            order *= part + 1
+        for k in range(1, self.rank + 1):
+            order *= 1 + sum(1 for c in counts if c >= k)
         return order
 
-    # ----- words and matrices -------------------------------------------
+    # ----- words and group elements -------------------------------------
+
+    def element(self, word: Sequence[int]) -> Element:
+        """The word's group element as the permutation p it induces on root
+        indices, roots[p[k]] = w(roots[k]); equal elements give equal tuples."""
+        p = tuple(range(len(self.roots)))
+        for i in word:
+            p = tuple(p[k] for k in self._reflections[i - 1])
+        return p
 
     def word_matrix(self, word: Sequence[int]) -> Matrix:
+        """The orthogonal matrix of the word's group element."""
         m = identity_matrix(self.dim)
         for i in word:
             m = mat_mul(m, self._simple_mats[i - 1])
@@ -200,8 +213,8 @@ class RootSystem:
 
     def inversions(self, word: Sequence[int]) -> list[Vector]:
         """Positive roots sent negative by the word's group element."""
-        m = self.word_matrix(word)
-        return [r for r in self.positives if mat_vec(m, r) not in self._pos_set]
+        p = self.element(word)
+        return [self.roots[k] for k in self._pos_idx if not self._positive[p[k]]]
 
     def length(self, word: Sequence[int]) -> int:
         return len(self.inversions(word))
@@ -225,15 +238,15 @@ class RootSystem:
             raise KeyError(f"unknown parabolic {label!r} for system {self.name}")
         return ParabolicSpec.of(label_or_spec)
 
+    def _radical(self, p: ParabolicSpec) -> list[int]:
+        """Indices of the positive roots in the unipotent radical of P."""
+        levi = set(p.levi(self.rank))
+        nodes = [i for i in range(self.rank) if i + 1 not in levi]
+        return [k for k in self._pos_idx if any(self._coord_list[k][i] for i in nodes)]
+
     def radical_roots(self, p: ParabolicSpec) -> list[Vector]:
         """Positive roots in the unipotent radical of P."""
-        levi = set(p.levi(self.rank))
-        out = []
-        for r in self.positives:
-            c = self.coords(r)
-            if any(c[i - 1] != 0 for i in range(1, self.rank + 1) if i not in levi):
-                out.append(r)
-        return out
+        return [self.roots[k] for k in self._radical(p)]
 
     def levi_positive_count(self, p: ParabolicSpec) -> int:
         return len(self.positives) - len(self.radical_roots(p))
@@ -278,25 +291,24 @@ class RootSystem:
     def coset_reps(self, right: ParabolicSpec) -> list[Word]:
         """Minimal-length representatives of W/W_M, M the Levi of `right`.
 
-        BFS over the W-orbit of a point stabilized exactly by W_M; the BFS
-        depth equals the minimal length, and ties pick the lexicographically
+        BFS over the W-orbit of the weight sum_{i not in M} omega_i, held as
+        its Dynkin labels, whose stabilizer is exactly W_M; the BFS depth
+        equals the minimal length, and ties pick the lexicographically
         smallest word.  Sorted by (length, word).
         """
         levi = frozenset(right.levi(self.rank))
         if levi in self._coset_cache:
             return self._coset_cache[levi]
-        rhs = tuple(Fraction(0) if (i + 1) in levi else Fraction(1) for i in range(self.rank))
-        coeff = mat_vec(self._gram_inv, rhs)
-        base = tuple(sum(coeff[i] * self.simples[i][d] for i in range(self.rank))
-                     for d in range(self.dim))
-        words: dict[Vector, Word] = {base: ()}
+        base = tuple(int(i not in levi) for i in range(1, self.rank + 1))
+        words: dict[tuple[int, ...], Word] = {base: ()}
         frontier = [base]
         while frontier:
-            new: dict[Vector, Word] = {}
+            new: dict[tuple[int, ...], Word] = {}
             for pt in frontier:
                 w = words[pt]
                 for i in range(1, self.rank + 1):
-                    pt2 = self.reflect(self.simples[i - 1], pt)
+                    d = pt[i - 1]
+                    pt2 = tuple(x - d * a for x, a in zip(pt, self.cartan[i - 1]))
                     if pt2 in words:
                         continue
                     cand = (i,) + w
@@ -309,8 +321,8 @@ class RootSystem:
         return reps
 
     def in_left_set(self, word: Sequence[int], left: ParabolicSpec) -> bool:
-        minv = self.word_matrix(tuple(reversed(word)))
-        return all(mat_vec(minv, self.simples[j - 1]) in self._pos_set
+        inv = self.element(tuple(reversed(word)))
+        return all(self._positive[inv[self._simple_idx[j - 1]]]
                    for j in left.levi(self.rank))
 
     def double_coset_reps(self, left: ParabolicSpec, right: ParabolicSpec) -> list[Word]:
@@ -334,32 +346,34 @@ class RootSystem:
         """Simple roots beta of the Levi L with w^{-1}(beta) in the radical
         of the source parabolic."""
         word = tuple(word)
-        target = self.word_matrix(word)
-        if not any(self.word_matrix(w) == target and len(w) == len(word)
+        target = self.element(word)
+        if not any(len(w) == len(word) and self.element(w) == target
                    for w in self.double_coset_reps(left, source)):
             raise NotMinimalRepresentativeError(
                 f"{list(word)} is not a minimal double-coset representative")
-        minv = self.word_matrix(tuple(reversed(word)))
-        rad = set(self.radical_roots(source))
+        inv = self.element(tuple(reversed(word)))
+        rad = set(self._radical(source))
         return tuple(j for j in left.levi(self.rank)
-                     if mat_vec(minv, self.simples[j - 1]) in rad)
+                     if inv[self._simple_idx[j - 1]] in rad)
 
     # ----- brute-force oracle ----------------------------------------------
 
     def enumerate_group(self, max_order: int = 2000) -> dict[Matrix, Word]:
-        """Full BFS enumeration of W by matrices (rank <= 4 scale oracle)."""
-        ident = identity_matrix(self.dim)
-        seen: dict[Matrix, Word] = {ident: ()}
+        """Full BFS enumeration of W (rank <= 4 scale oracle), keyed by the
+        matrices of its elements."""
+        ident = self.element(())
+        seen: dict[Element, tuple[Word, Matrix]] = {ident: ((), identity_matrix(self.dim))}
         frontier = [ident]
         while frontier:
             new = []
-            for m in frontier:
+            for p in frontier:
+                w, m = seen[p]
                 for i in range(1, self.rank + 1):
-                    m2 = mat_mul(self._simple_mats[i - 1], m)
-                    if m2 not in seen:
-                        seen[m2] = (i,) + seen[m]
-                        new.append(m2)
+                    p2 = tuple(self._reflections[i - 1][k] for k in p)
+                    if p2 not in seen:
+                        seen[p2] = ((i,) + w, mat_mul(self._simple_mats[i - 1], m))
+                        new.append(p2)
                         if len(seen) > max_order:
                             raise ValueError("group larger than the oracle bound")
             frontier = new
-        return seen
+        return {m: w for w, m in seen.values()}

@@ -139,3 +139,28 @@ class TestDeterminismAndSchema:
             for row in json.loads(r.output).get("rows", []):
                 if "classification" in row:
                     jsonschema.validate(row, row_schema)
+
+
+class TestRejectedArguments:
+    @pytest.mark.parametrize("args", [
+        ("algebra", "triality", "--count", "0"),
+        ("algebra", "sharp", "--count", "-3"),
+        ("all", "--count", "0"),
+    ])
+    def test_count_below_one(self, runner, args):
+        r = invoke(runner, "--format", "json", *args)
+        assert r.exit_code != 0
+        assert "Error: algebra sample count must be at least 1" in r.output
+        assert "Verified" not in r.output
+
+    def test_algebra_report_rejects_count(self):
+        from exceis import cases
+        from exceis.config import load_config
+        with pytest.raises(ValueError):
+            cases.algebra_report(load_config(), "composition", count=0)
+
+    def test_unknown_arch_case(self, runner):
+        r = invoke(runner, "arch", "NOPE")
+        assert r.exit_code == 1
+        assert "Error: unknown case 'NOPE'" in r.output
+        assert r.exception is None or isinstance(r.exception, SystemExit)

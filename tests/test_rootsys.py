@@ -1,7 +1,11 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from exceis.config import load_config
-from exceis.rootsys import ParabolicSpec, mat_vec, dot
+from exceis.eiscalc import AbsoluteOracle
+from exceis.exactnum import solve
+from exceis.rootsys import ParabolicSpec, RootSystem, mat_vec, dot
 
 
 @pytest.fixture(scope="module")
@@ -220,3 +224,139 @@ class TestPairingsAndModulus:
         assert cfg.system("C3").rho_weighted() == (17, 9, 1)
         assert cfg.system("G2").rho_weighted() == (5, -1, -4)
         assert cfg.system("F4").rho_weighted() == (23, 6, 5, 4)
+
+
+# ----- differential tests: the integer kernel against the Euclidean path ------
+
+# m_ij, the order of s_i s_j, from the product of the two Cartan entries
+BRAID_ORDER = {0: 2, 1: 3, 2: 4, 3: 6}
+
+
+def _configured_parabolics(sys):
+    return [sys.parabolic(lab) for lab in sorted(sys.parabolic_labels)]
+
+
+def _matrix_inversions(sys, word):
+    m = sys.word_matrix(word)
+    return [r for r in sys.positives if not sys.is_positive_root(mat_vec(m, r))]
+
+
+def _matrix_in_left_set(sys, word, left):
+    minv = sys.word_matrix(tuple(reversed(word)))
+    return all(sys.is_positive_root(mat_vec(minv, sys.simples[j - 1]))
+               for j in left.levi(sys.rank))
+
+
+def _euclidean_coset_reps(sys, right):
+    """[W/W_M] by BFS over the orbit of the Euclidean point x with
+    (x, alpha_i) = 0 for i in M and 1 otherwise."""
+    levi = set(right.levi(sys.rank))
+    gram = [[dot(a, b) for b in sys.simples] for a in sys.simples]
+    coeff = solve(gram, [int(i not in levi) for i in range(1, sys.rank + 1)])
+    base = tuple(sum(c * a[d] for c, a in zip(coeff, sys.simples)) for d in range(sys.dim))
+    words = {base: ()}
+    frontier = [base]
+    while frontier:
+        new = {}
+        for pt in frontier:
+            for i in range(1, sys.rank + 1):
+                pt2 = sys.reflect(sys.simples[i - 1], pt)
+                cand = (i,) + words[pt]
+                if pt2 not in words and (pt2 not in new or cand < new[pt2]):
+                    new[pt2] = cand
+        words.update(new)
+        frontier = list(new)
+    return sorted(words.values(), key=lambda w: (len(w), w))
+
+
+def _projected_restriction(oracle, root):
+    """Orthogonal projection off the kernel span, in the rational basis."""
+    abs_sys, rat = oracle.absolute, oracle.rational
+
+    def project(v):
+        ker = [abs_sys.simples[i - 1] for i in oracle.kernel]
+        if not ker:
+            return v
+        c = solve([[dot(a, b) for b in ker] for a in ker], [dot(v, a) for a in ker])
+        return tuple(x - sum(ci * a[d] for ci, a in zip(c, ker)) for d, x in enumerate(v))
+
+    p = project(root)
+    if not any(p):
+        return None
+    nodes = sorted(oracle.node_map)
+    basis = [project(abs_sys.simples[i - 1]) for i in nodes]
+    x = solve([[dot(a, b) for b in basis] for a in basis], [dot(p, b) for b in basis])
+    targets = [rat.simples[oracle.node_map[i] - 1] for i in nodes]
+    return tuple(sum(xi * t[d] for xi, t in zip(x, targets)) for d in range(rat.dim))
+
+
+@st.composite
+def system_and_words(draw, cfg):
+    """A configured system, a word u, and a word v that is either random or
+    u with a trivial product (s_i s_j)^{m_ij} spliced in."""
+    sys = cfg.system(draw(st.sampled_from(sorted(cfg.raw["systems"]))))
+    letters = st.integers(1, sys.rank)
+    u = tuple(draw(st.lists(letters, max_size=10)))
+    if draw(st.booleans()):
+        v = tuple(draw(st.lists(letters, max_size=10)))
+    else:
+        i, j, k = draw(letters), draw(letters), draw(st.integers(0, len(u)))
+        m = 1 if i == j else BRAID_ORDER[sys.cartan[i - 1][j - 1] * sys.cartan[j - 1][i - 1]]
+        v = u[:k] + (i, j) * m + u[k:]
+    return sys, u, v
+
+
+class TestIntegerKernelAgainstMatrices:
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_element_equality_is_matrix_equality(self, cfg, data):
+        sys, u, v = data.draw(system_and_words(cfg))
+        assert (sys.element(u) == sys.element(v)) == \
+            (sys.word_matrix(u) == sys.word_matrix(v))
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_inversions_and_left_sets(self, cfg, data):
+        sys, u, _ = data.draw(system_and_words(cfg))
+        assert sys.inversions(u) == _matrix_inversions(sys, u)
+        for left in _configured_parabolics(sys) + [sys.parabolic("full")]:
+            assert sys.in_left_set(u, left) == _matrix_in_left_set(sys, u, left)
+
+    def test_coset_reps_match_euclidean_bfs(self, cfg):
+        for name in sorted(cfg.raw["systems"]):
+            sys = cfg.system(name)
+            for p in _configured_parabolics(sys):
+                assert sys.coset_reps(p) == _euclidean_coset_reps(sys, p), (name, p)
+
+    def test_oracle_restriction_is_orthogonal_projection(self, cfg):
+        assert len(cfg.raw["oracles"]) == 4
+        for name in sorted(cfg.raw["oracles"]):
+            oracle = cfg.oracle(name)
+            for r in oracle.absolute.roots:
+                assert oracle.restriction[r] == _projected_restriction(oracle, r), (name, r)
+
+
+class TestIntegerKernelRejects:
+    def test_non_crystallographic(self):
+        # <alpha_1, alpha_2^vee> = 2 (-1/2) / (5/4) = -4/5
+        with pytest.raises(ValueError, match="not integral"):
+            RootSystem("bad", [["1", "0"], ["-1/2", "1"]])
+
+    def test_linearly_dependent(self):
+        with pytest.raises(ValueError, match="linearly dependent"):
+            RootSystem("bad", [["1", "0"], ["-1", "0"]])
+
+    def test_not_a_simple_system(self):
+        # an acute pair: s_1(alpha_2) = alpha_2 - 2 alpha_1 has mixed signs
+        with pytest.raises(ValueError, match="simple system"):
+            RootSystem("bad", [["1", "0"], ["1", "1"]])
+
+    @pytest.mark.parametrize("kernel,nodes", [
+        ([2, 3, 4], {1: 1}),              # node 5 in neither
+        ([2, 3, 4, 5], {1: 1, 2: 1}),     # node 2 in both
+        ([2, 3, 4, 5], {1: 2}),           # a target that is not a rational node
+    ])
+    def test_oracle_nodes_must_partition(self, cfg, kernel, nodes):
+        with pytest.raises(ValueError, match="partition"):
+            AbsoluteOracle(cfg.system("D5abs"), cfg.system("D5rel"),
+                           kernel=kernel, node_map=nodes, source_node=1)
