@@ -1,3 +1,4 @@
+import hashlib
 import random
 from fractions import Fraction
 
@@ -315,3 +316,52 @@ class TestNormTransitivityMove:
         with pytest.raises(ValueError):
             norm_transitivity_move(oct_def, oct_def.basis(0),
                                    oct_def.scale(2, oct_def.basis(0)))
+
+
+def _compalg_outputs() -> list:
+    """Seeded outputs of the octonion, Jordan, triality and etale code over
+    definite Q, split Q, split GF(11) and split GF(13).  Their repr pins the
+    values, int versus Fraction, and the order in which samplers draw."""
+    out = []
+    algs = [definite_octonions(), split_octonions(),
+            split_octonions(PrimeFieldScalars(11)), split_octonions(PrimeFieldScalars(13))]
+    for n, o in enumerate(algs):
+        rng = random.Random(f"digest:{n}")
+        for _ in range(6):
+            x, y = o.random(rng), o.random(rng)
+            k = o.scalars.randint(rng)
+            out.append((o.mul(x, y), o.conj(x), o.add(x, y), o.scale(k, y),
+                        o.norm(x), o.bilinear(x, y), o.trace_of_product(x, y),
+                        o.trace(x)))
+        out.append(o.unit_norm_element(rng))
+        for _ in range(2):
+            triple = triality_triple(o, random_triality_pairs(o, rng))
+            out.append([(m.mat, m.den) for m in
+                        (triple.g1, triple.g2, triple.g3, triple.raw_t1)])
+            out.append(triality_verify(o, triple))
+        x = o.of_coords([1, 1, 1, 0, 0, 0, 0, 0])
+        y = o.of_coords([1, 1, 0, 1, 0, 0, 0, 0])
+        try:
+            move = norm_transitivity_move(o, x, y, random.Random(n))
+            out.append((move.raw_t1.mat, move.raw_t1.den))
+        except QuadraticExtensionRequired as exc:
+            out.append(str(exc))
+    jalg = JordanAlgebra(definite_octonions())
+    rng = random.Random("digest:jordan")
+    for _ in range(4):
+        a, b = jalg.random(rng), jalg.random(rng)
+        out.append((jalg.sharp(a), jalg.norm(a), jalg.jordan_product(a, b),
+                    jalg.trace_pairing(a, b), jalg.rank(a),
+                    rank_one_sample(jalg, rng)))
+    qxf = CubicEtale(jalg, ("QxF", 2))
+    out.append(qxf.project(jalg.random(rng)))
+    return out
+
+
+# recorded before the scalar rings took over modular reduction
+COMPALG_DIGEST = "5e604a045cd3e31612de6d0a53f45ea8e4f23551e53fd8ae24357137abc0107e"
+
+
+def test_compalg_value_digest():
+    digest = hashlib.sha256(repr(_compalg_outputs()).encode()).hexdigest()
+    assert digest == COMPALG_DIGEST
