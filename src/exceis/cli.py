@@ -29,7 +29,9 @@ def _report(ctx, build, *args, **kwargs) -> None:
     try:
         doc = build(ctx.obj["cfg"], *args, **kwargs)
     except (KeyError, ValueError) as exc:
-        raise click.ClickException(str(exc))
+        # str() of a KeyError is the repr of its key, quotes included
+        msg = exc.args[0] if isinstance(exc, KeyError) and exc.args else exc
+        raise click.ClickException(str(msg))
     _emit(doc, ctx.obj["fmt"])
 
 

@@ -1,10 +1,16 @@
 """Octonions, the 27-dimensional cubic Jordan algebra, and triality.
 
 All arithmetic is exact over a pluggable scalar ring: rationals
-(:class:`fractions.Fraction`) or a prime field.  The octonion multiplication
-table is produced by three Cayley-Dickson doublings from the base ring; the
-doubling parameters are data, with (-1,-1,-1) giving the definite flavor
-(norm = sum of eight squares) and (-1,-1,+1) the split flavor.
+(:class:`fractions.Fraction`) or a prime field.  The ring alone normalises
+values, through ``red`` (a scalar), ``vec`` (a coordinate vector) and
+``scaled`` (an integer matrix over a denominator): over GF(p) they reduce
+modulo p; over Q the first two change nothing and ``scaled`` cancels the
+common factor.  The algebra code has one path for both.
+
+The octonion multiplication table is produced by three Cayley-Dickson
+doublings from the base ring; the doubling parameters are data, with
+(-1,-1,-1) giving the definite flavor (norm = sum of eight squares) and
+(-1,-1,+1) the split flavor.
 
 The quadratic adjoint on H3 is defined through the matrix square:
 
@@ -31,10 +37,17 @@ class RationalScalars:
 
     Integers stay plain ints (they interoperate exactly with Fraction and
     are an order of magnitude faster); Fractions appear only on division.
+    Values need no reduction: ``red`` returns its argument and ``vec`` only
+    makes a tuple.
     """
 
     name = "Q"
     characteristic = 0
+    vec = staticmethod(tuple)
+
+    @staticmethod
+    def red(x):
+        return x
 
     def of(self, x):
         if isinstance(x, int):
@@ -47,14 +60,27 @@ class RationalScalars:
             raise ZeroDivisionError("inverse of zero")
         return 1 / Fraction(x)
 
+    def sqrt(self, x) -> Fraction | None:
+        return _rational_sqrt(x)
+
+    def scaled(self, mat: list, den: int) -> "ScaledMatrix":
+        """mat/den with the common factor of den and every entry removed."""
+        g = den
+        for row in mat:
+            for v in row:
+                g = math.gcd(g, v)
+                if g == 1:
+                    return ScaledMatrix(mat, den)
+        if g > 1:
+            return ScaledMatrix([[v // g for v in row] for row in mat], den // g)
+        return ScaledMatrix(mat, den)
+
     def randint(self, rng: random.Random, lo=-3, hi=3):
         return rng.randint(lo, hi)
 
 
 class PrimeFieldScalars:
     """Integers modulo an odd prime, represented as ints in [0, p)."""
-
-    characteristic = None
 
     def __init__(self, p: int):
         if p < 3 or any(p % q == 0 for q in range(2, math.isqrt(p) + 1)):
@@ -63,14 +89,34 @@ class PrimeFieldScalars:
         self.name = f"GF({p})"
         self.characteristic = p
 
-    def of(self, x):
-        return int(x) % self.p
+    def red(self, x) -> int:
+        return x % self.p
 
-    def inv(self, x):
+    def vec(self, xs) -> tuple:
+        p = self.p
+        return tuple([x % p for x in xs])
+
+    def of(self, x) -> int:
+        """The residue of an int, or of a/b as a * b^-1 (b prime to p)."""
+        if isinstance(x, int):
+            return x % self.p
+        f = Fraction(x)
+        return f.numerator * self.inv(f.denominator) % self.p
+
+    def inv(self, x) -> int:
         x = x % self.p
         if x == 0:
             raise ZeroDivisionError("inverse of zero")
         return pow(x, self.p - 2, self.p)
+
+    def sqrt(self, x) -> int | None:
+        return _prime_sqrt(x, self.p)
+
+    def scaled(self, mat: list, den: int) -> "ScaledMatrix":
+        """mat/den as one residue matrix over the denominator 1."""
+        p = self.p
+        inv = self.inv(den)
+        return ScaledMatrix([[v * inv % p for v in row] for row in mat], 1)
 
     def randint(self, rng: random.Random, lo=None, hi=None):
         return rng.randrange(self.p)
@@ -159,7 +205,7 @@ class OctonionAlgebra:
         return tuple(self.scalars.of(int(i == k)) for i in range(8))
 
     def mul(self, x, y) -> tuple:
-        out = [self.scalars.of(0)] * 8
+        out = [0] * 8
         for i in range(8):
             xi = x[i]
             if not xi:
@@ -167,23 +213,17 @@ class OctonionAlgebra:
             for j, k, sg in self._rows[i]:
                 if y[j]:
                     out[k] = out[k] + xi * y[j] if sg > 0 else out[k] - xi * y[j]
-        if self.scalars.characteristic:
-            p = self.scalars.characteristic
-            out = [c % p for c in out]
-        return tuple(out)
+        return self.scalars.vec(out)
 
     def trace_of_product(self, x, y):
         """tr(x y) without forming the product: 2 sum_i sq_sign_i x_i y_i."""
-        t = 2 * sum(sg * a * b for sg, a, b in zip(self.sq_sign, x, y))
-        return t % self.scalars.characteristic if self.scalars.characteristic else t
+        return self.scalars.red(2 * sum(sg * a * b for sg, a, b in zip(self.sq_sign, x, y)))
 
     def conj(self, x) -> tuple:
-        return (x[0],) + tuple(-c if not self.scalars.characteristic
-                               else (-c) % self.scalars.characteristic
-                               for c in x[1:])
+        return self.scalars.vec([x[0]] + [-c for c in x[1:]])
 
     def trace(self, x):
-        return x[0] + x[0] if not self.scalars.characteristic else (2 * x[0]) % self.scalars.characteristic
+        return self.scalars.red(x[0] + x[0])
 
     def norm(self, x):
         prod = self.mul(x, self.conj(x))
@@ -192,29 +232,18 @@ class OctonionAlgebra:
 
     def bilinear(self, x, y):
         """(x, y) = N(x+y) - N(x) - N(y)."""
-        s = tuple(a + b for a, b in zip(x, y))
-        if self.scalars.characteristic:
-            p = self.scalars.characteristic
-            s = tuple(c % p for c in s)
-            return (self.norm(s) - self.norm(x) - self.norm(y)) % p
-        return self.norm(s) - self.norm(x) - self.norm(y)
+        return self.scalars.red(self.norm(self.add(x, y)) - self.norm(x) - self.norm(y))
 
     def trilinear(self, x1, x2, x3):
         """tr(x1 (x2 x3)); agrees with tr((x1 x2) x3) (tested, not assumed)."""
         return self.trace(self.mul(x1, self.mul(x2, x3)))
 
     def add(self, x, y) -> tuple:
-        if self.scalars.characteristic:
-            p = self.scalars.characteristic
-            return tuple((a + b) % p for a, b in zip(x, y))
-        return tuple(a + b for a, b in zip(x, y))
+        return self.scalars.vec([a + b for a, b in zip(x, y)])
 
     def scale(self, c, x) -> tuple:
         c = self.scalars.of(c)
-        if self.scalars.characteristic:
-            p = self.scalars.characteristic
-            return tuple((c * a) % p for a in x)
-        return tuple(c * a for a in x)
+        return self.scalars.vec([c * a for a in x])
 
     def is_zero(self, x) -> bool:
         return all(c == 0 for c in x)
@@ -229,21 +258,16 @@ class OctonionAlgebra:
     def unit_norm_element(self, rng: random.Random) -> tuple:
         """A norm-1 element via the Cayley transform of a trace-0 u:
         (1-u)(1+u)^{-1} = (1 - 2u - N(u)) / (1 + N(u))."""
+        ring = self.scalars
         while True:
             u = self.random_imaginary(rng)
             n = self.norm(u)
-            denom = self.scalars.of(1) + n
-            if self.scalars.characteristic:
-                denom = denom % self.scalars.characteristic
+            denom = ring.red(1 + n)
             if denom != 0:
                 break
-        inv = self.scalars.inv(denom)
-        head = (self.scalars.of(1) - n) * inv
-        rest = tuple(self.scalars.of(-2) * c * inv for c in u[1:])
-        out = (head,) + rest
-        if self.scalars.characteristic:
-            out = tuple(c % self.scalars.characteristic for c in out)
-        assert self.norm(out) == self.scalars.of(1)
+        inv = ring.inv(denom)
+        out = ring.vec([(1 - n) * inv] + [-2 * c * inv for c in u[1:]])
+        assert self.norm(out) == ring.of(1)
         return out
 
 
@@ -326,7 +350,7 @@ class JordanAlgebra:
     # -- linear structure ----------------------------------------------------
 
     def add(self, a: JordanElement, b: JordanElement) -> JordanElement:
-        return JordanElement(tuple(u + v for u, v in zip(a.c, b.c)),
+        return JordanElement(self.scalars.vec([u + v for u, v in zip(a.c, b.c)]),
                              tuple(self.oct.add(u, v) for u, v in zip(a.x, b.x)))
 
     def sub(self, a: JordanElement, b: JordanElement) -> JordanElement:
@@ -334,16 +358,13 @@ class JordanAlgebra:
 
     def scale(self, k, a: JordanElement) -> JordanElement:
         k = self.scalars.of(k)
-        ch = self.scalars.characteristic
-        cs = tuple((k * v) % ch if ch else k * v for v in a.c)
-        return JordanElement(cs, tuple(self.oct.scale(k, v) for v in a.x))
+        return JordanElement(self.scalars.vec([k * v for v in a.c]),
+                             tuple(self.oct.scale(k, v) for v in a.x))
 
     # -- multiplicative structure ---------------------------------------------
 
     def trace(self, a: JordanElement):
-        t = a.c[0] + a.c[1] + a.c[2]
-        ch = self.scalars.characteristic
-        return t % ch if ch else t
+        return self.scalars.red(a.c[0] + a.c[1] + a.c[2])
 
     def _matrix(self, a: JordanElement):
         o = self.oct
@@ -364,8 +385,6 @@ class JordanAlgebra:
 
     def jordan_product(self, a: JordanElement, b: JordanElement) -> JordanElement:
         """(ab + ba)/2, back in Hermitian coordinates."""
-        if self.scalars.characteristic == 2:
-            raise ValueError("jordan product needs 2 invertible")
         half = self.scalars.inv(self.scalars.of(2))
         m1, m2 = self.matmul(a, b), self.matmul(b, a)
         sym = tuple(tuple(self.oct.scale(half, self.oct.add(m1[i][j], m2[i][j]))
@@ -390,10 +409,7 @@ class JordanAlgebra:
             j, k = (i + 1) % 3, (i + 2) % 3
             prod = o.conj(o.mul(a.x[j], a.x[k]))
             xs.append(o.add(prod, o.scale(-a.c[i], a.x[i])))
-        ch = self.scalars.characteristic
-        if ch:
-            cs = tuple(v % ch for v in cs)
-        return JordanElement(tuple(cs), tuple(xs))
+        return JordanElement(self.scalars.vec(cs), tuple(xs))
 
     def norm(self, a: JordanElement):
         """N(X) = c1 c2 c3 - sum c_i N(x_i) + tr(x1 (x2 x3))."""
@@ -402,8 +418,7 @@ class JordanAlgebra:
         for ci, xi in zip(a.c, a.x):
             val -= ci * o.norm(xi)
         val += o.trilinear(a.x[0], a.x[1], a.x[2])
-        ch = self.scalars.characteristic
-        return val % ch if ch else val
+        return self.scalars.red(val)
 
     def rank(self, a: JordanElement) -> int:
         if a.is_zero():
@@ -420,8 +435,7 @@ class JordanAlgebra:
         val = sum(u * v for u, v in zip(a.c, b.c))
         for u, v in zip(a.x, b.x):
             val += o.trace(o.mul(u, o.conj(v)))
-        ch = self.scalars.characteristic
-        return val % ch if ch else val
+        return self.scalars.red(val)
 
 
 def rank_one_sample(jalg: JordanAlgebra, rng: random.Random,
@@ -434,7 +448,7 @@ def rank_one_sample(jalg: JordanAlgebra, rng: random.Random,
     o = jalg.oct
     for _ in range(max_attempts):
         y = jalg.random(rng)
-        coeff = y.c[1] * y.c[2] - o.norm(y.x[0])  # dN/dc1
+        coeff = jalg.scalars.red(y.c[1] * y.c[2] - o.norm(y.x[0]))  # dN/dc1
         if coeff == 0:
             continue
         rest = jalg.element((0, y.c[1], y.c[2]), y.x)
@@ -607,8 +621,9 @@ def we_part_is_zero(we_part) -> bool:
 #
 # Triality components are orthogonal 8x8 matrices with rational entries of
 # bounded denominator.  They are carried as (integer matrix, denominator)
-# pairs so that the whole verification runs on machine/big integers; over a
-# prime field the denominator is 1 and entries are reduced mod p.
+# pairs so that the whole verification runs on machine/big integers; the
+# scalar ring's ``scaled`` normalises each pair (over a prime field the
+# denominator is 1 and entries are residues mod p).
 
 Matrix8 = tuple[tuple, ...]
 
@@ -618,31 +633,16 @@ class ScaledMatrix:
     mat: list            # 8x8 list of ints
     den: int
 
-    def reduce(self, ch: int | None) -> "ScaledMatrix":
-        if ch:
-            return ScaledMatrix([[v % ch for v in row] for row in self.mat], 1)
-        g = self.den
-        for row in self.mat:
-            for v in row:
-                g = math.gcd(g, v)
-                if g == 1:
-                    return self
-        if g > 1:
-            return ScaledMatrix([[v // g for v in row] for row in self.mat],
-                                self.den // g)
-        return self
-
     def rational(self) -> Matrix8:
         if self.den == 1:
             return tuple(tuple(row) for row in self.mat)
         return tuple(tuple(Fraction(v, self.den) for v in row) for row in self.mat)
 
 
-def _smat_mul(a: ScaledMatrix, b: ScaledMatrix, ch: int | None) -> ScaledMatrix:
-    bm = b.mat
-    cols = list(zip(*bm))
+def _smat_mul(ring, a: ScaledMatrix, b: ScaledMatrix) -> ScaledMatrix:
+    cols = list(zip(*b.mat))
     out = [[sum(x * y for x, y in zip(row, col)) for col in cols] for row in a.mat]
-    return ScaledMatrix(out, a.den * b.den).reduce(ch)
+    return ring.scaled(out, a.den * b.den)
 
 
 def _sidentity() -> ScaledMatrix:
@@ -661,25 +661,18 @@ def _int_coords(x) -> tuple[list[int], int]:
 
 def reflection_matrix(o: OctonionAlgebra, c) -> ScaledMatrix:
     """s_c(x) = x - ((x,c)/N(c)) c; (e_j, c) = 2 eta_j c_j in the CD basis."""
-    ch = o.scalars.characteristic
-    cv, cden = _int_coords(c) if not ch else (list(c), 1)
-    # norm of the cleared vector, as an integer (or mod p)
-    n = sum(e * v * v for e, v in zip(o.signature, cv))
-    if ch:
-        n %= ch
+    cv, _ = _int_coords(c)
+    # norm of the cleared vector, as an element of the ring
+    n = o.scalars.red(sum(e * v * v for e, v in zip(o.signature, cv)))
     if n == 0:
         raise ValueError("reflection needs a nonzero-norm vector")
     mat = [[n * int(i == j) - 2 * o.signature[j] * cv[j] * cv[i]
             for j in range(8)] for i in range(8)]
-    if ch:
-        inv = pow(n, ch - 2, ch)
-        return ScaledMatrix([[(v * inv) % ch for v in row] for row in mat], 1)
-    return ScaledMatrix(mat, n).reduce(None)
+    return o.scalars.scaled(mat, n)
 
 
 def _mult_matrix(o: OctonionAlgebra, c, side: str) -> ScaledMatrix:
-    ch = o.scalars.characteristic
-    cv, cden = _int_coords(c) if not ch else (list(c), 1)
+    cv, cden = _int_coords(c)
     cols = [[0] * 8 for _ in range(8)]
     for i, j, k, sg in o._ops:
         if side == "left":
@@ -689,7 +682,7 @@ def _mult_matrix(o: OctonionAlgebra, c, side: str) -> ScaledMatrix:
             if cv[j]:
                 cols[i][k] += sg * cv[j]
     mat = [[cols[j][i] for j in range(8)] for i in range(8)]
-    return ScaledMatrix(mat, cden).reduce(ch)
+    return o.scalars.scaled(mat, cden)
 
 
 def left_mult_matrix(o: OctonionAlgebra, c) -> ScaledMatrix:
@@ -721,37 +714,23 @@ class TrialityTriple:
 def triality_triple(o: OctonionAlgebra, pairs) -> TrialityTriple:
     """t1 = prod s_a s_b, t2 = prod l_a l_{b*}, t3 = prod r_a r_{b*} for the
     listed (a, b); requires every norm nonzero and prod N(a)N(b) = 1."""
-    ch = o.scalars.characteristic
-    prod_norm = o.scalars.of(1)
+    ring = o.scalars
+    prod_norm = ring.of(1)
     t1 = t2 = t3 = _sidentity()
     for a, b in pairs:
         na, nb = o.norm(a), o.norm(b)
         if na == 0 or nb == 0:
             raise ValueError("triality generators need nonzero norms")
-        prod_norm = prod_norm * na * nb
-        if ch:
-            prod_norm %= ch
-        t1 = _smat_mul(t1, _smat_mul(reflection_matrix(o, a),
-                                     reflection_matrix(o, b), ch), ch)
-        t2 = _smat_mul(t2, _smat_mul(left_mult_matrix(o, a),
-                                     left_mult_matrix(o, o.conj(b)), ch), ch)
-        t3 = _smat_mul(t3, _smat_mul(right_mult_matrix(o, a),
-                                     right_mult_matrix(o, o.conj(b)), ch), ch)
-    if prod_norm != o.scalars.of(1):
+        prod_norm = ring.red(prod_norm * na * nb)
+        t1 = _smat_mul(ring, t1, _smat_mul(ring, reflection_matrix(o, a),
+                                           reflection_matrix(o, b)))
+        t2 = _smat_mul(ring, t2, _smat_mul(ring, left_mult_matrix(o, a),
+                                           left_mult_matrix(o, o.conj(b))))
+        t3 = _smat_mul(ring, t3, _smat_mul(ring, right_mult_matrix(o, a),
+                                           right_mult_matrix(o, o.conj(b))))
+    if prod_norm != ring.of(1):
         raise ValueError("product of generator norms must be 1")
     return TrialityTriple(hat(t1), t2, t3, t1)
-
-
-def _int_mul(o: OctonionAlgebra, x, y) -> list[int]:
-    out = [0] * 8
-    for i in range(8):
-        xi = x[i]
-        if not xi:
-            continue
-        for j, k, sg in o._rows[i]:
-            if y[j]:
-                out[k] = out[k] + xi * y[j] if sg > 0 else out[k] - xi * y[j]
-    return out
 
 
 def triality_verify(o: OctonionAlgebra, triple: TrialityTriple) -> bool:
@@ -760,14 +739,12 @@ def triality_verify(o: OctonionAlgebra, triple: TrialityTriple) -> bool:
     trilinear form under the hatted triple on the full basis cube.
 
     All checks run on the cleared-denominator integer matrices, comparing
-    cross-multiplied sides."""
-    ch = o.scalars.characteristic
-
-    def zero(v) -> bool:
-        return v % ch == 0 if ch else v == 0
-
+    cross-multiplied sides; each row of differences is tested for zero after
+    one ``vec`` of the scalar ring."""
+    vec = o.scalars.vec
     t1, t2, t3 = triple.raw_t1, triple.g2, triple.g3
     g1 = triple.g1
+    cols1 = list(zip(*t1.mat))
     cols1h = list(zip(*g1.mat))
     cols2 = list(zip(*t2.mat))
     cols3 = list(zip(*t3.mat))
@@ -776,32 +753,32 @@ def triality_verify(o: OctonionAlgebra, triple: TrialityTriple) -> bool:
     for i in range(8):
         for j in range(8):
             k, sg = o.table[(i, j)]
-            rhs = _int_mul(o, cols2[i], cols3[j])
-            for r in range(8):
-                if not zero(sg * t1.mat[r][k] * d2 * d3 - rhs[r] * d1):
-                    return False
+            s = sg * d2 * d3
+            rhs = o.mul(cols2[i], cols3[j])
+            if any(vec([s * a - b * d1 for a, b in zip(cols1[k], rhs)])):
+                return False
     # norm preservation: M^T diag(eta) M = den^2 diag(eta)
     eta = o.signature
     for m in (g1, t2, t3):
-        dd = m.den * m.den
+        cols = list(zip(*m.mat))
         for i in range(8):
-            for j in range(i, 8):
-                v = sum(eta[r] * m.mat[r][i] * m.mat[r][j] for r in range(8))
-                if not zero(v - (eta[i] * dd if i == j else 0)):
-                    return False
+            row = [sum(e * a * b for e, a, b in zip(eta, cols[i], cols[j]))
+                   for j in range(i, 8)]
+            row[0] -= eta[i] * m.den * m.den
+            if any(vec(row)):
+                return False
     # trilinear invariance on the basis cube: tr(x y) = 2 sum_r sq_sign_r x_r y_r
     w = [2 * sg for sg in o.sq_sign]
     dall = g1.den * d2 * d3
     for j in range(8):
         for k in range(8):
-            p = _int_mul(o, cols2[j], cols3[k])
+            p = o.mul(cols2[j], cols3[k])
             q = [w[r] * p[r] for r in range(8)]
             m, sg = o.table[(j, k)]
-            for i in range(8):
-                got = sum(q[r] * cols1h[i][r] for r in range(8))
-                want = (2 * sg * o.sq_sign[i] * dall) if i == m else 0
-                if not zero(got - want):
-                    return False
+            got = [sum(a * b for a, b in zip(q, col)) for col in cols1h]
+            got[m] -= 2 * sg * o.sq_sign[m] * dall
+            if any(vec(got)):
+                return False
     return True
 
 
@@ -847,16 +824,6 @@ def _prime_sqrt(a: int, p: int) -> int | None:
     return r
 
 
-def _unit_scale(o: OctonionAlgebra, prod):
-    """mu with mu^2 * prod = 1, or None if the field has no such square root."""
-    if o.scalars.characteristic:
-        p = o.scalars.characteristic
-        root = _prime_sqrt(pow(int(prod) % p, p - 2, p), p)
-        return root
-    root = _rational_sqrt(1 / Fraction(prod))
-    return root
-
-
 def norm_transitivity_move(o: OctonionAlgebra, x, y,
                            rng: random.Random | None = None) -> TrialityTriple:
     """A triality triple whose first (unhatted) component sends x to y.
@@ -868,14 +835,13 @@ def norm_transitivity_move(o: OctonionAlgebra, x, y,
     base field the move raises QuadraticExtensionRequired rather than
     approximating.
     """
+    ring = o.scalars
     nx, ny = o.norm(x), o.norm(y)
     if nx != ny or nx == 0:
         raise ValueError("move needs equal nonzero norms")
     rng = rng or random.Random(0)
     candidates: list[list] = []
-    diff = tuple(a - b for a, b in zip(x, y))
-    if o.scalars.characteristic:
-        diff = tuple(c % o.scalars.characteristic for c in diff)
+    diff = ring.vec([a - b for a, b in zip(x, y)])
     if not o.is_zero(diff) and o.norm(diff) != 0:
         # companions fixing x: small vectors orthogonal to x, then random
         # projections (orthogonality makes the extra reflection fix x)
@@ -900,43 +866,29 @@ def norm_transitivity_move(o: OctonionAlgebra, x, y,
             coeff = o.bilinear(b, x)
             # project away the x-component: b - ((b,x)/2N(x)) x
             twon = 2 * nx
-            if o.scalars.characteristic:
-                p = o.scalars.characteristic
-                b = tuple((bi * twon - coeff * xi) % p for bi, xi in zip(b, x))
-            else:
-                b = tuple(bi * twon - coeff * xi for bi, xi in zip(b, x))
+            b = ring.vec([bi * twon - coeff * xi for bi, xi in zip(b, x)])
             if not o.is_zero(b) and o.norm(b) != 0:
                 candidates.append([(diff, b)])
-    ssum = tuple(a + b for a, b in zip(x, y))
-    if o.scalars.characteristic:
-        ssum = tuple(c % o.scalars.characteristic for c in ssum)
+    ssum = o.add(x, y)
     if not o.is_zero(ssum) and o.norm(ssum) != 0:
         candidates.append([(y, ssum)])
     last = None
     for pairs in candidates:
-        prod = o.scalars.of(1)
+        prod = ring.of(1)
         for a, b in pairs:
-            prod = prod * o.norm(a) * o.norm(b)
-            if o.scalars.characteristic:
-                prod %= o.scalars.characteristic
-        mu = _unit_scale(o, prod)
+            prod = ring.red(prod * o.norm(a) * o.norm(b))
+        mu = ring.sqrt(ring.inv(prod))  # mu^2 * prod = 1
         if mu is None:
             last = QuadraticExtensionRequired(
-                f"norm product {prod} has no inverse square root in {o.scalars.name}")
+                f"norm product {prod} has no inverse square root in {ring.name}")
             continue
         (a0, b0), rest = pairs[0], pairs[1:]
         scaled = [(o.scale(mu, a0), b0)] + rest
         triple = triality_triple(o, scaled)
         # confirm the move on the cleared-denominator matrix
         mat, den = triple.raw_t1.mat, triple.raw_t1.den
-        got = [sum(mat[i][k] * x[k] for k in range(8)) for i in range(8)]
-        want = [den * y[i] for i in range(8)]
-        if o.scalars.characteristic:
-            p = o.scalars.characteristic
-            ok = all((g - w) % p == 0 for g, w in zip(got, want))
-        else:
-            ok = got == want
-        if ok:
+        if not any(ring.vec([sum(a * b for a, b in zip(row, x)) - den * yi
+                             for row, yi in zip(mat, y)])):
             return triple
     raise last or QuadraticExtensionRequired("no admissible reflection route found")
 
@@ -956,10 +908,7 @@ def random_triality_pairs(o: OctonionAlgebra, rng: random.Random,
         c = o.unit_norm_element(rng)
         inv = o.scalars.inv(na)
         b = o.scale(inv, o.mul(c, o.conj(a)))
-        prod = o.norm(a) * o.norm(b)
-        if o.scalars.characteristic:
-            prod %= o.scalars.characteristic
-        assert prod == o.scalars.of(1)
+        assert o.scalars.red(o.norm(a) * o.norm(b)) == o.scalars.of(1)
         pairs.append((a, b))
     return pairs
 

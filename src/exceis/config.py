@@ -114,7 +114,6 @@ class ClaimsSpec:
     seed: int
     primes: list[int]
     qxf_disc: int
-    field_minpoly: list[Fraction]
 
 
 def _fr(x) -> Fraction:
@@ -158,8 +157,7 @@ class Config:
             count=int(c.get("count", 1000)),
             seed=int(c.get("seed", 1)),
             primes=[int(p) for p in c.get("primes", [11, 13])],
-            qxf_disc=int(c.get("qxf_disc", 2)),
-            field_minpoly=[_fr(x) for x in c.get("field_minpoly", [-1, -2, 1])])
+            qxf_disc=int(c.get("qxf_disc", 2)))
         self._oracles: dict[str, AbsoluteOracle] = {}
 
     # -- systems -------------------------------------------------------------

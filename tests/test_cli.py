@@ -164,3 +164,14 @@ class TestRejectedArguments:
         assert r.exit_code == 1
         assert "Error: unknown case 'NOPE'" in r.output
         assert r.exception is None or isinstance(r.exception, SystemExit)
+
+    @pytest.mark.parametrize("args, line", [
+        (("cosets", "F4", "NOPE", "M1"),
+         "Error: unknown parabolic 'NOPE' for system F4-GJrational"),
+        (("constant-term", "E7", "P9", "P3"),
+         "Error: unknown parabolic 'P9' for system C3-E7rational"),
+    ])
+    def test_unknown_parabolic_message_unquoted(self, runner, args, line):
+        r = invoke(runner, *args)
+        assert r.exit_code == 1
+        assert r.output.splitlines() == [line]

@@ -23,6 +23,20 @@ def jalg(oct_def):
     return JordanAlgebra(oct_def)
 
 
+class TestScalars:
+    def test_prime_field_of_fraction(self):
+        gf11 = PrimeFieldScalars(11)
+        assert gf11.of(Fraction(1, 2)) == 6
+        assert gf11.of(Fraction(-3, 4)) == 2         # 4 * 2 = 8 = -3 mod 11
+        assert gf11.of(Fraction(22, 2)) == 0
+        with pytest.raises(ZeroDivisionError):
+            gf11.of(Fraction(1, 11))
+
+    def test_prime_field_scale_by_fraction(self):
+        alg = split_octonions(PrimeFieldScalars(11))
+        assert alg.scale(Fraction(1, 2), alg.one()) == (6,) + (0,) * 7
+
+
 class TestOctonions:
     def test_unit(self, oct_def):
         one = oct_def.one()
@@ -258,6 +272,18 @@ class TestTriality:
         broken = compalg.TrialityTriple(triple.g1, compalg.ScaledMatrix(bad, triple.g2.den),
                                         triple.g3, triple.raw_t1)
         assert not triality_verify(oct_def, broken)
+
+    def test_failure_detected_over_prime_field(self):
+        # an entry off by a unit (not by a multiple of p) is caught mod p
+        alg = split_octonions(PrimeFieldScalars(13))
+        triple = triality_triple(alg, random_triality_pairs(alg, random.Random(71)))
+        bad = [row[:] for row in triple.g3.mat]
+        bad[2][5] += 1
+        broken = compalg.TrialityTriple(triple.g1, triple.g2,
+                                        compalg.ScaledMatrix(bad, 1), triple.raw_t1)
+        assert not triality_verify(alg, broken)
+        bad[2][5] += 12      # now a multiple of p away from the original
+        assert triality_verify(alg, broken)
 
 
 class TestNormTransitivityMove:
