@@ -5,6 +5,8 @@ lines; tolerances are exact throughout (integer, rational, or factor-multiset
 equality).
 """
 
+import hashlib
+
 import pytest
 
 from exceis import cases
@@ -23,6 +25,11 @@ def cfg():
 def algebra_full(cfg):
     # one full-count run shared by the algebra and triality criteria
     return cases.algebra_report(cfg, "all", seed=cfg.claims.seed, count=1000)
+
+
+# sha256 of to_json(algebra_report(cfg, "all", seed=7, count=1000)), recorded
+# before the suites moved to cleared-denominator integer representatives
+ALGEBRA_SHA256 = "a7d7136046b64febc4949208b739f7bdda0c057b940dde2b0d7e5bd596186b1f"
 
 
 def _announce(tag, ok):
@@ -243,6 +250,12 @@ def test_ac9_triality_suite(cfg, algebra_full):
           and s["cases"] == 3000
           and s["fields"] == ["Q", "GF(11)", "GF(13)"])
     _announce("AC9 triality suite over Q and two odd prime fields", ok)
+
+
+def test_algebra_section_digest(cfg, algebra_full):
+    assert algebra_full["seed"] == 7
+    digest = hashlib.sha256(to_json(algebra_full).encode()).hexdigest()
+    assert digest == ALGEBRA_SHA256
 
 
 def test_ac10_determinism(cfg):

@@ -1,6 +1,6 @@
 import pytest
 
-from exceis import cases
+from exceis import cases, compalg
 from exceis.config import RowSpec, TableSpec, load_config
 from exceis.report import to_json, to_markdown
 
@@ -140,3 +140,54 @@ class TestRunAll:
         # 23 constant-term/census tables + modulus, oracle, arch, algebra
         assert kinds.count("constant-term") + kinds.count("census") == 23
         assert {"modulus", "gk-oracle", "arch", "algebra"} <= set(kinds)
+
+
+class TestPlantedAlgebraFailures:
+    """A one-unit defect in the layer a suite checks must turn the suite into
+    a Mismatch with failures, whatever arithmetic the suite runs on."""
+
+    def _suite(self, cfg, name):
+        doc = cases.algebra_report(cfg, name, seed=7, count=6)
+        (suite,) = doc["suites"]
+        assert suite["failures"] > 0
+        assert suite["status"] == doc["status"] == "Mismatch"
+
+    def test_rank_one_sees_rank_off_by_one(self, cfg, monkeypatch):
+        rank = compalg.JordanAlgebra.rank
+        monkeypatch.setattr(compalg.JordanAlgebra, "rank",
+                            lambda self, a: rank(self, a) + 1)
+        self._suite(cfg, "rank-one")
+
+    def test_ve_claims_sees_membership_skipping_a_basis_element(self, cfg, monkeypatch):
+        def in_ve(self, el):
+            return all(self.jordan.trace_pairing(el, b) == 0
+                       for b in self.basis_elements[:-1])
+        monkeypatch.setattr(compalg.CubicEtale, "in_ve", in_ve)
+        self._suite(cfg, "ve-claims")
+
+    def test_rank_one_orth_f_sees_sharp_off_by_one(self, cfg, monkeypatch):
+        sharp = compalg.JordanAlgebra.sharp
+
+        def broken(self, a):
+            s = sharp(self, a)
+            return compalg.JordanElement((s.c[0] + 1,) + s.c[1:], s.x)
+        monkeypatch.setattr(compalg.JordanAlgebra, "sharp", broken)
+        self._suite(cfg, "rank-one-orth-f")
+
+    def test_freudenthal_sees_lost_scale(self, cfg, monkeypatch):
+        r0 = compalg.freudenthal_r0
+        monkeypatch.setattr(compalg, "freudenthal_r0",
+                            lambda jalg, z, lam=1: r0(jalg, z, 0 * lam))
+        self._suite(cfg, "freudenthal")
+
+    def test_triality_sees_one_entry_of_g2(self, cfg, monkeypatch):
+        triple = compalg.triality_triple
+
+        def broken(o, pairs):
+            t = triple(o, pairs)
+            bad = [row[:] for row in t.g2.mat]
+            bad[3][4] += 1
+            return compalg.TrialityTriple(t.g1, compalg.ScaledMatrix(bad, t.g2.den),
+                                          t.g3, t.raw_t1)
+        monkeypatch.setattr(compalg, "triality_triple", broken)
+        self._suite(cfg, "triality")
