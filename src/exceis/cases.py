@@ -14,6 +14,7 @@ values carried by the config.  A row's status is
 
 from __future__ import annotations
 
+import operator
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -436,6 +437,61 @@ def _small_height_sparse(jalg):
                     for x2 in units[:5]:
                         for x3 in units[:3]:
                             yield jalg.element((c1, c2, c3), (x1, x2, x3))
+
+
+def _rank_one_failures(jalg: compalg.JordanAlgebra, z: compalg.JordanElement) -> int:
+    """1 unless z is a nonzero element with z# = 0 (degree 2) and rank 1
+    (unchanged by a nonzero scale)."""
+    return int(z.is_zero() or not jalg.sharp(z).is_zero() or jalg.rank(z) != 1)
+
+
+def _f_complement(jalg: compalg.JordanAlgebra, qxf: compalg.CubicEtale):
+    """x -> D v, where v is x with its F-components (the span of e2, e3 in
+    Q x F) projected away and D the cleared denominator of that projection:
+    D v = D x - D (G^-1 (x, e))_0 e2 - D (G^-1 (x, e))_1 e3 is integral for
+    integral x.  The projection is linear (degree 1)."""
+    e2, e3 = qxf.basis_elements[1:]
+    inv = compalg.cleared_inverse([[jalg.trace_pairing(a, b) for b in (e2, e3)]
+                                   for a in (e2, e3)])
+
+    def project(x: compalg.JordanElement) -> compalg.JordanElement:
+        rhs = qxf.pairings(x)[1:]
+        k2, k3 = (sum(map(operator.mul, row, rhs)) for row in inv.mat)
+        return jalg.sub(jalg.scale(inv.den, x),
+                        jalg.add(jalg.scale(k2, e2), jalg.scale(k3, e3)))
+    return project
+
+
+def _orth_f_failures(jalg: compalg.JordanAlgebra, v: compalg.JordanElement,
+                     e11: compalg.JordanElement) -> int:
+    """The failed claims for v orthogonal to F: orthogonality forces
+    c3 = -c2 (degree 1); then c1 of the adjoint is -c2^2 - N(x1) (degree 2),
+    which vanishes only when both pieces do, so rank <= 1 (scale-invariant)
+    puts v on the line through e11 (degree 1)."""
+    fails = 0
+    if v.c[2] != -v.c[1]:
+        fails += 1
+    if jalg.sharp(v).c[0] != -(v.c[1] ** 2) - jalg.oct.norm(v.x[0]):
+        fails += 1
+    if jalg.rank(v) <= 1 and not jalg.sub(v, jalg.scale(v.c[0], e11)).is_zero():
+        fails += 1
+    return fails
+
+
+def _we_failures(etales, w: compalg.FreudenthalElement) -> int:
+    """For each etale E: 1 if the W_E-part (a, b_E, c_E, d) of w is zero,
+    and 1 if that of its symplectic flip (-d, c, -b, a) is zero.  Both are
+    linear in w (degree 1); the flip reuses the E-coefficients of b and c,
+    and the V_E-parts are not needed."""
+    fails = 0
+    for et in etales:
+        b_e, c_e = et.coefficients(w.b), et.coefficients(w.c)
+        if compalg.we_part_is_zero((w.a, b_e, c_e, w.d)):
+            fails += 1
+        # symplectic flip translate keeps a nonzero corner too
+        if compalg.we_part_is_zero((-w.d, c_e, tuple(-v for v in b_e), w.a)):
+            fails += 1
+    return fails
 
 
 def _composition(cfg: Config, jalg: compalg.JordanAlgebra, count: int, rng) -> dict:

@@ -24,12 +24,13 @@ than assumed, since they pin the two formulas against each other.
 from __future__ import annotations
 
 import math
+import operator
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import Callable, Sequence
 
-from .exactnum import nullspace, solve
+from .exactnum import inverse, nullspace
 
 
 class RationalScalars:
@@ -159,6 +160,24 @@ def _build_table(gammas: Sequence[int]) -> dict[tuple[int, int], tuple[int, int]
     return table
 
 
+def _compile_product(ops) -> "Callable":
+    """The product of two coordinate 8-sequences as one function compiled
+    from the structure constants: each output coordinate is a single signed
+    sum of its eight products, with no per-term dispatch.  It takes any
+    scalars; on ints it stays in ints."""
+    terms: list[list[str]] = [[] for _ in range(8)]
+    for i, j, k, sg in ops:
+        terms[k].append(f"{'+' if sg > 0 else '-'} x{i} * y{j}")
+    names = ", ".join
+    src = (f"def product(x, y):\n"
+           f"    {names(f'x{i}' for i in range(8))} = x\n"
+           f"    {names(f'y{i}' for i in range(8))} = y\n"
+           f"    return ({names(' '.join(t).lstrip('+ ') for t in terms)})\n")
+    namespace: dict = {}
+    exec(src, namespace)
+    return namespace["product"]
+
+
 class OctonionAlgebra:
     """An 8-dimensional composition algebra over a scalar ring.
 
@@ -174,10 +193,9 @@ class OctonionAlgebra:
         self.gammas = tuple(gammas)
         self.flavor = flavor
         self.table = _build_table(gammas)
-        # flat (i, j, k, sign) list and per-i rows for fast multiplication
+        # flat (i, j, k, sign) list of the structure constants
         self._ops = [(i, j, k, sg) for (i, j), (k, sg) in sorted(self.table.items())]
-        self._rows = [[(j, k, sg) for (i2, j, k, sg) in self._ops if i2 == i]
-                      for i in range(8)]
+        self._product = _compile_product(self._ops)
         # norm signature: N(e_k) for each basis vector
         self.signature = tuple(self._basis_norm(k) for k in range(8))
         # e_i e_i = sq_sign[i] * e_0; gives tr(xy) = 2 sum sq_sign[i] x_i y_i
@@ -205,15 +223,7 @@ class OctonionAlgebra:
         return tuple(self.scalars.of(int(i == k)) for i in range(8))
 
     def mul(self, x, y) -> tuple:
-        out = [0] * 8
-        for i in range(8):
-            xi = x[i]
-            if not xi:
-                continue
-            for j, k, sg in self._rows[i]:
-                if y[j]:
-                    out[k] = out[k] + xi * y[j] if sg > 0 else out[k] - xi * y[j]
-        return self.scalars.vec(out)
+        return self.scalars.vec(self._product(x, y))
 
     def trace_of_product(self, x, y):
         """tr(x y) without forming the product: 2 sum_i sq_sign_i x_i y_i."""
@@ -258,17 +268,24 @@ class OctonionAlgebra:
     def unit_norm_element(self, rng: random.Random) -> tuple:
         """A norm-1 element via the Cayley transform of a trace-0 u:
         (1-u)(1+u)^{-1} = (1 - 2u - N(u)) / (1 + N(u))."""
+        num, den = self._cayley(rng)
+        inv = self.scalars.inv(den)
+        return self.scalars.vec([c * inv for c in num])
+
+    def _cayley(self, rng: random.Random) -> tuple[tuple, int]:
+        """unit_norm_element as (numerator, denominator) with an integral
+        numerator 1 - 2u - N(u); its norm is checked as N(num) = den^2
+        (degree 2)."""
         ring = self.scalars
         while True:
             u = self.random_imaginary(rng)
             n = self.norm(u)
-            denom = ring.red(1 + n)
-            if denom != 0:
+            den = ring.red(1 + n)
+            if den != 0:
                 break
-        inv = ring.inv(denom)
-        out = ring.vec([(1 - n) * inv] + [-2 * c * inv for c in u[1:]])
-        assert self.norm(out) == ring.of(1)
-        return out
+        num = ring.vec([1 - n] + [-2 * c for c in u[1:]])
+        assert self.norm(num) == ring.red(den * den)
+        return num, den
 
 
 def definite_octonions(gammas=(-1, -1, -1)) -> OctonionAlgebra:
@@ -440,25 +457,39 @@ class JordanAlgebra:
 
 def rank_one_sample(jalg: JordanAlgebra, rng: random.Random,
                     max_attempts: int = 200) -> JordanElement:
-    """A pseudorandom rank-one element, produced as Y# for Y of rank two.
+    """A pseudorandom rank-one element, produced as y# for y of rank two.
 
-    N(Y) is affine in c1 once the other coordinates are fixed, so c1 can be
-    solved for to force N(Y) = 0; then (Y#)# = N(Y) Y = 0 while Y# != 0.
+    N(y) is affine in c1 once the other coordinates are fixed, so c1 can be
+    solved for to force N(y) = 0; then (y#)# = N(y) y = 0 while y# != 0.
+    The draw and its checks run on the integer representative of
+    rank_one_rep; this returns y# = Z/d^2 itself.
     """
+    _, y, d = rank_one_rep(jalg, rng, max_attempts)
+    return jalg.sharp(jalg.element([Fraction(v, d) for v in y.c],
+                                   [[Fraction(v, d) for v in x] for x in y.x]))
+
+
+def rank_one_rep(jalg: JordanAlgebra, rng: random.Random,
+                 max_attempts: int = 200) -> tuple[JordanElement, JordanElement, int]:
+    """(Z, Y, d) for the rank_one_sample drawn from rng: Y = d y is the
+    integral rank-two element, d = dN/dc1 its cleared denominator, and
+    Z = Y# = d^2 y# the rank-one sample.  The checks N(Y) = 0 (degree 3),
+    Z != 0 (degree 2) and Z# = 0 (degree 4) have the verdicts they have on y."""
     o = jalg.oct
     for _ in range(max_attempts):
         y = jalg.random(rng)
-        coeff = jalg.scalars.red(y.c[1] * y.c[2] - o.norm(y.x[0]))  # dN/dc1
-        if coeff == 0:
+        d = jalg.scalars.red(y.c[1] * y.c[2] - o.norm(y.x[0]))  # dN/dc1
+        if d == 0:
             continue
         rest = jalg.element((0, y.c[1], y.c[2]), y.x)
-        c1 = -jalg.norm(rest) * jalg.scalars.inv(coeff)
-        y = jalg.element((c1, y.c[1], y.c[2]), y.x)
-        assert jalg.norm(y) == 0
-        z = jalg.sharp(y)
+        # c1 = -N(rest)/d, so d y has first coordinate -N(rest)
+        dy = jalg.scale(d, rest)
+        dy = JordanElement(jalg.scalars.vec([-jalg.norm(rest)]) + dy.c[1:], dy.x)
+        assert jalg.norm(dy) == 0
+        z = jalg.sharp(dy)
         if not z.is_zero():
             assert jalg.sharp(z).is_zero()
-            return z
+            return z, dy, d
     raise RuntimeError("rank-one sampler failed to produce a sample")
 
 
@@ -480,8 +511,12 @@ class CubicEtale:
         self.jordan = jalg
         self.descriptor = tuple(descriptor)
         self.basis_elements = self._build()
-        self._gram = [[jalg.trace_pairing(a, b) for b in self.basis_elements]
-                      for a in self.basis_elements]
+        # (b, e_k) for each E-basis element b and standard coordinate e_k:
+        # the trace pairing with b as a row acting on coordinates
+        basis27 = jalg.basis()
+        self._rows = [[jalg.trace_pairing(b, e) for e in basis27]
+                      for b in self.basis_elements]
+        self._gram_inv = cleared_inverse([self.pairings(b) for b in self.basis_elements])
         self.ve_basis = self._complement()
 
     def _build(self) -> list[JordanElement]:
@@ -561,24 +596,30 @@ class CubicEtale:
     def _complement(self) -> list[JordanElement]:
         """Exact nullspace of the 3x27 pairing matrix with the E-basis."""
         j = self.jordan
-        basis27 = j.basis()
-        rows = [[j.trace_pairing(e, b) for b in basis27] for e in self.basis_elements]
-        out = [j.from_coords(v) for v in nullspace(rows)]
+        out = [j.from_coords(v) for v in nullspace(self._rows)]
         assert len(out) == 27 - len(self.basis_elements)
         return out
+
+    def pairings(self, el: JordanElement) -> tuple:
+        """The trace pairings (el, b) with the E-basis elements b."""
+        coords = self.jordan.coords(el)
+        return tuple(sum(map(operator.mul, row, coords)) for row in self._rows)
+
+    def coefficients(self, el: JordanElement) -> tuple:
+        """The E-coefficients of el, solved against the Gram inverse of the
+        E-basis: the E-part of el along J = E + V_E is embed(coefficients)."""
+        inv = self._gram_inv
+        rhs = self.pairings(el)
+        return tuple(Fraction(sum(map(operator.mul, row, rhs)), inv.den) for row in inv.mat)
 
     def project(self, el: JordanElement) -> tuple[tuple, JordanElement]:
         """Split x = x_E + x_V along J = E + V_E; returns (E-coefficients,
         V_E component)."""
-        j = self.jordan
-        rhs = [j.trace_pairing(el, b) for b in self.basis_elements]
-        coeffs = solve(self._gram, rhs)
-        ve = j.sub(el, self.embed(coeffs))
-        return tuple(coeffs), ve
+        coeffs = self.coefficients(el)
+        return coeffs, self.jordan.sub(el, self.embed(coeffs))
 
     def in_ve(self, el: JordanElement) -> bool:
-        j = self.jordan
-        return all(j.trace_pairing(el, b) == 0 for b in self.basis_elements)
+        return not any(self.pairings(el))
 
 
 # ---------------------------------------------------------------------------
@@ -641,12 +682,20 @@ class ScaledMatrix:
 
 def _smat_mul(ring, a: ScaledMatrix, b: ScaledMatrix) -> ScaledMatrix:
     cols = list(zip(*b.mat))
-    out = [[sum(x * y for x, y in zip(row, col)) for col in cols] for row in a.mat]
+    out = [[sum(map(operator.mul, row, col)) for col in cols] for row in a.mat]
     return ring.scaled(out, a.den * b.den)
 
 
 def _sidentity() -> ScaledMatrix:
     return ScaledMatrix([[int(i == j) for j in range(8)] for i in range(8)], 1)
+
+
+def _smat_product(ring, factors: list) -> ScaledMatrix:
+    """The product of a list of scaled matrices (the identity if empty)."""
+    out = factors[0] if factors else _sidentity()
+    for m in factors[1:]:
+        out = _smat_mul(ring, out, m)
+    return out
 
 
 def _int_coords(x) -> tuple[list[int], int]:
@@ -659,9 +708,22 @@ def _int_coords(x) -> tuple[list[int], int]:
     return vec, den
 
 
+def cleared_inverse(gram) -> ScaledMatrix:
+    """The inverse of a rational square matrix as an integer matrix over
+    one denominator."""
+    n = len(gram)
+    flat, den = _int_coords([v for row in inverse(gram) for v in row])
+    return ScaledMatrix([flat[i * n:(i + 1) * n] for i in range(n)], den)
+
+
 def reflection_matrix(o: OctonionAlgebra, c) -> ScaledMatrix:
     """s_c(x) = x - ((x,c)/N(c)) c; (e_j, c) = 2 eta_j c_j in the CD basis."""
-    cv, _ = _int_coords(c)
+    return _reflection(o, _int_coords(c)[0])
+
+
+def _reflection(o: OctonionAlgebra, cv) -> ScaledMatrix:
+    """reflection_matrix of c from its cleared coordinates (s_c is
+    unchanged by scaling c)."""
     # norm of the cleared vector, as an element of the ring
     n = o.scalars.red(sum(e * v * v for e, v in zip(o.signature, cv)))
     if n == 0:
@@ -671,8 +733,11 @@ def reflection_matrix(o: OctonionAlgebra, c) -> ScaledMatrix:
     return o.scalars.scaled(mat, n)
 
 
-def _mult_matrix(o: OctonionAlgebra, c, side: str) -> ScaledMatrix:
-    cv, cden = _int_coords(c)
+def _mult_matrix(o: OctonionAlgebra, cleared: tuple[list[int], int],
+                 side: str) -> ScaledMatrix:
+    """Left or right multiplication by c = cv/cden, from its cleared
+    coordinates."""
+    cv, cden = cleared
     cols = [[0] * 8 for _ in range(8)]
     for i, j, k, sg in o._ops:
         if side == "left":
@@ -686,11 +751,11 @@ def _mult_matrix(o: OctonionAlgebra, c, side: str) -> ScaledMatrix:
 
 
 def left_mult_matrix(o: OctonionAlgebra, c) -> ScaledMatrix:
-    return _mult_matrix(o, c, "left")
+    return _mult_matrix(o, _int_coords(c), "left")
 
 
 def right_mult_matrix(o: OctonionAlgebra, c) -> ScaledMatrix:
-    return _mult_matrix(o, c, "right")
+    return _mult_matrix(o, _int_coords(c), "right")
 
 
 def hat(m: ScaledMatrix) -> ScaledMatrix:
@@ -715,22 +780,25 @@ def triality_triple(o: OctonionAlgebra, pairs) -> TrialityTriple:
     """t1 = prod s_a s_b, t2 = prod l_a l_{b*}, t3 = prod r_a r_{b*} for the
     listed (a, b); requires every norm nonzero and prod N(a)N(b) = 1."""
     ring = o.scalars
-    prod_norm = ring.of(1)
-    t1 = t2 = t3 = _sidentity()
+    # prod N(a)N(b) = num/den, from the cleared coordinates: N(v/d) = N(v)/d^2
+    num = den = 1
+    f1, f2, f3 = [], [], []
     for a, b in pairs:
-        na, nb = o.norm(a), o.norm(b)
+        (av, ad), (bv, bd) = _int_coords(a), _int_coords(b)
+        na, nb = o.norm(av), o.norm(bv)
         if na == 0 or nb == 0:
             raise ValueError("triality generators need nonzero norms")
-        prod_norm = ring.red(prod_norm * na * nb)
-        t1 = _smat_mul(ring, t1, _smat_mul(ring, reflection_matrix(o, a),
-                                           reflection_matrix(o, b)))
-        t2 = _smat_mul(ring, t2, _smat_mul(ring, left_mult_matrix(o, a),
-                                           left_mult_matrix(o, o.conj(b))))
-        t3 = _smat_mul(ring, t3, _smat_mul(ring, right_mult_matrix(o, a),
-                                           right_mult_matrix(o, o.conj(b))))
-    if prod_norm != ring.of(1):
+        num, den = num * na * nb, den * (ad * bd) ** 2
+        bc = (list(o.conj(bv)), bd)
+        f1.append(_smat_mul(ring, _reflection(o, av), _reflection(o, bv)))
+        f2.append(_smat_mul(ring, _mult_matrix(o, (av, ad), "left"),
+                            _mult_matrix(o, bc, "left")))
+        f3.append(_smat_mul(ring, _mult_matrix(o, (av, ad), "right"),
+                            _mult_matrix(o, bc, "right")))
+    if ring.red(num - den) != 0:
         raise ValueError("product of generator norms must be 1")
-    return TrialityTriple(hat(t1), t2, t3, t1)
+    t1 = _smat_product(ring, f1)
+    return TrialityTriple(hat(t1), _smat_product(ring, f2), _smat_product(ring, f3), t1)
 
 
 def triality_verify(o: OctonionAlgebra, triple: TrialityTriple) -> bool:
@@ -739,43 +807,43 @@ def triality_verify(o: OctonionAlgebra, triple: TrialityTriple) -> bool:
     trilinear form under the hatted triple on the full basis cube.
 
     All checks run on the cleared-denominator integer matrices, comparing
-    cross-multiplied sides; each row of differences is tested for zero after
-    one ``vec`` of the scalar ring."""
+    cross-multiplied sides; each block of differences is tested for zero
+    after one ``vec`` of the scalar ring.  The 64 products t2(e_i) t3(e_j)
+    are formed once and feed both the identity and the trilinear check."""
     vec = o.scalars.vec
     t1, t2, t3 = triple.raw_t1, triple.g2, triple.g3
     g1 = triple.g1
     cols1 = list(zip(*t1.mat))
-    cols1h = list(zip(*g1.mat))
-    cols2 = list(zip(*t2.mat))
     cols3 = list(zip(*t3.mat))
+    prods = [[o.mul(c2, c3) for c3 in cols3] for c2 in zip(*t2.mat)]
     d1, d2, d3 = t1.den, t2.den, t3.den
     # identity on the basis square: t1(e_i e_j) is a signed column of t1
     for i in range(8):
         for j in range(8):
             k, sg = o.table[(i, j)]
             s = sg * d2 * d3
-            rhs = o.mul(cols2[i], cols3[j])
-            if any(vec([s * a - b * d1 for a, b in zip(cols1[k], rhs)])):
+            if any(vec([s * a - b * d1 for a, b in zip(cols1[k], prods[i][j])])):
                 return False
-    # norm preservation: M^T diag(eta) M = den^2 diag(eta)
+    # norm preservation: M^T diag(eta) M = den^2 diag(eta), upper triangle
     eta = o.signature
     for m in (g1, t2, t3):
         cols = list(zip(*m.mat))
+        gram = []
         for i in range(8):
-            row = [sum(e * a * b for e, a, b in zip(eta, cols[i], cols[j]))
-                   for j in range(i, 8)]
-            row[0] -= eta[i] * m.den * m.den
-            if any(vec(row)):
-                return False
-    # trilinear invariance on the basis cube: tr(x y) = 2 sum_r sq_sign_r x_r y_r
-    w = [2 * sg for sg in o.sq_sign]
+            ecol = [e * v for e, v in zip(eta, cols[i])]
+            gram += [sum(map(operator.mul, ecol, cols[j])) for j in range(i, 8)]
+            gram[-(8 - i)] -= eta[i] * m.den * m.den
+        if any(vec(gram)):
+            return False
+    # trilinear invariance on the basis cube: tr(g1(e_c) p) is the dot product
+    # of p with the row 2 sq_sign * g1(e_c), since tr(x y) = 2 sum_r sq_sign_r x_r y_r
+    forms = [[2 * sg * v for sg, v in zip(o.sq_sign, col)] for col in zip(*g1.mat)]
     dall = g1.den * d2 * d3
     for j in range(8):
         for k in range(8):
-            p = o.mul(cols2[j], cols3[k])
-            q = [w[r] * p[r] for r in range(8)]
+            p = prods[j][k]
+            got = [sum(map(operator.mul, f, p)) for f in forms]
             m, sg = o.table[(j, k)]
-            got = [sum(a * b for a, b in zip(q, col)) for col in cols1h]
             got[m] -= 2 * sg * o.sq_sign[m] * dall
             if any(vec(got)):
                 return False
@@ -896,8 +964,16 @@ def norm_transitivity_move(o: OctonionAlgebra, x, y,
 def random_triality_pairs(o: OctonionAlgebra, rng: random.Random,
                           npairs: int | None = None) -> list:
     """Random generator pairs with each N(a)N(b) = 1, via b = c a*/N(a) for
-    a random norm-1 factor c."""
-    npairs = npairs or rng.randint(1, 2)
+    a random norm-1 factor c; one or two pairs unless npairs is given.
+
+    c = num/den comes from the Cayley transform, so b = (num a*)/(den N(a))
+    has an integral numerator, and N(a)N(b) = 1 is checked as
+    N(num a*) = den^2 N(a) (degree 2)."""
+    if npairs is None:
+        npairs = rng.randint(1, 2)
+    elif npairs < 1:
+        raise ValueError(f"need at least one generator pair, got {npairs}")
+    ring = o.scalars
     pairs = []
     for _ in range(npairs):
         while True:
@@ -905,11 +981,11 @@ def random_triality_pairs(o: OctonionAlgebra, rng: random.Random,
             na = o.norm(a)
             if na != 0:
                 break
-        c = o.unit_norm_element(rng)
-        inv = o.scalars.inv(na)
-        b = o.scale(inv, o.mul(c, o.conj(a)))
-        assert o.scalars.red(o.norm(a) * o.norm(b)) == o.scalars.of(1)
-        pairs.append((a, b))
+        num, den = o._cayley(rng)
+        bnum = o.mul(num, o.conj(a))
+        assert ring.red(o.norm(bnum) - den * den * na) == 0
+        inv = ring.inv(ring.red(den * na))
+        pairs.append((a, ring.vec([v * inv for v in bnum])))
     return pairs
 
 

@@ -250,6 +250,16 @@ class TestTriality:
                 pairs = random_triality_pairs(alg, rng)
                 assert triality_verify(alg, triality_triple(alg, pairs))
 
+    def test_pair_count(self, oct_def):
+        assert len(random_triality_pairs(oct_def, random.Random(1), npairs=3)) == 3
+        for bad in (0, -1):
+            with pytest.raises(ValueError):
+                random_triality_pairs(oct_def, random.Random(1), npairs=bad)
+        # the default draws one or two pairs from the stream itself
+        rng = random.Random(73)
+        want = random.Random(73).randint(1, 2)
+        assert len(random_triality_pairs(oct_def, rng)) == want
+
     def test_norm_product_condition_enforced(self, oct_def):
         two = oct_def.scale(2, oct_def.one())
         with pytest.raises(ValueError):
