@@ -25,7 +25,7 @@ from .config import CaseSpec, Config, RowSpec, TableSpec
 from .eiscalc import (ConvergenceVerdict, CoordVector, ZetaProduct, apply_word,
                       intertwiner_verdict, order_report, rational_cfunction,
                       shifted_exponent)
-from .exactnum import AffineForm, solve
+from .exactnum import AffineForm
 from .rootsys import ParabolicSpec, RootSystem, Word
 
 
@@ -439,10 +439,127 @@ def _small_height_sparse(jalg):
                             yield jalg.element((c1, c2, c3), (x1, x2, x3))
 
 
+def _composition(cfg: Config, jalg: compalg.JordanAlgebra, count: int, rng) -> dict:
+    algs = [jalg.oct, compalg.OctonionAlgebra(compalg.RationalScalars(),
+                                              cfg.algebras["split"], "split")]
+    fails = 0
+    for alg in algs:
+        for _ in range(count):
+            x, y = alg.random(rng), alg.random(rng)
+            if alg.norm(alg.mul(x, y)) != alg.norm(x) * alg.norm(y):
+                fails += 1
+    return {"cases": count * len(algs), "failures": fails}
+
+
+def _sharp_failures(jalg: compalg.JordanAlgebra, x: compalg.JordanElement) -> int:
+    """The failed adjoint identities x o x# = N(x) 1, checked doubled as
+    x x# + x# x = 2 N(x) 1 (degree 3), and (x#)# = N(x) x (degree 4)."""
+    s = jalg.sharp(x)
+    n = jalg.norm(x)
+    fails = int(jalg.symmetric_product(x, s) != jalg.scale(2 * n, jalg.identity()))
+    return fails + (jalg.sharp(s) != jalg.scale(n, x))
+
+
+def _sharp(cfg: Config, jalg: compalg.JordanAlgebra, count: int, rng) -> dict:
+    fails = 0
+    for _ in range(count):
+        fails += _sharp_failures(jalg, jalg.random(rng))
+    return {"cases": 2 * count, "failures": fails}
+
+
+def _trace_failures(jalg: compalg.JordanAlgebra, x: compalg.JordanElement) -> int:
+    """1 unless tr(x)^2 - tr(x o x) = 2 tr(x#) (degree 2), checked doubled
+    as 2 tr(x)^2 - tr(x x + x x) = 4 tr(x#)."""
+    lhs = 2 * jalg.trace(x) ** 2 - jalg.trace(jalg.symmetric_product(x, x))
+    return int(lhs != 4 * jalg.trace(jalg.sharp(x)))
+
+
+def _trace_identity(cfg: Config, jalg: compalg.JordanAlgebra, count: int, rng) -> dict:
+    fails = 0
+    for _ in range(count):
+        fails += _trace_failures(jalg, jalg.random(rng))
+    return {"cases": count, "failures": fails}
+
+
+def _positivity(cfg: Config, jalg: compalg.JordanAlgebra, count: int, rng) -> dict:
+    fails = 0
+    for _ in range(count):
+        x = jalg.random(rng)
+        q = jalg.trace_pairing(x, x)
+        if x.is_zero():
+            continue
+        if not q > 0:
+            fails += 1
+    return {"cases": count, "failures": fails}
+
+
 def _rank_one_failures(jalg: compalg.JordanAlgebra, z: compalg.JordanElement) -> int:
     """1 unless z is a nonzero element with z# = 0 (degree 2) and rank 1
     (unchanged by a nonzero scale)."""
     return int(z.is_zero() or not jalg.sharp(z).is_zero() or jalg.rank(z) != 1)
+
+
+def _rank_one(cfg: Config, jalg: compalg.JordanAlgebra, count: int, rng) -> dict:
+    fails = 0
+    for _ in range(count):
+        z, _y, _d = compalg.rank_one_rep(jalg, rng)   # z = d^2 rank_one_sample
+        fails += _rank_one_failures(jalg, z)
+    return {"cases": count, "failures": fails}
+
+
+def _ve_claims(cfg: Config, jalg: compalg.JordanAlgebra, count: int, rng) -> dict:
+    split3 = compalg.CubicEtale(jalg, ("split3",))
+    qxf = compalg.CubicEtale(jalg, ("QxF", cfg.claims.qxf_disc))
+    fails = 0
+    dims_ok = (len(split3.ve_basis) == 24 and len(qxf.ve_basis) == 24)
+    for _ in range(count):
+        z, _y, _d = compalg.rank_one_rep(jalg, rng)   # z = d^2 rank_one_sample
+        for et in (split3, qxf):
+            if et.in_ve(z):  # linear: degree 1
+                fails += 1   # nonzero rank one inside V_E
+    # exhaustive small-height sweep: no sparse rank-one element lies in
+    # either complement
+    hits = 0
+    for v in _small_height_sparse(jalg):
+        if not v.is_zero() and jalg.rank(v) == 1:
+            hits += 1
+            if split3.in_ve(v) or qxf.in_ve(v):
+                fails += 1
+    return {"cases": 2 * count, "failures": fails,
+            "dims_ok": dims_ok, "small_height_rank_ones": hits}
+
+
+def _rank_one_c1(cfg: Config, jalg: compalg.JordanAlgebra, count: int, rng) -> dict:
+    fails = 0
+    for _ in range(count):
+        x = jalg.random(rng)
+        v = jalg.element((0, x.c[1], x.c[2]), x.x)
+        sh = jalg.sharp(v)
+        # with c1 = 0 the adjoint diagonal reads off -N(x2), -N(x3) (degree 2)
+        if sh.c[1] != -jalg.oct.norm(v.x[1]) or sh.c[2] != -jalg.oct.norm(v.x[2]):
+            fails += 1
+        if jalg.rank(v) <= 1 and not (jalg.oct.is_zero(v.x[1])
+                                      and jalg.oct.is_zero(v.x[2])):
+            fails += 1
+    # directed family: rank-one elements (0, c2, N(x1)/c2; x1, 0, 0) with
+    # c1 = 0, checked as c2 times the element (rank is scale-invariant)
+    for _ in range(count // 10):
+        x1 = jalg.oct.random(rng)
+        c2 = jalg.scalars.randint(rng)
+        if c2 == 0:
+            continue
+        v = jalg.element((0, c2 * c2, jalg.oct.norm(x1)),
+                         (jalg.oct.scale(c2, x1), [0] * 8, [0] * 8))
+        if jalg.rank(v) > 1:
+            fails += 1
+    # exhaustive small-height search over sparse elements with c1 = 0
+    hits = 0
+    for v in _small_height_c1_zero(jalg):
+        if jalg.rank(v) <= 1 and not v.is_zero():
+            hits += 1
+            if not (jalg.oct.is_zero(v.x[1]) and jalg.oct.is_zero(v.x[2])):
+                fails += 1
+    return {"cases": count, "failures": fails, "small_height_rank_ones": hits}
 
 
 def _f_complement(jalg: compalg.JordanAlgebra, qxf: compalg.CubicEtale):
@@ -478,6 +595,30 @@ def _orth_f_failures(jalg: compalg.JordanAlgebra, v: compalg.JordanElement,
     return fails
 
 
+def _rank_one_orth_f(cfg: Config, jalg: compalg.JordanAlgebra, count: int, rng) -> dict:
+    qxf = compalg.CubicEtale(jalg, ("QxF", cfg.claims.qxf_disc))
+    u = qxf.basis_elements[2].x[0]
+    e11 = jalg.e11()
+    project = _f_complement(jalg, qxf)
+    fails = 0
+    for _ in range(count):
+        fails += _orth_f_failures(jalg, project(jalg.random(rng)), e11)
+    # small-height directed search within the orthogonal complement
+    hits = 0
+    for c1 in range(-2, 3):
+        for c2 in range(-1, 2):
+            for t in range(-1, 2):
+                v = jalg.element((c1, c2, -c2), (jalg.oct.scale(t, u),
+                                                 [0] * 8, [0] * 8))
+                if v.is_zero():
+                    continue
+                if jalg.rank(v) <= 1:
+                    hits += 1
+                    if not jalg.sub(v, jalg.scale(v.c[0], e11)).is_zero():
+                        fails += 1
+    return {"cases": count, "failures": fails, "small_height_rank_ones": hits}
+
+
 def _we_failures(etales, w: compalg.FreudenthalElement) -> int:
     """For each etale E: 1 if the W_E-part (a, b_E, c_E, d) of w is zero,
     and 1 if that of its symplectic flip (-d, c, -b, a) is zero.  Both are
@@ -494,174 +635,17 @@ def _we_failures(etales, w: compalg.FreudenthalElement) -> int:
     return fails
 
 
-def _composition(cfg: Config, jalg: compalg.JordanAlgebra, count: int, rng) -> dict:
-    algs = [jalg.oct, compalg.OctonionAlgebra(compalg.RationalScalars(),
-                                              cfg.algebras["split"], "split")]
-    fails = 0
-    for alg in algs:
-        for _ in range(count):
-            x, y = alg.random(rng), alg.random(rng)
-            if alg.norm(alg.mul(x, y)) != alg.norm(x) * alg.norm(y):
-                fails += 1
-    return {"cases": count * len(algs), "failures": fails}
-
-
-def _sharp(cfg: Config, jalg: compalg.JordanAlgebra, count: int, rng) -> dict:
-    fails = 0
-    for _ in range(count):
-        x = jalg.random(rng)
-        s = jalg.sharp(x)
-        n = jalg.norm(x)
-        prod = jalg.jordan_product(x, s)
-        if prod != jalg.scale(n, jalg.identity()):
-            fails += 1
-        if jalg.sharp(s) != jalg.scale(n, x):
-            fails += 1
-    return {"cases": 2 * count, "failures": fails}
-
-
-def _trace_identity(cfg: Config, jalg: compalg.JordanAlgebra, count: int, rng) -> dict:
-    fails = 0
-    for _ in range(count):
-        x = jalg.random(rng)
-        lhs = jalg.trace(x) ** 2 - jalg.trace(jalg.square(x))
-        if lhs != 2 * jalg.trace(jalg.sharp(x)):
-            fails += 1
-    return {"cases": count, "failures": fails}
-
-
-def _positivity(cfg: Config, jalg: compalg.JordanAlgebra, count: int, rng) -> dict:
-    fails = 0
-    for _ in range(count):
-        x = jalg.random(rng)
-        q = jalg.trace_pairing(x, x)
-        if x.is_zero():
-            continue
-        if not q > 0:
-            fails += 1
-    return {"cases": count, "failures": fails}
-
-
-def _rank_one(cfg: Config, jalg: compalg.JordanAlgebra, count: int, rng) -> dict:
-    fails = 0
-    for _ in range(count):
-        z = compalg.rank_one_sample(jalg, rng)
-        if z.is_zero() or not jalg.sharp(z).is_zero() or jalg.rank(z) != 1:
-            fails += 1
-    return {"cases": count, "failures": fails}
-
-
-def _ve_claims(cfg: Config, jalg: compalg.JordanAlgebra, count: int, rng) -> dict:
-    split3 = compalg.CubicEtale(jalg, ("split3",))
-    qxf = compalg.CubicEtale(jalg, ("QxF", cfg.claims.qxf_disc))
-    fails = 0
-    dims_ok = (len(split3.ve_basis) == 24 and len(qxf.ve_basis) == 24)
-    for _ in range(count):
-        z = compalg.rank_one_sample(jalg, rng)
-        for et in (split3, qxf):
-            if et.in_ve(z):
-                fails += 1   # nonzero rank one inside V_E
-    # exhaustive small-height sweep: no sparse rank-one element lies in
-    # either complement
-    hits = 0
-    for v in _small_height_sparse(jalg):
-        if not v.is_zero() and jalg.rank(v) == 1:
-            hits += 1
-            if split3.in_ve(v) or qxf.in_ve(v):
-                fails += 1
-    return {"cases": 2 * count, "failures": fails,
-            "dims_ok": dims_ok, "small_height_rank_ones": hits}
-
-
-def _rank_one_c1(cfg: Config, jalg: compalg.JordanAlgebra, count: int, rng) -> dict:
-    fails = 0
-    for _ in range(count):
-        x = jalg.random(rng)
-        v = jalg.element((0, x.c[1], x.c[2]), x.x)
-        sh = jalg.sharp(v)
-        # with c1 = 0 the adjoint diagonal reads off -N(x2), -N(x3)
-        if sh.c[1] != -jalg.oct.norm(v.x[1]) or sh.c[2] != -jalg.oct.norm(v.x[2]):
-            fails += 1
-        if jalg.rank(v) <= 1 and not (jalg.oct.is_zero(v.x[1])
-                                      and jalg.oct.is_zero(v.x[2])):
-            fails += 1
-    # directed family: rank-one elements with c1 = 0
-    for _ in range(count // 10):
-        x1 = jalg.oct.random(rng)
-        c2 = jalg.scalars.randint(rng)
-        if c2 == 0:
-            continue
-        v = jalg.element((0, c2, Fraction(jalg.oct.norm(x1), c2)),
-                         (x1, [0] * 8, [0] * 8))
-        if jalg.rank(v) > 1:
-            fails += 1
-    # exhaustive small-height search over sparse elements with c1 = 0
-    hits = 0
-    for v in _small_height_c1_zero(jalg):
-        if jalg.rank(v) <= 1 and not v.is_zero():
-            hits += 1
-            if not (jalg.oct.is_zero(v.x[1]) and jalg.oct.is_zero(v.x[2])):
-                fails += 1
-    return {"cases": count, "failures": fails, "small_height_rank_ones": hits}
-
-
-def _rank_one_orth_f(cfg: Config, jalg: compalg.JordanAlgebra, count: int, rng) -> dict:
-    qxf = compalg.CubicEtale(jalg, ("QxF", cfg.claims.qxf_disc))
-    e2, e3 = qxf.basis_elements[1], qxf.basis_elements[2]
-    u = e3.x[0]
-    fails = 0
-    for _ in range(count):
-        x = jalg.random(rng)
-        # project away the F-components (span of e2, e3)
-        gram = [[jalg.trace_pairing(a, b) for b in (e2, e3)] for a in (e2, e3)]
-        rhs = [jalg.trace_pairing(x, e2), jalg.trace_pairing(x, e3)]
-        coeff = solve(gram, rhs)
-        v = jalg.sub(x, jalg.add(jalg.scale(coeff[0], e2), jalg.scale(coeff[1], e3)))
-        # orthogonality forces c3 = -c2; then c1 of the adjoint is
-        # -c2^2 - N(x1), which vanishes only when both pieces do
-        if v.c[2] != -v.c[1]:
-            fails += 1
-        if jalg.sharp(v).c[0] != -(v.c[1] ** 2) - jalg.oct.norm(v.x[0]):
-            fails += 1
-        if jalg.rank(v) <= 1:
-            e11 = jalg.e11()
-            if jalg.sub(v, jalg.scale(v.c[0], e11)).is_zero() is False:
-                fails += 1
-    # small-height directed search within the orthogonal complement
-    hits = 0
-    for c1 in range(-2, 3):
-        for c2 in range(-1, 2):
-            for t in range(-1, 2):
-                v = jalg.element((c1, c2, -c2), (jalg.oct.scale(t, u),
-                                                 [0] * 8, [0] * 8))
-                if v.is_zero():
-                    continue
-                if jalg.rank(v) <= 1:
-                    hits += 1
-                    if not jalg.sub(v, jalg.scale(v.c[0], jalg.e11())).is_zero():
-                        fails += 1
-    return {"cases": count, "failures": fails, "small_height_rank_ones": hits}
-
-
 def _freudenthal(cfg: Config, jalg: compalg.JordanAlgebra, count: int, rng) -> dict:
-    split3 = compalg.CubicEtale(jalg, ("split3",))
-    qxf = compalg.CubicEtale(jalg, ("QxF", cfg.claims.qxf_disc))
+    etales = (compalg.CubicEtale(jalg, ("split3",)),
+              compalg.CubicEtale(jalg, ("QxF", cfg.claims.qxf_disc)))
     fails = 0
     for _ in range(count):
         z = jalg.random(rng)
-        lam = Fraction(rng.randint(1, 5), rng.randint(1, 3))
+        num = rng.randint(1, 5)
+        rng.randint(1, 3)   # lam = num/den; den r0(z, lam) = r0(z, num) is integral
         if rng.randrange(2):
-            lam = -lam
-        w = compalg.freudenthal_r0(jalg, z, lam)
-        for et in (split3, qxf):
-            we, _ve = compalg.we_projection(w, et)
-            if compalg.we_part_is_zero(we):
-                fails += 1
-            # symplectic flip translate keeps a nonzero corner too
-            flip = compalg.FreudenthalElement(-w.d, w.c, jalg.scale(-1, w.b), w.a)
-            we2, _ = compalg.we_projection(flip, et)
-            if compalg.we_part_is_zero(we2):
-                fails += 1
+            num = -num
+        fails += _we_failures(etales, compalg.freudenthal_r0(jalg, z, num))
     return {"cases": count, "failures": fails}
 
 

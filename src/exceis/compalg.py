@@ -160,13 +160,13 @@ def _build_table(gammas: Sequence[int]) -> dict[tuple[int, int], tuple[int, int]
     return table
 
 
-def _compile_product(ops) -> "Callable":
+def _compile_product(table: dict[tuple[int, int], tuple[int, int]]) -> Callable:
     """The product of two coordinate 8-sequences as one function compiled
     from the structure constants: each output coordinate is a single signed
     sum of its eight products, with no per-term dispatch.  It takes any
     scalars; on ints it stays in ints."""
     terms: list[list[str]] = [[] for _ in range(8)]
-    for i, j, k, sg in ops:
+    for (i, j), (k, sg) in sorted(table.items()):
         terms[k].append(f"{'+' if sg > 0 else '-'} x{i} * y{j}")
     names = ", ".join
     src = (f"def product(x, y):\n"
@@ -193,9 +193,7 @@ class OctonionAlgebra:
         self.gammas = tuple(gammas)
         self.flavor = flavor
         self.table = _build_table(gammas)
-        # flat (i, j, k, sign) list of the structure constants
-        self._ops = [(i, j, k, sg) for (i, j), (k, sg) in sorted(self.table.items())]
-        self._product = _compile_product(self._ops)
+        self._product = _compile_product(self.table)
         # norm signature: N(e_k) for each basis vector
         self.signature = tuple(self._basis_norm(k) for k in range(8))
         # e_i e_i = sq_sign[i] * e_0; gives tr(xy) = 2 sum sq_sign[i] x_i y_i
@@ -402,10 +400,15 @@ class JordanAlgebra:
 
     def jordan_product(self, a: JordanElement, b: JordanElement) -> JordanElement:
         """(ab + ba)/2, back in Hermitian coordinates."""
-        half = self.scalars.inv(self.scalars.of(2))
-        m1, m2 = self.matmul(a, b), self.matmul(b, a)
-        sym = tuple(tuple(self.oct.scale(half, self.oct.add(m1[i][j], m2[i][j]))
-                          for j in range(3)) for i in range(3))
+        return self.scale(self.scalars.inv(self.scalars.of(2)), self.symmetric_product(a, b))
+
+    def symmetric_product(self, a: JordanElement, b: JordanElement) -> JordanElement:
+        """ab + ba = 2 (a o b), back in Hermitian coordinates: the Jordan
+        product with its denominator cleared, integral on integral a, b."""
+        m1 = self.matmul(a, b)
+        m2 = m1 if b is a else self.matmul(b, a)
+        sym = tuple(tuple(self.oct.add(m1[i][j], m2[i][j]) for j in range(3))
+                    for i in range(3))
         for i in range(3):
             assert all(c == 0 for c in sym[i][i][1:]), "diagonal is not scalar"
         return JordanElement((sym[0][0][0], sym[1][1][0], sym[2][2][0]),
@@ -671,7 +674,7 @@ Matrix8 = tuple[tuple, ...]
 
 @dataclass
 class ScaledMatrix:
-    mat: list            # 8x8 list of ints
+    mat: list            # square list of int rows (8x8 for triality)
     den: int
 
     def rational(self) -> Matrix8:
@@ -716,46 +719,37 @@ def cleared_inverse(gram) -> ScaledMatrix:
     return ScaledMatrix([flat[i * n:(i + 1) * n] for i in range(n)], den)
 
 
-def reflection_matrix(o: OctonionAlgebra, c) -> ScaledMatrix:
-    """s_c(x) = x - ((x,c)/N(c)) c; (e_j, c) = 2 eta_j c_j in the CD basis."""
-    return _reflection(o, _int_coords(c)[0])
+def _reflection_pair(o: OctonionAlgebra, av, bv, na, nb) -> ScaledMatrix:
+    """s_a s_b from cleared coordinates av, bv of norms na, nb != 0, where
+    s_c(x) = x - ((x,c)/N(c)) c and (x, c) = 2 sum_j eta_j x_j c_j in the CD
+    basis (s_c is unchanged by scaling c).  Times na nb, entry (i, j) is
+    na nb [i = j] - 2 nb a_i eta_j a_j - 2 na b_i eta_j b_j
+    + 4 (sum_r eta_r a_r b_r) a_i eta_j b_j."""
+    eta = o.signature
+    ab = 4 * sum(e * x * y for e, x, y in zip(eta, av, bv))
+    ea = [-2 * nb * e * v for e, v in zip(eta, av)]
+    eb = [e * v for e, v in zip(eta, bv)]
+    mat = [[ai * x + (ab * ai - 2 * na * bi) * y for x, y in zip(ea, eb)]
+           for ai, bi in zip(av, bv)]
+    for i in range(8):
+        mat[i][i] += na * nb
+    return o.scalars.scaled(mat, na * nb)
 
 
-def _reflection(o: OctonionAlgebra, cv) -> ScaledMatrix:
-    """reflection_matrix of c from its cleared coordinates (s_c is
-    unchanged by scaling c)."""
-    # norm of the cleared vector, as an element of the ring
-    n = o.scalars.red(sum(e * v * v for e, v in zip(o.signature, cv)))
-    if n == 0:
-        raise ValueError("reflection needs a nonzero-norm vector")
-    mat = [[n * int(i == j) - 2 * o.signature[j] * cv[j] * cv[i]
-            for j in range(8)] for i in range(8)]
-    return o.scalars.scaled(mat, n)
+_UNITS = [[int(i == j) for i in range(8)] for j in range(8)]
 
 
-def _mult_matrix(o: OctonionAlgebra, cleared: tuple[list[int], int],
-                 side: str) -> ScaledMatrix:
-    """Left or right multiplication by c = cv/cden, from its cleared
-    coordinates."""
-    cv, cden = cleared
-    cols = [[0] * 8 for _ in range(8)]
-    for i, j, k, sg in o._ops:
-        if side == "left":
-            if cv[i]:
-                cols[j][k] += sg * cv[i]
-        else:
-            if cv[j]:
-                cols[i][k] += sg * cv[j]
-    mat = [[cols[j][i] for j in range(8)] for i in range(8)]
-    return o.scalars.scaled(mat, cden)
-
-
-def left_mult_matrix(o: OctonionAlgebra, c) -> ScaledMatrix:
-    return _mult_matrix(o, _int_coords(c), "left")
-
-
-def right_mult_matrix(o: OctonionAlgebra, c) -> ScaledMatrix:
-    return _mult_matrix(o, _int_coords(c), "right")
+def _mult_pair(o: OctonionAlgebra, a, b, side: str) -> ScaledMatrix:
+    """x -> a (b x) on the left, x -> (x b) a on the right, for a = av/ad
+    and b = bv/bd given by cleared coordinates: each column is two
+    products with a basis vector."""
+    (av, ad), (bv, bd) = a, b
+    prod = o._product
+    if side == "left":
+        cols = [prod(av, prod(bv, e)) for e in _UNITS]
+    else:
+        cols = [prod(prod(e, bv), av) for e in _UNITS]
+    return o.scalars.scaled([list(row) for row in zip(*cols)], ad * bd)
 
 
 def hat(m: ScaledMatrix) -> ScaledMatrix:
@@ -789,12 +783,10 @@ def triality_triple(o: OctonionAlgebra, pairs) -> TrialityTriple:
         if na == 0 or nb == 0:
             raise ValueError("triality generators need nonzero norms")
         num, den = num * na * nb, den * (ad * bd) ** 2
-        bc = (list(o.conj(bv)), bd)
-        f1.append(_smat_mul(ring, _reflection(o, av), _reflection(o, bv)))
-        f2.append(_smat_mul(ring, _mult_matrix(o, (av, ad), "left"),
-                            _mult_matrix(o, bc, "left")))
-        f3.append(_smat_mul(ring, _mult_matrix(o, (av, ad), "right"),
-                            _mult_matrix(o, bc, "right")))
+        bc = (o.conj(bv), bd)
+        f1.append(_reflection_pair(o, av, bv, na, nb))
+        f2.append(_mult_pair(o, (av, ad), bc, "left"))
+        f3.append(_mult_pair(o, (av, ad), bc, "right"))
     if ring.red(num - den) != 0:
         raise ValueError("product of generator norms must be 1")
     t1 = _smat_product(ring, f1)
@@ -811,19 +803,17 @@ def triality_verify(o: OctonionAlgebra, triple: TrialityTriple) -> bool:
     after one ``vec`` of the scalar ring.  The 64 products t2(e_i) t3(e_j)
     are formed once and feed both the identity and the trilinear check."""
     vec = o.scalars.vec
-    t1, t2, t3 = triple.raw_t1, triple.g2, triple.g3
-    g1 = triple.g1
-    cols1 = list(zip(*t1.mat))
-    cols3 = list(zip(*t3.mat))
-    prods = [[o.mul(c2, c3) for c3 in cols3] for c2 in zip(*t2.mat)]
+    t1, t2, t3, g1 = triple.raw_t1, triple.g2, triple.g3, triple.g1
     d1, d2, d3 = t1.den, t2.den, t3.den
-    # identity on the basis square: t1(e_i e_j) is a signed column of t1
-    for i in range(8):
-        for j in range(8):
-            k, sg = o.table[(i, j)]
-            s = sg * d2 * d3
-            if any(vec([s * a - b * d1 for a, b in zip(cols1[k], prods[i][j])])):
-                return False
+    cols3 = list(zip(*t3.mat))
+    # p[8i + j] = t2(e_i) t3(e_j), unreduced: every check reduces its differences
+    p = [o._product(c2, c3) for c2 in zip(*t2.mat) for c3 in cols3]
+    # identity on the basis square: t1(e_i e_j) = sg t1(e_k) is a signed column of t1
+    cols1 = list(zip(*t1.mat))
+    for (i, j), (k, sg) in o.table.items():
+        s = sg * d2 * d3
+        if any(vec([s * a - d1 * b for a, b in zip(cols1[k], p[8 * i + j])])):
+            return False
     # norm preservation: M^T diag(eta) M = den^2 diag(eta), upper triangle
     eta = o.signature
     for m in (g1, t2, t3):
@@ -835,19 +825,15 @@ def triality_verify(o: OctonionAlgebra, triple: TrialityTriple) -> bool:
             gram[-(8 - i)] -= eta[i] * m.den * m.den
         if any(vec(gram)):
             return False
-    # trilinear invariance on the basis cube: tr(g1(e_c) p) is the dot product
-    # of p with the row 2 sq_sign * g1(e_c), since tr(x y) = 2 sum_r sq_sign_r x_r y_r
+    # trilinear invariance on the basis cube: tr(g1(e_c) (t2(e_j) t3(e_k))) =
+    # tr(e_c (e_j e_k)), where tr(g1(e_c) x) is the dot product of x with the
+    # form 2 sq_sign * g1(e_c), since tr(x y) = 2 sum_r sq_sign_r x_r y_r
     forms = [[2 * sg * v for sg, v in zip(o.sq_sign, col)] for col in zip(*g1.mat)]
+    got = [[sum(map(operator.mul, f, x)) for x in p] for f in forms]
     dall = g1.den * d2 * d3
-    for j in range(8):
-        for k in range(8):
-            p = prods[j][k]
-            got = [sum(map(operator.mul, f, p)) for f in forms]
-            m, sg = o.table[(j, k)]
-            got[m] -= 2 * sg * o.sq_sign[m] * dall
-            if any(vec(got)):
-                return False
-    return True
+    for (j, k), (m, sg) in o.table.items():
+        got[m][8 * j + k] -= 2 * sg * o.sq_sign[m] * dall
+    return not any(any(vec(row)) for row in got)
 
 
 class QuadraticExtensionRequired(ValueError):

@@ -152,6 +152,21 @@ class TestPlantedAlgebraFailures:
         assert suite["failures"] > 0
         assert suite["status"] == doc["status"] == "Mismatch"
 
+    def test_sharp_sees_norm_off_by_one(self, cfg, monkeypatch):
+        norm = compalg.JordanAlgebra.norm
+        monkeypatch.setattr(compalg.JordanAlgebra, "norm",
+                            lambda self, a: norm(self, a) + 1)
+        self._suite(cfg, "sharp")
+
+    def test_trace_identity_sees_sharp_off_by_one(self, cfg, monkeypatch):
+        sharp = compalg.JordanAlgebra.sharp
+
+        def broken(self, a):
+            s = sharp(self, a)
+            return compalg.JordanElement((s.c[0] + 1,) + s.c[1:], s.x)
+        monkeypatch.setattr(compalg.JordanAlgebra, "sharp", broken)
+        self._suite(cfg, "trace-identity")
+
     def test_rank_one_sees_rank_off_by_one(self, cfg, monkeypatch):
         rank = compalg.JordanAlgebra.rank
         monkeypatch.setattr(compalg.JordanAlgebra, "rank",

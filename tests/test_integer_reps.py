@@ -40,6 +40,41 @@ def _shrink(jalg, el, k):
     return jalg.scale(Fraction(1, k), el)
 
 
+class TestAdjointIdentities:
+    """sharp and trace-identity check the Jordan product doubled, as the
+    integral ab + ba, against the Fraction product (ab + ba)/2."""
+
+    def _reference_failures(self, jalg, x, shift=0):
+        s, n = jalg.sharp(x), jalg.norm(x) + shift
+        fails = jalg.jordan_product(x, s) != jalg.scale(n, jalg.identity())
+        return int(fails) + (jalg.sharp(s) != jalg.scale(n, x))
+
+    def _reference_trace(self, jalg, x, shift=0):
+        lhs = jalg.trace(x) ** 2 - jalg.trace(jalg.square(x))
+        return int(lhs != 2 * (jalg.trace(jalg.sharp(x)) + shift))
+
+    @settings(max_examples=20, deadline=None)
+    @given(seed=seeds, den=st.integers(1, 4))
+    def test_doubled_product_gives_the_verdict(self, jalg, seed, den):
+        x = _shrink(jalg, jalg.random(random.Random(seed)), den)
+        doubled = jalg.symmetric_product(x, jalg.sharp(x))
+        assert jalg.scale(Fraction(1, 2), doubled) == jalg.jordan_product(x, jalg.sharp(x))
+        assert cases._sharp_failures(jalg, x) == self._reference_failures(jalg, x) == 0
+        assert cases._trace_failures(jalg, x) == self._reference_trace(jalg, x) == 0
+        # planted: N(x) or tr(x#) one unit off
+        with pytest.MonkeyPatch.context() as m:
+            norm = compalg.JordanAlgebra.norm
+            m.setattr(compalg.JordanAlgebra, "norm", lambda self, a: norm(self, a) + 1)
+            assert cases._sharp_failures(jalg, x) == 2
+        assert self._reference_failures(jalg, x, shift=1) == 2
+        with pytest.MonkeyPatch.context() as m:
+            sharp = compalg.JordanAlgebra.sharp
+            m.setattr(compalg.JordanAlgebra, "sharp",
+                      lambda self, a: self.add(sharp(self, a), self.diag(1, 0, 0)))
+            assert cases._trace_failures(jalg, x) == 1
+        assert self._reference_trace(jalg, x, shift=1) == 1
+
+
 class TestRankOne:
     def _verdicts(self, jalg, etales, z):
         return (cases._rank_one_failures(jalg, z), [et.in_ve(z) for et in etales])
@@ -171,7 +206,7 @@ def _rational_verify(o, triple) -> bool:
 
 
 class TestTriality:
-    @settings(max_examples=8, deadline=None)
+    @settings(max_examples=6, deadline=None)
     @given(seed=seeds)
     def test_verdict_matches_rational_definition(self, jalg, seed):
         o = jalg.oct
