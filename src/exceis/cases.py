@@ -445,7 +445,8 @@ def _composition(cfg: Config, jalg: compalg.JordanAlgebra, count: int, rng) -> d
     fails = 0
     for alg in algs:
         for _ in range(count):
-            x, y = alg.random(rng), alg.random(rng)
+            x, y = alg.random(rng), alg.random(rng)   # integral samples
+            # N(xy) = N(x) N(y): degree 2 in each of x and y
             if alg.norm(alg.mul(x, y)) != alg.norm(x) * alg.norm(y):
                 fails += 1
     return {"cases": count * len(algs), "failures": fails}
@@ -485,7 +486,7 @@ def _positivity(cfg: Config, jalg: compalg.JordanAlgebra, count: int, rng) -> di
     fails = 0
     for _ in range(count):
         x = jalg.random(rng)
-        q = jalg.trace_pairing(x, x)
+        q = jalg.trace_pairing(x, x)   # degree 2, on an integral sample
         if x.is_zero():
             continue
         if not q > 0:
@@ -538,6 +539,7 @@ def _rank_one_c1(cfg: Config, jalg: compalg.JordanAlgebra, count: int, rng) -> d
         # with c1 = 0 the adjoint diagonal reads off -N(x2), -N(x3) (degree 2)
         if sh.c[1] != -jalg.oct.norm(v.x[1]) or sh.c[2] != -jalg.oct.norm(v.x[2]):
             fails += 1
+        # rank <= 1 forces x2 = x3 = 0 (rank is scale-invariant)
         if jalg.rank(v) <= 1 and not (jalg.oct.is_zero(v.x[1])
                                       and jalg.oct.is_zero(v.x[2])):
             fails += 1
@@ -650,6 +652,10 @@ def _freudenthal(cfg: Config, jalg: compalg.JordanAlgebra, count: int, rng) -> d
 
 
 def _triality(cfg: Config, jalg: compalg.JordanAlgebra, count: int, rng) -> dict:
+    # each triple is carried as integer matrices over denominators, and
+    # triality_verify compares cross-multiplied sides: t1(xy) = t2(x) t3(y)
+    # and the trilinear form have degree 1 in each matrix, the norm form
+    # degree 2
     primes = cfg.claims.primes
     fails = 0
     total = 0

@@ -7,6 +7,17 @@ values, through ``red`` (a scalar), ``vec`` (a coordinate vector) and
 modulo p; over Q the first two change nothing and ``scaled`` cancels the
 common factor.  The algebra code has one path for both.
 
+Over Q the checks run on integers wherever they can.  Every identity the
+algebra suites check is homogeneous, so each is checked on a
+cleared-denominator integer representative X = d x, with the verdict it has
+on x: a rank-one sample is Z = (d y)# = d^2 y# (``rank_one_rep``), E-parts are
+solved against an integer Gram inverse over one denominator, the Jordan
+product is compared doubled (``symmetric_product``), and triality matrices
+are integer matrices over a denominator (``ScaledMatrix``).  Fractions
+appear where a public function returns a rational value.  The octonion
+product is one function compiled from the structure constants
+(``_compile_product``); it takes any scalars and stays in ints on ints.
+
 The octonion multiplication table is produced by three Cayley-Dickson
 doublings from the base ring; the doubling parameters are data, with
 (-1,-1,-1) giving the definite flavor (norm = sum of eight squares) and
@@ -487,7 +498,7 @@ def rank_one_rep(jalg: JordanAlgebra, rng: random.Random,
         rest = jalg.element((0, y.c[1], y.c[2]), y.x)
         # c1 = -N(rest)/d, so d y has first coordinate -N(rest)
         dy = jalg.scale(d, rest)
-        dy = JordanElement(jalg.scalars.vec([-jalg.norm(rest)]) + dy.c[1:], dy.x)
+        dy = JordanElement((jalg.scalars.red(-jalg.norm(rest)),) + dy.c[1:], dy.x)
         assert jalg.norm(dy) == 0
         z = jalg.sharp(dy)
         if not z.is_zero():
