@@ -109,7 +109,8 @@ def build_table_report(cfg: Config, case: CaseSpec, table: TableSpec,
             checks.append(Check("assoc", tuple(assoc) == tuple(row.assoc),
                                 f"computed {list(assoc)}, expected {list(row.assoc)}"))
 
-        # lambda trace
+        # lambda trace, the row's only one: lambda', the intertwiner verdict
+        # and the c-function are all read off it
         trace = apply_word(system, lam, row.word)
         rec["trace"] = [{"letter": st.letter, "pairing": str(st.printed)}
                         for st in trace.steps]
@@ -121,7 +122,7 @@ def build_table_report(cfg: Config, case: CaseSpec, table: TableSpec,
                                 + ("match" if ok else
                                    f"differ: {[(l, str(p)) for l, p in got]}")))
 
-        lam_prime = shifted_exponent(system, lam, row.word)
+        lam_prime = shifted_exponent(system, trace)
         rec["lambda_prime"] = [str(e) for e in lam_prime.entries()]
         if row.lambda_prime is not None:
             ok = list(lam_prime.entries()) == row.lambda_prime
@@ -165,7 +166,7 @@ def build_table_report(cfg: Config, case: CaseSpec, table: TableSpec,
         rec["eis"] = eis_rows
 
         # intertwining operator
-        iv = intertwiner_verdict(system, rules, lam, row.word, s0)
+        iv = intertwiner_verdict(system, rules, trace, s0)
         rec["intertwiner"] = {
             "local": iv.local_status,
             "global": iv.global_status,
@@ -388,7 +389,7 @@ def oracle_report(cfg: Config) -> dict:
         lam = CoordVector.lambda_s(system)
         words = {tuple(r.word) for t in case.tables for r in t.rows}
         for w in sorted(words, key=lambda w: (len(w), w)):
-            rat = rational_cfunction(system, rules, lam, w)
+            rat = rational_cfunction(system, rules, apply_word(system, lam, w))
             absc = oracle.gk_restricted(w)
             match = rat.same_function(absc)
             ok &= match

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .exactnum import AffineForm, solve
-from .rootsys import RootSystem, Vector, Word, dot, mat_vec, smul, vadd
+from .rootsys import RootSystem, Vector, Word, dot, smul, vadd
 
 # ---------------------------------------------------------------------------
 # exponent vectors and traces
@@ -92,7 +92,11 @@ def apply_word(system: RootSystem, lam: CoordVector, word) -> LambdaTrace:
     """Apply a reduced word to an exponent vector, rightmost letter first,
     recording the coroot pairing at each step.
 
-    The final vector is cross-checked against the matrix action of the word.
+    The final vector is cross-checked through the root permutation of the
+    word, w = system.element(word): <w lam, w a> = <lam, a> for every simple
+    root a, i.e. <w lam, b^vee> = <lam, (w^{-1} b)^vee> with b = w a, and w
+    fixes every vector orthogonal to the roots.  The Euclidean matrix of the
+    word (RootSystem.word_matrix) is never built here.
     """
     word = tuple(word)
     if not system.is_reduced(word):
@@ -106,17 +110,19 @@ def apply_word(system: RootSystem, lam: CoordVector, word) -> LambdaTrace:
         ic = system.reflect(alpha, ic)
         steps.append(TraceStep(i, pairing, pairing.scale(system.print_scale(alpha)),
                                CoordVector(sl, ic)))
-    m = system.word_matrix(word)
-    if (mat_vec(m, lam.slope), mat_vec(m, lam.icept)) != (sl, ic):
-        raise AssertionError("trace disagrees with the matrix action")
+    p = system.element(word)
+    images = [system.roots[p[system.roots.index(a)]] for a in system.simples]
+    for got, start in ((sl, lam.slope), (ic, lam.icept)):
+        if ([dot(got, b) for b in images + system.orthogonal]
+                != [dot(start, a) for a in system.simples + system.orthogonal]):
+            raise AssertionError("trace disagrees with the root permutation")
     return LambdaTrace(word, lam, tuple(steps))
 
 
-def shifted_exponent(system: RootSystem, lam: CoordVector, word) -> CoordVector:
-    """w(lambda) + rho, the exponent of the intertwined section."""
-    rho = system.rho_weighted()
-    tr = apply_word(system, lam, word)
-    return CoordVector(tr.final.slope, vadd(tr.final.icept, rho))
+def shifted_exponent(system: RootSystem, trace: LambdaTrace) -> CoordVector:
+    """w(lambda) + rho, the exponent of the intertwined section, read off the
+    trace of lambda along w."""
+    return CoordVector(trace.final.slope, vadd(trace.final.icept, system.rho_weighted()))
 
 
 # ---------------------------------------------------------------------------
@@ -420,16 +426,20 @@ class ConvergenceVerdict:
 # ---------------------------------------------------------------------------
 
 
-def gk_cfunction(system: RootSystem, lam: CoordVector, word) -> ZetaProduct:
-    """Finite-place c-function over a split system: the product over
-    positive roots flipped by w of zeta(<lam, a^vee>)/zeta(<lam, a^vee>+1)."""
-    word = tuple(word)
+def _gk_product(system: RootSystem, lam: CoordVector, roots) -> ZetaProduct:
+    """The product over the given roots a of zeta(<lam, a^vee>)/zeta(<lam, a^vee>+1)."""
     out: dict[ZetaFactor, int] = {}
-    for root in system.inversions(word):
+    for root in roots:
         z = lam.pairing(system, root)
         for f, e in ((ZetaFactor("zeta", z), 1), (ZetaFactor("zeta", z.shift(1)), -1)):
             out[f] = out.get(f, 0) + e
     return ZetaProduct(out)
+
+
+def gk_cfunction(system: RootSystem, lam: CoordVector, word) -> ZetaProduct:
+    """Finite-place c-function over a split system: the product over
+    positive roots flipped by w of zeta(<lam, a^vee>)/zeta(<lam, a^vee>+1)."""
+    return _gk_product(system, lam, system.inversions(tuple(word)))
 
 
 class BlockRule:
@@ -453,13 +463,12 @@ class BlockRule:
 
 
 def rational_cfunction(system: RootSystem, rules: dict[Fraction, BlockRule],
-                       lam: CoordVector, word) -> ZetaProduct:
+                       trace: LambdaTrace) -> ZetaProduct:
     """c-function of a rational (relative) system: the product of per-step
-    blocks along the reduced word, each block a function of that step's
-    coroot pairing, with the rule selected by the root length."""
-    tr = apply_word(system, lam, word)
+    blocks along the trace's reduced word, each block a function of that
+    step's coroot pairing, with the rule selected by the root length."""
     prod = ZetaProduct.one()
-    for step in tr.steps:
+    for step in trace.steps:
         alpha = system.simples[step.letter - 1]
         norm2 = dot(alpha, alpha)
         if norm2 not in rules:
@@ -495,6 +504,9 @@ class AbsoluteOracle:
         self.source_node = source_node
         self.restriction: dict[Vector, Vector | None] = {}
         self._build()
+        # s * omega_{source node} - rho; multiplicities are all 1 here
+        self._lambda_abs = CoordVector(self.fundamental_weight(source_node),
+                                       smul(Fraction(-1), absolute.rho_weighted()))
 
     def _build(self):
         n = self.absolute.rank
@@ -530,25 +542,15 @@ class AbsoluteOracle:
 
     def lambda_abs(self) -> CoordVector:
         """s * omega_{source node} - rho on the absolute side."""
-        omega = self.fundamental_weight(self.source_node)
-        rho = self.absolute.rho_weighted()  # multiplicities are all 1 here
-        return CoordVector(omega, smul(Fraction(-1), rho))
+        return self._lambda_abs
 
     def gk_restricted(self, rational_word) -> ZetaProduct:
         """gk_cfunction over the absolute system for (a lift of) a rational
         Weyl element: the flipped set is the union of fibres over the
         rational inversion set."""
         flipped = set(self.rational.inversions(tuple(rational_word)))
-        lam = self.lambda_abs()
-        out: dict[ZetaFactor, int] = {}
-        for r in self.absolute.positives:
-            img = self.restriction.get(r)
-            if img is None or img not in flipped:
-                continue
-            z = lam.pairing(self.absolute, r)
-            for f, e in ((ZetaFactor("zeta", z), 1), (ZetaFactor("zeta", z.shift(1)), -1)):
-                out[f] = out.get(f, 0) + e
-        return ZetaProduct(out)
+        return _gk_product(self.absolute, self._lambda_abs,
+                           [r for r in self.absolute.positives if self.restriction[r] in flipped])
 
 
 # ---------------------------------------------------------------------------
@@ -574,11 +576,9 @@ class IntertwinerVerdict:
 
 
 def intertwiner_verdict(system: RootSystem, rules: dict[Fraction, BlockRule] | None,
-                        lam: CoordVector, word, s0) -> IntertwinerVerdict:
-    word = tuple(word)
+                        trace: LambdaTrace, s0) -> IntertwinerVerdict:
     s0 = Fraction(s0)
-    tr = apply_word(system, lam, word)
-    vals = [st.pairing.eval(s0) for st in tr.steps]
+    vals = [st.pairing.eval(s0) for st in trace.steps]
     mn = min(vals) if vals else None
     if mn is None or mn > 0:
         local = "AbsolutelyConvergent"
@@ -588,11 +588,11 @@ def intertwiner_verdict(system: RootSystem, rules: dict[Fraction, BlockRule] | N
         local = "NeedsContinuation"
     if rules is None:
         return IntertwinerVerdict(local, mn, "Unknown", None, None)
-    c = rational_cfunction(system, rules, lam, word)
+    c = rational_cfunction(system, rules, trace)
     rep = order_report(c, s0)
     order = rep.total
     mna = c.min_numerator_argument(s0)
-    if not word:
+    if not trace.word:
         gstat = "AbsolutelyConvergent"
     elif mna is not None and mna > 1:
         gstat = "AbsolutelyConvergent"

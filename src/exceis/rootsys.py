@@ -7,7 +7,9 @@ matrix; Euclidean vectors serve only at the boundary (input, pairings,
 characters).  Weyl elements are canonically the permutations they induce on
 the roots, a faithful action; bracket words [i1,...,iN] are reduced
 expressions used for display and for factoring intertwining operators, with
-the rightmost letter acting first on vectors.
+the rightmost letter acting first on vectors.  `RootSystem.word_matrix` is
+the Euclidean matrix of a word, kept as a reference for the tests; the
+verifier itself never calls it.
 
 Minimal coset representatives follow the positivity definitions
 
@@ -50,19 +52,6 @@ def vsub(x: Vector, y: Vector) -> Vector:
 
 def smul(c: Fraction, x: Vector) -> Vector:
     return tuple(c * a for a in x)
-
-
-def mat_vec(m: Matrix, v: Vector) -> Vector:
-    return tuple(dot(row, v) for row in m)
-
-
-def mat_mul(a: Matrix, b: Matrix) -> Matrix:
-    bt = tuple(zip(*b))
-    return tuple(tuple(dot(row, col) for col in bt) for row in a)
-
-
-def identity_matrix(n: int) -> Matrix:
-    return tuple(tuple(Fraction(int(i == j)) for j in range(n)) for i in range(n))
 
 
 class NotMinimalRepresentativeError(ValueError):
@@ -124,9 +113,12 @@ class RootSystem:
                              for k, v in (print_coroot_scale or {}).items()}
         self.nu: Vector | None = tuple(Fraction(c) for c in nu) if nu is not None else None
         self.parabolic_labels = dict(parabolic_labels or {})
-        basis = [tuple(Fraction(int(i == j)) for i in range(self.dim)) for j in range(self.dim)]
-        self._simple_mats = [tuple(zip(*(self.reflect(a, e) for e in basis)))
-                             for a in self.simples]
+        acc = tuple(Fraction(0) for _ in range(self.dim))
+        for r in self.positives:
+            acc = vadd(acc, smul(Fraction(self.multiplicity(r)), r))
+        self._rho = smul(Fraction(1, 2), acc)
+        # a basis of the vectors orthogonal to every root, which W fixes
+        self.orthogonal: list[Vector] = [tuple(v) for v in nullspace(self.simples)]
         self._coset_cache: dict[frozenset[int], list[Word]] = {}
         self._census_cache: dict[tuple[frozenset[int], frozenset[int]], list[Word]] = {}
 
@@ -171,10 +163,7 @@ class RootSystem:
 
     def rho_weighted(self) -> Vector:
         """Half the multiplicity-weighted sum of positive roots."""
-        acc = tuple(Fraction(0) for _ in range(self.dim))
-        for r in self.positives:
-            acc = vadd(acc, smul(Fraction(self.multiplicity(r)), r))
-        return smul(Fraction(1, 2), acc)
+        return self._rho
 
     def weyl_order(self) -> int:
         """|W| from the height partition of the positive roots.
@@ -200,11 +189,11 @@ class RootSystem:
         return p
 
     def word_matrix(self, word: Sequence[int]) -> Matrix:
-        """The orthogonal matrix of the word's group element."""
-        m = identity_matrix(self.dim)
-        for i in word:
-            m = mat_mul(m, self._simple_mats[i - 1])
-        return m
+        """The orthogonal matrix of the word's group element, whose column d
+        is the image of the d-th standard basis vector.  The tests' Euclidean
+        reference; the verifier never calls it."""
+        basis = [tuple(Fraction(int(i == d)) for i in range(self.dim)) for d in range(self.dim)]
+        return tuple(zip(*(self.act(word, e) for e in basis)))
 
     def act(self, word: Sequence[int], v: Vector) -> Vector:
         for i in reversed(word):
@@ -355,25 +344,3 @@ class RootSystem:
         rad = set(self._radical(source))
         return tuple(j for j in left.levi(self.rank)
                      if inv[self._simple_idx[j - 1]] in rad)
-
-    # ----- brute-force oracle ----------------------------------------------
-
-    def enumerate_group(self, max_order: int = 2000) -> dict[Matrix, Word]:
-        """Full BFS enumeration of W (rank <= 4 scale oracle), keyed by the
-        matrices of its elements."""
-        ident = self.element(())
-        seen: dict[Element, tuple[Word, Matrix]] = {ident: ((), identity_matrix(self.dim))}
-        frontier = [ident]
-        while frontier:
-            new = []
-            for p in frontier:
-                w, m = seen[p]
-                for i in range(1, self.rank + 1):
-                    p2 = tuple(self._reflections[i - 1][k] for k in p)
-                    if p2 not in seen:
-                        seen[p2] = ((i,) + w, mat_mul(self._simple_mats[i - 1], m))
-                        new.append(p2)
-                        if len(seen) > max_order:
-                            raise ValueError("group larger than the oracle bound")
-            frontier = new
-        return {m: w for w, m in seen.values()}

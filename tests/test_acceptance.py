@@ -79,7 +79,7 @@ def test_ac2_lambda_traces(cfg):
     tr = apply_word(c3, lam, (3, 2, 1, 3, 2, 3))
     ok &= [str(st.printed) for st in tr.steps] == \
         ["s-1", "2s-10", "s-9", "2s-18", "2s-26", "s-17"]
-    shifted = shifted_exponent(c3, lam, (3, 2, 1, 3, 2, 3))
+    shifted = shifted_exponent(c3, tr)
     ok &= [str(e) for e in shifted.entries()] == ["-s+18"] * 3
 
     g2 = cfg.system("G2")
@@ -96,7 +96,7 @@ def test_ac2_lambda_traces(cfg):
         case = cfg.case("F4-heis")
         table = next(t for t in case.tables if t.target == target)
         for row in table.rows:
-            lp = shifted_exponent(f4, lamf, row.word)
+            lp = shifted_exponent(f4, apply_word(f4, lamf, row.word))
             for j in range(1, 5):
                 form = lp.printed_pairing(f4, f4.simples[j - 1]).normalized_sign()
                 if form.slope != 0:
@@ -129,7 +129,8 @@ def test_ac3_cfunctions(cfg):
         case = cfg.case(case_name)
         system = cfg.system(case.system)
         rules = cfg.system_rules(case.system, case.etale_variant or "")
-        got = rational_cfunction(system, rules, CoordVector.lambda_s(system), word)
+        got = rational_cfunction(system, rules,
+                                 apply_word(system, CoordVector.lambda_s(system), word))
         if not got.same_function(ZetaProduct.parse(want)):
             ok = False
             print(f"  {case_name} {word}: {got.expanded()}")
@@ -191,7 +192,7 @@ def test_ac5_gk_oracle(cfg):
     oracle = cfg.oracle("E7")
     lam = CoordVector.lambda_s(system)
     for word in ((), (3,), (3, 2, 3), (3, 2, 1, 3, 2, 3)):
-        if not rational_cfunction(system, rules, lam, word).same_function(
+        if not rational_cfunction(system, rules, apply_word(system, lam, word)).same_function(
                 oracle.gk_restricted(word)):
             ok = False
             print(f"  E7 {word} disagrees with the absolute computation")

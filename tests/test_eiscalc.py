@@ -2,11 +2,14 @@ from fractions import Fraction
 
 import pytest
 
+from exceis import eiscalc
 from exceis.config import load_config
 from exceis.eiscalc import (ConvergenceVerdict, CoordVector, ZetaFactor,
                             ZetaProduct, apply_word, gk_cfunction, order_report,
                             parse_factor, rational_cfunction, shifted_exponent)
 from exceis.exactnum import AffineForm
+from exceis.rootsys import RootSystem, dot
+from weyl_reference import mat_vec
 
 
 @pytest.fixture(scope="module")
@@ -55,18 +58,67 @@ class TestLambdaAndTraces:
     def test_shifted_exponents_c3(self, cfg):
         c3 = cfg.system("C3")
         lam = CoordVector.lambda_s(c3)
-        assert [str(e) for e in shifted_exponent(c3, lam, (3, 2, 3)).entries()] \
+        assert [str(e) for e in shifted_exponent(c3, apply_word(c3, lam, (3, 2, 3))).entries()] \
             == ["s", "-s+10", "-s+10"]
-        assert [str(e) for e in shifted_exponent(c3, lam, (3, 2, 1, 3, 2, 3)).entries()] \
+        assert [str(e) for e in
+                shifted_exponent(c3, apply_word(c3, lam, (3, 2, 1, 3, 2, 3))).entries()] \
             == ["-s+18", "-s+18", "-s+18"]
 
     def test_shifted_exponent_f4_pairings(self, cfg):
         f4 = cfg.system("F4")
         lam = CoordVector.lambda_s(f4)
-        lp = shifted_exponent(f4, lam, (3, 4, 2, 3, 2, 1))
+        lp = shifted_exponent(f4, apply_word(f4, lam, (3, 4, 2, 3, 2, 1)))
         a1, a2 = f4.simples[0], f4.simples[1]
         assert str(lp.printed_pairing(f4, a1)) == "s-10"
         assert str(lp.printed_pairing(f4, a2)) == "s-17"
+
+
+class TestTraceCrossCheck:
+    """Planted defects in the trace loop must trip apply_word's cross-check of
+    the final vector, which does not go through RootSystem.reflect."""
+
+    @staticmethod
+    def plant_shift(monkeypatch, system, letter, shift):
+        """Make the reflection in the given simple root add `shift`."""
+        bad, reflect = system.simples[letter - 1], RootSystem.reflect
+
+        def shifted(self, alpha, v):
+            out = reflect(self, alpha, v)
+            return tuple(x + d for x, d in zip(out, shift)) if alpha == bad else out
+
+        monkeypatch.setattr(RootSystem, "reflect", shifted)
+
+    def test_shifted_reflection(self, cfg, monkeypatch):
+        c3 = cfg.system("C3")
+        lam = CoordVector.lambda_s(c3)
+        word = (3, 2, 1, 3, 2, 3)
+        apply_word(c3, lam, word)
+        self.plant_shift(monkeypatch, c3, 1, (Fraction(1, 7), 0, 0))
+        with pytest.raises(AssertionError, match="trace disagrees"):
+            apply_word(c3, lam, word)
+
+    def test_shift_orthogonal_to_the_roots(self, cfg, monkeypatch):
+        # G2 sits in the plane x+y+z = 0 of Q^3: a shift along (1,1,1) leaves
+        # every coroot pairing alone but moves the exponent vector
+        g2 = cfg.system("G2")
+        u = (1, 1, 1)
+        assert all(dot(a, u) == 0 for a in g2.simples)
+        lam = CoordVector.lambda_s(g2)
+        self.plant_shift(monkeypatch, g2, 2, tuple(Fraction(x, 7) for x in u))
+        with pytest.raises(AssertionError, match="trace disagrees"):
+            apply_word(g2, lam, (2, 1, 2, 1, 2))
+
+    def test_steps_in_the_wrong_order(self, cfg, monkeypatch):
+        # the loop runs the leftmost letter first, so the trace ends at
+        # w^{-1}(lambda); s3 s2 s1 is not an involution, so that is not w(lambda)
+        c3 = cfg.system("C3")
+        lam = CoordVector.lambda_s(c3)
+        word = (3, 2, 1)
+        assert c3.element(word) != c3.element(word[::-1])
+        apply_word(c3, lam, word)
+        monkeypatch.setattr(eiscalc, "reversed", iter, raising=False)
+        with pytest.raises(AssertionError, match="trace disagrees"):
+            apply_word(c3, lam, word)
 
 
 class TestZetaProducts:
@@ -126,7 +178,6 @@ class TestGK:
         w = w1 + w2
         assert d5.length(w) == d5.length(w1) + d5.length(w2)
         m2 = d5.word_matrix(w2)
-        from exceis.rootsys import mat_vec
         lam2 = CoordVector(mat_vec(m2, lam.slope), mat_vec(m2, lam.icept))
         assert gk_cfunction(d5, lam, w) == \
             gk_cfunction(d5, lam2, w1) * gk_cfunction(d5, lam, w2)
@@ -137,7 +188,8 @@ class TestRationalCFunctions:
         case = cfg.case(name)
         system = cfg.system(case.system)
         rules = cfg.system_rules(case.system, case.etale_variant or "")
-        return rational_cfunction(system, rules, CoordVector.lambda_s(system), word)
+        return rational_cfunction(system, rules,
+                                  apply_word(system, CoordVector.lambda_s(system), word))
 
     def test_e7_list(self, cfg):
         assert self.c(cfg, "E7-siegel", ()) == ZetaProduct.one()
@@ -160,7 +212,7 @@ class TestRationalCFunctions:
         d5 = cfg.system("D5rel")
         lam = CoordVector.lambda_s(d5)
         with pytest.raises(KeyError):
-            rational_cfunction(d5, {}, lam, (1,))
+            rational_cfunction(d5, {}, apply_word(d5, lam, (1,)))
 
     def test_composition_law(self, cfg):
         # c(w1 w2, lam) = c(w1, w2 lam) * c(w2, lam) when lengths add,
@@ -171,12 +223,11 @@ class TestRationalCFunctions:
         w1, w2 = (3, 2, 1), (3, 2, 3)
         w = w1 + w2
         assert c3.length(w) == c3.length(w1) + c3.length(w2)
-        from exceis.rootsys import mat_vec
         m2 = c3.word_matrix(w2)
         lam2 = CoordVector(mat_vec(m2, lam.slope), mat_vec(m2, lam.icept))
-        assert rational_cfunction(c3, rules, lam, w) == \
-            rational_cfunction(c3, rules, lam2, w1) * \
-            rational_cfunction(c3, rules, lam, w2)
+        assert rational_cfunction(c3, rules, apply_word(c3, lam, w)) == \
+            rational_cfunction(c3, rules, apply_word(c3, lam2, w1)) * \
+            rational_cfunction(c3, rules, apply_word(c3, lam, w2))
 
 
 class TestOrderReports:

@@ -5,7 +5,9 @@ from hypothesis import strategies as st
 from exceis.config import load_config
 from exceis.eiscalc import AbsoluteOracle
 from exceis.exactnum import solve
-from exceis.rootsys import ParabolicSpec, RootSystem, mat_vec, dot
+from exceis.rootsys import ParabolicSpec, RootSystem, dot
+from weyl_reference import enumerate_group, identity_matrix, mat_mul, mat_vec
+from weyl_reference import word_matrix as reference_word_matrix
 
 
 @pytest.fixture(scope="module")
@@ -33,7 +35,7 @@ class TestGenerate:
     def test_weyl_order_matches_bfs_oracle(self, cfg):
         for name in ("G2", "B3", "C3", "D4", "F4"):
             sys = cfg.system(name)
-            assert len(sys.enumerate_group()) == sys.weyl_order()
+            assert len(enumerate_group(sys)) == sys.weyl_order()
 
     def test_absolute_systems(self, cfg):
         expected = {
@@ -106,13 +108,12 @@ class TestCosets:
         for name, lL, lR in (("G2", "M1", "M1"), ("B3", "M1", "M2")):
             sys = cfg.system(name)
             left, right = sys.parabolic(lL), sys.parabolic(lR)
-            group = set(sys.enumerate_group())
+            group = set(enumerate_group(sys))
             wl = [sys.word_matrix(w) for w in
                   _subgroup_words(sys, left.levi(sys.rank))]
             wm = [sys.word_matrix(w) for w in
                   _subgroup_words(sys, right.levi(sys.rank))]
             total = 0
-            from exceis.rootsys import mat_mul
             for w in sys.double_coset_reps(left, right):
                 mw = sys.word_matrix(w)
                 coset = {mat_mul(a, mat_mul(mw, b)) for a in wl for b in wm}
@@ -148,7 +149,6 @@ class TestCosets:
 
 def _subgroup_words(sys, levi):
     """All elements of the standard Levi subgroup's Weyl group, as words."""
-    from exceis.rootsys import identity_matrix, mat_mul
     seen = {identity_matrix(sys.dim): ()}
     frontier = [identity_matrix(sys.dim)]
     while frontier:
@@ -321,6 +321,16 @@ class TestIntegerKernelAgainstMatrices:
         assert sys.inversions(u) == _matrix_inversions(sys, u)
         for left in _configured_parabolics(sys) + [sys.parabolic("full")]:
             assert sys.in_left_set(u, left) == _matrix_in_left_set(sys, u, left)
+
+    @settings(max_examples=25, deadline=None)
+    @given(data=st.data())
+    def test_word_matrix_is_product_of_reflections(self, cfg, data):
+        names = sorted(cfg.raw["systems"])
+        assert len(names) == 15
+        for name in names:
+            sys = cfg.system(name)
+            w = tuple(data.draw(st.lists(st.integers(1, sys.rank), max_size=10)))
+            assert sys.word_matrix(w) == reference_word_matrix(sys, w), (name, w)
 
     def test_coset_reps_match_euclidean_bfs(self, cfg):
         for name in sorted(cfg.raw["systems"]):

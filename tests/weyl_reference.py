@@ -1,0 +1,64 @@
+"""The Euclidean matrix action of a Weyl group, as a reference for the tests.
+
+The verifier holds Weyl elements as integer root permutations
+(`RootSystem.element`).  This module builds the same group a second way:
+each simple reflection as the matrix I - 2 a a^T / (a, a), a word as the
+product of its letters' matrices, and the whole group by a breadth-first
+search over matrices.  The differential tests compare the integer kernel,
+and `RootSystem.word_matrix`, against it.
+"""
+
+from __future__ import annotations
+
+from fractions import Fraction
+
+from exceis.rootsys import Matrix, Vector, dot
+
+
+def mat_vec(m: Matrix, v: Vector) -> Vector:
+    return tuple(dot(row, v) for row in m)
+
+
+def mat_mul(a: Matrix, b: Matrix) -> Matrix:
+    bt = tuple(zip(*b))
+    return tuple(tuple(dot(row, col) for col in bt) for row in a)
+
+
+def identity_matrix(n: int) -> Matrix:
+    return tuple(tuple(Fraction(int(i == j)) for j in range(n)) for i in range(n))
+
+
+def simple_mats(sys) -> list[Matrix]:
+    """The matrices of the simple reflections s_1, ..., s_rank."""
+    return [tuple(tuple(Fraction(int(i == j)) - 2 * a[i] * a[j] / dot(a, a)
+                        for j in range(sys.dim)) for i in range(sys.dim))
+            for a in sys.simples]
+
+
+def word_matrix(sys, word) -> Matrix:
+    """The product of the simple reflection matrices of the word's letters."""
+    mats = simple_mats(sys)
+    m = identity_matrix(sys.dim)
+    for i in word:
+        m = mat_mul(m, mats[i - 1])
+    return m
+
+
+def enumerate_group(sys, max_order: int = 2000) -> dict[Matrix, tuple[int, ...]]:
+    """Full BFS enumeration of W (rank <= 4 scale oracle), keyed by the
+    matrices of its elements, each with a word of minimal length."""
+    mats = simple_mats(sys)
+    seen = {identity_matrix(sys.dim): ()}
+    frontier = list(seen)
+    while frontier:
+        new = []
+        for m in frontier:
+            for i in range(1, sys.rank + 1):
+                m2 = mat_mul(mats[i - 1], m)
+                if m2 not in seen:
+                    seen[m2] = (i,) + seen[m]
+                    new.append(m2)
+                    if len(seen) > max_order:
+                        raise ValueError("group larger than the oracle bound")
+        frontier = new
+    return seen
