@@ -14,6 +14,7 @@ values carried by the config.  A row's status is
 
 from __future__ import annotations
 
+import itertools
 import operator
 import random
 from dataclasses import dataclass
@@ -405,44 +406,21 @@ def oracle_report(cfg: Config) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def _unit_slots(jalg, limit=17):
+def _small_height(jalg, diagonals, unit_counts):
+    """Sparse elements of the Jordan algebra: diagonal entries drawn from
+    the given ranges, and octonion slot i zero or a signed basis unit, among
+    the first unit_counts[i] of (0, e0, -e0, e1, -e1, ...)."""
     units = [jalg.oct.zero()]
     for k in range(8):
         units.append(jalg.oct.basis(k))
         units.append(jalg.oct.scale(-1, jalg.oct.basis(k)))
-    return units[:limit]
-
-
-def _small_height_c1_zero(jalg):
-    """Sparse elements of the Jordan algebra with c1 = 0: small diagonal
-    entries, each octonion slot zero or a signed basis unit."""
-    units = _unit_slots(jalg)
-    small = (-1, 0, 1)
-    for c2 in small:
-        for c3 in small:
-            for x1 in units:
-                for x2 in units[:9]:
-                    for x3 in units[:3]:
-                        yield jalg.element((0, c2, c3), (x1, x2, x3))
-
-
-def _small_height_sparse(jalg):
-    """Sparse elements with all diagonal entries in {-1,0,1} and at most one
-    nonzero unit per octonion slot."""
-    units = _unit_slots(jalg)
-    small = (-1, 0, 1)
-    for c1 in small:
-        for c2 in small:
-            for c3 in small:
-                for x1 in units[:9]:
-                    for x2 in units[:5]:
-                        for x3 in units[:3]:
-                            yield jalg.element((c1, c2, c3), (x1, x2, x3))
+    for c in itertools.product(*diagonals):
+        for x in itertools.product(*(units[:k] for k in unit_counts)):
+            yield jalg.element(c, x)
 
 
 def _composition(cfg: Config, jalg: compalg.JordanAlgebra, count: int, rng) -> dict:
-    algs = [jalg.oct, compalg.OctonionAlgebra(compalg.RationalScalars(),
-                                              cfg.algebras["split"], "split")]
+    algs = [jalg.oct, compalg.split_octonions(gammas=cfg.algebras["split"])]
     fails = 0
     for alg in algs:
         for _ in range(count):
@@ -522,7 +500,7 @@ def _ve_claims(cfg: Config, jalg: compalg.JordanAlgebra, count: int, rng) -> dic
     # exhaustive small-height sweep: no sparse rank-one element lies in
     # either complement
     hits = 0
-    for v in _small_height_sparse(jalg):
+    for v in _small_height(jalg, ((-1, 0, 1),) * 3, (9, 5, 3)):
         if not v.is_zero() and jalg.rank(v) == 1:
             hits += 1
             if split3.in_ve(v) or qxf.in_ve(v):
@@ -557,7 +535,7 @@ def _rank_one_c1(cfg: Config, jalg: compalg.JordanAlgebra, count: int, rng) -> d
             fails += 1
     # exhaustive small-height search over sparse elements with c1 = 0
     hits = 0
-    for v in _small_height_c1_zero(jalg):
+    for v in _small_height(jalg, ((0,), (-1, 0, 1), (-1, 0, 1)), (17, 9, 3)):
         if jalg.rank(v) <= 1 and not v.is_zero():
             hits += 1
             if not (jalg.oct.is_zero(v.x[1]) and jalg.oct.is_zero(v.x[2])):
@@ -658,24 +636,15 @@ def _triality(cfg: Config, jalg: compalg.JordanAlgebra, count: int, rng) -> dict
     # and the trilinear form have degree 1 in each matrix, the norm form
     # degree 2
     primes = cfg.claims.primes
+    algs = [jalg.oct] + [compalg.split_octonions(compalg.PrimeFieldScalars(p),
+                                                 cfg.algebras["split"]) for p in primes]
     fails = 0
-    total = 0
-    for _ in range(count):
-        pairs = compalg.random_triality_pairs(jalg.oct, rng)
-        triple = compalg.triality_triple(jalg.oct, pairs)
-        total += 1
-        if not compalg.triality_verify(jalg.oct, triple):
-            fails += 1
-    for p in primes:
-        alg = compalg.OctonionAlgebra(compalg.PrimeFieldScalars(p),
-                                      cfg.algebras["split"], "split")
+    for alg in algs:
         for _ in range(count):
-            pairs = compalg.random_triality_pairs(alg, rng)
-            triple = compalg.triality_triple(alg, pairs)
-            total += 1
+            triple = compalg.triality_triple(alg, compalg.random_triality_pairs(alg, rng))
             if not compalg.triality_verify(alg, triple):
                 fails += 1
-    return {"cases": total, "failures": fails,
+    return {"cases": count * len(algs), "failures": fails,
             "fields": ["Q"] + [f"GF({p})" for p in primes]}
 
 

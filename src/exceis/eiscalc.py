@@ -22,7 +22,7 @@ Analytic inputs are encoded as order lookups at rational points:
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from .exactnum import AffineForm, solve
@@ -132,6 +132,7 @@ def shifted_exponent(system: RootSystem, trace: LambdaTrace) -> CoordVector:
 FINITE_KINDS = ("zeta", "zetaE", "zetaF", "zetaTheta")
 ARCH_KINDS = ("gamma", "gammaR", "gammaC", "poch")
 KINDS = FINITE_KINDS + ARCH_KINDS
+DEDEKIND_KINDS = ("zetaE", "zetaF")
 
 
 @dataclass(frozen=True)
@@ -141,7 +142,7 @@ class ZetaFactor:
     `sym`/`sym_sign` carry an opaque symbolic shift of the argument (the
     weight parameters the source leaves undefined); such factors only get
     an order once the symbol is bound.  `variant` distinguishes the etale
-    algebra behind zetaE/zetaF factors.
+    algebra behind zetaE/zetaF factors; other kinds drop it.
     """
 
     kind: str
@@ -156,6 +157,8 @@ class ZetaFactor:
             raise ValueError(f"unknown factor kind {self.kind!r}")
         if self.kind == "poch" and self.n < 1:
             raise ValueError("pochhammer factor needs n >= 1")
+        if self.kind not in DEDEKIND_KINDS:
+            object.__setattr__(self, "variant", "")
 
     def sort_key(self):
         return (self.kind, self.arg.slope, self.arg.intercept, self.n,
@@ -187,20 +190,38 @@ def parse_factor(text: str, variant: str = "") -> tuple[ZetaFactor, int]:
     kind, arg, symsign, sym, n, expo = m.groups()
     f = ZetaFactor(kind, AffineForm.parse(arg), n=int(n) if n else 0,
                    sym=sym or "", sym_sign=(1 if symsign == "+" else -1) if symsign else 0,
-                   variant=variant if kind in ("zetaE", "zetaF") else "")
+                   variant=variant)
     return f, int(expo) if expo else 1
 
 
-class ZetaProduct:
-    """Canonical multiset of factors (merged arguments, zero exponents
-    dropped)."""
+def base_pieces(f: ZetaFactor) -> list[tuple[ZetaFactor, int]]:
+    """The factor as (base factor, exponent) pairs: zetaTheta(x) =
+    zeta(x) zeta(x-3), and the Dedekind zeta of a split etale algebra is the
+    product over its field factors (zetaE over Q^3 = zeta^3, zetaE over
+    Q x F = zeta zetaF, zetaF over Q x Q = zeta^2).  Every other factor is
+    its own piece.  The pieces keep the factor's symbol."""
+    if f.kind == "zetaTheta":
+        return [(replace(f, kind="zeta"), 1), (replace(f, kind="zeta", arg=f.arg.shift(-3)), 1)]
+    if f.kind == "zetaE" and f.variant == "split3":
+        return [(replace(f, kind="zeta"), 3)]
+    if f.kind == "zetaE" and f.variant == "QxF":
+        return [(replace(f, kind="zeta"), 1), (replace(f, kind="zetaF", variant="field"), 1)]
+    if f.kind == "zetaF" and f.variant == "split":
+        return [(replace(f, kind="zeta"), 2)]
+    return [(f, 1)]
 
-    def __init__(self, factors: dict[ZetaFactor, int] | None = None):
-        self.factors: dict[ZetaFactor, int] = {}
-        for f, e in (factors or {}).items():
-            if e != 0:
-                self.factors[f] = self.factors.get(f, 0) + e
-        self.factors = {f: e for f, e in self.factors.items() if e != 0}
+
+class ZetaProduct:
+    """Canonical multiset of factors, built from (factor, exponent) pairs:
+    the exponents of equal factors are summed and zeros dropped.  This
+    constructor is the one place where exponents are summed; products,
+    expansions and c-function builders all hand it their pairs."""
+
+    def __init__(self, pairs=()):
+        factors: dict[ZetaFactor, int] = {}
+        for f, e in pairs:
+            factors[f] = factors.get(f, 0) + e
+        self.factors = {f: e for f, e in factors.items() if e != 0}
 
     @classmethod
     def one(cls) -> "ZetaProduct":
@@ -208,43 +229,18 @@ class ZetaProduct:
 
     @classmethod
     def parse(cls, texts, variant: str = "") -> "ZetaProduct":
-        out: dict[ZetaFactor, int] = {}
-        for t in texts:
-            f, e = parse_factor(t, variant)
-            out[f] = out.get(f, 0) + e
-        return cls(out)
+        return cls(parse_factor(t, variant) for t in texts)
 
     def __mul__(self, other: "ZetaProduct") -> "ZetaProduct":
-        out = dict(self.factors)
-        for f, e in other.factors.items():
-            out[f] = out.get(f, 0) + e
-        return ZetaProduct(out)
+        return ZetaProduct([*self.factors.items(), *other.factors.items()])
 
     def __eq__(self, other) -> bool:
         return isinstance(other, ZetaProduct) and self.factors == other.factors
 
     def expanded(self) -> "ZetaProduct":
-        """Expand zetaTheta(x) -> zeta(x)zeta(x-3) and split zetaE/zetaF
-        over split algebras; idempotent."""
-        out: dict[ZetaFactor, int] = {}
-
-        def add(f, e):
-            out[f] = out.get(f, 0) + e
-
-        for f, e in self.factors.items():
-            if f.kind == "zetaTheta":
-                add(ZetaFactor("zeta", f.arg), e)
-                add(ZetaFactor("zeta", f.arg.shift(-3)), e)
-            elif f.kind == "zetaE" and f.variant == "split3":
-                add(ZetaFactor("zeta", f.arg), 3 * e)
-            elif f.kind == "zetaE" and f.variant == "QxF":
-                add(ZetaFactor("zeta", f.arg), e)
-                add(ZetaFactor("zetaF", f.arg, variant="field"), e)
-            elif f.kind == "zetaF" and f.variant == "split":
-                add(ZetaFactor("zeta", f.arg), 2 * e)
-            else:
-                add(f, e)
-        return ZetaProduct(out)
+        """Every factor replaced by its base pieces; idempotent."""
+        return ZetaProduct((piece, k * e) for f, e in self.factors.items()
+                           for piece, k in base_pieces(f))
 
     def same_function(self, other: "ZetaProduct") -> bool:
         """Factor-multiset equality after expansion."""
@@ -307,46 +303,41 @@ def _dedekind_field_order(a: Fraction) -> int | None:
     return None
 
 
+def _poch_order(f: ZetaFactor, a: Fraction) -> int:
+    if f.arg.slope == 0:
+        if 0 in (a + k for k in range(f.n)):
+            raise ZeroDivisionError("identically zero pochhammer factor")
+        return 0
+    return sum(1 for k in range(f.n) if a + k == 0)
+
+
+_BASE_ORDERS = {
+    "zeta": _zeta_order,
+    "zetaE": _dedekind_field_order,
+    "zetaF": _dedekind_field_order,
+    "gamma": _gamma_order,
+    "gammaR": _gamma_r_order,
+    "gammaC": _gamma_order,
+}
+
+
 def factor_order(f: ZetaFactor, s0, symbols: dict[str, Fraction] | None = None) -> int | None:
-    """Order of one factor at s0, or None when the analytic facts encoded
-    here do not decide it."""
+    """Order of one factor at s0, summed over its base pieces, or None when
+    the analytic facts encoded here do not decide it."""
     s0 = Fraction(s0)
-    a = f.arg.eval(s0)
+    shift = Fraction(0)
     if f.sym:
         if not symbols or f.sym not in symbols:
             return None
-        a += f.sym_sign * Fraction(symbols[f.sym])
-    if f.kind == "zeta":
-        return _zeta_order(a)
-    if f.kind == "zetaTheta":
-        return _zeta_order(a) + _zeta_order(a - 3)
-    if f.kind == "zetaE":
-        if f.variant == "split3":
-            return 3 * _zeta_order(a)
-        if f.variant == "QxF":
-            fld = _dedekind_field_order(a)
-            return None if fld is None else _zeta_order(a) + fld
-        return _dedekind_field_order(a)
-    if f.kind == "zetaF":
-        if f.variant == "split":
-            return 2 * _zeta_order(a)
-        return _dedekind_field_order(a)
-    if f.kind == "gamma":
-        return _gamma_order(a)
-    if f.kind == "gammaR":
-        return _gamma_r_order(a)
-    if f.kind == "gammaC":
-        return _gamma_order(a)
-    if f.kind == "poch":
-        if f.arg.slope == 0:
-            val = 1
-            for k in range(f.n):
-                val *= a + k
-            if val == 0:
-                raise ZeroDivisionError("identically zero pochhammer factor")
-            return 0
-        return sum(1 for k in range(f.n) if a + k == 0)
-    raise AssertionError(f.kind)
+        shift = f.sym_sign * Fraction(symbols[f.sym])
+    total = 0
+    for piece, e in base_pieces(f):
+        a = piece.arg.eval(s0) + shift
+        o = _poch_order(piece, a) if piece.kind == "poch" else _BASE_ORDERS[piece.kind](a)
+        if o is None:
+            return None
+        total += e * o
+    return total
 
 
 @dataclass
@@ -354,7 +345,10 @@ class OrderEntry:
     factor: ZetaFactor
     exponent: int
     own_order: int | None      # order of the bare factor; None = undecided
-    contribution: int | None   # own_order * exponent
+
+    @property
+    def contribution(self) -> int | None:
+        return None if self.own_order is None else self.own_order * self.exponent
 
 
 @dataclass
@@ -363,12 +357,11 @@ class OrderReport:
 
     s0: Fraction
     entries: list[OrderEntry]
-    decided_total: int
-    undecided: int
 
     @property
     def total(self) -> int | None:
-        return self.decided_total if self.undecided == 0 else None
+        contributions = [e.contribution for e in self.entries]
+        return None if None in contributions else sum(contributions)
 
     @property
     def classification(self) -> str:
@@ -387,18 +380,8 @@ class OrderReport:
 def order_report(p: ZetaProduct, s0,
                  symbols: dict[str, Fraction] | None = None) -> OrderReport:
     s0 = Fraction(s0)
-    entries = []
-    decided = 0
-    undecided = 0
-    for f, e in p.sorted_factors():
-        o = factor_order(f, s0, symbols)
-        c = None if o is None else o * e
-        if c is None:
-            undecided += 1
-        else:
-            decided += c
-        entries.append(OrderEntry(f, e, o, c))
-    return OrderReport(s0, entries, decided, undecided)
+    return OrderReport(s0, [OrderEntry(f, e, factor_order(f, s0, symbols))
+                            for f, e in p.sorted_factors()])
 
 
 # ---------------------------------------------------------------------------
@@ -428,12 +411,9 @@ class ConvergenceVerdict:
 
 def _gk_product(system: RootSystem, lam: CoordVector, roots) -> ZetaProduct:
     """The product over the given roots a of zeta(<lam, a^vee>)/zeta(<lam, a^vee>+1)."""
-    out: dict[ZetaFactor, int] = {}
-    for root in roots:
-        z = lam.pairing(system, root)
-        for f, e in ((ZetaFactor("zeta", z), 1), (ZetaFactor("zeta", z.shift(1)), -1)):
-            out[f] = out.get(f, 0) + e
-    return ZetaProduct(out)
+    zs = [lam.pairing(system, root) for root in roots]
+    return ZetaProduct([(ZetaFactor("zeta", z), 1) for z in zs]
+                       + [(ZetaFactor("zeta", z.shift(1)), -1) for z in zs])
 
 
 def gk_cfunction(system: RootSystem, lam: CoordVector, word) -> ZetaProduct:
@@ -452,14 +432,9 @@ class BlockRule:
                           for k, a, b, e in templates]
         self.variant = variant
 
-    def block(self, z: AffineForm) -> ZetaProduct:
-        out: dict[ZetaFactor, int] = {}
-        for kind, a, b, e in self.templates:
-            arg = z.scale(a) + AffineForm(0, b)
-            f = ZetaFactor(kind, arg,
-                           variant=self.variant if kind in ("zetaE", "zetaF") else "")
-            out[f] = out.get(f, 0) + e
-        return ZetaProduct(out)
+    def block(self, z: AffineForm) -> list[tuple[ZetaFactor, int]]:
+        return [(ZetaFactor(kind, z.scale(a) + AffineForm(0, b), variant=self.variant), e)
+                for kind, a, b, e in self.templates]
 
 
 def rational_cfunction(system: RootSystem, rules: dict[Fraction, BlockRule],
@@ -467,14 +442,14 @@ def rational_cfunction(system: RootSystem, rules: dict[Fraction, BlockRule],
     """c-function of a rational (relative) system: the product of per-step
     blocks along the trace's reduced word, each block a function of that
     step's coroot pairing, with the rule selected by the root length."""
-    prod = ZetaProduct.one()
+    pairs = []
     for step in trace.steps:
         alpha = system.simples[step.letter - 1]
         norm2 = dot(alpha, alpha)
         if norm2 not in rules:
             raise KeyError(f"no c-function rule for root length {norm2} in {system.name}")
-        prod = prod * rules[norm2].block(step.pairing)
-    return prod
+        pairs += rules[norm2].block(step.pairing)
+    return ZetaProduct(pairs)
 
 
 # ---------------------------------------------------------------------------

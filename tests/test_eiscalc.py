@@ -1,10 +1,12 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from exceis import eiscalc
 from exceis.config import load_config
-from exceis.eiscalc import (ConvergenceVerdict, CoordVector, ZetaFactor,
+from exceis.eiscalc import (KINDS, ConvergenceVerdict, CoordVector, ZetaFactor,
                             ZetaProduct, apply_word, gk_cfunction, order_report,
                             parse_factor, rational_cfunction, shifted_exponent)
 from exceis.exactnum import AffineForm
@@ -143,6 +145,15 @@ class TestZetaProducts:
         p = ZetaProduct.parse(["zeta(s-1)", "zeta(s-1)^-1"])
         assert p == ZetaProduct.one()
 
+    def test_expansion_keeps_the_symbol(self):
+        shifted = ZetaProduct.parse(["zetaTheta(s-3+j)"])
+        assert not shifted.same_function(ZetaProduct.parse(["zetaTheta(s-3)"]))
+        assert shifted.expanded() == ZetaProduct.parse(["zeta(s-3+j)", "zeta(s-6+j)"])
+        assert ZetaProduct.parse(["zetaE(s+j)"], "split3").expanded() \
+            == ZetaProduct.parse(["zeta(s+j)^3"])
+        assert ZetaProduct.parse(["zetaE(s-v)"], "QxF").expanded() \
+            == ZetaProduct.parse(["zeta(s-v)", "zetaF(s-v)"], "field")
+
     def test_min_numerator_argument(self):
         p = ZetaProduct.parse(["zetaTheta(s-5)", "zeta(s-1)", "zeta(s)^-1"])
         # expanded numerator arguments at s=14: 9, 6, 13
@@ -265,6 +276,14 @@ class TestOrderReports:
         rep2 = order_report(p, 6, {"v": Fraction(0)})
         assert rep2.total == 1   # pole of Gamma_R at -2, inverted
 
+    def test_symbolic_shift_survives_expansion(self):
+        theta = ZetaProduct.parse(["zetaTheta(s-3+j)"])
+        assert order_report(theta, 4).total is None
+        assert order_report(theta.expanded(), 4).total is None
+        split3 = ZetaProduct.parse(["zetaE(s-1+j)"], "split3")
+        assert order_report(split3, 3, {"j": -1}).total == -3   # zeta(1)^3
+        assert order_report(split3.expanded(), 3, {"j": -1}).total == -3
+
     def test_opaque_field_zeta(self):
         p = ZetaProduct.parse(["zetaE(s-4)"], variant="field")
         assert order_report(p, 6).total == 0       # Euler product range
@@ -291,6 +310,37 @@ class TestOrderReports:
             for a, b in itertools.combinations(pool, 2):
                 assert order_report(a * b, s0).total == \
                     order_report(a, s0).total + order_report(b, s0).total
+
+
+VARIANTS = ("", "field", "split3", "QxF", "split")
+
+
+@st.composite
+def single_factor_products(draw):
+    kind = draw(st.sampled_from(KINDS))
+    arg = str(AffineForm(draw(st.sampled_from([0, 1, Fraction(1, 2), -1, 2])),
+                         draw(st.integers(-8, 4)) + draw(st.sampled_from([0, Fraction(1, 2)]))))
+    arg += draw(st.sampled_from(["", "+j", "-j"]))
+    if kind == "poch":
+        arg += f";{draw(st.integers(1, 3))}"
+    text = f"{kind}({arg})^{draw(st.sampled_from([-2, -1, 1, 2]))}"
+    return ZetaProduct.parse([text], draw(st.sampled_from(VARIANTS)))
+
+
+def total_or_error(p, s0, symbols):
+    try:
+        return order_report(p, s0, symbols).total
+    except ArithmeticError as exc:
+        return type(exc)
+
+
+@settings(max_examples=300, deadline=None)
+@given(single_factor_products(), st.integers(-4, 10),
+       st.sampled_from([{}, {"j": Fraction(-1)}, {"j": Fraction(0)}, {"j": Fraction(3, 2)}]))
+def test_order_survives_expansion(p, s0, symbols):
+    # every kind and etale variant, bound and unbound symbols: expanding a
+    # factor into its base pieces keeps its order, or its undecided verdict
+    assert total_or_error(p, s0, symbols) == total_or_error(p.expanded(), s0, symbols)
 
 
 class TestConvergence:
