@@ -40,6 +40,17 @@ class Check:
         return {"name": self.name, "ok": self.ok, "detail": self.detail}
 
 
+def _worst(statuses) -> str:
+    """The status of a report read off those of its parts: Mismatch over
+    UnverifiedExternal over Verified; any other status does not count."""
+    seen = set(statuses)
+    return next((s for s in ("Mismatch", "UnverifiedExternal") if s in seen), "Verified")
+
+
+def _verified(ok: bool) -> str:
+    return "Verified" if ok else "Mismatch"
+
+
 def _match_row_to_rep(system: RootSystem, row: RowSpec, reps: list[Word]) -> tuple[Word | None, Check]:
     """Identify the configured row (word or permutation action) with one of
     the computed canonical representatives, as group elements."""
@@ -61,6 +72,26 @@ def _match_row_to_rep(system: RootSystem, row: RowSpec, reps: list[Word]) -> tup
                        f"word {list(row.word)} is not in the computed census")
 
 
+def _census(system: RootSystem, rows: list[RowSpec], reps: list[Word]):
+    """The census rule: the rows name the representatives one to one.
+    Returns each row's (representative or None, census check), the
+    representatives no row names, and whether the rule holds."""
+    matches = [_match_row_to_rep(system, row, reps) for row in rows]
+    used = {rep for rep, _ in matches}
+    unmatched = [list(w) for w in reps if w not in used]
+    return matches, unmatched, not unmatched and len(rows) == len(reps)
+
+
+def _recipe_verdict(cfg: Config, spec: dict):
+    """A recipe's multiplier vector and its pattern check at the recipe's
+    own checks.s0.  The arch report and every row that names the recipe
+    read this one verdict."""
+    vec = cfg.catalog.evaluate(cfg.catalog.by_name(spec["name"]))
+    checks = spec["checks"]
+    return vec, pattern_check(vec, Fraction(str(checks["s0"])),
+                              checks["value"], checks.get("derivative"))
+
+
 def build_table_report(cfg: Config, case: CaseSpec, table: TableSpec,
                        s0: Fraction | None = None) -> dict:
     system = cfg.system(case.system)
@@ -70,39 +101,12 @@ def build_table_report(cfg: Config, case: CaseSpec, table: TableSpec,
     with_expect = s0 == case.s0
     rules = cfg.system_rules(case.system, case.etale_variant or "")
     lam = CoordVector.lambda_s(system)
-
     reps = system.double_coset_reps(target, source)
-    rows = []
-    used: set[Word] = set()
-    any_mismatch = False
+    matches, unmatched, census_ok = _census(system, table.rows, reps)
 
-    for row in table.rows:
-        checks: list[Check] = []
-        rep, census_check = _match_row_to_rep(system, row, reps)
-        checks.append(census_check)
-        rec: dict = {
-            "word": list(row.word),
-            "canonical_word": list(rep) if rep is not None else None,
-            "length": len(rep) if rep is not None else None,
-            "classification": row.conclusion,
-            "external": list(row.external),
-            "note": row.note,
-        }
-        if rep is None:
-            rec["checks"] = [c.as_dict() for c in checks]
-            rec["status"] = "Mismatch"
-            rows.append(rec)
-            any_mismatch = True
-            continue
-        used.add(rep)
-
-        if table.kind == "census":
-            rec["checks"] = [c.as_dict() for c in checks]
-            rec["status"] = "Verified" if all(c.ok for c in checks) else "Mismatch"
-            rows.append(rec)
-            any_mismatch |= rec["status"] == "Mismatch"
-            continue
-
+    def recompute(row: RowSpec, rep: Word, rec: dict, checks: list[Check]) -> bool:
+        """Recompute a matched row into rec and checks; True when the row
+        also rests on an archimedean claim stated without a recipe."""
         # associated simple roots
         assoc = system.associated_simple_roots(rep, target, source)
         rec["assoc_simples"] = list(assoc)
@@ -184,15 +188,11 @@ def build_table_report(cfg: Config, case: CaseSpec, table: TableSpec,
                                 f"{iv.global_status} (expected {row.intertwiner_global})"))
 
         # c-function
-        printed_product = None
         if row.cfunction is not None:
-            printed_product = ZetaProduct.parse(row.cfunction,
-                                                case.etale_variant or "")
+            full = ZetaProduct.parse(row.cfunction, case.etale_variant or "")
             if iv.cfunction is not None:
-                ok = iv.cfunction.same_function(printed_product)
-                checks.append(Check("cfunction", ok,
+                checks.append(Check("cfunction", iv.cfunction.same_function(full),
                                     f"computed {iv.cfunction}"))
-            full = printed_product
             if row.cfunction_arch:
                 full = full * ZetaProduct.parse(row.cfunction_arch,
                                                 case.etale_variant or "")
@@ -210,49 +210,50 @@ def build_table_report(cfg: Config, case: CaseSpec, table: TableSpec,
         if iv.cfunction is not None:
             rec["cfunction"] = str(iv.cfunction.expanded())
 
-        # archimedean multiplier
-        has_unverified_arch = False
-        if row.arch is not None:
-            if row.arch.recipe:
-                recipe = cfg.catalog.by_name(row.arch.recipe)
-                vec = cfg.catalog.evaluate(recipe)
-                spec = next(r for r in cfg.arch_checks() if r["name"] == row.arch.recipe)
-                pc = pattern_check(vec, s0,
-                                   spec["checks"]["value"],
-                                   spec["checks"].get("derivative"))
-                rec["arch"] = {"recipe": row.arch.recipe, "ok": pc.ok,
-                               "ledger": pc.ledger}
-                checks.append(Check("arch_pattern", pc.ok,
-                                    f"{row.arch.recipe}: " + "; ".join(pc.ledger)))
-                if row.arch.min_vanishing_order is not None:
-                    vo = vanishing_order(vec, s0)
-                    ok = vo >= row.arch.min_vanishing_order
-                    rec["arch"]["vanishing_order"] = vo
-                    checks.append(Check("arch_order", ok,
-                                        f"vanishing order {vo} >= "
-                                        f"{row.arch.min_vanishing_order}"))
-                    if iv.global_order is not None:
-                        rec["arch"]["net_order"] = iv.global_order + vo
-            else:
-                has_unverified_arch = True
-                rec["arch"] = {"stated": row.arch.stated,
-                               "status": "unverified: recipe not printed"}
+        # archimedean multiplier: the recipe's own verdict, and its vanishing
+        # order compared at the case's s0 only
+        if row.arch is None:
+            return False
+        if not row.arch.recipe:
+            rec["arch"] = {"stated": row.arch.stated,
+                           "status": "unverified: recipe not printed"}
+            return True
+        spec = next(r for r in cfg.arch_checks() if r["name"] == row.arch.recipe)
+        vec, pc = _recipe_verdict(cfg, spec)
+        rec["arch"] = {"recipe": row.arch.recipe, "ok": pc.ok, "ledger": pc.ledger}
+        checks.append(Check("arch_pattern", pc.ok,
+                            f"{row.arch.recipe}: " + "; ".join(pc.ledger)))
+        if with_expect and row.arch.min_vanishing_order is not None:
+            vo = vanishing_order(vec, s0)
+            rec["arch"]["vanishing_order"] = vo
+            checks.append(Check("arch_order", vo >= row.arch.min_vanishing_order,
+                                f"vanishing order {vo} >= "
+                                f"{row.arch.min_vanishing_order}"))
+            if iv.global_order is not None:
+                rec["arch"]["net_order"] = iv.global_order + vo
+        return False
 
-        failed = [c for c in checks if not c.ok]
+    rows = []
+    for row, (rep, census_check) in zip(table.rows, matches):
+        checks = [census_check]
+        rec: dict = {
+            "word": list(row.word),
+            "canonical_word": list(rep) if rep is not None else None,
+            "length": len(rep) if rep is not None else None,
+            "classification": row.conclusion,
+            "external": list(row.external),
+            "note": row.note,
+        }
+        # a census row has nothing beyond its representative to recompute
+        unverified = False
+        if rep is not None and table.kind != "census":
+            unverified = (recompute(row, rep, rec, checks)
+                          or bool(row.external) or not with_expect)
         rec["checks"] = [c.as_dict() for c in checks]
-        if failed:
-            rec["status"] = "Mismatch"
-            any_mismatch = True
-        elif row.external or has_unverified_arch or not with_expect:
-            rec["status"] = "UnverifiedExternal"
-        else:
-            rec["status"] = "Verified"
+        rec["status"] = ("Mismatch" if not all(c.ok for c in checks)
+                         else "UnverifiedExternal" if unverified else "Verified")
         rows.append(rec)
 
-    extra = [list(w) for w in reps if w not in used]
-    census_ok = not extra and len(table.rows) == len(reps)
-    if not census_ok:
-        any_mismatch = True
     return {
         "kind": table.kind,
         "case": case.name,
@@ -262,13 +263,24 @@ def build_table_report(cfg: Config, case: CaseSpec, table: TableSpec,
         "s0": str(s0),
         "census_size": len(reps),
         "census_expected": len(table.rows),
-        "census_unmatched": extra,
+        "census_unmatched": unmatched,
         "census_ok": census_ok,
         "rows": rows,
-        "status": "Mismatch" if any_mismatch else (
-            "UnverifiedExternal" if any(r["status"] == "UnverifiedExternal" for r in rows)
-            else "Verified"),
+        "status": _worst([_verified(census_ok)] + [r["status"] for r in rows]),
     }
+
+
+def _find_table(cfg: Config, system: RootSystem, cases, left: ParabolicSpec,
+                right: ParabolicSpec):
+    """The first (case, table) among the given cases of this system that is
+    induced from right's radical down to left's, or None."""
+    for case in cases:
+        if (cfg.system_name(case.system) == system.name
+                and system.parabolic(case.source).radical == right.radical):
+            for table in case.tables:
+                if system.parabolic(table.target).radical == left.radical:
+                    return case, table
+    return None
 
 
 def constant_term_report(cfg: Config, case_name: str, source: str, target: str,
@@ -277,38 +289,31 @@ def constant_term_report(cfg: Config, case_name: str, source: str, target: str,
     system = cfg.system(case.system)
     if system.parabolic(source).radical != system.parabolic(case.source).radical:
         raise ValueError(f"case {case.name} is induced from {case.source}, not {source}")
-    for table in case.tables:
-        if system.parabolic(table.target).radical == system.parabolic(target).radical:
-            return build_table_report(cfg, case, table, s0=s0)
-    raise ValueError(f"case {case.name} has no configured table for target {target}")
+    found = _find_table(cfg, system, [case], system.parabolic(target),
+                        system.parabolic(source))
+    if found is None:
+        raise ValueError(f"case {case.name} has no configured table for target {target}")
+    return build_table_report(cfg, *found, s0=s0)
 
 
 def cosets_report(cfg: Config, system_name: str, left: str, right: str) -> dict:
     system = cfg.system(system_name)
     lp, rp = system.parabolic(left), system.parabolic(right)
     reps = system.double_coset_reps(lp, rp)
-    expected = _find_expected_table(cfg, system, lp, rp)
-    rows = []
-    status = "Computed"
-    if expected is not None:
-        case, table = expected
-        status = "Verified"
-        matched: set[Word] = set()
-        for row in table.rows:
-            rep, check = _match_row_to_rep(system, row, reps)
-            rows.append({"word": list(row.word),
-                         "canonical_word": list(rep) if rep is not None else None,
-                         "length": len(rep) if rep is not None else None,
-                         "ok": check.ok, "detail": check.detail})
-            if rep is None:
-                status = "Mismatch"
-            else:
-                matched.add(rep)
-        if len(table.rows) != len(reps) or matched != set(reps):
-            status = "Mismatch"
-    else:
+    expected = _find_table(cfg, system, cfg.cases.values(), lp, rp)
+    if expected is None:
+        status = "Computed"
         rows = [{"word": list(w), "canonical_word": list(w), "length": len(w),
                  "ok": True, "detail": ""} for w in reps]
+    else:
+        table_rows = expected[1].rows
+        matches, _, census_ok = _census(system, table_rows, reps)
+        status = _verified(census_ok)
+        rows = [{"word": list(row.word),
+                 "canonical_word": list(rep) if rep is not None else None,
+                 "length": len(rep) if rep is not None else None,
+                 "ok": check.ok, "detail": check.detail}
+                for row, (rep, check) in zip(table_rows, matches)]
     return {
         "kind": "cosets",
         "system": system.name,
@@ -321,65 +326,42 @@ def cosets_report(cfg: Config, system_name: str, left: str, right: str) -> dict:
     }
 
 
-def _find_expected_table(cfg: Config, system: RootSystem, left: ParabolicSpec,
-                         right: ParabolicSpec):
-    for case in cfg.cases.values():
-        if cfg.system_name(case.system) != system.name:
-            continue
-        if system.parabolic(case.source).radical != right.radical:
-            continue
-        for table in case.tables:
-            if system.parabolic(table.target).radical == left.radical:
-                return case, table
-    return None
-
-
 def modulus_report(cfg: Config) -> dict:
     rows = []
-    ok = True
     for mc in cfg.modulus_checks:
         system = cfg.system(mc.system)
-        p = system.parabolic(mc.parabolic)
-        got = system.modulus_exponent(p)
-        match = got == mc.expect
-        ok &= match
+        got = system.modulus_exponent(system.parabolic(mc.parabolic))
         rows.append({"system": mc.system, "parabolic": mc.parabolic,
                      "computed": str(got), "expected": str(mc.expect),
-                     "ok": match})
+                     "ok": got == mc.expect})
     return {"kind": "modulus", "rows": rows,
-            "status": "Verified" if ok else "Mismatch"}
+            "status": _verified(all(r["ok"] for r in rows))}
 
 
 def arch_report(cfg: Config, case_name: str | None = None) -> dict:
     rows = []
-    ok = True
     wanted = cfg.case(case_name).name if case_name else None
     for spec in cfg.arch_checks():
         if wanted and spec["case"] != wanted:
             continue
-        recipe = cfg.catalog.by_name(spec["name"])
-        vec = cfg.catalog.evaluate(recipe)
-        pc = pattern_check(vec, Fraction(str(spec["checks"]["s0"])),
-                           spec["checks"]["value"], spec["checks"].get("derivative"))
-        ok &= pc.ok
+        _, pc = _recipe_verdict(cfg, spec)
         rows.append({"name": spec["name"], "case": spec["case"],
                      "word": list(spec["word"]), "tokens": spec["tokens"],
-                     "ok": pc.ok, "ledger": pc.ledger,
-                     "status": "Verified" if pc.ok else "Mismatch"})
+                     "ok": pc.ok, "ledger": pc.ledger, "status": _verified(pc.ok)})
     for u in cfg.unprinted_arch:
         if wanted and u.case != wanted:
             continue
         rows.append({"name": u.name, "case": u.case, "word": list(u.word),
                      "claim": u.claim, "status": "unverified: recipe not printed"})
+    # the unprinted claims are listed, not checked: they leave the status be
     return {"kind": "arch", "case": case_name, "rows": rows,
-            "status": "Verified" if ok else "Mismatch"}
+            "status": _worst(r["status"] for r in rows)}
 
 
 def oracle_report(cfg: Config) -> dict:
     """GK oracle equivalence: the rational-rule c-function of each configured
     word equals the absolute-system computation after restriction."""
     rows = []
-    ok = True
     for case_name in sorted(cfg.cases):
         case = cfg.cases[case_name]
         if not case.oracle:
@@ -392,13 +374,11 @@ def oracle_report(cfg: Config) -> dict:
         for w in sorted(words, key=lambda w: (len(w), w)):
             rat = rational_cfunction(system, rules, apply_word(system, lam, w))
             absc = oracle.gk_restricted(w)
-            match = rat.same_function(absc)
-            ok &= match
             rows.append({"case": case_name, "word": list(w),
                          "rational": str(rat), "absolute": str(absc),
-                         "ok": match})
+                         "ok": rat.same_function(absc)})
     return {"kind": "gk-oracle", "rows": rows,
-            "status": "Verified" if ok else "Mismatch"}
+            "status": _verified(all(r["ok"] for r in rows))}
 
 
 # ---------------------------------------------------------------------------
@@ -679,11 +659,9 @@ def algebra_report(cfg: Config, suite: str = "all", seed: int | None = None,
     for name, fn in chosen:
         res = fn(cfg, jalg, count, random.Random(f"{seed}:{name}"))
         ok = res["failures"] == 0 and res.get("dims_ok") is not False
-        suites.append({"name": name, **res, "status": "Verified" if ok else "Mismatch"})
-    status = ("Verified" if all(s["status"] == "Verified" for s in suites)
-              else "Mismatch")
+        suites.append({"name": name, **res, "status": _verified(ok)})
     return {"kind": "algebra", "suite": suite, "seed": seed, "count": count,
-            "suites": suites, "status": status}
+            "suites": suites, "status": _worst(s["status"] for s in suites)}
 
 
 def run_all(cfg: Config, seed: int | None = None, count: int | None = None) -> dict:
@@ -697,12 +675,5 @@ def run_all(cfg: Config, seed: int | None = None, count: int | None = None) -> d
     sections.append(oracle_report(cfg))
     sections.append(arch_report(cfg))
     sections.append(algebra)
-    worst = "Verified"
-    for s in sections:
-        if s["status"] == "Mismatch":
-            worst = "Mismatch"
-            break
-        if s["status"] == "UnverifiedExternal":
-            worst = "UnverifiedExternal"
     return {"kind": "all", "seed": cfg.claims.seed if seed is None else seed,
-            "sections": sections, "status": worst}
+            "sections": sections, "status": _worst(s["status"] for s in sections)}

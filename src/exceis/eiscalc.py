@@ -252,11 +252,13 @@ class ZetaProduct:
     def min_numerator_argument(self, s0) -> Fraction | None:
         """Smallest argument among expanded numerator zeta-type factors at s0;
         the global intertwining integral converges absolutely iff this
-        exceeds 1."""
+        exceeds 1.  None when there is no such factor, or when one carries
+        an unbound symbolic shift (as in factor_order)."""
         s0 = Fraction(s0)
-        vals = [f.arg.eval(s0) for f, e in self.expanded().factors.items()
-                if e > 0 and f.is_finite()]
-        return min(vals) if vals else None
+        nums = [f for f, e in self.expanded().factors.items() if e > 0 and f.is_finite()]
+        if not nums or any(f.sym for f in nums):
+            return None
+        return min(f.arg.eval(s0) for f in nums)
 
     def __str__(self) -> str:
         if not self.factors:

@@ -1,3 +1,6 @@
+import dataclasses
+from fractions import Fraction
+
 import pytest
 
 from exceis import cases, compalg
@@ -101,6 +104,63 @@ class TestTableReports:
         from exceis.config import ConfigError
         with pytest.raises(ConfigError):
             cfg.case("nonsense")
+
+
+# every configured table, as (case, target)
+TABLES = [(case.name, table.target) for case in load_config().cases.values()
+          for table in case.tables]
+
+
+@pytest.mark.parametrize("point", ["s0+1", "s0+1/2", "0"])
+@pytest.mark.parametrize("case_name, target", TABLES)
+def test_off_point_table_neither_raises_nor_mismatches(cfg, case_name, target, point):
+    """Expectations stated at the case's s0 are recorded but not compared
+    elsewhere: every off-point row of a constant-term table reads
+    UnverifiedExternal, and no check fails, archimedean rows included."""
+    case = cfg.case(case_name)
+    table = next(t for t in case.tables if t.target == target)
+    s0 = {"s0+1": case.s0 + 1, "s0+1/2": case.s0 + Fraction(1, 2), "0": Fraction(0)}[point]
+    doc = cases.build_table_report(cfg, case, table, s0=s0)
+    assert doc["s0"] == str(s0)
+    assert doc["status"] != "Mismatch", [
+        (r["word"], c) for r in doc["rows"] for c in r["checks"] if not c["ok"]]
+    if table.kind != "census":
+        assert {r["status"] for r in doc["rows"]} == {"UnverifiedExternal"}
+
+
+def _cosets_unmatched(doc: dict) -> list:
+    matched = {tuple(r["canonical_word"]) for r in doc["rows"]
+               if r["canonical_word"] is not None}
+    return [w for w in doc["words"] if tuple(w) not in matched]
+
+
+class TestCensusRule:
+    """The table and cosets reports apply one census rule: the configured
+    rows and the computed representatives correspond one to one."""
+
+    @pytest.mark.parametrize("target", ["P0", "P1"])   # a census, a constant-term table
+    @pytest.mark.parametrize("edit", ["drop", "non-representative", "duplicate"])
+    def test_broken_census_mismatches_in_both_reports(self, cfg, monkeypatch, target, edit):
+        case = cfg.case("GE-field")
+        table = next(t for t in case.tables if t.target == target)
+        before = cases.build_table_report(cfg, case, table)
+        rows = list(table.rows)
+        if edit == "drop":
+            lost = before["rows"][-1]["canonical_word"]
+            rows.pop()
+        else:
+            # s1 lies in the source Levi, so (1,) is no representative;
+            # a duplicate names the identity a second time
+            lost = before["rows"][1]["canonical_word"]
+            word = (1,) if edit == "non-representative" else rows[0].word
+            rows[1] = dataclasses.replace(rows[1], word=word)
+        monkeypatch.setattr(table, "rows", rows)
+
+        doc = cases.build_table_report(cfg, case, table)
+        cos = cases.cosets_report(cfg, case.system, target, case.source)
+        assert doc["status"] == cos["status"] == "Mismatch"
+        assert not doc["census_ok"]
+        assert doc["census_unmatched"] == _cosets_unmatched(cos) == [lost]
 
 
 class TestCosetsReport:

@@ -76,6 +76,17 @@ class TestConstantTerm:
         doc = json.loads(r.output)
         assert doc["s0"] == "9"
 
+    @pytest.mark.parametrize("s0", ["6", "0"])
+    def test_off_point_arch_rows_keep_the_recipe_verdict(self, runner, s0):
+        # the recipe rows are checked at the recipe's own s0, whatever --s0 is
+        r = invoke(runner, "--format", "json", "constant-term",
+                   "GE-field", "P1", "P1", "--s0", s0)
+        assert r.exit_code == 0, r.output
+        doc = json.loads(r.output)
+        assert doc["s0"] == s0 and doc["status"] == "UnverifiedExternal"
+        w0 = next(row for row in doc["rows"] if row["word"] == [2, 1, 2, 1, 2])
+        assert w0["arch"]["ok"] and "vanishing_order" not in w0["arch"]
+
 
 class TestArchAndAlgebra:
     def test_arch_case(self, runner):

@@ -160,6 +160,14 @@ class TestZetaProducts:
         assert p.min_numerator_argument(14) == 6
         assert ZetaProduct.one().min_numerator_argument(5) is None
 
+    def test_min_numerator_argument_undecided_by_unbound_symbol(self):
+        # zeta(s+j) and zeta(s-j) are different functions: neither has a
+        # smallest argument until j is bound
+        for text in ("zeta(s+j)", "zeta(s-j)", "zetaTheta(s-3+j)"):
+            assert ZetaProduct.parse([text, "zeta(s-1)"]).min_numerator_argument(2) is None
+        # a symbol in the denominator does not bear on the numerator
+        assert ZetaProduct.parse(["zeta(s-1)", "zeta(s+j)^-1"]).min_numerator_argument(2) == 1
+
 
 class TestGK:
     def test_identity_is_one(self, cfg):
