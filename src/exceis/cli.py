@@ -11,7 +11,7 @@ import sys
 import click
 
 from . import cases, report
-from .config import load_config
+from .config import ConfigError, load_config
 
 
 def _emit(doc: dict, fmt: str) -> None:
@@ -44,7 +44,10 @@ def main(ctx, config_path, fmt):
     """Exact verification of coset censuses, constant-term ledgers,
     archimedean multipliers, and algebra identities."""
     ctx.ensure_object(dict)
-    ctx.obj["cfg"] = load_config(config_path)
+    try:
+        ctx.obj["cfg"] = load_config(config_path)
+    except ConfigError as exc:
+        raise click.ClickException(str(exc))
     ctx.obj["fmt"] = fmt
 
 

@@ -124,6 +124,35 @@ def _parse_affine(x) -> AffineForm:
     return AffineForm.parse(str(x))
 
 
+# The keys each level of a case may carry; a key that names a level is checked
+# there.  lambda_abs is read by nothing in src/ (tests/test_eiscalc.py has a copy).
+_KEYS = {
+    "cases": {"system", "source", "s0", "kind", "lambda_printed", "lambda_abs",
+              "etale_variant", "oracle", "tables", "aliases"},
+    "tables": {"target", "kind", "rows"},
+    "rows": {"word", "action", "assoc", "trace", "lambda_prime", "pairings", "eis",
+             "intertwiner", "cfunction", "cfunction_arch", "order", "arch",
+             "conclusion", "external", "note"},
+    "eis": {"threshold", "status", "root", "scale", "functional", "printed"},
+    "arch": {"recipe", "stated", "min_vanishing_order"},
+    "order": {"total", "symbols"},
+    "intertwiner": {"local", "global"},
+    "pairings": {"root", "expect"},
+}
+
+
+def _check_keys(level: str, spec: dict, path: str) -> None:
+    """Raise ConfigError, with its dotted path, on the first key that its
+    level does not allow; a list under a key is checked item by item."""
+    for key, value in spec.items():
+        if key not in _KEYS[level]:
+            raise ConfigError(f"unknown config key {path}.{key}")
+        if key in _KEYS:
+            many = isinstance(value, list)
+            for i, item in enumerate(value if many else [value]):
+                _check_keys(key, item or {}, f"{path}.{key}" + (f"[{i}]" if many else ""))
+
+
 class Config:
     def __init__(self, raw: dict, source: str):
         if raw.get("version") != CONFIG_VERSION:
@@ -208,6 +237,7 @@ class Config:
     # -- cases ----------------------------------------------------------------
 
     def _parse_case(self, name: str, spec: dict) -> CaseSpec:
+        _check_keys("cases", spec, f"cases.{name}")
         tables = []
         for t in spec.get("tables", []):
             rows = []
@@ -321,6 +351,7 @@ def load_config(path: str | Path | None = None) -> Config:
     key = (str(p.resolve()), p.stat().st_mtime_ns)
     if key not in _cache:
         with open(p, "r", encoding="utf-8") as fh:
-            raw = yaml.safe_load(fh)
+            # libyaml's parser, or PyYAML's own where it was built without it
+            raw = yaml.load(fh, Loader=getattr(yaml, "CSafeLoader", yaml.SafeLoader))
         _cache[key] = Config(raw, str(p))
     return _cache[key]

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
@@ -186,3 +190,30 @@ class TestRejectedArguments:
         r = invoke(runner, *args)
         assert r.exit_code == 1
         assert r.output.splitlines() == [line]
+
+
+class TestImportBoundary:
+    """Table queries never load the algebra layer (compalg and the suites);
+    an algebra query loads it on its first report."""
+
+    SCRIPT = """
+import contextlib, io, json, sys
+from exceis.cli import main
+loaded = []
+for args in (["constant-term", "GE-field", "P1", "P1"], ["cosets", "F4", "M3", "M1"],
+             ["modulus"], ["algebra", "composition", "--count", "1"]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        main(["--format", "json", *args], standalone_mode=False)
+    loaded.append(sorted(m for m in ("exceis.compalg", "exceis.suites") if m in sys.modules))
+print(json.dumps(loaded))
+"""
+
+    def test_compalg_loads_for_algebra_queries_only(self):
+        import exceis
+        src = str(Path(exceis.__file__).resolve().parent.parent)
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p))
+        r = subprocess.run([sys.executable, "-c", self.SCRIPT], capture_output=True,
+                           text=True, env=env, timeout=300)
+        assert r.returncode == 0, r.stderr
+        assert json.loads(r.stdout) == [[], [], [], ["exceis.compalg", "exceis.suites"]]

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from exceis import cases, compalg
+from exceis import compalg, suites
 from exceis.config import load_config
 from exceis.exactnum import solve
 
@@ -59,25 +59,25 @@ class TestAdjointIdentities:
         x = _shrink(jalg, jalg.random(random.Random(seed)), den)
         doubled = jalg.symmetric_product(x, jalg.sharp(x))
         assert jalg.scale(Fraction(1, 2), doubled) == jalg.jordan_product(x, jalg.sharp(x))
-        assert cases._sharp_failures(jalg, x) == self._reference_failures(jalg, x) == 0
-        assert cases._trace_failures(jalg, x) == self._reference_trace(jalg, x) == 0
+        assert suites._sharp_failures(jalg, x) == self._reference_failures(jalg, x) == 0
+        assert suites._trace_failures(jalg, x) == self._reference_trace(jalg, x) == 0
         # planted: N(x) or tr(x#) one unit off
         with pytest.MonkeyPatch.context() as m:
             norm = compalg.JordanAlgebra.norm
             m.setattr(compalg.JordanAlgebra, "norm", lambda self, a: norm(self, a) + 1)
-            assert cases._sharp_failures(jalg, x) == 2
+            assert suites._sharp_failures(jalg, x) == 2
         assert self._reference_failures(jalg, x, shift=1) == 2
         with pytest.MonkeyPatch.context() as m:
             sharp = compalg.JordanAlgebra.sharp
             m.setattr(compalg.JordanAlgebra, "sharp",
                       lambda self, a: self.add(sharp(self, a), self.diag(1, 0, 0)))
-            assert cases._trace_failures(jalg, x) == 1
+            assert suites._trace_failures(jalg, x) == 1
         assert self._reference_trace(jalg, x, shift=1) == 1
 
 
 class TestRankOne:
     def _verdicts(self, jalg, etales, z):
-        return (cases._rank_one_failures(jalg, z), [et.in_ve(z) for et in etales])
+        return (suites._rank_one_failures(jalg, z), [et.in_ve(z) for et in etales])
 
     @settings(max_examples=40, deadline=None)
     @given(seed=seeds)
@@ -90,8 +90,8 @@ class TestRankOne:
         assert self._verdicts(jalg, etales, z) == (0, [False, False])
         # planted: Z + 1 has adjoint (1 + tr Z) 1 - Z != 0, so it is not rank one
         bad = jalg.add(big_z, jalg.identity())
-        assert cases._rank_one_failures(jalg, bad) == 1
-        assert cases._rank_one_failures(jalg, _shrink(jalg, bad, d * d)) == 1
+        assert suites._rank_one_failures(jalg, bad) == 1
+        assert suites._rank_one_failures(jalg, _shrink(jalg, bad, d * d)) == 1
 
     def test_ve_membership_is_scale_invariant(self, jalg, etales):
         for et in etales:
@@ -119,7 +119,7 @@ class TestOrthF:
     @given(seed=seeds)
     def test_cleared_projection_gives_the_verdict(self, jalg, etales, seed):
         qxf = etales[1]
-        project = cases._f_complement(jalg, qxf)
+        project = suites._f_complement(jalg, qxf)
         e2, e3 = qxf.basis_elements[1:]
         den = compalg.cleared_inverse([[jalg.trace_pairing(a, b) for b in (e2, e3)]
                                        for a in (e2, e3)]).den
@@ -127,11 +127,11 @@ class TestOrthF:
         big_v, v = project(x), self._reference(jalg, qxf, x)
         assert all(isinstance(c, int) for c in jalg.coords(big_v))
         assert big_v == jalg.scale(den, v)
-        got = cases._orth_f_failures(jalg, big_v, jalg.e11())
+        got = suites._orth_f_failures(jalg, big_v, jalg.e11())
         assert got == self._reference_failures(jalg, v) == 0
         # planted: one more unit of c2 breaks c3 = -c2
         bad = jalg.add(big_v, jalg.diag(0, 1, 0))
-        got = cases._orth_f_failures(jalg, bad, jalg.e11())
+        got = suites._orth_f_failures(jalg, bad, jalg.e11())
         assert got == self._reference_failures(jalg, _shrink(jalg, bad, den)) > 0
 
 
@@ -154,11 +154,11 @@ class TestFreudenthal:
         assert (big_w.a, big_w.d) == (den * w.a, den * w.d)
         assert (big_w.b, big_w.c) == (jalg.scale(den, w.b), jalg.scale(den, w.c))
         assert all(isinstance(c, int) for c in jalg.coords(big_w.b) + jalg.coords(big_w.c))
-        got = cases._we_failures(etales, big_w)
+        got = suites._we_failures(etales, big_w)
         assert got == self._reference_failures(jalg, etales, w) == 4 * (num == 0)
         # planted: lam = 0 leaves no nonzero corner
         zero = compalg.freudenthal_r0(jalg, z, Fraction(0, den))
-        assert cases._we_failures(etales, zero) == \
+        assert suites._we_failures(etales, zero) == \
             self._reference_failures(jalg, etales, zero) == 4
 
 
