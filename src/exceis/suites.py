@@ -1,6 +1,6 @@
 """The seeded algebra suites: octonions, the Albert algebra, V_E, Freudenthal
-corners and triality.  Only ``cases.algebra_report`` imports this module, so
-a table query never loads ``compalg``."""
+corners and triality.  In the package only ``cases.algebra_report`` imports
+this module, so a table query never loads ``compalg``."""
 
 from __future__ import annotations
 

@@ -209,8 +209,7 @@ print(json.dumps(loaded))
 """
 
     def test_compalg_loads_for_algebra_queries_only(self):
-        import exceis
-        src = str(Path(exceis.__file__).resolve().parent.parent)
+        src = str(Path(__file__).resolve().parent.parent / "src")
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(
             p for p in (src, os.environ.get("PYTHONPATH")) if p))
         r = subprocess.run([sys.executable, "-c", self.SCRIPT], capture_output=True,

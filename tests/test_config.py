@@ -86,9 +86,6 @@ class TestStrictKeys:
             Config(raw, "planted")
         assert str(err.value) == f"unknown config key {path}.bogus"
 
-    def test_case_lambda_abs_is_allowed(self):
-        assert "lambda_abs" in load_config().raw["cases"]["D5-line"]
-
     def test_misspelled_row_key_fails_at_load(self, text, tmp_path):
         """The rename that once passed silently: E7-siegel's first
         lambda_prime (in row 1 of its first table) spelled lambda_prme."""
