@@ -18,7 +18,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .archmult import pattern_check, vanishing_order
+from .archmult import MatrixRecipe, pattern_check, vanishing_order
 from .config import CaseSpec, Config, RowSpec, TableSpec
 from .eiscalc import (ConvergenceVerdict, CoordVector, ZetaProduct, apply_word,
                       intertwiner_verdict, order_report, rational_cfunction,
@@ -79,14 +79,12 @@ def _census(system: RootSystem, rows: list[RowSpec], reps: list[Word]):
     return matches, unmatched, not unmatched and len(rows) == len(reps)
 
 
-def _recipe_verdict(cfg: Config, spec: dict):
+def _recipe_verdict(cfg: Config, recipe: MatrixRecipe):
     """A recipe's multiplier vector and its pattern check at the recipe's
-    own checks.s0.  The arch report and every row that names the recipe
-    read this one verdict."""
-    vec = cfg.catalog.evaluate(cfg.catalog.by_name(spec["name"]))
-    checks = spec["checks"]
-    return vec, pattern_check(vec, Fraction(str(checks["s0"])),
-                              checks["value"], checks.get("derivative"))
+    own s0.  The arch report and every row that names the recipe read this
+    one verdict."""
+    vec = cfg.catalog.evaluate(recipe)
+    return vec, pattern_check(vec, recipe.s0, recipe.value, recipe.derivative)
 
 
 def build_table_report(cfg: Config, case: CaseSpec, table: TableSpec,
@@ -215,8 +213,7 @@ def build_table_report(cfg: Config, case: CaseSpec, table: TableSpec,
             rec["arch"] = {"stated": row.arch.stated,
                            "status": "unverified: recipe not printed"}
             return True
-        spec = next(r for r in cfg.arch_checks() if r["name"] == row.arch.recipe)
-        vec, pc = _recipe_verdict(cfg, spec)
+        vec, pc = _recipe_verdict(cfg, cfg.catalog.recipes[row.arch.recipe])
         rec["arch"] = {"recipe": row.arch.recipe, "ok": pc.ok, "ledger": pc.ledger}
         checks.append(Check("arch_pattern", pc.ok,
                             f"{row.arch.recipe}: " + "; ".join(pc.ledger)))
@@ -338,12 +335,12 @@ def modulus_report(cfg: Config) -> dict:
 def arch_report(cfg: Config, case_name: str | None = None) -> dict:
     rows = []
     wanted = cfg.case(case_name).name if case_name else None
-    for spec in cfg.arch_checks():
-        if wanted and spec["case"] != wanted:
+    for recipe in cfg.catalog.recipes.values():
+        if wanted and recipe.case != wanted:
             continue
-        _, pc = _recipe_verdict(cfg, spec)
-        rows.append({"name": spec["name"], "case": spec["case"],
-                     "word": list(spec["word"]), "tokens": spec["tokens"],
+        _, pc = _recipe_verdict(cfg, recipe)
+        rows.append({"name": recipe.name, "case": recipe.case,
+                     "word": list(recipe.word), "tokens": recipe.text,
                      "ok": pc.ok, "ledger": pc.ledger, "status": _verified(pc.ok)})
     for u in cfg.unprinted_arch:
         if wanted and u.case != wanted:

@@ -124,8 +124,8 @@ def _parse_affine(x) -> AffineForm:
     return AffineForm.parse(str(x))
 
 
-# The keys each level of a case may carry; a key that names a level is checked
-# there.  lambda_abs is read by nothing in src/ (tests/test_eiscalc.py has a copy).
+# The keys each level may carry; a key that names a level is checked there.
+# lambda_abs is read by nothing in src/ (tests/test_eiscalc.py has a copy).
 _KEYS = {
     "cases": {"system", "source", "s0", "kind", "lambda_printed", "lambda_abs",
               "etale_variant", "oracle", "tables", "aliases"},
@@ -138,12 +138,24 @@ _KEYS = {
     "order": {"total", "symbols"},
     "intertwiner": {"local", "global"},
     "pairings": {"root", "expect"},
+    "recipes": {"name", "case", "word", "tokens", "checks"},
+    "checks": {"s0", "value", "derivative"},
+    "unprinted": {"case", "word", "name", "claim"},
+    "algebras": {"definite", "split"},
+    "claims": {"count", "seed", "primes", "qxf_disc"},
 }
+# The keys a level must carry: all of them, but for checks.derivative.
+_REQUIRED = {"checks": {"s0", "value"},
+             **{k: _KEYS[k] for k in ("recipes", "unprinted", "algebras", "claims")}}
 
 
 def _check_keys(level: str, spec: dict, path: str) -> None:
     """Raise ConfigError, with its dotted path, on the first key that its
-    level does not allow; a list under a key is checked item by item."""
+    level requires and lacks or does not allow; a list under a key is checked
+    item by item."""
+    missing = sorted(_REQUIRED.get(level, set()) - spec.keys())
+    if missing:
+        raise ConfigError(f"missing config key {path}.{missing[0]}")
     for key, value in spec.items():
         if key not in _KEYS[level]:
             raise ConfigError(f"unknown config key {path}.{key}")
@@ -151,6 +163,47 @@ def _check_keys(level: str, spec: dict, path: str) -> None:
             many = isinstance(value, list)
             for i, item in enumerate(value if many else [value]):
                 _check_keys(key, item or {}, f"{path}.{key}" + (f"[{i}]" if many else ""))
+
+
+def _arch_entries(arch: dict, level: str, cases: dict):
+    """The arch section's recipes or unprinted claims with their dotted
+    paths, each with checked keys and naming a configured case."""
+    for i, spec in enumerate(arch.get(level, [])):
+        path = f"arch.{level}[{i}]"
+        _check_keys(level, spec, path)
+        if spec["case"] not in cases:
+            raise ConfigError(f"{path}.case: {spec['case']} is not a configured case")
+        yield path, spec
+
+
+def _pattern(x, path: str) -> tuple[str, ...]:
+    if not isinstance(x, list) or len(x) != 3 or not all(p in ("0", "*") for p in x):
+        raise ConfigError(f'{path}: {x!r} is not three entries, each "0" or "*"')
+    return tuple(x)
+
+
+def _parse_recipes(arch: dict, cases: dict) -> dict[str, MatrixRecipe]:
+    """Each printed recipe, parsed once: a new name, tokens and s0 that parse,
+    patterns of three entries, and @name suffixes that name a recipe listed
+    above, so that no recipe can lead back to itself."""
+    recipes: dict[str, MatrixRecipe] = {}
+    for path, r in _arch_entries(arch, "recipes", cases):
+        name, checks = r["name"], r["checks"]
+        if name in recipes:
+            raise ConfigError(f"{path}.name: {name} names an earlier recipe too")
+        try:
+            tokens, s0 = parse_tokens(r["tokens"]), _fr(checks["s0"])
+        except ValueError as exc:
+            raise ConfigError(f"{path}: {exc}") from None
+        unknown = [t.ref for t in tokens if t.kind == "ref" and t.ref not in recipes]
+        if unknown:
+            raise ConfigError(f"{path}.tokens: @{unknown[0]} names no recipe listed above")
+        recipes[name] = MatrixRecipe(
+            case=r["case"], word=tuple(r["word"]), name=name, text=r["tokens"],
+            tokens=tokens, s0=s0, value=_pattern(checks["value"], f"{path}.checks.value"),
+            derivative=_pattern(checks["derivative"], f"{path}.checks.derivative")
+            if "derivative" in checks else None)
+    return recipes
 
 
 class Config:
@@ -165,6 +218,10 @@ class Config:
         for name, spec in raw["systems"].items():
             for alias in spec.get("aliases", []):
                 self.system_aliases[alias] = name
+        arch = raw.get("arch", {})
+        self.catalog = RecipeCatalog(_parse_recipes(arch, raw["cases"]))
+        self.unprinted_arch = [UnprintedArch(u["case"], tuple(u["word"]), u["name"], u["claim"])
+                               for _, u in _arch_entries(arch, "unprinted", raw["cases"])]
         self.cases: dict[str, CaseSpec] = {}
         self.case_aliases: dict[str, str] = {}
         for name, spec in raw["cases"].items():
@@ -174,19 +231,13 @@ class Config:
                 self.case_aliases[alias] = name
         self.modulus_checks = [ModulusCheck(m["system"], m["parabolic"], _fr(m["expect"]))
                                for m in raw.get("modulus_checks", [])]
-        self._catalog: RecipeCatalog | None = None
-        self.unprinted_arch = [UnprintedArch(u["case"], tuple(u["word"]), u["name"], u["claim"])
-                               for u in raw.get("arch", {}).get("unprinted", [])]
-        self.algebras = {k: [int(g) for g in v]
-                         for k, v in raw.get("algebras", {
-                             "definite": [-1, -1, -1],
-                             "split": [-1, -1, 1]}).items()}
-        c = raw.get("claims", {})
-        self.claims = ClaimsSpec(
-            count=int(c.get("count", 1000)),
-            seed=int(c.get("seed", 1)),
-            primes=[int(p) for p in c.get("primes", [11, 13])],
-            qxf_disc=int(c.get("qxf_disc", 2)))
+        for key in ("algebras", "claims"):
+            _check_keys(key, raw.get(key) or {}, key)
+        self.algebras = {k: [int(g) for g in v] for k, v in raw["algebras"].items()}
+        c = raw["claims"]
+        self.claims = ClaimsSpec(count=int(c["count"]), seed=int(c["seed"]),
+                                 primes=[int(p) for p in c["primes"]],
+                                 qxf_disc=int(c["qxf_disc"]))
         self._oracles: dict[str, AbsoluteOracle] = {}
 
     # -- systems -------------------------------------------------------------
@@ -239,9 +290,9 @@ class Config:
     def _parse_case(self, name: str, spec: dict) -> CaseSpec:
         _check_keys("cases", spec, f"cases.{name}")
         tables = []
-        for t in spec.get("tables", []):
+        for ti, t in enumerate(spec.get("tables", [])):
             rows = []
-            for r in t.get("rows", []):
+            for ri, r in enumerate(t.get("rows", [])):
                 action = None
                 if "action" in r:
                     action = {}
@@ -249,11 +300,10 @@ class Config:
                         v = str(v)
                         sign = -1 if v.startswith("-") else 1
                         action[int(str(k)[1:])] = (sign, int(v.lstrip("-r")))
-                arch = None
-                if "arch" in r:
-                    a = r["arch"]
-                    arch = ArchSpec(recipe=a.get("recipe"), stated=a.get("stated"),
-                                    min_vanishing_order=a.get("min_vanishing_order"))
+                arch = ArchSpec(**r["arch"]) if "arch" in r else None
+                if arch and arch.recipe and arch.recipe not in self.catalog.recipes:
+                    raise ConfigError(f"cases.{name}.tables[{ti}].rows[{ri}].arch.recipe: "
+                                      f"{arch.recipe} names no recipe")
                 eis = []
                 for e in r.get("eis", []):
                     eis.append(EisCheck(
@@ -320,21 +370,6 @@ class Config:
                 node_map={int(k): int(v) for k, v in spec["nodes"].items()},
                 source_node=int(spec["source_node"]))
         return self._oracles[name]
-
-    # -- archimedean catalog -----------------------------------------------------
-
-    @property
-    def catalog(self) -> RecipeCatalog:
-        if self._catalog is None:
-            cat = RecipeCatalog()
-            for r in self.raw.get("arch", {}).get("recipes", []):
-                cat.add(MatrixRecipe(case=r["case"], word=tuple(r["word"]),
-                                     name=r["name"], tokens=parse_tokens(r["tokens"])))
-            self._catalog = cat
-        return self._catalog
-
-    def arch_checks(self) -> list[dict]:
-        return self.raw.get("arch", {}).get("recipes", [])
 
 
 def default_config_path() -> Path:

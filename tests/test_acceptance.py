@@ -206,14 +206,13 @@ def test_ac6_arch_patterns(cfg):
     ok &= {"v212", "v21212", "v1212", "v12-g2", "v12-d4", "v12432",
            "v32312"} <= names
     # intermediate witness of the split-case v12 computation
-    from exceis.archmult import BaseMatrix, diag_entries
+    from exceis.archmult import A1, A1_INV, diag_entries
     from exceis.exactnum import AffineForm
-    bm = BaseMatrix.standard()
-    col = [bm.a1[i][2] for i in range(3)]
+    col = [A1[i][2] for i in range(3)]
     d4 = [f.eval_at(5) for f in diag_entries(AffineForm(1, -1))]
     vals = [d * c for d, c in zip(d4, col)]
     ok &= vals == [12, 12, 6]
-    back = [sum(bm.a1_inv[i][k] * vals[k] for k in range(3)) for i in range(3)]
+    back = [sum(A1_INV[i][k] * vals[k] for k in range(3)) for i in range(3)]
     ok &= back == [6, 0, 0]
     _announce("AC6 archimedean multiplier patterns at s=5 (exact)", ok)
 

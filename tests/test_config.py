@@ -99,3 +99,164 @@ class TestStrictKeys:
         assert r.output == ("Error: unknown config key "
                             "cases.E7-siegel.tables[0].rows[1].lambda_prme\n")
         assert isinstance(r.exception, SystemExit)
+
+
+def _load_error(edit) -> str:
+    """The ConfigError message of the packaged config after edit(raw)."""
+    raw = copy.deepcopy(load_config().raw)
+    edit(raw)
+    with pytest.raises(ConfigError) as err:
+        Config(raw, "planted")
+    return str(err.value)
+
+
+def _recipe(raw, name: str) -> dict:
+    return next(r for r in raw["arch"]["recipes"] if r["name"] == name)
+
+
+def _first_recipe_row(raw) -> tuple[str, dict]:
+    """The dotted path and the map of the first row that names a recipe."""
+    for name, case in raw["cases"].items():
+        for ti, table in enumerate(case.get("tables", [])):
+            for ri, row in enumerate(table.get("rows", [])):
+                if (row.get("arch") or {}).get("recipe"):
+                    return f"cases.{name}.tables[{ti}].rows[{ri}]", row
+    raise AssertionError("no row names a recipe")
+
+
+class TestRecipesAtLoad:
+    """A broken arch recipe fails at load with its dotted path, never later
+    (a traceback, a wrong vector, or an error in the arch report only)."""
+
+    def test_packaged_recipes_parse_once(self):
+        cfg = load_config()
+        names = [r["name"] for r in cfg.raw["arch"]["recipes"]]
+        assert list(cfg.catalog.recipes) == names
+        v12432 = cfg.catalog.recipes["v12432"]
+        assert v12432.case == "GE-split" and v12432.word == (1, 2, 4, 3, 2)
+        assert v12432.text == "d(2s-5) A1i d(s-3) A1 d(s-2)^2 A1i d(s-1) A1 e3"
+        assert v12432.s0 == 5
+        assert v12432.value == ("0", "0", "0") and v12432.derivative == ("0", "0", "*")
+        assert cfg.catalog.recipes["v212"].derivative is None
+
+    def test_row_recipe_names_no_recipe(self):
+        def edit(raw):
+            _first_recipe_row(raw)[1]["arch"]["recipe"] = "v999"
+        path, _ = _first_recipe_row(load_config().raw)
+        assert _load_error(edit) == f"{path}.arch.recipe: v999 names no recipe"
+
+    def test_suffix_names_no_recipe(self):
+        def edit(raw):
+            _recipe(raw, "v21212")["tokens"] = "A1i d(s-4) A1 d(s-3)^3 @v999"
+        assert _load_error(edit) == ("arch.recipes[1].tokens: @v999 names no recipe "
+                                     "listed above")
+
+    def test_suffix_cycle(self):
+        """v212 -> v1212 -> v212: a suffix must be listed above, so the
+        cycle breaks at its first recipe."""
+        def edit(raw):
+            _recipe(raw, "v212")["tokens"] = "A1 d(s-3)^3 @v1212"
+        assert _load_error(edit) == ("arch.recipes[0].tokens: @v1212 names no recipe "
+                                     "listed above")
+
+    def test_suffix_names_itself(self):
+        def edit(raw):
+            _recipe(raw, "v212")["tokens"] = "A1 @v212"
+        assert _load_error(edit) == ("arch.recipes[0].tokens: @v212 names no recipe "
+                                     "listed above")
+
+    def test_duplicate_name(self):
+        def edit(raw):
+            _recipe(raw, "v12432")["name"] = "v212"
+        assert _load_error(edit) == ("arch.recipes[5].name: v212 names an earlier "
+                                     "recipe too")
+
+    @pytest.mark.parametrize("level", ["recipes", "unprinted"])
+    def test_case_not_configured(self, level):
+        def edit(raw):
+            raw["arch"][level][0]["case"] = "GE-feild"
+        assert _load_error(edit) == f"arch.{level}[0].case: GE-feild is not a configured case"
+
+    def test_case_alias_is_not_a_case(self):
+        def edit(raw):
+            raw["arch"]["recipes"][0]["case"] = "G2-field"
+        assert _load_error(edit) == ("arch.recipes[0].case: G2-field is not a configured "
+                                     "case")
+
+    @pytest.mark.parametrize("pattern", [["0", "0", "O"], ["0"], ["0", "0", "*", "*"],
+                                         [0, 0, "*"], "000"],
+                             ids=["typo", "short", "long", "unquoted", "string"])
+    def test_pattern_is_three_entries(self, pattern):
+        def edit(raw):
+            _recipe(raw, "v12432")["checks"]["derivative"] = pattern
+        assert _load_error(edit) == (f"arch.recipes[5].checks.derivative: {pattern!r} "
+                                     'is not three entries, each "0" or "*"')
+
+    def test_value_pattern_is_three_entries(self):
+        def edit(raw):
+            _recipe(raw, "v212")["checks"]["value"] = ["0", "0"]
+        assert _load_error(edit) == ("arch.recipes[0].checks.value: ['0', '0'] "
+                                     'is not three entries, each "0" or "*"')
+
+    def test_bad_tokens_and_s0(self):
+        def tokens(raw):
+            _recipe(raw, "v212")["tokens"] = "A1 d(s-1"
+        def s0(raw):
+            _recipe(raw, "v212")["checks"]["s0"] = "five"
+        assert _load_error(tokens) == "arch.recipes[0]: bad recipe token 'd(s-1'"
+        assert _load_error(s0).startswith("arch.recipes[0]: ")
+        assert "'five'" in _load_error(s0)
+
+    @pytest.mark.parametrize("old,new,args", [
+        ("arch: {recipe: v212}", "arch: {recipe: v999}", ["constant-term", "GE-field", "P1", "P1"]),
+        ('"A1i d(s-4) A1 d(s-3)^3 @v212"', '"A1i d(s-4) A1 d(s-3)^3 @v999"', ["modulus"]),
+        ('"A1i d(2s-5) A1 d(s-2)^3 A1i d(s-1) A1 e3"', '"A1 @v21212"', ["arch"]),
+    ], ids=["row-recipe", "suffix", "cycle"])
+    def test_cli_exits_1_at_load(self, text, tmp_path, old, new, args):
+        planted = tmp_path / "config.yaml"
+        assert text.count(old) == 1
+        planted.write_text(text.replace(old, new), encoding="utf-8")
+        raw = yaml.load(planted.read_text(encoding="utf-8"), Loader=yaml.CSafeLoader)
+        with pytest.raises(ConfigError) as err:
+            Config(raw, str(planted))
+        r = CliRunner().invoke(main, ["--config", str(planted), "--format", "json", *args])
+        assert r.exit_code == 1
+        assert r.output == f"Error: {err.value}\n"
+        assert isinstance(r.exception, SystemExit)
+
+
+# The first map of each level outside cases, and the keys it requires.
+ARCH_LEVELS = {
+    "recipes": (lambda raw: raw["arch"]["recipes"][0], "arch.recipes[0]",
+                ["case", "checks", "name", "tokens", "word"]),
+    "checks": (lambda raw: raw["arch"]["recipes"][0]["checks"], "arch.recipes[0].checks",
+               ["s0", "value"]),
+    "unprinted": (lambda raw: raw["arch"]["unprinted"][0], "arch.unprinted[0]",
+                  ["case", "claim", "name", "word"]),
+    "algebras": (lambda raw: raw["algebras"], "algebras", ["definite", "split"]),
+    "claims": (lambda raw: raw["claims"], "claims", ["count", "primes", "qxf_disc", "seed"]),
+}
+REQUIRED = [(level, key) for level, (_, _, keys) in ARCH_LEVELS.items() for key in keys]
+
+
+class TestStrictArchAndClaims:
+    @pytest.mark.parametrize("level", sorted(ARCH_LEVELS))
+    def test_unknown_key_names_its_path(self, level):
+        find, path, _ = ARCH_LEVELS[level]
+        assert _load_error(lambda raw: find(raw).update(bogus=1)) == \
+            f"unknown config key {path}.bogus"
+
+    @pytest.mark.parametrize("level,key", REQUIRED, ids=[f"{l}.{k}" for l, k in REQUIRED])
+    def test_missing_key_names_its_path(self, level, key):
+        find, path, _ = ARCH_LEVELS[level]
+        assert _load_error(lambda raw: find(raw).pop(key)) == f"missing config key {path}.{key}"
+
+    @pytest.mark.parametrize("key,first", [("algebras", "definite"), ("claims", "count")])
+    def test_missing_section(self, key, first):
+        """A section that is not there lacks its first required key."""
+        assert _load_error(lambda raw: raw.pop(key)) == f"missing config key {key}.{first}"
+
+    def test_optional_derivative(self):
+        raw = copy.deepcopy(load_config().raw)
+        del _recipe(raw, "v12432")["checks"]["derivative"]
+        assert Config(raw, "planted").catalog.recipes["v12432"].derivative is None
