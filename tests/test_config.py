@@ -1,5 +1,6 @@
 """The config loader: one libyaml parse, PyYAML's own parser only where
-PyYAML was built without libyaml, and strict keys at every level of a case."""
+PyYAML was built without libyaml, strict and required keys, and the arch
+recipes parsed once at load, with every broken recipe rejected there."""
 
 import copy
 
@@ -51,7 +52,9 @@ class TestLoader:
 
 def _first_map_of_each_level(raw) -> dict[str, tuple[str, dict]]:
     """The dotted path and the map of the first case, table, row, and row
-    eis, arch, order, intertwiner and pairings entry in the config."""
+    eis, arch, order, intertwiner and pairings entry in the config; of the
+    first arch recipe, its checks and the first unprinted claim; and of the
+    algebras and claims sections."""
     found: dict[str, tuple[str, dict]] = {}
     for name, case in raw["cases"].items():
         found.setdefault("case", (f"cases.{name}", case))
@@ -67,10 +70,22 @@ def _first_map_of_each_level(raw) -> dict[str, tuple[str, dict]]:
                 for key in ("eis", "pairings"):
                     for i, item in enumerate(row.get(key, [])):
                         found.setdefault(key, (f"{rpath}.{key}[{i}]", item))
+    recipe = raw["arch"]["recipes"][0]
+    found["recipes"] = ("arch.recipes[0]", recipe)
+    found["checks"] = ("arch.recipes[0].checks", recipe["checks"])
+    found["unprinted"] = ("arch.unprinted[0]", raw["arch"]["unprinted"][0])
+    for key in ("algebras", "claims"):
+        found[key] = (key, raw[key])
     return found
 
 
-LEVELS = ["case", "table", "row", "eis", "arch", "order", "intertwiner", "pairings"]
+LEVELS = ["case", "table", "row", "eis", "arch", "order", "intertwiner", "pairings",
+          "recipes", "checks", "unprinted", "algebras", "claims"]
+# The keys each level requires; a level not named requires none.
+REQUIRED = [(level, key) for level, keys in [
+    ("recipes", ["case", "checks", "name", "tokens", "word"]), ("checks", ["s0", "value"]),
+    ("unprinted", ["case", "claim", "name", "word"]), ("algebras", ["definite", "split"]),
+    ("claims", ["count", "primes", "qxf_disc", "seed"])] for key in keys]
 
 
 class TestStrictKeys:
@@ -145,25 +160,16 @@ class TestRecipesAtLoad:
         path, _ = _first_recipe_row(load_config().raw)
         assert _load_error(edit) == f"{path}.arch.recipe: v999 names no recipe"
 
-    def test_suffix_names_no_recipe(self):
+    @pytest.mark.parametrize("name,tokens,index,ref", [
+        ("v21212", "A1i d(s-4) A1 d(s-3)^3 @v999", 1, "v999"),
+        ("v212", "A1 d(s-3)^3 @v1212", 0, "v1212"),   # v212 -> v1212 -> v212
+        ("v212", "A1 @v212", 0, "v212"),
+    ], ids=["unknown", "cycle", "itself"])
+    def test_suffix_names_a_recipe_above(self, name, tokens, index, ref):
         def edit(raw):
-            _recipe(raw, "v21212")["tokens"] = "A1i d(s-4) A1 d(s-3)^3 @v999"
-        assert _load_error(edit) == ("arch.recipes[1].tokens: @v999 names no recipe "
-                                     "listed above")
-
-    def test_suffix_cycle(self):
-        """v212 -> v1212 -> v212: a suffix must be listed above, so the
-        cycle breaks at its first recipe."""
-        def edit(raw):
-            _recipe(raw, "v212")["tokens"] = "A1 d(s-3)^3 @v1212"
-        assert _load_error(edit) == ("arch.recipes[0].tokens: @v1212 names no recipe "
-                                     "listed above")
-
-    def test_suffix_names_itself(self):
-        def edit(raw):
-            _recipe(raw, "v212")["tokens"] = "A1 @v212"
-        assert _load_error(edit) == ("arch.recipes[0].tokens: @v212 names no recipe "
-                                     "listed above")
+            _recipe(raw, name)["tokens"] = tokens
+        assert _load_error(edit) == (f"arch.recipes[{index}].tokens: @{ref} names no "
+                                     "recipe listed above")
 
     def test_duplicate_name(self):
         def edit(raw):
@@ -171,31 +177,23 @@ class TestRecipesAtLoad:
         assert _load_error(edit) == ("arch.recipes[5].name: v212 names an earlier "
                                      "recipe too")
 
-    @pytest.mark.parametrize("level", ["recipes", "unprinted"])
-    def test_case_not_configured(self, level):
+    @pytest.mark.parametrize("level,case", [("recipes", "GE-feild"), ("unprinted", "GE-feild"),
+                                            ("recipes", "G2-field")],
+                             ids=["recipe", "unprinted", "alias"])
+    def test_case_not_configured(self, level, case):
         def edit(raw):
-            raw["arch"][level][0]["case"] = "GE-feild"
-        assert _load_error(edit) == f"arch.{level}[0].case: GE-feild is not a configured case"
+            raw["arch"][level][0]["case"] = case
+        assert _load_error(edit) == f"arch.{level}[0].case: {case} is not a configured case"
 
-    def test_case_alias_is_not_a_case(self):
+    @pytest.mark.parametrize("key,pattern", [
+        ("derivative", ["0", "0", "O"]), ("derivative", ["0"]),
+        ("derivative", ["0", "0", "*", "*"]), ("derivative", [0, 0, "*"]),
+        ("derivative", "000"), ("value", ["0", "0"]),
+    ], ids=["typo", "short", "long", "unquoted", "string", "short-value"])
+    def test_pattern_is_three_entries(self, key, pattern):
         def edit(raw):
-            raw["arch"]["recipes"][0]["case"] = "G2-field"
-        assert _load_error(edit) == ("arch.recipes[0].case: G2-field is not a configured "
-                                     "case")
-
-    @pytest.mark.parametrize("pattern", [["0", "0", "O"], ["0"], ["0", "0", "*", "*"],
-                                         [0, 0, "*"], "000"],
-                             ids=["typo", "short", "long", "unquoted", "string"])
-    def test_pattern_is_three_entries(self, pattern):
-        def edit(raw):
-            _recipe(raw, "v12432")["checks"]["derivative"] = pattern
-        assert _load_error(edit) == (f"arch.recipes[5].checks.derivative: {pattern!r} "
-                                     'is not three entries, each "0" or "*"')
-
-    def test_value_pattern_is_three_entries(self):
-        def edit(raw):
-            _recipe(raw, "v212")["checks"]["value"] = ["0", "0"]
-        assert _load_error(edit) == ("arch.recipes[0].checks.value: ['0', '0'] "
+            _recipe(raw, "v12432")["checks"][key] = pattern
+        assert _load_error(edit) == (f"arch.recipes[5].checks.{key}: {pattern!r} "
                                      'is not three entries, each "0" or "*"')
 
     def test_bad_tokens_and_s0(self):
@@ -225,31 +223,12 @@ class TestRecipesAtLoad:
         assert isinstance(r.exception, SystemExit)
 
 
-# The first map of each level outside cases, and the keys it requires.
-ARCH_LEVELS = {
-    "recipes": (lambda raw: raw["arch"]["recipes"][0], "arch.recipes[0]",
-                ["case", "checks", "name", "tokens", "word"]),
-    "checks": (lambda raw: raw["arch"]["recipes"][0]["checks"], "arch.recipes[0].checks",
-               ["s0", "value"]),
-    "unprinted": (lambda raw: raw["arch"]["unprinted"][0], "arch.unprinted[0]",
-                  ["case", "claim", "name", "word"]),
-    "algebras": (lambda raw: raw["algebras"], "algebras", ["definite", "split"]),
-    "claims": (lambda raw: raw["claims"], "claims", ["count", "primes", "qxf_disc", "seed"]),
-}
-REQUIRED = [(level, key) for level, (_, _, keys) in ARCH_LEVELS.items() for key in keys]
-
-
-class TestStrictArchAndClaims:
-    @pytest.mark.parametrize("level", sorted(ARCH_LEVELS))
-    def test_unknown_key_names_its_path(self, level):
-        find, path, _ = ARCH_LEVELS[level]
-        assert _load_error(lambda raw: find(raw).update(bogus=1)) == \
-            f"unknown config key {path}.bogus"
-
+class TestRequiredKeys:
     @pytest.mark.parametrize("level,key", REQUIRED, ids=[f"{l}.{k}" for l, k in REQUIRED])
     def test_missing_key_names_its_path(self, level, key):
-        find, path, _ = ARCH_LEVELS[level]
-        assert _load_error(lambda raw: find(raw).pop(key)) == f"missing config key {path}.{key}"
+        path, _ = _first_map_of_each_level(load_config().raw)[level]
+        assert _load_error(lambda raw: _first_map_of_each_level(raw)[level][1].pop(key)) \
+            == f"missing config key {path}.{key}"
 
     @pytest.mark.parametrize("key,first", [("algebras", "definite"), ("claims", "count")])
     def test_missing_section(self, key, first):
