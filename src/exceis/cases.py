@@ -152,8 +152,6 @@ def build_table_report(cfg: Config, case: CaseSpec, table: TableSpec,
             else:
                 alpha = system.simples[ec.root - 1]
                 form = lam_prime.printed_pairing(system, alpha)
-                if ec.scale is not None:
-                    form = lam_prime.pairing(system, alpha).scale(ec.scale)
             value = form.eval(s0)
             verdict = ConvergenceVerdict.compare(value, ec.threshold)
             ok = (verdict.status == ec.status) if with_expect else True

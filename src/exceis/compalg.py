@@ -53,8 +53,6 @@ class RationalScalars:
     makes a tuple.
     """
 
-    name = "Q"
-    characteristic = 0
     vec = staticmethod(tuple)
 
     @staticmethod
@@ -71,9 +69,6 @@ class RationalScalars:
         if x == 0:
             raise ZeroDivisionError("inverse of zero")
         return 1 / Fraction(x)
-
-    def sqrt(self, x) -> Fraction | None:
-        return _rational_sqrt(x)
 
     def scaled(self, mat: list, den: int) -> "ScaledMatrix":
         """mat/den with the common factor of den and every entry removed."""
@@ -98,8 +93,6 @@ class PrimeFieldScalars:
         if p < 3 or any(p % q == 0 for q in range(2, math.isqrt(p) + 1)):
             raise ValueError("need an odd prime")
         self.p = p
-        self.name = f"GF({p})"
-        self.characteristic = p
 
     def red(self, x) -> int:
         return x % self.p
@@ -120,9 +113,6 @@ class PrimeFieldScalars:
         if x == 0:
             raise ZeroDivisionError("inverse of zero")
         return pow(x, self.p - 2, self.p)
-
-    def sqrt(self, x) -> int | None:
-        return _prime_sqrt(x, self.p)
 
     def scaled(self, mat: list, den: int) -> "ScaledMatrix":
         """mat/den as one residue matrix over the denominator 1."""
@@ -234,10 +224,6 @@ class OctonionAlgebra:
     def mul(self, x, y) -> tuple:
         return self.scalars.vec(self._product(x, y))
 
-    def trace_of_product(self, x, y):
-        """tr(x y) without forming the product: 2 sum_i sq_sign_i x_i y_i."""
-        return self.scalars.red(2 * sum(sg * a * b for sg, a, b in zip(self.sq_sign, x, y)))
-
     def conj(self, x) -> tuple:
         return self.scalars.vec([x[0]] + [-c for c in x[1:]])
 
@@ -248,10 +234,6 @@ class OctonionAlgebra:
         prod = self.mul(x, self.conj(x))
         assert all(c == 0 for c in prod[1:]), "x x* is not scalar"
         return prod[0]
-
-    def bilinear(self, x, y):
-        """(x, y) = N(x+y) - N(x) - N(y)."""
-        return self.scalars.red(self.norm(self.add(x, y)) - self.norm(x) - self.norm(y))
 
     def trilinear(self, x1, x2, x3):
         """tr(x1 (x2 x3)); agrees with tr((x1 x2) x3) (tested, not assumed)."""
@@ -274,16 +256,10 @@ class OctonionAlgebra:
         return (self.scalars.of(0),) + tuple(self.scalars.randint(rng, lo, hi)
                                              for _ in range(7))
 
-    def unit_norm_element(self, rng: random.Random) -> tuple:
-        """A norm-1 element via the Cayley transform of a trace-0 u:
-        (1-u)(1+u)^{-1} = (1 - 2u - N(u)) / (1 + N(u))."""
-        num, den = self._cayley(rng)
-        inv = self.scalars.inv(den)
-        return self.scalars.vec([c * inv for c in num])
-
     def _cayley(self, rng: random.Random) -> tuple[tuple, int]:
-        """unit_norm_element as (numerator, denominator) with an integral
-        numerator 1 - 2u - N(u); its norm is checked as N(num) = den^2
+        """A norm-1 element (1-u)(1+u)^{-1} = (1 - 2u - N(u)) / (1 + N(u)),
+        the Cayley transform of a trace-0 u, as (numerator, denominator) with
+        an integral numerator; its norm is checked as N(num) = den^2
         (degree 2)."""
         ring = self.scalars
         while True:
@@ -295,10 +271,6 @@ class OctonionAlgebra:
         num = ring.vec([1 - n] + [-2 * c for c in u[1:]])
         assert self.norm(num) == ring.red(den * den)
         return num, den
-
-
-def definite_octonions(gammas=(-1, -1, -1)) -> OctonionAlgebra:
-    return OctonionAlgebra(RationalScalars(), gammas, "definite")
 
 
 def split_octonions(scalars=None, gammas=(-1, -1, 1)) -> OctonionAlgebra:
@@ -469,26 +441,15 @@ class JordanAlgebra:
         return self.scalars.red(val)
 
 
-def rank_one_sample(jalg: JordanAlgebra, rng: random.Random,
-                    max_attempts: int = 200) -> JordanElement:
-    """A pseudorandom rank-one element, produced as y# for y of rank two.
-
-    N(y) is affine in c1 once the other coordinates are fixed, so c1 can be
-    solved for to force N(y) = 0; then (y#)# = N(y) y = 0 while y# != 0.
-    The draw and its checks run on the integer representative of
-    rank_one_rep; this returns y# = Z/d^2 itself.
-    """
-    _, y, d = rank_one_rep(jalg, rng, max_attempts)
-    return jalg.sharp(jalg.element([Fraction(v, d) for v in y.c],
-                                   [[Fraction(v, d) for v in x] for x in y.x]))
-
-
 def rank_one_rep(jalg: JordanAlgebra, rng: random.Random,
                  max_attempts: int = 200) -> tuple[JordanElement, JordanElement, int]:
-    """(Z, Y, d) for the rank_one_sample drawn from rng: Y = d y is the
-    integral rank-two element, d = dN/dc1 its cleared denominator, and
-    Z = Y# = d^2 y# the rank-one sample.  The checks N(Y) = 0 (degree 3),
-    Z != 0 (degree 2) and Z# = 0 (degree 4) have the verdicts they have on y."""
+    """(Z, Y, d) for a pseudorandom rank-one sample Z = Y# drawn from rng.
+
+    Y = d y is an integral rank-two element: N(y) is affine in c1 once the
+    other coordinates are fixed, so c1 is solved for to force N(y) = 0, and
+    d = dN/dc1 is its cleared denominator.  Then Z# = N(Y) Y = 0 while
+    Z = d^2 y# != 0.  The checks N(Y) = 0 (degree 3), Z != 0 (degree 2) and
+    Z# = 0 (degree 4) have the verdicts they have on y."""
     o = jalg.oct
     for _ in range(max_attempts):
         y = jalg.random(rng)
@@ -680,18 +641,10 @@ def we_part_is_zero(we_part) -> bool:
 # scalar ring's ``scaled`` normalises each pair (over a prime field the
 # denominator is 1 and entries are residues mod p).
 
-Matrix8 = tuple[tuple, ...]
-
-
 @dataclass
 class ScaledMatrix:
     mat: list            # square list of int rows (8x8 for triality)
     den: int
-
-    def rational(self) -> Matrix8:
-        if self.den == 1:
-            return tuple(tuple(row) for row in self.mat)
-        return tuple(tuple(Fraction(v, self.den) for v in row) for row in self.mat)
 
 
 def _smat_mul(ring, a: ScaledMatrix, b: ScaledMatrix) -> ScaledMatrix:
@@ -845,117 +798,6 @@ def triality_verify(o: OctonionAlgebra, triple: TrialityTriple) -> bool:
     for (j, k), (m, sg) in o.table.items():
         got[m][8 * j + k] -= 2 * sg * o.sq_sign[m] * dall
     return not any(any(vec(row)) for row in got)
-
-
-class QuadraticExtensionRequired(ValueError):
-    """A constructive move needs a square root the base field lacks."""
-
-
-def _rational_sqrt(q) -> Fraction | None:
-    q = Fraction(q)
-    if q < 0:
-        return None
-    a, b = math.isqrt(q.numerator), math.isqrt(q.denominator)
-    if a * a == q.numerator and b * b == q.denominator:
-        return Fraction(a, b)
-    return None
-
-
-def _prime_sqrt(a: int, p: int) -> int | None:
-    a %= p
-    if a == 0:
-        return 0
-    if pow(a, (p - 1) // 2, p) != 1:
-        return None
-    # Tonelli-Shanks
-    if p % 4 == 3:
-        return pow(a, (p + 1) // 4, p)
-    q, s = p - 1, 0
-    while q % 2 == 0:
-        q //= 2
-        s += 1
-    z = 2
-    while pow(z, (p - 1) // 2, p) != p - 1:
-        z += 1
-    m, c, t, r = s, pow(z, q, p), pow(a, q, p), pow(a, (q + 1) // 2, p)
-    while t != 1:
-        i, tt = 0, t
-        while tt != 1:
-            tt = tt * tt % p
-            i += 1
-        b = pow(c, 1 << (m - i - 1), p)
-        m, c = i, b * b % p
-        t, r = t * c % p, r * b % p
-    return r
-
-
-def norm_transitivity_move(o: OctonionAlgebra, x, y,
-                           rng: random.Random | None = None) -> TrialityTriple:
-    """A triality triple whose first (unhatted) component sends x to y.
-
-    Needs N(x) = N(y) != 0.  Built from at most two reflections per the
-    constructive recipe: s_{x-y} after a reflection fixing x, or the
-    two-step route through -y.  The generator pair must be rescaled so the
-    norm product is 1; when the required square root does not exist in the
-    base field the move raises QuadraticExtensionRequired rather than
-    approximating.
-    """
-    ring = o.scalars
-    nx, ny = o.norm(x), o.norm(y)
-    if nx != ny or nx == 0:
-        raise ValueError("move needs equal nonzero norms")
-    rng = rng or random.Random(0)
-    candidates: list[list] = []
-    diff = ring.vec([a - b for a, b in zip(x, y)])
-    if not o.is_zero(diff) and o.norm(diff) != 0:
-        # companions fixing x: small vectors orthogonal to x, then random
-        # projections (orthogonality makes the extra reflection fix x)
-        from itertools import combinations
-        small = []
-        for i in range(8):
-            for s in (1, -1):
-                v = [0] * 8
-                v[i] = s
-                small.append(o.of_coords(v))
-        for i, j in combinations(range(8), 2):
-            for si in (1, -1):
-                for sj in (1, -1):
-                    v = [0] * 8
-                    v[i], v[j] = si, sj
-                    small.append(o.of_coords(v))
-        for b in small:
-            if o.bilinear(b, x) == 0 and o.norm(b) != 0:
-                candidates.append([(diff, b)])
-        for _ in range(40):
-            b = o.random(rng, -2, 2)
-            coeff = o.bilinear(b, x)
-            # project away the x-component: b - ((b,x)/2N(x)) x
-            twon = 2 * nx
-            b = ring.vec([bi * twon - coeff * xi for bi, xi in zip(b, x)])
-            if not o.is_zero(b) and o.norm(b) != 0:
-                candidates.append([(diff, b)])
-    ssum = o.add(x, y)
-    if not o.is_zero(ssum) and o.norm(ssum) != 0:
-        candidates.append([(y, ssum)])
-    last = None
-    for pairs in candidates:
-        prod = ring.of(1)
-        for a, b in pairs:
-            prod = ring.red(prod * o.norm(a) * o.norm(b))
-        mu = ring.sqrt(ring.inv(prod))  # mu^2 * prod = 1
-        if mu is None:
-            last = QuadraticExtensionRequired(
-                f"norm product {prod} has no inverse square root in {ring.name}")
-            continue
-        (a0, b0), rest = pairs[0], pairs[1:]
-        scaled = [(o.scale(mu, a0), b0)] + rest
-        triple = triality_triple(o, scaled)
-        # confirm the move on the cleared-denominator matrix
-        mat, den = triple.raw_t1.mat, triple.raw_t1.den
-        if not any(ring.vec([sum(a * b for a, b in zip(row, x)) - den * yi
-                             for row, yi in zip(mat, y)])):
-            return triple
-    raise last or QuadraticExtensionRequired("no admissible reflection route found")
 
 
 def random_triality_pairs(o: OctonionAlgebra, rng: random.Random,

@@ -33,7 +33,6 @@ class EisCheck:
     threshold: Fraction
     status: str
     root: int | None = None
-    scale: Fraction | None = None       # override of the system print scale
     functional: tuple[Fraction, ...] | None = None
     printed: bool = True
 
@@ -125,15 +124,20 @@ def _parse_affine(x) -> AffineForm:
 
 
 # The keys each level may carry; a key that names a level is checked there.
+# The top level is checked alone: each case is checked as it is parsed, and
+# the arch section is the level arch-section, since a row's arch is "arch".
 # lambda_abs is read by nothing in src/ (tests/test_eiscalc.py has a copy).
 _KEYS = {
+    "top": {"version", "systems", "oracles", "cases", "modulus_checks", "arch",
+            "algebras", "claims"},
+    "arch-section": {"recipes", "unprinted"},
     "cases": {"system", "source", "s0", "kind", "lambda_printed", "lambda_abs",
               "etale_variant", "oracle", "tables", "aliases"},
     "tables": {"target", "kind", "rows"},
     "rows": {"word", "action", "assoc", "trace", "lambda_prime", "pairings", "eis",
              "intertwiner", "cfunction", "cfunction_arch", "order", "arch",
              "conclusion", "external", "note"},
-    "eis": {"threshold", "status", "root", "scale", "functional", "printed"},
+    "eis": {"threshold", "status", "root", "functional", "printed"},
     "arch": {"recipe", "stated", "min_vanishing_order"},
     "order": {"total", "symbols"},
     "intertwiner": {"local", "global"},
@@ -144,33 +148,50 @@ _KEYS = {
     "algebras": {"definite", "split"},
     "claims": {"count", "seed", "primes", "qxf_disc"},
 }
-# The keys a level must carry: all of them, but for checks.derivative.
-_REQUIRED = {"checks": {"s0", "value"},
+# The keys a level must carry: those a case and its tables, rows and row
+# entries are parsed by, and all keys of the arch entries, algebras and
+# claims, but checks.derivative.
+_REQUIRED = {"cases": {"system", "source", "s0"}, "tables": {"target"}, "rows": {"word"},
+             "eis": {"threshold", "status"}, "order": {"total"},
+             "pairings": {"root", "expect"}, "checks": {"s0", "value"},
              **{k: _KEYS[k] for k in ("recipes", "unprinted", "algebras", "claims")}}
+# The levels that are lists of maps; every other level is one map.
+_LISTS = {"tables", "rows", "eis", "pairings", "recipes", "unprinted"}
 
 
-def _check_keys(level: str, spec: dict, path: str) -> None:
-    """Raise ConfigError, with its dotted path, on the first key that its
-    level requires and lacks or does not allow; a list under a key is checked
-    item by item."""
+def _check_map(level: str, spec, path: str) -> None:
+    """Raise ConfigError, with its dotted path, unless spec is a map that
+    carries every key its level requires and no key it does not allow."""
+    if not isinstance(spec, dict):
+        raise ConfigError(f"{path or 'config'}: expected a map")
+    at = f"{path}." if path else ""
     missing = sorted(_REQUIRED.get(level, set()) - spec.keys())
     if missing:
-        raise ConfigError(f"missing config key {path}.{missing[0]}")
-    for key, value in spec.items():
+        raise ConfigError(f"missing config key {at}{missing[0]}")
+    for key in spec:
         if key not in _KEYS[level]:
-            raise ConfigError(f"unknown config key {path}.{key}")
-        if key in _KEYS:
-            many = isinstance(value, list)
-            for i, item in enumerate(value if many else [value]):
-                _check_keys(key, item or {}, f"{path}.{key}" + (f"[{i}]" if many else ""))
+            raise ConfigError(f"unknown config key {at}{key}")
+
+
+def _check_keys(level: str, spec, path: str) -> None:
+    """_check_map on spec and on every level below it; a list level is
+    checked item by item."""
+    _check_map(level, spec, path)
+    for key, value in spec.items():
+        if key in _LISTS:
+            if not isinstance(value, list):
+                raise ConfigError(f"{path}.{key}: expected a list")
+            for i, item in enumerate(value):
+                _check_keys(key, item, f"{path}.{key}[{i}]")
+        elif key in _KEYS:
+            _check_keys(key, value, f"{path}.{key}")
 
 
 def _arch_entries(arch: dict, level: str, cases: dict):
     """The arch section's recipes or unprinted claims with their dotted
-    paths, each with checked keys and naming a configured case."""
+    paths, each naming a configured case."""
     for i, spec in enumerate(arch.get(level, [])):
         path = f"arch.{level}[{i}]"
-        _check_keys(level, spec, path)
         if spec["case"] not in cases:
             raise ConfigError(f"{path}.case: {spec['case']} is not a configured case")
         yield path, spec
@@ -208,6 +229,7 @@ def _parse_recipes(arch: dict, cases: dict) -> dict[str, MatrixRecipe]:
 
 class Config:
     def __init__(self, raw: dict, source: str):
+        _check_map("top", raw, "")
         if raw.get("version") != CONFIG_VERSION:
             raise ConfigError(f"config version {raw.get('version')} != {CONFIG_VERSION}")
         self.source = source
@@ -218,7 +240,8 @@ class Config:
         for name, spec in raw["systems"].items():
             for alias in spec.get("aliases", []):
                 self.system_aliases[alias] = name
-        arch = raw.get("arch", {})
+        arch = raw.get("arch") or {}
+        _check_keys("arch-section", arch, "arch")
         self.catalog = RecipeCatalog(_parse_recipes(arch, raw["cases"]))
         self.unprinted_arch = [UnprintedArch(u["case"], tuple(u["word"]), u["name"], u["claim"])
                                for _, u in _arch_entries(arch, "unprinted", raw["cases"])]
@@ -309,7 +332,6 @@ class Config:
                     eis.append(EisCheck(
                         threshold=_fr(e["threshold"]), status=e["status"],
                         root=e.get("root"),
-                        scale=_fr(e["scale"]) if "scale" in e else None,
                         functional=tuple(_fr(x) for x in e["functional"])
                         if "functional" in e else None,
                         printed=bool(e.get("printed", True))))

@@ -482,8 +482,8 @@ class AbsoluteOracle:
         self.restriction: dict[Vector, Vector | None] = {}
         self._build()
         # s * omega_{source node} - rho; multiplicities are all 1 here
-        self._lambda_abs = CoordVector(self.fundamental_weight(source_node),
-                                       smul(Fraction(-1), absolute.rho_weighted()))
+        self.lambda_abs = CoordVector(self.fundamental_weight(source_node),
+                                      smul(Fraction(-1), absolute.rho_weighted()))
 
     def _build(self):
         n = self.absolute.rank
@@ -517,16 +517,12 @@ class AbsoluteOracle:
         rhs = [int(j + 1 == node) for j in range(sys.rank)]
         return sys.vector(solve([list(col) for col in zip(*sys.cartan)], rhs))
 
-    def lambda_abs(self) -> CoordVector:
-        """s * omega_{source node} - rho on the absolute side."""
-        return self._lambda_abs
-
     def gk_restricted(self, rational_word) -> ZetaProduct:
         """gk_cfunction over the absolute system for (a lift of) a rational
         Weyl element: the flipped set is the union of fibres over the
         rational inversion set."""
         flipped = set(self.rational.inversions(tuple(rational_word)))
-        return _gk_product(self.absolute, self._lambda_abs,
+        return _gk_product(self.absolute, self.lambda_abs,
                            [r for r in self.absolute.positives if self.restriction[r] in flipped])
 
 

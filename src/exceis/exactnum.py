@@ -247,11 +247,6 @@ class AffineForm:
     def as_poly(self) -> Poly:
         return Poly([self.intercept, self.slope])
 
-    def normalized_sign(self) -> "AffineForm":
-        """The form with positive leading coefficient (for sign-insensitive matching)."""
-        lead = self.slope if self.slope != 0 else self.intercept
-        return self if lead >= 0 else -self
-
     def __eq__(self, other) -> bool:
         return (isinstance(other, AffineForm)
                 and self.slope == other.slope and self.intercept == other.intercept)

@@ -103,7 +103,6 @@ class RootSystem:
             raise ValueError(f"{name}: simple roots do not form a simple system")
         self._pos_idx = [k for k, p in enumerate(self._positive) if p]
         self.positives: list[Vector] = [self.roots[k] for k in self._pos_idx]
-        self._pos_set: set[Vector] = set(self.positives)
         self._simple_idx = [index[tuple(int(i == j) for j in range(self.rank))]
                             for i in range(self.rank)]
         self._reflections = [tuple(index[self._reflect_coords(i, c)] for c in coords)
@@ -153,9 +152,6 @@ class RootSystem:
         """Coordinates of a root in the simple-root basis."""
         return self._coords[root]
 
-    def is_positive_root(self, v: Vector) -> bool:
-        return v in self._pos_set
-
     # ----- multiplicities and characters ---------------------------------
 
     def multiplicity(self, root: Vector) -> int:
@@ -164,19 +160,6 @@ class RootSystem:
     def rho_weighted(self) -> Vector:
         """Half the multiplicity-weighted sum of positive roots."""
         return self._rho
-
-    def weyl_order(self) -> int:
-        """|W| from the height partition of the positive roots.
-
-        The partition of Phi+ by height is conjugate to the partition given
-        by the exponents, and |W| is the product of (exponent + 1).
-        """
-        heights = [sum(self._coord_list[k]) for k in self._pos_idx]
-        counts = [heights.count(h) for h in range(1, max(heights) + 1)]
-        order = 1
-        for k in range(1, self.rank + 1):
-            order *= 1 + sum(1 for c in counts if c >= k)
-        return order
 
     # ----- words and group elements -------------------------------------
 
@@ -236,9 +219,6 @@ class RootSystem:
     def radical_roots(self, p: ParabolicSpec) -> list[Vector]:
         """Positive roots in the unipotent radical of P."""
         return [self.roots[k] for k in self._radical(p)]
-
-    def levi_positive_count(self, p: ParabolicSpec) -> int:
-        return len(self.positives) - len(self.radical_roots(p))
 
     def modulus_exponent(self, p: ParabolicSpec) -> Fraction:
         """Exponent s_P with delta_P = |nu|^{s_P}, for maximal P.
@@ -320,15 +300,6 @@ class RootSystem:
             self._census_cache[key] = [w for w in self.coset_reps(right)
                                        if self.in_left_set(w, left)]
         return self._census_cache[key]
-
-    def longest_rep(self, right: ParabolicSpec) -> Word:
-        """The unique maximal-length element of [W/W_M]."""
-        reps = self.coset_reps(right)
-        top = len(reps[-1])
-        longest = [w for w in reps if len(w) == top]
-        if len(longest) != 1:
-            raise ValueError("[W/W_M] has no unique longest element?")
-        return longest[0]
 
     def associated_simple_roots(self, word: Sequence[int],
                                 left: ParabolicSpec, source: ParabolicSpec) -> tuple[int, ...]:

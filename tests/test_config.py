@@ -53,8 +53,8 @@ class TestLoader:
 def _first_map_of_each_level(raw) -> dict[str, tuple[str, dict]]:
     """The dotted path and the map of the first case, table, row, and row
     eis, arch, order, intertwiner and pairings entry in the config; of the
-    first arch recipe, its checks and the first unprinted claim; and of the
-    algebras and claims sections."""
+    arch section, its first recipe, that recipe's checks and the first
+    unprinted claim; and of the algebras and claims sections."""
     found: dict[str, tuple[str, dict]] = {}
     for name, case in raw["cases"].items():
         found.setdefault("case", (f"cases.{name}", case))
@@ -70,6 +70,7 @@ def _first_map_of_each_level(raw) -> dict[str, tuple[str, dict]]:
                 for key in ("eis", "pairings"):
                     for i, item in enumerate(row.get(key, [])):
                         found.setdefault(key, (f"{rpath}.{key}[{i}]", item))
+    found["arch-section"] = ("arch", raw["arch"])
     recipe = raw["arch"]["recipes"][0]
     found["recipes"] = ("arch.recipes[0]", recipe)
     found["checks"] = ("arch.recipes[0].checks", recipe["checks"])
@@ -80,9 +81,14 @@ def _first_map_of_each_level(raw) -> dict[str, tuple[str, dict]]:
 
 
 LEVELS = ["case", "table", "row", "eis", "arch", "order", "intertwiner", "pairings",
-          "recipes", "checks", "unprinted", "algebras", "claims"]
+          "recipes", "checks", "unprinted", "algebras", "claims", "arch-section"]
+# A planted key per level, and eis.scale, a key the loader no longer reads.
+UNKNOWN = [pytest.param(level, "bogus", id=level) for level in LEVELS] + [
+    pytest.param("eis", "scale", id="eis.scale")]
 # The keys each level requires; a level not named requires none.
 REQUIRED = [(level, key) for level, keys in [
+    ("case", ["s0", "source", "system"]), ("table", ["target"]), ("row", ["word"]),
+    ("eis", ["status", "threshold"]), ("order", ["total"]), ("pairings", ["expect", "root"]),
     ("recipes", ["case", "checks", "name", "tokens", "word"]), ("checks", ["s0", "value"]),
     ("unprinted", ["case", "claim", "name", "word"]), ("algebras", ["definite", "split"]),
     ("claims", ["count", "primes", "qxf_disc", "seed"])] for key in keys]
@@ -92,14 +98,17 @@ class TestStrictKeys:
     def test_packaged_config_reaches_every_level(self):
         assert sorted(_first_map_of_each_level(load_config().raw)) == sorted(LEVELS)
 
-    @pytest.mark.parametrize("level", LEVELS)
-    def test_unknown_key_names_its_path(self, level):
+    @pytest.mark.parametrize("level,key", UNKNOWN)
+    def test_unknown_key_names_its_path(self, level, key):
         raw = copy.deepcopy(load_config().raw)
         path, spec = _first_map_of_each_level(raw)[level]
-        spec["bogus"] = 1
+        spec[key] = 1
         with pytest.raises(ConfigError) as err:
             Config(raw, "planted")
-        assert str(err.value) == f"unknown config key {path}.bogus"
+        assert str(err.value) == f"unknown config key {path}.{key}"
+
+    def test_unknown_top_level_key(self):
+        assert _load_error(lambda raw: raw.update(bogus=1)) == "unknown config key bogus"
 
     def test_misspelled_row_key_fails_at_load(self, text, tmp_path):
         """The rename that once passed silently: E7-siegel's first
@@ -239,3 +248,54 @@ class TestRequiredKeys:
         raw = copy.deepcopy(load_config().raw)
         del _recipe(raw, "v12432")["checks"]["derivative"]
         assert Config(raw, "planted").catalog.recipes["v12432"].derivative is None
+
+
+def _first_row(raw) -> dict:
+    return raw["cases"]["D5-line"]["tables"][0]["rows"][0]
+
+
+class TestShapeAtLoad:
+    """An entry that is not a map, a list level that is not a list, and a
+    misspelled section fail at load with their dotted path."""
+
+    @pytest.mark.parametrize("edit,message", [
+        (lambda raw: _recipe(raw, "v212").update(checks=["5"]),
+         "arch.recipes[0].checks: expected a map"),
+        (lambda raw: raw["arch"]["unprinted"].append("v9"), "arch.unprinted[11]: expected a map"),
+        (lambda raw: _first_row(raw).update(order=3),
+         "cases.D5-line.tables[0].rows[0].order: expected a map"),
+        (lambda raw: _first_row(raw).update(eis={"threshold": "1", "status": "Converges"}),
+         "cases.D5-line.tables[0].rows[0].eis: expected a list"),
+        (lambda raw: raw.update(arch=["recipes"]), "arch: expected a map"),
+    ], ids=["checks", "unprinted", "order", "eis", "arch"])
+    def test_entry_shape(self, edit, message):
+        assert _load_error(edit) == message
+
+    def test_config_not_a_map(self):
+        with pytest.raises(ConfigError) as err:
+            Config(["version", 1], "planted")
+        assert str(err.value) == "config: expected a map"
+
+    @pytest.mark.parametrize("edit,args,message", [
+        (lambda raw: raw["arch"].update(unprintd=raw["arch"].pop("unprinted")), ["arch"],
+         "unknown config key arch.unprintd"),
+        (lambda raw: raw.update(bogus=1), ["modulus"], "unknown config key bogus"),
+        (lambda raw: _recipe(raw, "v212").update(checks=["5"]), ["modulus"],
+         "arch.recipes[0].checks: expected a map"),
+        (lambda raw: _recipe(raw, "v212").update(checks=["5"]), ["arch"],
+         "arch.recipes[0].checks: expected a map"),
+        (lambda raw: _first_row(raw).pop("word"), ["modulus"],
+         "missing config key cases.D5-line.tables[0].rows[0].word"),
+        (lambda raw: _first_row(raw).pop("word"), ["constant-term", "D5-line", "P1", "P1"],
+         "missing config key cases.D5-line.tables[0].rows[0].word"),
+    ], ids=["unprintd", "top-level", "checks-modulus", "checks-arch", "word-modulus",
+            "word-constant-term"])
+    def test_cli_exits_1_at_load(self, tmp_path, edit, args, message):
+        raw = copy.deepcopy(load_config().raw)
+        edit(raw)
+        planted = tmp_path / "config.yaml"
+        planted.write_text(yaml.safe_dump(raw), encoding="utf-8")
+        r = CliRunner().invoke(main, ["--config", str(planted), "--format", "json", *args])
+        assert r.exit_code == 1
+        assert r.output == f"Error: {message}\n"
+        assert isinstance(r.exception, SystemExit)

@@ -173,11 +173,11 @@ class TestGK:
     def test_identity_is_one(self, cfg):
         d5 = cfg.system("D5abs")
         oracle = cfg.oracle("D5")
-        assert gk_cfunction(d5, oracle.lambda_abs(), ()) == ZetaProduct.one()
+        assert gk_cfunction(d5, oracle.lambda_abs, ()) == ZetaProduct.one()
 
     def test_d5_printed_form(self, cfg):
         oracle = cfg.oracle("D5")
-        assert [str(e) for e in oracle.lambda_abs().entries()] \
+        assert [str(e) for e in oracle.lambda_abs.entries()] \
             == ["s-4", "-3", "-2", "-1", "0"]
         got = oracle.gk_restricted((1,))
         want = ZetaProduct.parse(["zeta(s-4)", "zeta(s-7)",
@@ -192,7 +192,7 @@ class TestGK:
     def test_cocycle_property(self, cfg):
         # gk(w1 w2) = gk(w1, w2 lam) * gk(w2, lam) when lengths add
         d5 = cfg.system("D5abs")
-        lam = cfg.oracle("D5").lambda_abs()
+        lam = cfg.oracle("D5").lambda_abs
         w1, w2 = (1, 2), (3, 4, 5, 4, 3, 2, 1)
         w = w1 + w2
         assert d5.length(w) == d5.length(w1) + d5.length(w2)

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from compalg_reference import bilinear, rank_one_sample, rational
 from exceis import compalg, suites
 from exceis.config import load_config
 from exceis.exactnum import solve
@@ -83,7 +84,7 @@ class TestRankOne:
     @given(seed=seeds)
     def test_representative_gives_the_sample_verdict(self, jalg, etales, seed):
         big_z, y, d = compalg.rank_one_rep(jalg, random.Random(seed))
-        z = compalg.rank_one_sample(jalg, random.Random(seed))
+        z = rank_one_sample(jalg, random.Random(seed))
         assert all(isinstance(v, int) for v in jalg.coords(big_z) + jalg.coords(y))
         assert jalg.scale(d * d, z) == big_z
         assert self._verdicts(jalg, etales, big_z) == self._verdicts(jalg, etales, z)
@@ -180,7 +181,7 @@ def _rational_verify(o, triple) -> bool:
     """triality_verify from its definition, on the Fraction matrices:
     t1(xy) = t2(x) t3(y), (g(x), g(y)) = (x, y) for each component, and
     tr(g1(x) (t2(y) t3(z))) = tr(x (yz)), all on basis vectors."""
-    mats = [m.rational() for m in (triple.g1, triple.raw_t1, triple.g2, triple.g3)]
+    mats = [rational(m) for m in (triple.g1, triple.raw_t1, triple.g2, triple.g3)]
     g1, t1, t2, t3 = ([tuple(row[i] for row in m) for i in range(8)] for m in mats)
     e = [o.basis(k) for k in range(8)]
 
@@ -195,7 +196,7 @@ def _rational_verify(o, triple) -> bool:
     for g in (g1, t2, t3):
         for i in range(8):
             for j in range(i, 8):
-                if o.bilinear(g[i], g[j]) != o.bilinear(e[i], e[j]):
+                if bilinear(o, g[i], g[j]) != bilinear(o, e[i], e[j]):
                     return False
     for c in range(8):
         for j in range(8):

@@ -6,13 +6,19 @@ each simple reflection as the matrix I - 2 a a^T / (a, a), a word as the
 product of its letters' matrices, and the whole group by a breadth-first
 search over matrices.  The differential tests compare the integer kernel,
 and `RootSystem.word_matrix`, against it.
+
+It also holds the root-system facts that only the tests use: positivity of
+a vector, |W| from the heights of the positive roots, the size of a Levi's
+positive system, the longest minimal coset representative, and the sign
+normalisation of an affine pairing.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from exceis.rootsys import Matrix, Vector, dot
+from exceis.exactnum import AffineForm
+from exceis.rootsys import Matrix, ParabolicSpec, Vector, Word, dot
 
 
 def mat_vec(m: Matrix, v: Vector) -> Vector:
@@ -62,3 +68,41 @@ def enumerate_group(sys, max_order: int = 2000) -> dict[Matrix, tuple[int, ...]]
                         raise ValueError("group larger than the oracle bound")
         frontier = new
     return seen
+
+
+def is_positive_root(sys, v: Vector) -> bool:
+    return v in sys.positives
+
+
+def weyl_order(sys) -> int:
+    """|W| from the height partition of the positive roots.
+
+    The partition of Phi+ by height is conjugate to the partition given
+    by the exponents, and |W| is the product of (exponent + 1).
+    """
+    heights = [sum(sys.coords(r)) for r in sys.positives]
+    counts = [heights.count(h) for h in range(1, max(heights) + 1)]
+    order = 1
+    for k in range(1, sys.rank + 1):
+        order *= 1 + sum(1 for c in counts if c >= k)
+    return order
+
+
+def levi_positive_count(sys, p: ParabolicSpec) -> int:
+    return len(sys.positives) - len(sys.radical_roots(p))
+
+
+def longest_rep(sys, right: ParabolicSpec) -> Word:
+    """The unique maximal-length element of [W/W_M]."""
+    reps = sys.coset_reps(right)
+    top = len(reps[-1])
+    longest = [w for w in reps if len(w) == top]
+    if len(longest) != 1:
+        raise ValueError("[W/W_M] has no unique longest element?")
+    return longest[0]
+
+
+def normalized_sign(form: AffineForm) -> AffineForm:
+    """The form with positive leading coefficient (for sign-insensitive matching)."""
+    lead = form.slope if form.slope != 0 else form.intercept
+    return form if lead >= 0 else -form
