@@ -68,8 +68,9 @@ def parse_tokens(text: str) -> tuple[Token, ...]:
 
 @dataclass(frozen=True)
 class MatrixRecipe:
-    """One printed recipe, parsed at load: its printed text and tokens, and
-    the point and vanishing patterns ("0" or "*" per entry) it is checked at."""
+    """One printed recipe, parsed at load: its printed text and tokens, the
+    point and vanishing patterns ("0" or "*" per entry) it is checked at, and
+    the least vanishing order a row compares at its case's s0, if stated."""
 
     case: str
     word: tuple[int, ...]
@@ -79,6 +80,7 @@ class MatrixRecipe:
     s0: Fraction
     value: tuple[str, str, str]
     derivative: tuple[str, str, str] | None = None
+    min_vanishing_order: int | None = None
 
 
 class RecipeCatalog:

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .archmult import MatrixRecipe, pattern_check, vanishing_order
-from .config import CaseSpec, Config, RowSpec, TableSpec
+from .config import CaseSpec, Config, RowSpec, TableSpec, UnprintedArch
 from .eiscalc import (ConvergenceVerdict, CoordVector, ZetaProduct, apply_word,
                       intertwiner_verdict, order_report, rational_cfunction,
                       shifted_exponent)
@@ -50,7 +50,8 @@ def _verified(ok: bool) -> str:
 
 def _match_row_to_rep(system: RootSystem, row: RowSpec, reps: list[Word]) -> tuple[Word | None, Check]:
     """Identify the configured row (word or permutation action) with one of
-    the computed canonical representatives, as group elements."""
+    the computed canonical representatives, as group elements; a word must
+    be reduced, as long as its representative."""
     if row.action:
         def unit(i: int, sign: int = 1):
             return tuple(Fraction(sign * int(d == i - 1)) for d in range(system.dim))
@@ -62,7 +63,7 @@ def _match_row_to_rep(system: RootSystem, row: RowSpec, reps: list[Word]) -> tup
         return None, Check("census", False, f"no representative with the stated action")
     target = system.element(row.word)
     for w in reps:
-        if system.element(w) == target:
+        if len(w) == len(row.word) and system.element(w) == target:
             return w, Check("census", True,
                             f"word {list(row.word)} = representative {list(w)}")
     return None, Check("census", False,
@@ -203,24 +204,23 @@ def build_table_report(cfg: Config, case: CaseSpec, table: TableSpec,
         if iv.cfunction is not None:
             rec["cfunction"] = str(iv.cfunction.expanded())
 
-        # archimedean multiplier: the recipe's own verdict, and its vanishing
-        # order compared at the case's s0 only
-        if row.arch is None:
+        # archimedean multiplier: the arch section's claim on this word of the
+        # case, a recipe's own verdict and its vanishing order compared at the
+        # case's s0 only, or a claim stated without a recipe
+        claim = cfg.arch_claims.get((case.name, row.word))
+        if claim is None:
             return False
-        if not row.arch.recipe:
-            rec["arch"] = {"stated": row.arch.stated,
-                           "status": "unverified: recipe not printed"}
+        if isinstance(claim, UnprintedArch):
+            rec["arch"] = {"stated": claim.claim, "status": "unverified: recipe not printed"}
             return True
-        vec, pc = _recipe_verdict(cfg, cfg.catalog.recipes[row.arch.recipe])
-        rec["arch"] = {"recipe": row.arch.recipe, "ok": pc.ok, "ledger": pc.ledger}
-        checks.append(Check("arch_pattern", pc.ok,
-                            f"{row.arch.recipe}: " + "; ".join(pc.ledger)))
-        if with_expect and row.arch.min_vanishing_order is not None:
+        vec, pc = _recipe_verdict(cfg, claim)
+        rec["arch"] = {"recipe": claim.name, "ok": pc.ok, "ledger": pc.ledger}
+        checks.append(Check("arch_pattern", pc.ok, f"{claim.name}: " + "; ".join(pc.ledger)))
+        if with_expect and claim.min_vanishing_order is not None:
             vo = vanishing_order(vec, s0)
             rec["arch"]["vanishing_order"] = vo
-            checks.append(Check("arch_order", vo >= row.arch.min_vanishing_order,
-                                f"vanishing order {vo} >= "
-                                f"{row.arch.min_vanishing_order}"))
+            checks.append(Check("arch_order", vo >= claim.min_vanishing_order,
+                                f"vanishing order {vo} >= {claim.min_vanishing_order}"))
             if iv.global_order is not None:
                 rec["arch"]["net_order"] = iv.global_order + vo
         return False
@@ -236,18 +236,15 @@ def build_table_report(cfg: Config, case: CaseSpec, table: TableSpec,
             "external": list(row.external),
             "note": row.note,
         }
-        # a census row has nothing beyond its representative to recompute
-        unverified = False
-        if rep is not None and table.kind != "census":
-            unverified = (recompute(row, rep, rec, checks)
-                          or bool(row.external) or not with_expect)
+        unverified = rep is not None and (recompute(row, rep, rec, checks)
+                                          or bool(row.external) or not with_expect)
         rec["checks"] = [c.as_dict() for c in checks]
         rec["status"] = ("Mismatch" if not all(c.ok for c in checks)
                          else "UnverifiedExternal" if unverified else "Verified")
         rows.append(rec)
 
     return {
-        "kind": table.kind,
+        "kind": "constant-term",
         "case": case.name,
         "system": case.system,
         "source": case.source,
@@ -360,7 +357,7 @@ def oracle_report(cfg: Config) -> dict:
             continue
         system = cfg.system(case.system)
         rules = cfg.system_rules(case.system, case.etale_variant or "")
-        oracle = cfg.oracle(case.oracle)
+        oracle = cfg.oracle(case_name)
         lam = CoordVector.lambda_s(system)
         words = {tuple(r.word) for t in case.tables for r in t.rows}
         for w in sorted(words, key=lambda w: (len(w), w)):

@@ -44,13 +44,6 @@ class PairingCheck:
 
 
 @dataclass
-class ArchSpec:
-    recipe: str | None = None
-    stated: str | None = None           # claim made without a printed recipe
-    min_vanishing_order: int | None = None
-
-
-@dataclass
 class RowSpec:
     word: tuple[int, ...]
     assoc: tuple[int, ...] | None = None
@@ -65,7 +58,6 @@ class RowSpec:
     cfunction_arch: list[str] | None = None     # printed archimedean factors
     order_total: int | None = None
     order_symbols: dict[str, Fraction] | None = None
-    arch: ArchSpec | None = None
     conclusion: str = "Contributes"
     external: list[str] = field(default_factory=list)
     note: str = ""
@@ -74,7 +66,6 @@ class RowSpec:
 @dataclass
 class TableSpec:
     target: str
-    kind: str = "constant-term"       # or "census"
     rows: list[RowSpec] = field(default_factory=list)
 
 
@@ -84,10 +75,9 @@ class CaseSpec:
     system: str
     source: str
     s0: Fraction
-    kind: str                          # "value" | "residue"
     lambda_printed: list[AffineForm] | None
     etale_variant: str | None          # for zetaE/zetaF factors
-    oracle: str | None
+    oracle: dict | None                # the oracle map, built by Config.oracle
     tables: list[TableSpec]
     aliases: list[str] = field(default_factory=list)
 
@@ -123,40 +113,45 @@ def _parse_affine(x) -> AffineForm:
     return AffineForm.parse(str(x))
 
 
-# The keys each level may carry; a key that names a level is checked there.
-# The top level is checked alone: each case is checked as it is parsed, and
-# the arch section is the level arch-section, since a row's arch is "arch".
-# lambda_abs is read by nothing in src/ (tests/test_eiscalc.py has a copy).
+# The keys each level may carry; a key that names a level is checked there,
+# and so is each entry of a list level or of a map of named entries.
 _KEYS = {
-    "top": {"version", "systems", "oracles", "cases", "modulus_checks", "arch",
-            "algebras", "claims"},
-    "arch-section": {"recipes", "unprinted"},
-    "cases": {"system", "source", "s0", "kind", "lambda_printed", "lambda_abs",
-              "etale_variant", "oracle", "tables", "aliases"},
-    "tables": {"target", "kind", "rows"},
+    "top": {"version", "systems", "cases", "modulus_checks", "arch", "algebras", "claims"},
+    "systems": {"aliases", "simple_roots", "multiplicities", "print_scale", "nu",
+                "rho_weighted", "parabolics", "cblocks"},
+    "cases": {"system", "source", "s0", "lambda_printed", "etale_variant", "oracle",
+              "tables", "aliases"},
+    "oracle": {"absolute", "kernel", "nodes", "source_node", "lambda_abs"},
+    "tables": {"target", "rows"},
     "rows": {"word", "action", "assoc", "trace", "lambda_prime", "pairings", "eis",
-             "intertwiner", "cfunction", "cfunction_arch", "order", "arch",
-             "conclusion", "external", "note"},
+             "intertwiner", "cfunction", "cfunction_arch", "order", "conclusion",
+             "external", "note"},
     "eis": {"threshold", "status", "root", "functional", "printed"},
-    "arch": {"recipe", "stated", "min_vanishing_order"},
     "order": {"total", "symbols"},
     "intertwiner": {"local", "global"},
     "pairings": {"root", "expect"},
-    "recipes": {"name", "case", "word", "tokens", "checks"},
+    "modulus_checks": {"system", "parabolic", "expect"},
+    "arch": {"recipes", "unprinted"},
+    "recipes": {"name", "case", "word", "tokens", "checks", "min_vanishing_order"},
     "checks": {"s0", "value", "derivative"},
     "unprinted": {"case", "word", "name", "claim"},
     "algebras": {"definite", "split"},
     "claims": {"count", "seed", "primes", "qxf_disc"},
 }
-# The keys a level must carry: those a case and its tables, rows and row
-# entries are parsed by, and all keys of the arch entries, algebras and
-# claims, but checks.derivative.
-_REQUIRED = {"cases": {"system", "source", "s0"}, "tables": {"target"}, "rows": {"word"},
-             "eis": {"threshold", "status"}, "order": {"total"},
-             "pairings": {"root", "expect"}, "checks": {"s0", "value"},
-             **{k: _KEYS[k] for k in ("recipes", "unprinted", "algebras", "claims")}}
-# The levels that are lists of maps; every other level is one map.
-_LISTS = {"tables", "rows", "eis", "pairings", "recipes", "unprinted"}
+# The keys a level must carry: those a system, a case and its tables, rows
+# and row entries are parsed by, and all keys of the oracle, the modulus
+# checks, the arch entries, algebras and claims but the optional lambda_abs,
+# min_vanishing_order and checks.derivative.
+_REQUIRED = {"systems": {"simple_roots"}, "cases": {"system", "source", "s0"},
+             "tables": {"target"}, "rows": {"word"}, "eis": {"threshold", "status"},
+             "order": {"total"}, "pairings": {"root", "expect"}, "checks": {"s0", "value"},
+             "oracle": _KEYS["oracle"] - {"lambda_abs"},
+             "recipes": _KEYS["recipes"] - {"min_vanishing_order"},
+             **{k: _KEYS[k] for k in ("modulus_checks", "unprinted", "algebras", "claims")}}
+# The levels that are lists of maps, and those that map names to entries;
+# every other level is one map.
+_LISTS = {"tables", "rows", "eis", "pairings", "modulus_checks", "recipes", "unprinted"}
+_NAMED = {"systems", "cases"}
 
 
 def _check_map(level: str, spec, path: str) -> None:
@@ -175,25 +170,37 @@ def _check_map(level: str, spec, path: str) -> None:
 
 def _check_keys(level: str, spec, path: str) -> None:
     """_check_map on spec and on every level below it; a list level is
-    checked item by item."""
+    checked item by item, and a map of named entries entry by entry."""
     _check_map(level, spec, path)
+    at = f"{path}." if path else ""
     for key, value in spec.items():
         if key in _LISTS:
             if not isinstance(value, list):
-                raise ConfigError(f"{path}.{key}: expected a list")
+                raise ConfigError(f"{at}{key}: expected a list")
             for i, item in enumerate(value):
-                _check_keys(key, item, f"{path}.{key}[{i}]")
+                _check_keys(key, item, f"{at}{key}[{i}]")
+        elif key in _NAMED:
+            if not isinstance(value, dict):
+                raise ConfigError(f"{at}{key}: expected a map")
+            for name, item in value.items():
+                _check_keys(key, item, f"{at}{key}.{name}")
         elif key in _KEYS:
-            _check_keys(key, value, f"{path}.{key}")
+            _check_keys(key, value, f"{at}{key}")
 
 
-def _arch_entries(arch: dict, level: str, cases: dict):
+def _arch_entries(arch: dict, level: str, claimed: dict):
     """The arch section's recipes or unprinted claims with their dotted
-    paths, each naming a configured case."""
+    paths.  Each claims one row word of its case that no entry above has
+    claimed; claimed maps each (case, word) of a configured row to the path
+    of the entry that claims it, or to None."""
     for i, spec in enumerate(arch.get(level, [])):
-        path = f"arch.{level}[{i}]"
-        if spec["case"] not in cases:
-            raise ConfigError(f"{path}.case: {spec['case']} is not a configured case")
+        path, key = f"arch.{level}[{i}]", (spec["case"], tuple(spec["word"]))
+        if key not in claimed:
+            raise ConfigError(f"{path}: no row of case {key[0]} has the word {list(key[1])}")
+        if claimed[key]:
+            raise ConfigError(f"{path}: {key[0]} {list(key[1])} is claimed by "
+                              f"{claimed[key]} already")
+        claimed[key] = path
         yield path, spec
 
 
@@ -203,12 +210,12 @@ def _pattern(x, path: str) -> tuple[str, ...]:
     return tuple(x)
 
 
-def _parse_recipes(arch: dict, cases: dict) -> dict[str, MatrixRecipe]:
+def _parse_recipes(arch: dict, claimed: dict) -> dict[str, MatrixRecipe]:
     """Each printed recipe, parsed once: a new name, tokens and s0 that parse,
     patterns of three entries, and @name suffixes that name a recipe listed
     above, so that no recipe can lead back to itself."""
     recipes: dict[str, MatrixRecipe] = {}
-    for path, r in _arch_entries(arch, "recipes", cases):
+    for path, r in _arch_entries(arch, "recipes", claimed):
         name, checks = r["name"], r["checks"]
         if name in recipes:
             raise ConfigError(f"{path}.name: {name} names an earlier recipe too")
@@ -223,39 +230,86 @@ def _parse_recipes(arch: dict, cases: dict) -> dict[str, MatrixRecipe]:
             case=r["case"], word=tuple(r["word"]), name=name, text=r["tokens"],
             tokens=tokens, s0=s0, value=_pattern(checks["value"], f"{path}.checks.value"),
             derivative=_pattern(checks["derivative"], f"{path}.checks.derivative")
-            if "derivative" in checks else None)
+            if "derivative" in checks else None,
+            min_vanishing_order=r.get("min_vanishing_order"))
     return recipes
 
 
+def _parse_case(name: str, spec: dict) -> CaseSpec:
+    tables = []
+    for t in spec.get("tables", []):
+        rows = []
+        for r in t.get("rows", []):
+            action = None
+            if "action" in r:
+                action = {}
+                for k, v in r["action"].items():
+                    v = str(v)
+                    sign = -1 if v.startswith("-") else 1
+                    action[int(str(k)[1:])] = (sign, int(v.lstrip("-r")))
+            order = r.get("order", {})
+            rows.append(RowSpec(
+                word=tuple(r["word"]),
+                assoc=tuple(r["assoc"]) if "assoc" in r else None,
+                action=action,
+                trace=[(int(st[0]), _parse_affine(st[1])) for st in r["trace"]]
+                if "trace" in r else None,
+                lambda_prime=[_parse_affine(x) for x in r["lambda_prime"]]
+                if "lambda_prime" in r else None,
+                pairings=[PairingCheck(int(p["root"]), _parse_affine(p["expect"]))
+                          for p in r.get("pairings", [])],
+                eis=[EisCheck(threshold=_fr(e["threshold"]), status=e["status"],
+                              root=e.get("root"),
+                              functional=tuple(_fr(x) for x in e["functional"])
+                              if "functional" in e else None,
+                              printed=bool(e.get("printed", True))) for e in r.get("eis", [])],
+                intertwiner_local=(r.get("intertwiner") or {}).get("local"),
+                intertwiner_global=(r.get("intertwiner") or {}).get("global"),
+                cfunction=r.get("cfunction"),
+                cfunction_arch=r.get("cfunction_arch"),
+                order_total=int(order["total"]) if order else None,
+                order_symbols={k: _fr(v) for k, v in order["symbols"].items()}
+                if "symbols" in order else None,
+                conclusion=r.get("conclusion", "Contributes"),
+                external=list(r.get("external", [])),
+                note=r.get("note", "")))
+        tables.append(TableSpec(target=t["target"], rows=rows))
+    return CaseSpec(
+        name=name, system=spec["system"], source=spec["source"],
+        s0=_fr(spec["s0"]),
+        lambda_printed=[_parse_affine(x) for x in spec["lambda_printed"]]
+        if "lambda_printed" in spec else None,
+        etale_variant=spec.get("etale_variant"),
+        oracle=spec.get("oracle"),
+        tables=tables,
+        aliases=list(spec.get("aliases", [])))
+
+
 class Config:
-    def __init__(self, raw: dict, source: str):
+    def __init__(self, raw: dict):
         _check_map("top", raw, "")
+        # an absent algebras or claims section fails on its first required key
+        _check_keys("top", {"algebras": {}, "claims": {}, **raw}, "")
         if raw.get("version") != CONFIG_VERSION:
             raise ConfigError(f"config version {raw.get('version')} != {CONFIG_VERSION}")
-        self.source = source
         self.raw = raw
         self._systems: dict[str, RootSystem] = {}
-        self._system_rules: dict[str, dict[Fraction, list]] = {}
-        self.system_aliases: dict[str, str] = {}
-        for name, spec in raw["systems"].items():
-            for alias in spec.get("aliases", []):
-                self.system_aliases[alias] = name
-        arch = raw.get("arch") or {}
-        _check_keys("arch-section", arch, "arch")
-        self.catalog = RecipeCatalog(_parse_recipes(arch, raw["cases"]))
+        self.system_aliases = {alias: name for name, spec in raw["systems"].items()
+                               for alias in spec.get("aliases", [])}
+        self.cases = {name: _parse_case(name, spec) for name, spec in raw["cases"].items()}
+        self.case_aliases = {alias: name for name, cs in self.cases.items()
+                             for alias in cs.aliases}
+        # the arch section claims row words of the cases, one claim a word
+        claimed = {(name, row.word): None for name, cs in self.cases.items()
+                   for table in cs.tables for row in table.rows}
+        arch = raw.get("arch", {})
+        self.catalog = RecipeCatalog(_parse_recipes(arch, claimed))
         self.unprinted_arch = [UnprintedArch(u["case"], tuple(u["word"]), u["name"], u["claim"])
-                               for _, u in _arch_entries(arch, "unprinted", raw["cases"])]
-        self.cases: dict[str, CaseSpec] = {}
-        self.case_aliases: dict[str, str] = {}
-        for name, spec in raw["cases"].items():
-            cs = self._parse_case(name, spec)
-            self.cases[name] = cs
-            for alias in cs.aliases:
-                self.case_aliases[alias] = name
+                               for _, u in _arch_entries(arch, "unprinted", claimed)]
+        self.arch_claims: dict[tuple[str, tuple[int, ...]], MatrixRecipe | UnprintedArch] = {
+            (c.case, c.word): c for c in [*self.catalog.recipes.values(), *self.unprinted_arch]}
         self.modulus_checks = [ModulusCheck(m["system"], m["parabolic"], _fr(m["expect"]))
                                for m in raw.get("modulus_checks", [])]
-        for key in ("algebras", "claims"):
-            _check_keys(key, raw.get(key) or {}, key)
         self.algebras = {k: [int(g) for g in v] for k, v in raw["algebras"].items()}
         c = raw["claims"]
         self.claims = ClaimsSpec(count=int(c["count"]), seed=int(c["seed"]),
@@ -310,70 +364,6 @@ class Config:
 
     # -- cases ----------------------------------------------------------------
 
-    def _parse_case(self, name: str, spec: dict) -> CaseSpec:
-        _check_keys("cases", spec, f"cases.{name}")
-        tables = []
-        for ti, t in enumerate(spec.get("tables", [])):
-            rows = []
-            for ri, r in enumerate(t.get("rows", [])):
-                action = None
-                if "action" in r:
-                    action = {}
-                    for k, v in r["action"].items():
-                        v = str(v)
-                        sign = -1 if v.startswith("-") else 1
-                        action[int(str(k)[1:])] = (sign, int(v.lstrip("-r")))
-                arch = ArchSpec(**r["arch"]) if "arch" in r else None
-                if arch and arch.recipe and arch.recipe not in self.catalog.recipes:
-                    raise ConfigError(f"cases.{name}.tables[{ti}].rows[{ri}].arch.recipe: "
-                                      f"{arch.recipe} names no recipe")
-                eis = []
-                for e in r.get("eis", []):
-                    eis.append(EisCheck(
-                        threshold=_fr(e["threshold"]), status=e["status"],
-                        root=e.get("root"),
-                        functional=tuple(_fr(x) for x in e["functional"])
-                        if "functional" in e else None,
-                        printed=bool(e.get("printed", True))))
-                order_total = None
-                order_symbols = None
-                if "order" in r:
-                    order_total = int(r["order"]["total"])
-                    if "symbols" in r["order"]:
-                        order_symbols = {k: _fr(v) for k, v in r["order"]["symbols"].items()}
-                rows.append(RowSpec(
-                    word=tuple(r["word"]),
-                    assoc=tuple(r["assoc"]) if "assoc" in r else None,
-                    action=action,
-                    trace=[(int(st[0]), _parse_affine(st[1])) for st in r["trace"]]
-                    if "trace" in r else None,
-                    lambda_prime=[_parse_affine(x) for x in r["lambda_prime"]]
-                    if "lambda_prime" in r else None,
-                    pairings=[PairingCheck(int(p["root"]), _parse_affine(p["expect"]))
-                              for p in r.get("pairings", [])],
-                    eis=eis,
-                    intertwiner_local=(r.get("intertwiner") or {}).get("local"),
-                    intertwiner_global=(r.get("intertwiner") or {}).get("global"),
-                    cfunction=r.get("cfunction"),
-                    cfunction_arch=r.get("cfunction_arch"),
-                    order_total=order_total,
-                    order_symbols=order_symbols,
-                    arch=arch,
-                    conclusion=r.get("conclusion", "Contributes"),
-                    external=list(r.get("external", [])),
-                    note=r.get("note", "")))
-            tables.append(TableSpec(target=t["target"], kind=t.get("kind", "constant-term"),
-                                    rows=rows))
-        return CaseSpec(
-            name=name, system=spec["system"], source=spec["source"],
-            s0=_fr(spec["s0"]), kind=spec.get("kind", "value"),
-            lambda_printed=[_parse_affine(x) for x in spec["lambda_printed"]]
-            if "lambda_printed" in spec else None,
-            etale_variant=spec.get("etale_variant"),
-            oracle=spec.get("oracle"),
-            tables=tables,
-            aliases=list(spec.get("aliases", [])))
-
     def case(self, name: str) -> CaseSpec:
         if name in self.cases:
             return self.cases[name]
@@ -384,14 +374,23 @@ class Config:
     # -- oracles ---------------------------------------------------------------
 
     def oracle(self, name: str) -> AbsoluteOracle:
-        if name not in self._oracles:
-            spec = self.raw["oracles"][name]
-            self._oracles[name] = AbsoluteOracle(
-                self.system(spec["absolute"]), self.system(spec["rational"]),
+        """The GK oracle of a case, built once from the case's oracle map over
+        the case's system; a stated lambda_abs must be the oracle's."""
+        case = self.case(name)
+        if case.name not in self._oracles:
+            spec = case.oracle
+            oracle = AbsoluteOracle(
+                self.system(spec["absolute"]), self.system(case.system),
                 kernel=[int(i) for i in spec["kernel"]],
                 node_map={int(k): int(v) for k, v in spec["nodes"].items()},
                 source_node=int(spec["source_node"]))
-        return self._oracles[name]
+            want = spec.get("lambda_abs")
+            if want is not None and list(oracle.lambda_abs.entries()) != [
+                    _parse_affine(x) for x in want]:
+                raise ConfigError(f"cases.{case.name}.oracle.lambda_abs: computed "
+                                  f"{oracle.lambda_abs} != configured {want}")
+            self._oracles[case.name] = oracle
+        return self._oracles[case.name]
 
 
 def default_config_path() -> Path:
@@ -410,5 +409,5 @@ def load_config(path: str | Path | None = None) -> Config:
         with open(p, "r", encoding="utf-8") as fh:
             # libyaml's parser, or PyYAML's own where it was built without it
             raw = yaml.load(fh, Loader=getattr(yaml, "CSafeLoader", yaml.SafeLoader))
-        _cache[key] = Config(raw, str(p))
+        _cache[key] = Config(raw)
     return _cache[key]

@@ -79,7 +79,7 @@ def to_markdown(report: dict) -> str:
             lines.append(f"- [{','.join(str(i) for i in r['word'])}] "
                          f"(length {r['length']}){mark}")
         return "\n".join(lines) + "\n"
-    if kind in ("constant-term", "census"):
+    if kind == "constant-term":
         lines.append(f"## {report['case']}: constant term {report['source']} -> "
                      f"{report['target']} at s0 = {report['s0']} ({report['status']})")
         lines.append(f"{report['census_size']} double-coset terms"

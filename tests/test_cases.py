@@ -59,8 +59,7 @@ class TestTableReports:
     def test_mismatch_detected(self, cfg):
         # a wrong expected word must surface as a Mismatch
         case = cfg.case("D5-line")
-        table = TableSpec(target="P1", kind="census",
-                          rows=[RowSpec(word=()), RowSpec(word=(1, 1))])
+        table = TableSpec(target="P1", rows=[RowSpec(word=()), RowSpec(word=(1, 1))])
         doc = cases.build_table_report(cfg, case, table)
         assert doc["status"] == "Mismatch"
 
@@ -91,7 +90,7 @@ class TestTableReports:
 
     def test_census_extra_elements_flagged(self, cfg):
         case = cfg.case("D5-line")
-        table = TableSpec(target="P1", kind="census", rows=[RowSpec(word=())])
+        table = TableSpec(target="P1", rows=[RowSpec(word=())])
         doc = cases.build_table_report(cfg, case, table)
         assert not doc["census_ok"]
         assert doc["census_unmatched"] == [[1]]
@@ -124,8 +123,7 @@ def test_off_point_table_neither_raises_nor_mismatches(cfg, case_name, target, p
     assert doc["s0"] == str(s0)
     assert doc["status"] != "Mismatch", [
         (r["word"], c) for r in doc["rows"] for c in r["checks"] if not c["ok"]]
-    if table.kind != "census":
-        assert {r["status"] for r in doc["rows"]} == {"UnverifiedExternal"}
+    assert {r["status"] for r in doc["rows"]} == {"UnverifiedExternal"}
 
 
 def _cosets_unmatched(doc: dict) -> list:
@@ -134,11 +132,39 @@ def _cosets_unmatched(doc: dict) -> list:
     return [w for w in doc["words"] if tuple(w) not in matched]
 
 
+class TestArchClaims:
+    """Every row takes the arch section's claim on its (case, word), in
+    every table of the case."""
+
+    def test_ge_field_p0_rows_take_their_word_claims(self, cfg):
+        doc = cases.constant_term_report(cfg, "GE-field", "P1", "P0")
+        assert doc["kind"] == "constant-term"
+        recipes = {tuple(r["word"]): r["arch"]["recipe"] for r in doc["rows"] if "arch" in r}
+        assert recipes == {(2, 1, 2): "v212", (2, 1, 2, 1, 2): "v21212",
+                           (1, 2, 1, 2): "v1212", (1, 2): "v12-g2"}
+        names = [c["name"] for r in doc["rows"] for c in r["checks"]]
+        assert names.count("arch_pattern") == 4 and names.count("arch_order") == 1
+        assert {r["status"] for r in doc["rows"]} == {"Verified"}
+
+    def test_every_claim_reaches_a_row(self, cfg):
+        seen = set()
+        for case in cfg.cases.values():
+            for table in case.tables:
+                for r in cases.build_table_report(cfg, case, table)["rows"]:
+                    if "arch" in r:
+                        claim = cfg.arch_claims[case.name, tuple(r["word"])]
+                        assert r["arch"].get("recipe", claim.name) == claim.name
+                        assert r["arch"].get("stated", getattr(claim, "claim", None)) \
+                            == getattr(claim, "claim", None)
+                        seen.add((case.name, tuple(r["word"])))
+        assert seen == set(cfg.arch_claims)
+
+
 class TestCensusRule:
     """The table and cosets reports apply one census rule: the configured
     rows and the computed representatives correspond one to one."""
 
-    @pytest.mark.parametrize("target", ["P0", "P1"])   # a census, a constant-term table
+    @pytest.mark.parametrize("target", ["P0", "P1"])   # rows of words only, and full rows
     @pytest.mark.parametrize("edit", ["drop", "non-representative", "duplicate"])
     def test_broken_census_mismatches_in_both_reports(self, cfg, monkeypatch, target, edit):
         case = cfg.case("GE-field")
@@ -197,8 +223,8 @@ class TestRunAll:
         doc = cases.run_all(cfg, seed=1, count=10)
         assert doc["status"] != "Mismatch"
         kinds = [s["kind"] for s in doc["sections"]]
-        # 23 constant-term/census tables + modulus, oracle, arch, algebra
-        assert kinds.count("constant-term") + kinds.count("census") == 23
+        # 23 constant-term tables + modulus, oracle, arch, algebra
+        assert kinds.count("constant-term") == 23
         assert {"modulus", "gk-oracle", "arch", "algebra"} <= set(kinds)
 
 

@@ -51,26 +51,32 @@ class TestLoader:
 
 
 def _first_map_of_each_level(raw) -> dict[str, tuple[str, dict]]:
-    """The dotted path and the map of the first case, table, row, and row
-    eis, arch, order, intertwiner and pairings entry in the config; of the
-    arch section, its first recipe, that recipe's checks and the first
-    unprinted claim; and of the algebras and claims sections."""
+    """The dotted path and the map of the first system, case, case oracle,
+    table, row, and row eis, order, intertwiner and pairings entry in the
+    config; of the first modulus check; of the arch section, its first
+    recipe, that recipe's checks and the first unprinted claim; and of the
+    algebras and claims sections."""
     found: dict[str, tuple[str, dict]] = {}
+    name = next(iter(raw["systems"]))
+    found["systems"] = (f"systems.{name}", raw["systems"][name])
     for name, case in raw["cases"].items():
         found.setdefault("case", (f"cases.{name}", case))
+        if "oracle" in case:
+            found.setdefault("oracle", (f"cases.{name}.oracle", case["oracle"]))
         for ti, table in enumerate(case.get("tables", [])):
             tpath = f"cases.{name}.tables[{ti}]"
             found.setdefault("table", (tpath, table))
             for ri, row in enumerate(table.get("rows", [])):
                 rpath = f"{tpath}.rows[{ri}]"
                 found.setdefault("row", (rpath, row))
-                for key in ("arch", "order", "intertwiner"):
+                for key in ("order", "intertwiner"):
                     if key in row:
                         found.setdefault(key, (f"{rpath}.{key}", row[key]))
                 for key in ("eis", "pairings"):
                     for i, item in enumerate(row.get(key, [])):
                         found.setdefault(key, (f"{rpath}.{key}[{i}]", item))
-    found["arch-section"] = ("arch", raw["arch"])
+    found["modulus_checks"] = ("modulus_checks[0]", raw["modulus_checks"][0])
+    found["arch"] = ("arch", raw["arch"])
     recipe = raw["arch"]["recipes"][0]
     found["recipes"] = ("arch.recipes[0]", recipe)
     found["checks"] = ("arch.recipes[0].checks", recipe["checks"])
@@ -81,17 +87,24 @@ def _first_map_of_each_level(raw) -> dict[str, tuple[str, dict]]:
 
 
 LEVELS = ["case", "table", "row", "eis", "arch", "order", "intertwiner", "pairings",
-          "recipes", "checks", "unprinted", "algebras", "claims", "arch-section"]
-# A planted key per level, and eis.scale, a key the loader no longer reads.
+          "recipes", "checks", "unprinted", "algebras", "claims", "systems", "oracle",
+          "modulus_checks"]
+# A planted key per level; eis.scale, a key the loader no longer reads; and
+# the keys that moved or went away: a case's and a table's kind, a row's
+# arch, the case-level lambda_abs, and the oracle's rational system.
 UNKNOWN = [pytest.param(level, "bogus", id=level) for level in LEVELS] + [
-    pytest.param("eis", "scale", id="eis.scale")]
+    pytest.param(level, key, id=f"{level}.{key}") for level, key in [
+        ("eis", "scale"), ("case", "kind"), ("table", "kind"), ("row", "arch"),
+        ("case", "lambda_abs"), ("oracle", "rational")]]
 # The keys each level requires; a level not named requires none.
 REQUIRED = [(level, key) for level, keys in [
     ("case", ["s0", "source", "system"]), ("table", ["target"]), ("row", ["word"]),
     ("eis", ["status", "threshold"]), ("order", ["total"]), ("pairings", ["expect", "root"]),
     ("recipes", ["case", "checks", "name", "tokens", "word"]), ("checks", ["s0", "value"]),
     ("unprinted", ["case", "claim", "name", "word"]), ("algebras", ["definite", "split"]),
-    ("claims", ["count", "primes", "qxf_disc", "seed"])] for key in keys]
+    ("claims", ["count", "primes", "qxf_disc", "seed"]), ("systems", ["simple_roots"]),
+    ("oracle", ["absolute", "kernel", "nodes", "source_node"]),
+    ("modulus_checks", ["expect", "parabolic", "system"])] for key in keys]
 
 
 class TestStrictKeys:
@@ -104,11 +117,13 @@ class TestStrictKeys:
         path, spec = _first_map_of_each_level(raw)[level]
         spec[key] = 1
         with pytest.raises(ConfigError) as err:
-            Config(raw, "planted")
+            Config(raw)
         assert str(err.value) == f"unknown config key {path}.{key}"
 
     def test_unknown_top_level_key(self):
         assert _load_error(lambda raw: raw.update(bogus=1)) == "unknown config key bogus"
+        # each oracle is a map inside its case now
+        assert _load_error(lambda raw: raw.update(oracles={})) == "unknown config key oracles"
 
     def test_misspelled_row_key_fails_at_load(self, text, tmp_path):
         """The rename that once passed silently: E7-siegel's first
@@ -130,22 +145,12 @@ def _load_error(edit) -> str:
     raw = copy.deepcopy(load_config().raw)
     edit(raw)
     with pytest.raises(ConfigError) as err:
-        Config(raw, "planted")
+        Config(raw)
     return str(err.value)
 
 
 def _recipe(raw, name: str) -> dict:
     return next(r for r in raw["arch"]["recipes"] if r["name"] == name)
-
-
-def _first_recipe_row(raw) -> tuple[str, dict]:
-    """The dotted path and the map of the first row that names a recipe."""
-    for name, case in raw["cases"].items():
-        for ti, table in enumerate(case.get("tables", [])):
-            for ri, row in enumerate(table.get("rows", [])):
-                if (row.get("arch") or {}).get("recipe"):
-                    return f"cases.{name}.tables[{ti}].rows[{ri}]", row
-    raise AssertionError("no row names a recipe")
 
 
 class TestRecipesAtLoad:
@@ -162,12 +167,6 @@ class TestRecipesAtLoad:
         assert v12432.s0 == 5
         assert v12432.value == ("0", "0", "0") and v12432.derivative == ("0", "0", "*")
         assert cfg.catalog.recipes["v212"].derivative is None
-
-    def test_row_recipe_names_no_recipe(self):
-        def edit(raw):
-            _first_recipe_row(raw)[1]["arch"]["recipe"] = "v999"
-        path, _ = _first_recipe_row(load_config().raw)
-        assert _load_error(edit) == f"{path}.arch.recipe: v999 names no recipe"
 
     @pytest.mark.parametrize("name,tokens,index,ref", [
         ("v21212", "A1i d(s-4) A1 d(s-3)^3 @v999", 1, "v999"),
@@ -192,7 +191,8 @@ class TestRecipesAtLoad:
     def test_case_not_configured(self, level, case):
         def edit(raw):
             raw["arch"][level][0]["case"] = case
-        assert _load_error(edit) == f"arch.{level}[0].case: {case} is not a configured case"
+        word = load_config().raw["arch"][level][0]["word"]
+        assert _load_error(edit) == f"arch.{level}[0]: no row of case {case} has the word {word}"
 
     @pytest.mark.parametrize("key,pattern", [
         ("derivative", ["0", "0", "O"]), ("derivative", ["0"]),
@@ -215,21 +215,71 @@ class TestRecipesAtLoad:
         assert "'five'" in _load_error(s0)
 
     @pytest.mark.parametrize("old,new,args", [
-        ("arch: {recipe: v212}", "arch: {recipe: v999}", ["constant-term", "GE-field", "P1", "P1"]),
         ('"A1i d(s-4) A1 d(s-3)^3 @v212"', '"A1i d(s-4) A1 d(s-3)^3 @v999"', ["modulus"]),
         ('"A1i d(2s-5) A1 d(s-2)^3 A1i d(s-1) A1 e3"', '"A1 @v21212"', ["arch"]),
-    ], ids=["row-recipe", "suffix", "cycle"])
+        ("\n\n# Cayley-Dickson",
+         '\n    - {case: GE-field, word: [2, 1, 2], name: v212-again, claim: "value 0"}'
+         "\n\n# Cayley-Dickson", ["constant-term", "GE-field", "P1", "P1"]),
+        ("\n\n# Cayley-Dickson",
+         '\n    - {case: GE-field, word: [1, 2, 1], name: v121, claim: "value 0"}'
+         "\n\n# Cayley-Dickson", ["constant-term", "GE-field", "P1", "P1"]),
+    ], ids=["suffix", "cycle", "second-claim", "no-row"])
     def test_cli_exits_1_at_load(self, text, tmp_path, old, new, args):
         planted = tmp_path / "config.yaml"
         assert text.count(old) == 1
         planted.write_text(text.replace(old, new), encoding="utf-8")
         raw = yaml.load(planted.read_text(encoding="utf-8"), Loader=yaml.CSafeLoader)
         with pytest.raises(ConfigError) as err:
-            Config(raw, str(planted))
+            Config(raw)
         r = CliRunner().invoke(main, ["--config", str(planted), "--format", "json", *args])
         assert r.exit_code == 1
         assert r.output == f"Error: {err.value}\n"
         assert isinstance(r.exception, SystemExit)
+
+
+class TestOneClaimPerWord:
+    """The arch section holds the one claim on a row word of a case, and the
+    rows read it by (case, word): a second claim on a word, or a claim on a
+    word that no row of its case has, fails the load."""
+
+    @pytest.mark.parametrize("level,entry,message", [
+        ("unprinted", {"case": "GE-field", "word": [2, 1, 2], "name": "v212-again",
+                       "claim": "value 0"},
+         "arch.unprinted[13]: GE-field [2, 1, 2] is claimed by arch.recipes[0] already"),
+        ("recipes", {"case": "GE-split", "word": [1, 2], "name": "v12-d4-again",
+                     "tokens": "e3", "checks": {"s0": "5", "value": ["*", "*", "*"]}},
+         "arch.recipes[7]: GE-split [1, 2] is claimed by arch.recipes[4] already"),
+        ("unprinted", {"case": "GE-field", "word": [1, 2, 1], "name": "v121",
+                       "claim": "value 0"},
+         "arch.unprinted[13]: no row of case GE-field has the word [1, 2, 1]"),
+    ], ids=["second-claim", "second-recipe", "no-row"])
+    def test_claim_names_its_path(self, level, entry, message):
+        assert _load_error(lambda raw: raw["arch"][level].append(entry)) == message
+
+    def test_claims_keyed_by_case_and_word(self):
+        cfg = load_config()
+        assert len(cfg.arch_claims) == len(cfg.catalog.recipes) + len(cfg.unprinted_arch) == 20
+        assert cfg.arch_claims["GE-split", (1, 2)].name == "v12-d4"
+        assert cfg.arch_claims["GE-field", (2, 1, 2, 1, 2)].min_vanishing_order == 2
+        assert cfg.arch_claims["GE-QxF", (1, 2)].claim == "value vanishes at the special point"
+
+
+class TestOracle:
+    def test_planted_lambda_abs_fails_the_oracle(self, text, tmp_path):
+        planted = tmp_path / "config.yaml"
+        old = '["s-4", "-3", "-2", "-1", "0"]'
+        assert text.count(old) == 1
+        planted.write_text(text.replace(old, '["s-5", "-3", "-2", "-1", "0"]'), encoding="utf-8")
+        r = CliRunner().invoke(main, ["--config", str(planted), "--format", "json", "oracle"])
+        assert r.exit_code == 1
+        assert r.output == ("Error: cases.D5-line.oracle.lambda_abs: computed "
+                            "(s-4, -3, -2, -1, 0) != configured "
+                            "['s-5', '-3', '-2', '-1', '0']\n")
+
+    def test_oracle_by_case_name_or_alias(self):
+        cfg = load_config()
+        assert cfg.oracle("D5") is cfg.oracle("D5-line")
+        assert cfg.oracle("E7-siegel").rational is cfg.system("C3-E7rational")
 
 
 class TestRequiredKeys:
@@ -247,7 +297,7 @@ class TestRequiredKeys:
     def test_optional_derivative(self):
         raw = copy.deepcopy(load_config().raw)
         del _recipe(raw, "v12432")["checks"]["derivative"]
-        assert Config(raw, "planted").catalog.recipes["v12432"].derivative is None
+        assert Config(raw).catalog.recipes["v12432"].derivative is None
 
 
 def _first_row(raw) -> dict:
@@ -261,7 +311,7 @@ class TestShapeAtLoad:
     @pytest.mark.parametrize("edit,message", [
         (lambda raw: _recipe(raw, "v212").update(checks=["5"]),
          "arch.recipes[0].checks: expected a map"),
-        (lambda raw: raw["arch"]["unprinted"].append("v9"), "arch.unprinted[11]: expected a map"),
+        (lambda raw: raw["arch"]["unprinted"].append("v9"), "arch.unprinted[13]: expected a map"),
         (lambda raw: _first_row(raw).update(order=3),
          "cases.D5-line.tables[0].rows[0].order: expected a map"),
         (lambda raw: _first_row(raw).update(eis={"threshold": "1", "status": "Converges"}),
@@ -273,7 +323,7 @@ class TestShapeAtLoad:
 
     def test_config_not_a_map(self):
         with pytest.raises(ConfigError) as err:
-            Config(["version", 1], "planted")
+            Config(["version", 1])
         assert str(err.value) == "config: expected a map"
 
     @pytest.mark.parametrize("edit,args,message", [
@@ -288,8 +338,12 @@ class TestShapeAtLoad:
          "missing config key cases.D5-line.tables[0].rows[0].word"),
         (lambda raw: _first_row(raw).pop("word"), ["constant-term", "D5-line", "P1", "P1"],
          "missing config key cases.D5-line.tables[0].rows[0].word"),
+        (lambda raw: raw["systems"]["G2-GEfield"].update(bogus=1), ["modulus"],
+         "unknown config key systems.G2-GEfield.bogus"),
+        (lambda raw: raw["modulus_checks"][0].update(bogus=1), ["oracle"],
+         "unknown config key modulus_checks[0].bogus"),
     ], ids=["unprintd", "top-level", "checks-modulus", "checks-arch", "word-modulus",
-            "word-constant-term"])
+            "word-constant-term", "systems-modulus", "modulus_checks-oracle"])
     def test_cli_exits_1_at_load(self, tmp_path, edit, args, message):
         raw = copy.deepcopy(load_config().raw)
         edit(raw)

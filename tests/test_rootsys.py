@@ -340,8 +340,9 @@ class TestIntegerKernelAgainstMatrices:
                 assert sys.coset_reps(p) == _euclidean_coset_reps(sys, p), (name, p)
 
     def test_oracle_restriction_is_orthogonal_projection(self, cfg):
-        assert len(cfg.raw["oracles"]) == 4
-        for name in sorted(cfg.raw["oracles"]):
+        names = sorted(name for name, case in cfg.cases.items() if case.oracle)
+        assert len(names) == 4
+        for name in names:
             oracle = cfg.oracle(name)
             for r in oracle.absolute.roots:
                 assert oracle.restriction[r] == _projected_restriction(oracle, r), (name, r)
