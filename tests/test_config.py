@@ -76,7 +76,7 @@ def _first_map_of_each_level(raw) -> dict[str, tuple[str, dict]]:
                     for i, item in enumerate(row.get(key, [])):
                         found.setdefault(key, (f"{rpath}.{key}[{i}]", item))
     found["modulus_checks"] = ("modulus_checks[0]", raw["modulus_checks"][0])
-    found["arch"] = ("arch", raw["arch"])
+    found["arch-section"] = ("arch", raw["arch"])
     recipe = raw["arch"]["recipes"][0]
     found["recipes"] = ("arch.recipes[0]", recipe)
     found["checks"] = ("arch.recipes[0].checks", recipe["checks"])
@@ -86,16 +86,18 @@ def _first_map_of_each_level(raw) -> dict[str, tuple[str, dict]]:
     return found
 
 
-LEVELS = ["case", "table", "row", "eis", "arch", "order", "intertwiner", "pairings",
-          "recipes", "checks", "unprinted", "algebras", "claims", "systems", "oracle",
-          "modulus_checks"]
+LEVELS = ["case", "table", "row", "eis", "order", "intertwiner", "pairings", "recipes",
+          "checks", "unprinted", "algebras", "claims", "systems", "oracle",
+          "modulus_checks", "arch-section"]
 # A planted key per level; eis.scale, a key the loader no longer reads; and
 # the keys that moved or went away: a case's and a table's kind, a row's
-# arch, the case-level lambda_abs, and the oracle's rational system.
+# arch map (id arch), the case-level lambda_abs, and the oracle's rational
+# system.
 UNKNOWN = [pytest.param(level, "bogus", id=level) for level in LEVELS] + [
     pytest.param(level, key, id=f"{level}.{key}") for level, key in [
-        ("eis", "scale"), ("case", "kind"), ("table", "kind"), ("row", "arch"),
-        ("case", "lambda_abs"), ("oracle", "rational")]]
+        ("eis", "scale"), ("case", "kind"), ("table", "kind"),
+        ("case", "lambda_abs"), ("oracle", "rational")]] + [
+    pytest.param("row", "arch", id="arch")]
 # The keys each level requires; a level not named requires none.
 REQUIRED = [(level, key) for level, keys in [
     ("case", ["s0", "source", "system"]), ("table", ["target"]), ("row", ["word"]),
