@@ -20,11 +20,11 @@ from fractions import Fraction
 
 from .archmult import MatrixRecipe, pattern_check, vanishing_order
 from .config import CaseSpec, Config, RowSpec, TableSpec, UnprintedArch
-from .eiscalc import (ConvergenceVerdict, CoordVector, ZetaProduct, apply_word,
+from .eiscalc import (CoordVector, ZetaProduct, apply_word, convergence,
                       intertwiner_verdict, order_report, rational_cfunction,
                       shifted_exponent)
 from .exactnum import AffineForm
-from .rootsys import ParabolicSpec, RootSystem, Word
+from .rootsys import ParabolicSpec, RootSystem, Word, smul
 
 
 @dataclass
@@ -48,36 +48,33 @@ def _verified(ok: bool) -> str:
     return "Verified" if ok else "Mismatch"
 
 
-def _match_row_to_rep(system: RootSystem, row: RowSpec, reps: list[Word]) -> tuple[Word | None, Check]:
-    """Identify the configured row (word or permutation action) with one of
-    the computed canonical representatives, as group elements; a word must
-    be reduced, as long as its representative."""
-    if row.action:
-        def unit(i: int, sign: int = 1):
-            return tuple(Fraction(sign * int(d == i - 1)) for d in range(system.dim))
-
-        w = tuple(row.word)
-        if w in reps and all(system.act(w, unit(i)) == unit(j, sign)
-                             for i, (sign, j) in row.action.items()):
-            return w, Check("census", True, f"action matches representative {list(w)}")
-        return None, Check("census", False, f"no representative with the stated action")
-    target = system.element(row.word)
-    for w in reps:
-        if len(w) == len(row.word) and system.element(w) == target:
-            return w, Check("census", True,
-                            f"word {list(row.word)} = representative {list(w)}")
-    return None, Check("census", False,
-                       f"word {list(row.word)} is not in the computed census")
-
-
 def _census(system: RootSystem, rows: list[RowSpec], reps: list[Word]):
-    """The census rule: the rows name the representatives one to one.
-    Returns each row's (representative or None, census check), the
-    representatives no row names, and whether the rule holds."""
-    matches = [_match_row_to_rep(system, row, reps) for row in rows]
+    """The census rule: a row names the representative whose group element
+    its word is, and the word must be as long as that representative
+    (reduced); the rows name the representatives one to one.  Returns each
+    row's (representative or None, census check), the representatives no
+    row names, and whether the rule holds."""
+    by_element = {system.element(w): w for w in reps}
+    matches = []
+    for row in rows:
+        rep = by_element.get(system.element(row.word))
+        ok = rep is not None and len(rep) == len(row.word)
+        detail = f"= representative {list(rep)}" if ok else "is not in the computed census"
+        matches.append((rep if ok else None, Check("census", ok, f"word {list(row.word)} {detail}")))
     used = {rep for rep, _ in matches}
     unmatched = [list(w) for w in reps if w not in used]
     return matches, unmatched, not unmatched and len(rows) == len(reps)
+
+
+def _action_check(system: RootSystem, rep: Word, action: dict[int, tuple[int, int]]) -> Check:
+    """The row's stated images r_i -> +-r_j of the coordinate forms against
+    those of its representative."""
+    units = [tuple(Fraction(int(d == i)) for d in range(system.dim)) for i in range(system.dim)]
+    wrong = [f"r{i}" for i, (sign, j) in action.items()
+             if system.act(rep, units[i - 1]) != smul(Fraction(sign), units[j - 1])]
+    stated = ", ".join(f"r{i}: {'-' * (sign < 0)}r{j}" for i, (sign, j) in action.items())
+    return Check("action", not wrong, f"{{{stated}}} "
+                 + (f"differs at {', '.join(wrong)}" if wrong else "matches"))
 
 
 def _recipe_verdict(cfg: Config, recipe: MatrixRecipe):
@@ -95,7 +92,6 @@ def build_table_report(cfg: Config, case: CaseSpec, table: TableSpec,
     target = system.parabolic(table.target)
     s0 = case.s0 if s0 is None else Fraction(s0)
     with_expect = s0 == case.s0
-    rules = cfg.system_rules(case.system, case.etale_variant or "")
     lam = CoordVector.lambda_s(system)
     reps = system.double_coset_reps(target, source)
     matches, unmatched, census_ok = _census(system, table.rows, reps)
@@ -109,6 +105,8 @@ def build_table_report(cfg: Config, case: CaseSpec, table: TableSpec,
         if row.assoc is not None:
             checks.append(Check("assoc", tuple(assoc) == tuple(row.assoc),
                                 f"computed {list(assoc)}, expected {list(row.assoc)}"))
+        if row.action is not None:
+            checks.append(_action_check(system, rep, row.action))
 
         # lambda trace, the row's only one: lambda', the intertwiner verdict
         # and the c-function are all read off it
@@ -154,18 +152,18 @@ def build_table_report(cfg: Config, case: CaseSpec, table: TableSpec,
                 alpha = system.simples[ec.root - 1]
                 form = lam_prime.printed_pairing(system, alpha)
             value = form.eval(s0)
-            verdict = ConvergenceVerdict.compare(value, ec.threshold)
-            ok = (verdict.status == ec.status) if with_expect else True
+            status = convergence(value - ec.threshold)
+            ok = (status == ec.status) if with_expect else True
             eis_rows.append({"value": str(value), "threshold": str(ec.threshold),
-                             "margin": str(verdict.margin), "status": verdict.status,
+                             "margin": str(value - ec.threshold), "status": status,
                              "expected": ec.status, "ok": ok,
                              "printed": ec.printed})
             checks.append(Check("eisenstein", ok,
-                                f"value {value} vs threshold {ec.threshold}: {verdict.status}"))
+                                f"value {value} vs threshold {ec.threshold}: {status}"))
         rec["eis"] = eis_rows
 
         # intertwining operator
-        iv = intertwiner_verdict(system, rules, trace, s0)
+        iv = intertwiner_verdict(system, case.rules, trace, s0)
         rec["intertwiner"] = {
             "local": iv.local_status,
             "global": iv.global_status,
@@ -183,13 +181,11 @@ def build_table_report(cfg: Config, case: CaseSpec, table: TableSpec,
 
         # c-function
         if row.cfunction is not None:
-            full = ZetaProduct.parse(row.cfunction, case.etale_variant or "")
-            if iv.cfunction is not None:
-                checks.append(Check("cfunction", iv.cfunction.same_function(full),
-                                    f"computed {iv.cfunction}"))
+            full = ZetaProduct.parse(row.cfunction, case.etale_variant)
+            checks.append(Check("cfunction", iv.cfunction.same_function(full),
+                                f"computed {iv.cfunction}"))
             if row.cfunction_arch:
-                full = full * ZetaProduct.parse(row.cfunction_arch,
-                                                case.etale_variant or "")
+                full = full * ZetaProduct.parse(row.cfunction_arch, case.etale_variant)
             rec["cfunction_printed"] = str(full)
             if row.order_total is not None and with_expect:
                 rep_ord = order_report(full, s0, row.order_symbols)
@@ -201,8 +197,7 @@ def build_table_report(cfg: Config, case: CaseSpec, table: TableSpec,
                 }
                 checks.append(Check("order", rep_ord.total == row.order_total,
                                     f"order {rep_ord.total} at s0={s0}"))
-        if iv.cfunction is not None:
-            rec["cfunction"] = str(iv.cfunction.expanded())
+        rec["cfunction"] = str(iv.cfunction.expanded())
 
         # archimedean multiplier: the arch section's claim on this word of the
         # case, a recipe's own verdict and its vanishing order compared at the
@@ -356,12 +351,11 @@ def oracle_report(cfg: Config) -> dict:
         if not case.oracle:
             continue
         system = cfg.system(case.system)
-        rules = cfg.system_rules(case.system, case.etale_variant or "")
         oracle = cfg.oracle(case_name)
         lam = CoordVector.lambda_s(system)
         words = {tuple(r.word) for t in case.tables for r in t.rows}
         for w in sorted(words, key=lambda w: (len(w), w)):
-            rat = rational_cfunction(system, rules, apply_word(system, lam, w))
+            rat = rational_cfunction(system, case.rules, apply_word(system, lam, w))
             absc = oracle.gk_restricted(w)
             rows.append({"case": case_name, "word": list(w),
                          "rational": str(rat), "absolute": str(absc),

@@ -10,6 +10,7 @@ expected value; it recomputes and compares against this file.
 from __future__ import annotations
 
 import importlib.resources
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
@@ -76,7 +77,8 @@ class CaseSpec:
     source: str
     s0: Fraction
     lambda_printed: list[AffineForm] | None
-    etale_variant: str | None          # for zetaE/zetaF factors
+    etale_variant: str                 # for zetaE/zetaF factors; "" for none
+    rules: dict[Fraction, BlockRule]   # the system's cblocks, in that variant
     oracle: dict | None                # the oracle map, built by Config.oracle
     tables: list[TableSpec]
     aliases: list[str] = field(default_factory=list)
@@ -111,6 +113,25 @@ def _fr(x) -> Fraction:
 
 def _parse_affine(x) -> AffineForm:
     return AffineForm.parse(str(x))
+
+
+def _int(x, path: str, top: int | None = None) -> int:
+    """x, an integer, and one in 1..top if top is given: the config counts
+    from 1, and Python would read 0 or -1 from the end of a list."""
+    if isinstance(x, bool) or not isinstance(x, int) or top is not None and not 1 <= x <= top:
+        raise ConfigError(f"{path}: expected an integer" + (f" in 1..{top}" if top else ""))
+    return x
+
+
+@contextmanager
+def _at(path: str):
+    """A conversion error raised in the block, as ConfigError at path."""
+    try:
+        yield
+    except ConfigError:
+        raise
+    except (TypeError, ValueError, IndexError, ZeroDivisionError) as exc:
+        raise ConfigError(f"{path}: {exc}") from None
 
 
 # The keys each level may carry; a key that names a level is checked there,
@@ -219,10 +240,8 @@ def _parse_recipes(arch: dict, claimed: dict) -> dict[str, MatrixRecipe]:
         name, checks = r["name"], r["checks"]
         if name in recipes:
             raise ConfigError(f"{path}.name: {name} names an earlier recipe too")
-        try:
+        with _at(path):
             tokens, s0 = parse_tokens(r["tokens"]), _fr(checks["s0"])
-        except ValueError as exc:
-            raise ConfigError(f"{path}: {exc}") from None
         unknown = [t.ref for t in tokens if t.kind == "ref" and t.ref not in recipes]
         if unknown:
             raise ConfigError(f"{path}.tokens: @{unknown[0]} names no recipe listed above")
@@ -231,58 +250,77 @@ def _parse_recipes(arch: dict, claimed: dict) -> dict[str, MatrixRecipe]:
             tokens=tokens, s0=s0, value=_pattern(checks["value"], f"{path}.checks.value"),
             derivative=_pattern(checks["derivative"], f"{path}.checks.derivative")
             if "derivative" in checks else None,
-            min_vanishing_order=r.get("min_vanishing_order"))
+            min_vanishing_order=_int(r["min_vanishing_order"], f"{path}.min_vanishing_order")
+            if "min_vanishing_order" in r else None)
     return recipes
 
 
-def _parse_case(name: str, spec: dict) -> CaseSpec:
-    tables = []
-    for t in spec.get("tables", []):
-        rows = []
-        for r in t.get("rows", []):
-            action = None
-            if "action" in r:
-                action = {}
-                for k, v in r["action"].items():
-                    v = str(v)
-                    sign = -1 if v.startswith("-") else 1
-                    action[int(str(k)[1:])] = (sign, int(v.lstrip("-r")))
-            order = r.get("order", {})
-            rows.append(RowSpec(
-                word=tuple(r["word"]),
-                assoc=tuple(r["assoc"]) if "assoc" in r else None,
-                action=action,
-                trace=[(int(st[0]), _parse_affine(st[1])) for st in r["trace"]]
-                if "trace" in r else None,
-                lambda_prime=[_parse_affine(x) for x in r["lambda_prime"]]
-                if "lambda_prime" in r else None,
-                pairings=[PairingCheck(int(p["root"]), _parse_affine(p["expect"]))
-                          for p in r.get("pairings", [])],
-                eis=[EisCheck(threshold=_fr(e["threshold"]), status=e["status"],
-                              root=e.get("root"),
-                              functional=tuple(_fr(x) for x in e["functional"])
-                              if "functional" in e else None,
-                              printed=bool(e.get("printed", True))) for e in r.get("eis", [])],
-                intertwiner_local=(r.get("intertwiner") or {}).get("local"),
-                intertwiner_global=(r.get("intertwiner") or {}).get("global"),
-                cfunction=r.get("cfunction"),
-                cfunction_arch=r.get("cfunction_arch"),
-                order_total=int(order["total"]) if order else None,
-                order_symbols={k: _fr(v) for k, v in order["symbols"].items()}
-                if "symbols" in order else None,
-                conclusion=r.get("conclusion", "Contributes"),
-                external=list(r.get("external", [])),
-                note=r.get("note", "")))
-        tables.append(TableSpec(target=t["target"], rows=rows))
-    return CaseSpec(
-        name=name, system=spec["system"], source=spec["source"],
-        s0=_fr(spec["s0"]),
-        lambda_printed=[_parse_affine(x) for x in spec["lambda_printed"]]
-        if "lambda_printed" in spec else None,
-        etale_variant=spec.get("etale_variant"),
-        oracle=spec.get("oracle"),
-        tables=tables,
-        aliases=list(spec.get("aliases", [])))
+def _parse_row(r: dict, path: str, rank: int, dim: int) -> RowSpec:
+    """One table row: word letters and root indexes in 1..rank, action
+    indexes (r1, r2, ...) in 1..dim."""
+    with _at(path):
+        at = f"{path}.action"
+        action = {_int(int(str(k)[1:]), at, dim): (-1 if str(v).startswith("-") else 1,
+                                                   _int(int(str(v).lstrip("-r")), at, dim))
+                  for k, v in r["action"].items()} if "action" in r else None
+        order = r.get("order", {})
+        return RowSpec(
+            word=tuple(_int(x, f"{path}.word", rank) for x in r["word"]),
+            assoc=tuple(r["assoc"]) if "assoc" in r else None,
+            action=action,
+            trace=[(int(st[0]), _parse_affine(st[1])) for st in r["trace"]]
+            if "trace" in r else None,
+            lambda_prime=[_parse_affine(x) for x in r["lambda_prime"]]
+            if "lambda_prime" in r else None,
+            pairings=[PairingCheck(_int(p["root"], f"{path}.pairings[{k}].root", rank),
+                                   _parse_affine(p["expect"]))
+                      for k, p in enumerate(r.get("pairings", []))],
+            eis=[EisCheck(threshold=_fr(e["threshold"]), status=e["status"],
+                          root=_int(e.get("root"), f"{path}.eis[{k}].root", rank)
+                          if "functional" not in e else None,
+                          functional=tuple(_fr(x) for x in e["functional"])
+                          if "functional" in e else None,
+                          printed=bool(e.get("printed", True)))
+                 for k, e in enumerate(r.get("eis", []))],
+            intertwiner_local=(r.get("intertwiner") or {}).get("local"),
+            intertwiner_global=(r.get("intertwiner") or {}).get("global"),
+            cfunction=r.get("cfunction"),
+            cfunction_arch=r.get("cfunction_arch"),
+            order_total=_int(order["total"], f"{path}.order.total") if order else None,
+            order_symbols={k: _fr(v) for k, v in order["symbols"].items()}
+            if "symbols" in order else None,
+            conclusion=r.get("conclusion", "Contributes"),
+            external=list(r.get("external", [])),
+            note=r.get("note", ""))
+
+
+def _parse_case(name: str, spec: dict, systems: dict) -> CaseSpec:
+    """One case; systems maps each system name and alias to its raw map,
+    whose cblocks give the case's c-function rules."""
+    path = f"cases.{name}"
+    with _at(f"{path}.system"):
+        system = systems.get(spec["system"], {})
+        if "cblocks" not in system:
+            raise ConfigError(f"{path}.system: {spec['system']} is no system with cblocks")
+        rank, dim = len(system["simple_roots"]), len(system["simple_roots"][0])
+    tables = [TableSpec(target=t["target"],
+                        rows=[_parse_row(r, f"{path}.tables[{i}].rows[{j}]", rank, dim)
+                              for j, r in enumerate(t.get("rows", []))])
+              for i, t in enumerate(spec.get("tables", []))]
+    variant = spec.get("etale_variant", "")
+    with _at(path):
+        return CaseSpec(
+            name=name, system=spec["system"], source=spec["source"],
+            s0=_fr(spec["s0"]),
+            lambda_printed=[_parse_affine(x) for x in spec["lambda_printed"]]
+            if "lambda_printed" in spec else None,
+            etale_variant=variant,
+            rules={_fr(norm2): BlockRule([(t[0], _fr(t[1]), _fr(t[2]), t[3])
+                                          for t in templates], variant=variant)
+                   for norm2, templates in system["cblocks"].items()},
+            oracle=spec.get("oracle"),
+            tables=tables,
+            aliases=list(spec.get("aliases", [])))
 
 
 class Config:
@@ -294,9 +332,11 @@ class Config:
             raise ConfigError(f"config version {raw.get('version')} != {CONFIG_VERSION}")
         self.raw = raw
         self._systems: dict[str, RootSystem] = {}
-        self.system_aliases = {alias: name for name, spec in raw["systems"].items()
-                               for alias in spec.get("aliases", [])}
-        self.cases = {name: _parse_case(name, spec) for name, spec in raw["cases"].items()}
+        self.system_names = {**{alias: name for name, spec in raw["systems"].items()
+                                for alias in spec.get("aliases", [])},
+                             **{name: name for name in raw["systems"]}}
+        systems = {key: raw["systems"][name] for key, name in self.system_names.items()}
+        self.cases = {name: _parse_case(name, spec, systems) for name, spec in raw["cases"].items()}
         self.case_aliases = {alias: name for name, cs in self.cases.items()
                              for alias in cs.aliases}
         # the arch section claims row words of the cases, one claim a word
@@ -320,11 +360,9 @@ class Config:
     # -- systems -------------------------------------------------------------
 
     def system_name(self, name: str) -> str:
-        if name in self.raw["systems"]:
-            return name
-        if name in self.system_aliases:
-            return self.system_aliases[name]
-        raise ConfigError(f"unknown root system {name!r}")
+        if name not in self.system_names:
+            raise ConfigError(f"unknown root system {name!r}")
+        return self.system_names[name]
 
     def system(self, name: str) -> RootSystem:
         name = self.system_name(name)
@@ -349,18 +387,6 @@ class Config:
                     raise ConfigError(f"{name}: weighted rho {got} != configured {want}")
             self._systems[name] = sys
         return self._systems[name]
-
-    def system_rules(self, name: str, variant: str = "") -> dict[Fraction, BlockRule] | None:
-        name = self.system_name(name)
-        spec = self.raw["systems"][name]
-        if "cblocks" not in spec:
-            return None
-        out = {}
-        for norm2, templates in spec["cblocks"].items():
-            out[_fr(norm2)] = BlockRule(
-                [(t[0], _fr(t[1]), _fr(t[2]), int(t[3])) for t in templates],
-                variant=variant)
-        return out
 
     # -- cases ----------------------------------------------------------------
 

@@ -391,19 +391,13 @@ def order_report(p: ZetaProduct, s0,
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ConvergenceVerdict:
-    status: str                 # AbsolutelyConvergent | Boundary | NotConvergent
-    margin: Fraction
-
-    @classmethod
-    def compare(cls, value: Fraction, threshold: Fraction) -> "ConvergenceVerdict":
-        margin = Fraction(value) - Fraction(threshold)
-        if margin > 0:
-            return cls("AbsolutelyConvergent", margin)
-        if margin == 0:
-            return cls("Boundary", margin)
-        return cls("NotConvergent", margin)
+def convergence(margin: Fraction, below: str = "NotConvergent") -> str:
+    """AbsolutelyConvergent above 0, Boundary at 0, `below` under it: the
+    verdict on an Eisenstein margin (value less threshold) and, with
+    NeedsContinuation below, on an intertwiner's least step pairing."""
+    if margin > 0:
+        return "AbsolutelyConvergent"
+    return "Boundary" if margin == 0 else below
 
 
 # ---------------------------------------------------------------------------
@@ -545,29 +539,18 @@ class IntertwinerVerdict:
     min_pairing: Fraction | None
     global_status: str
     global_order: int | None
-    cfunction: ZetaProduct | None
+    cfunction: ZetaProduct
 
 
-def intertwiner_verdict(system: RootSystem, rules: dict[Fraction, BlockRule] | None,
+def intertwiner_verdict(system: RootSystem, rules: dict[Fraction, BlockRule],
                         trace: LambdaTrace, s0) -> IntertwinerVerdict:
     s0 = Fraction(s0)
-    vals = [st.pairing.eval(s0) for st in trace.steps]
-    mn = min(vals) if vals else None
-    if mn is None or mn > 0:
-        local = "AbsolutelyConvergent"
-    elif mn == 0:
-        local = "Boundary"
-    else:
-        local = "NeedsContinuation"
-    if rules is None:
-        return IntertwinerVerdict(local, mn, "Unknown", None, None)
+    mn = min((st.pairing.eval(s0) for st in trace.steps), default=None)
+    local = "AbsolutelyConvergent" if mn is None else convergence(mn, "NeedsContinuation")
     c = rational_cfunction(system, rules, trace)
-    rep = order_report(c, s0)
-    order = rep.total
+    order = order_report(c, s0).total
     mna = c.min_numerator_argument(s0)
-    if not trace.word:
-        gstat = "AbsolutelyConvergent"
-    elif mna is not None and mna > 1:
+    if not trace.word or (mna is not None and mna > 1):
         gstat = "AbsolutelyConvergent"
     elif order is None:
         gstat = "Undecided"

@@ -54,10 +54,6 @@ def smul(c: Fraction, x: Vector) -> Vector:
     return tuple(c * a for a in x)
 
 
-class NotMinimalRepresentativeError(ValueError):
-    pass
-
-
 @dataclass(frozen=True)
 class ParabolicSpec:
     """Standard parabolic, identified by the simple roots in its unipotent
@@ -304,13 +300,8 @@ class RootSystem:
     def associated_simple_roots(self, word: Sequence[int],
                                 left: ParabolicSpec, source: ParabolicSpec) -> tuple[int, ...]:
         """Simple roots beta of the Levi L with w^{-1}(beta) in the radical
-        of the source parabolic."""
-        word = tuple(word)
-        target = self.element(word)
-        if not any(len(w) == len(word) and self.element(w) == target
-                   for w in self.double_coset_reps(left, source)):
-            raise NotMinimalRepresentativeError(
-                f"{list(word)} is not a minimal double-coset representative")
+        of the source parabolic, for w a representative of
+        double_coset_reps(left, source), as the census matched it."""
         inv = self.element(tuple(reversed(word)))
         rad = set(self._radical(source))
         return tuple(j for j in left.levi(self.rank)

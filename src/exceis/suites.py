@@ -232,7 +232,11 @@ def _freudenthal(cfg: Config, jalg: compalg.JordanAlgebra, count: int, rng) -> d
         rng.randint(1, 3)   # lam = num/den; den r0(z, lam) = r0(z, num) is integral
         if rng.randrange(2):
             num = -num
-        fails += _we_failures(etales, compalg.freudenthal_r0(jalg, z, num))
+        w = compalg.freudenthal_r0(jalg, z, num)
+        # the rank-one relations b# = a c and c# = d b (degree 2), whose
+        # sides are lam^2 Z# and lam^2 N(Z) Z for r0(z, lam)
+        fails += (_we_failures(etales, w) + (jalg.sharp(w.b) != jalg.scale(w.a, w.c))
+                  + (jalg.sharp(w.c) != jalg.scale(w.d, w.b)))
     return {"cases": count, "failures": fails}
 
 

@@ -129,8 +129,7 @@ def test_ac3_cfunctions(cfg):
     for case_name, word, want in checks:
         case = cfg.case(case_name)
         system = cfg.system(case.system)
-        rules = cfg.system_rules(case.system, case.etale_variant or "")
-        got = rational_cfunction(system, rules,
+        got = rational_cfunction(system, case.rules,
                                  apply_word(system, CoordVector.lambda_s(system), word))
         if not got.same_function(ZetaProduct.parse(want)):
             ok = False
@@ -189,7 +188,7 @@ def test_ac5_gk_oracle(cfg):
     # E7: rational rule vs absolute restriction, all four words
     e7case = cfg.case("E7-siegel")
     system = cfg.system(e7case.system)
-    rules = cfg.system_rules(e7case.system, "")
+    rules = e7case.rules
     oracle = cfg.oracle("E7")
     lam = CoordVector.lambda_s(system)
     for word in ((), (3,), (3, 2, 3), (3, 2, 1, 3, 2, 3)):

@@ -189,6 +189,35 @@ class TestCensusRule:
         assert doc["census_unmatched"] == _cosets_unmatched(cos) == [lost]
 
 
+class TestActionIsAnExpectation:
+    """A row's action is checked against its representative; the census
+    matches every row by its word alone."""
+
+    def test_wrong_action_mismatches_its_row(self, cfg, monkeypatch):
+        case = cfg.case("D6-min")
+        table = next(t for t in case.tables if t.target == "P1")
+        k = next(i for i, r in enumerate(table.rows) if r.word == (1,))
+        rows = list(table.rows)
+        rows[k] = dataclasses.replace(rows[k], action={1: (-1, 2), 2: (1, 1)})
+        monkeypatch.setattr(table, "rows", rows)
+        doc = cases.build_table_report(cfg, case, table)
+        checks = {c["name"]: c for c in doc["rows"][k]["checks"]}
+        assert checks["census"]["ok"] and doc["census_ok"]
+        assert checks["action"] == {"name": "action", "ok": False,
+                                    "detail": "{r1: -r2, r2: r1} differs at r1"}
+        assert doc["rows"][k]["status"] == doc["status"] == "Mismatch"
+
+    def test_every_stated_action_is_checked(self, cfg):
+        stated = checked = 0
+        for case in cfg.cases.values():
+            for table in case.tables:
+                stated += sum(r.action is not None for r in table.rows)
+                checked += sum(c["name"] == "action" and c["ok"]
+                               for r in cases.build_table_report(cfg, case, table)["rows"]
+                               for c in r["checks"])
+        assert stated == checked == 8
+
+
 class TestCosetsReport:
     def test_without_expectation_is_computed(self, cfg):
         doc = cases.cosets_report(cfg, "F4", "M4", "M2")
@@ -279,6 +308,15 @@ class TestPlantedAlgebraFailures:
         r0 = compalg.freudenthal_r0
         monkeypatch.setattr(compalg, "freudenthal_r0",
                             lambda jalg, z, lam=1: r0(jalg, z, 0 * lam))
+        self._suite(cfg, "freudenthal")
+
+    def test_freudenthal_sees_flipped_d(self, cfg, monkeypatch):
+        r0 = compalg.freudenthal_r0
+
+        def broken(jalg, z, lam=1):
+            w = r0(jalg, z, lam)
+            return dataclasses.replace(w, d=-w.d)
+        monkeypatch.setattr(compalg, "freudenthal_r0", broken)
         self._suite(cfg, "freudenthal")
 
     def test_triality_sees_one_entry_of_g2(self, cfg, monkeypatch):

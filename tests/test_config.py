@@ -306,6 +306,41 @@ def _first_row(raw) -> dict:
     return raw["cases"]["D5-line"]["tables"][0]["rows"][0]
 
 
+def _row(raw, case: str, table: int, row: int) -> dict:
+    return raw["cases"][case]["tables"][table]["rows"][row]
+
+
+LEAVES = [
+    (lambda raw: _row(raw, "D5-line", 0, 1).update(word=[0]),
+     "cases.D5-line.tables[0].rows[1].word: expected an integer in 1..1"),
+    (lambda raw: _row(raw, "GE-field", 1, 2).update(word=[2, -1, 2]),
+     "cases.GE-field.tables[1].rows[2].word: expected an integer in 1..2"),
+    (lambda raw: _row(raw, "GE-field", 1, 1)["pairings"][0].update(root=0),
+     "cases.GE-field.tables[1].rows[1].pairings[0].root: expected an integer in 1..2"),
+    (lambda raw: _row(raw, "GE-field", 1, 1)["eis"][0].update(root=3),
+     "cases.GE-field.tables[1].rows[1].eis[0].root: expected an integer in 1..2"),
+    (lambda raw: _row(raw, "D6-min", 1, 1).update(action={"r1": "r2", "r2": "r0"}),
+     "cases.D6-min.tables[1].rows[1].action: expected an integer in 1..2"),
+    (lambda raw: _row(raw, "D6-min", 1, 1).update(action={"r1": "r2", "r3": "r1"}),
+     "cases.D6-min.tables[1].rows[1].action: expected an integer in 1..2"),
+    (lambda raw: raw["systems"]["B2rel-D6"].pop("cblocks"),
+     "cases.D6-min.system: B2rel-D6 is no system with cblocks"),
+    (lambda raw: _recipe(raw, "v21212").update(min_vanishing_order="2"),
+     "arch.recipes[1].min_vanishing_order: expected an integer"),
+    (lambda raw: _row(raw, "E7-siegel", 0, 3)["order"].update(total="minus-one"),
+     "cases.E7-siegel.tables[0].rows[3].order.total: expected an integer"),
+    (lambda raw: raw["cases"]["D5-line"].update(s0="five"),
+     "cases.D5-line: Invalid literal for Fraction: 'five'"),
+    (lambda raw: raw["cases"]["D5-line"].update(system=["D5rel"]),
+     "cases.D5-line.system: unhashable type: 'list'"),
+    (lambda raw: _row(raw, "E7-siegel", 0, 3).update(lambda_prime=[1, "s+q"]),
+     "cases.E7-siegel.tables[0].rows[3]: cannot parse affine term '+q'"),
+]
+LEAF_IDS = ["word-zero", "word-negative", "pairing-root", "eis-root", "action-r0",
+            "action-r3", "no-cblocks", "min_vanishing_order", "order-total", "case-s0",
+            "case-system", "row-affine"]
+
+
 class TestShapeAtLoad:
     """An entry that is not a map, a list level that is not a list, and a
     misspelled section fail at load with their dotted path."""
@@ -344,8 +379,12 @@ class TestShapeAtLoad:
          "unknown config key systems.G2-GEfield.bogus"),
         (lambda raw: raw["modulus_checks"][0].update(bogus=1), ["oracle"],
          "unknown config key modulus_checks[0].bogus"),
+        (LEAVES[0][0], ["constant-term", "D5-line", "P1", "P1"], LEAVES[0][1]),
+        (LEAVES[7][0], ["constant-term", "GE-field", "P1", "P1"], LEAVES[7][1]),
+        (LEAVES[8][0], ["constant-term", "E7-siegel", "P3", "P3"], LEAVES[8][1]),
     ], ids=["unprintd", "top-level", "checks-modulus", "checks-arch", "word-modulus",
-            "word-constant-term", "systems-modulus", "modulus_checks-oracle"])
+            "word-constant-term", "systems-modulus", "modulus_checks-oracle",
+            "word-zero", "min_vanishing_order", "order-total"])
     def test_cli_exits_1_at_load(self, tmp_path, edit, args, message):
         raw = copy.deepcopy(load_config().raw)
         edit(raw)
@@ -355,3 +394,22 @@ class TestShapeAtLoad:
         assert r.exit_code == 1
         assert r.output == f"Error: {message}\n"
         assert isinstance(r.exception, SystemExit)
+
+
+class TestLeavesAtLoad:
+    """A 1-based index out of range, a case system without c-function
+    rules, and a leaf of the wrong type fail at load with their dotted path.
+    Python would read index 0 or -1 from the end of a list, and a leaf of
+    the wrong type would raise a traceback."""
+
+    @pytest.mark.parametrize("edit,message", LEAVES, ids=LEAF_IDS)
+    def test_leaf_names_its_path(self, edit, message):
+        assert _load_error(edit).startswith(message)
+
+    def test_rules_fixed_per_case_at_load(self):
+        cfg = load_config()
+        for case in cfg.cases.values():
+            assert case.rules
+            assert {rule.variant for rule in case.rules.values()} == {case.etale_variant}
+        assert cfg.case("GE-field").etale_variant == "field"
+        assert cfg.case("D6-min").etale_variant == ""

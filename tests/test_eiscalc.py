@@ -6,8 +6,8 @@ from hypothesis import strategies as st
 
 from exceis import eiscalc
 from exceis.config import load_config
-from exceis.eiscalc import (KINDS, ConvergenceVerdict, CoordVector, ZetaFactor,
-                            ZetaProduct, apply_word, gk_cfunction, order_report,
+from exceis.eiscalc import (KINDS, CoordVector, ZetaFactor, ZetaProduct,
+                            apply_word, convergence, gk_cfunction, order_report,
                             parse_factor, rational_cfunction, shifted_exponent)
 from exceis.exactnum import AffineForm
 from exceis.rootsys import RootSystem, dot
@@ -206,8 +206,7 @@ class TestRationalCFunctions:
     def c(self, cfg, name, word):
         case = cfg.case(name)
         system = cfg.system(case.system)
-        rules = cfg.system_rules(case.system, case.etale_variant or "")
-        return rational_cfunction(system, rules,
+        return rational_cfunction(system, case.rules,
                                   apply_word(system, CoordVector.lambda_s(system), word))
 
     def test_e7_list(self, cfg):
@@ -237,7 +236,7 @@ class TestRationalCFunctions:
         # c(w1 w2, lam) = c(w1, w2 lam) * c(w2, lam) when lengths add,
         # mirroring the factorization of the intertwining operators
         c3 = cfg.system("C3")
-        rules = cfg.system_rules("C3-E7rational", "")
+        rules = cfg.case("E7-siegel").rules
         lam = CoordVector.lambda_s(c3)
         w1, w2 = (3, 2, 1), (3, 2, 3)
         w = w1 + w2
@@ -352,17 +351,38 @@ def test_order_survives_expansion(p, s0, symbols):
 
 
 class TestConvergence:
+    """One three-way rule for Eisenstein margins and local intertwiner
+    verdicts; only the word below the boundary differs."""
+
     def test_margin_six(self):
-        v = ConvergenceVerdict.compare(AffineForm(1, -6).eval(24), 12)
-        assert v.status == "AbsolutelyConvergent" and v.margin == 6
+        assert convergence(AffineForm(1, -6).eval(24) - 12) == "AbsolutelyConvergent"
 
     def test_boundary(self):
-        v = ConvergenceVerdict.compare(AffineForm(1, -1).eval(5), 4)
-        assert v.status == "Boundary" and v.margin == 0
+        assert convergence(AffineForm(1, -1).eval(5) - 4) == "Boundary"
 
     def test_trivial(self):
-        v = ConvergenceVerdict.compare(AffineForm(1, -3).eval(5), 1)
-        assert v.status == "AbsolutelyConvergent" and v.margin == 1
+        assert convergence(AffineForm(1, -3).eval(5) - 1) == "AbsolutelyConvergent"
 
     def test_not_convergent(self):
-        assert ConvergenceVerdict.compare(3, 8).status == "NotConvergent"
+        assert convergence(Fraction(3) - 8) == "NotConvergent"
+
+    def test_both_vocabularies(self):
+        below = "NeedsContinuation"
+        assert [convergence(Fraction(m)) for m in (1, 0, -1)] == \
+            ["AbsolutelyConvergent", "Boundary", "NotConvergent"]
+        assert [convergence(Fraction(m), below) for m in (1, 0, -1)] == \
+            ["AbsolutelyConvergent", "Boundary", below]
+
+    def test_local_verdict_reads_the_least_pairing(self, cfg):
+        # D6-min at s0 = 6: no step, a positive step, a negative one
+        case = cfg.case("D6-min")
+        system = cfg.system(case.system)
+        lam = CoordVector.lambda_s(system)
+        got = []
+        for word in ((), (1,), (1, 2, 1)):
+            iv = eiscalc.intertwiner_verdict(system, case.rules,
+                                             apply_word(system, lam, word), case.s0)
+            got.append((iv.local_status, iv.min_pairing))
+        assert got[0] == ("AbsolutelyConvergent", None)
+        assert got[1][0] == "AbsolutelyConvergent" and got[1][1] > 0
+        assert got[2][0] == "NeedsContinuation" and got[2][1] < 0

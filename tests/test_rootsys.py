@@ -179,13 +179,6 @@ class TestAssociatedSimples:
         w0 = longest_rep(f4, f4.parabolic("M1"))
         assert f4.associated_simple_roots(w0, p0, f4.parabolic("P1")) == ()
 
-    def test_rejects_non_minimal(self, cfg):
-        from exceis.rootsys import NotMinimalRepresentativeError
-        f4 = cfg.system("F4")
-        with pytest.raises(NotMinimalRepresentativeError):
-            f4.associated_simple_roots((2, 2), f4.parabolic("M2"),
-                                       f4.parabolic("P1"))
-
 
 class TestPairingsAndModulus:
     def test_c3_pairing(self, cfg):
