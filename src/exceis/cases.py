@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .archmult import MatrixRecipe, pattern_check, vanishing_order
-from .config import CaseSpec, Config, RowSpec, TableSpec, UnprintedArch
+from .config import CaseSpec, Config, RowSpec, TableSpec, UnprintedArch, check_forms
 from .eiscalc import (CoordVector, ZetaProduct, apply_word, convergence,
                       intertwiner_verdict, order_report, rational_cfunction,
                       shifted_exponent)
@@ -85,6 +85,14 @@ def _recipe_verdict(cfg: Config, recipe: MatrixRecipe):
     return vec, pattern_check(vec, recipe.s0, recipe.value, recipe.derivative)
 
 
+def _lambda(system: RootSystem, case: CaseSpec) -> CoordVector:
+    """lambda = s*nu - rho on the case's system; a stated lambda_printed
+    must be it."""
+    lam = CoordVector.lambda_s(system)
+    check_forms(f"cases.{case.name}.lambda_printed", lam, case.lambda_printed)
+    return lam
+
+
 def build_table_report(cfg: Config, case: CaseSpec, table: TableSpec,
                        s0: Fraction | None = None) -> dict:
     system = cfg.system(case.system)
@@ -92,7 +100,7 @@ def build_table_report(cfg: Config, case: CaseSpec, table: TableSpec,
     target = system.parabolic(table.target)
     s0 = case.s0 if s0 is None else Fraction(s0)
     with_expect = s0 == case.s0
-    lam = CoordVector.lambda_s(system)
+    lam = _lambda(system, case)
     reps = system.double_coset_reps(target, source)
     matches, unmatched, census_ok = _census(system, table.rows, reps)
 
@@ -254,12 +262,12 @@ def build_table_report(cfg: Config, case: CaseSpec, table: TableSpec,
     }
 
 
-def _find_table(cfg: Config, system: RootSystem, cases, left: ParabolicSpec,
+def _find_table(system: RootSystem, cases, left: ParabolicSpec,
                 right: ParabolicSpec):
     """The first (case, table) among the given cases of this system that is
     induced from right's radical down to left's, or None."""
     for case in cases:
-        if (cfg.system_name(case.system) == system.name
+        if (case.system == system.name
                 and system.parabolic(case.source).radical == right.radical):
             for table in case.tables:
                 if system.parabolic(table.target).radical == left.radical:
@@ -273,7 +281,7 @@ def constant_term_report(cfg: Config, case_name: str, source: str, target: str,
     system = cfg.system(case.system)
     if system.parabolic(source).radical != system.parabolic(case.source).radical:
         raise ValueError(f"case {case.name} is induced from {case.source}, not {source}")
-    found = _find_table(cfg, system, [case], system.parabolic(target),
+    found = _find_table(system, [case], system.parabolic(target),
                         system.parabolic(source))
     if found is None:
         raise ValueError(f"case {case.name} has no configured table for target {target}")
@@ -284,7 +292,7 @@ def cosets_report(cfg: Config, system_name: str, left: str, right: str) -> dict:
     system = cfg.system(system_name)
     lp, rp = system.parabolic(left), system.parabolic(right)
     reps = system.double_coset_reps(lp, rp)
-    expected = _find_table(cfg, system, cfg.cases.values(), lp, rp)
+    expected = _find_table(system, cfg.cases.values(), lp, rp)
     if expected is None:
         status = "Computed"
         rows = [{"word": list(w), "canonical_word": list(w), "length": len(w),
@@ -352,7 +360,7 @@ def oracle_report(cfg: Config) -> dict:
             continue
         system = cfg.system(case.system)
         oracle = cfg.oracle(case_name)
-        lam = CoordVector.lambda_s(system)
+        lam = _lambda(system, case)
         words = {tuple(r.word) for t in case.tables for r in t.rows}
         for w in sorted(words, key=lambda w: (len(w), w)):
             rat = rational_cfunction(system, case.rules, apply_word(system, lam, w))

@@ -10,8 +10,9 @@ expected value; it recomputes and compares against this file.
 from __future__ import annotations
 
 import importlib.resources
-from contextlib import contextmanager
+import re
 from dataclasses import dataclass, field
+from functools import partial
 from fractions import Fraction
 from pathlib import Path
 
@@ -71,6 +72,30 @@ class TableSpec:
 
 
 @dataclass
+class SystemSpec:
+    """One system entry, parsed; Config.system builds its RootSystem."""
+    name: str
+    aliases: list[str]
+    simple_roots: list[tuple[Fraction, ...]]
+    multiplicities: dict[Fraction, int]
+    print_scale: dict[Fraction, Fraction]
+    nu: tuple[Fraction, ...] | None
+    rho_weighted: tuple[Fraction, ...] | None     # compared when the system is built
+    parabolics: dict[str, frozenset[int]]
+    cblocks: dict[Fraction, list[tuple]] | None   # (kind, a, b, e) per squared length
+
+
+@dataclass
+class OracleSpec:
+    """A case's oracle map, parsed; Config.oracle builds its AbsoluteOracle."""
+    absolute: str
+    kernel: list[int]
+    nodes: dict[int, int]
+    source_node: int
+    lambda_abs: list[AffineForm] | None           # compared when the oracle is built
+
+
+@dataclass
 class CaseSpec:
     name: str
     system: str
@@ -79,7 +104,7 @@ class CaseSpec:
     lambda_printed: list[AffineForm] | None
     etale_variant: str                 # for zetaE/zetaF factors; "" for none
     rules: dict[Fraction, BlockRule]   # the system's cblocks, in that variant
-    oracle: dict | None                # the oracle map, built by Config.oracle
+    oracle: OracleSpec | None
     tables: list[TableSpec]
     aliases: list[str] = field(default_factory=list)
 
@@ -107,295 +132,319 @@ class ClaimsSpec:
     qxf_disc: int
 
 
+class _Map:
+    """A config map and its dotted path.  The parsers read its keys through
+    it, and so are the only statement of the schema: an absent required key
+    raises `missing config key <path>`, a value that does not convert raises
+    `<path>: <reason>`, and check_all_read raises `unknown config key
+    <path>` for a key that no parser read, in this map or any map read
+    through it."""
+
+    def __init__(self, spec, path: str, maps: list[_Map] | None = None):
+        if not isinstance(spec, dict):
+            raise ConfigError(f"{path or 'config'}: expected a map")
+        self.spec, self.path, self.read = spec, path, set()
+        self.maps = [] if maps is None else maps   # every map read, in order
+        self.maps.append(self)
+
+    def at(self, key) -> str:
+        return f"{self.path}.{key}" if self.path else str(key)
+
+    def get(self, key, convert=None, default=None):
+        """convert(value) of key, or default if key is absent."""
+        if key not in self.spec:
+            return default
+        self.read.add(key)
+        try:
+            return convert(self.spec[key]) if convert else self.spec[key]
+        except (TypeError, ValueError, IndexError, ZeroDivisionError) as exc:
+            raise ConfigError(f"{self.at(key)}: {exc}") from None
+
+    def req(self, key, convert=None):
+        if key not in self.spec:
+            raise ConfigError(f"missing config key {self.at(key)}")
+        return self.get(key, convert)
+
+    def map(self, key, required: bool = False) -> _Map:
+        """The map at key; an absent optional one reads as empty."""
+        return _Map(self.req(key) if required else self.get(key, default={}), self.at(key),
+                    self.maps)
+
+    def entries(self, key) -> list[_Map]:
+        """The maps listed at key; none if key is absent."""
+        return [_Map(x, f"{self.at(key)}[{i}]", self.maps)
+                for i, x in enumerate(self.get(key, _list, []))]
+
+    def named(self, key) -> dict[str, _Map]:
+        """The maps that the required map at key names."""
+        names = self.map(key, required=True)
+        names.read.update(names.spec)
+        return {name: _Map(x, names.at(name), self.maps) for name, x in names.spec.items()}
+
+    def check_all_read(self) -> None:
+        unread = [m.at(key) for m in self.maps for key in m.spec if key not in m.read]
+        if unread:
+            raise ConfigError(f"unknown config key {unread[0]}")
+
+
 def _fr(x) -> Fraction:
     return Fraction(str(x))
 
 
-def _parse_affine(x) -> AffineForm:
+def _affine(x) -> AffineForm:
     return AffineForm.parse(str(x))
 
 
-def _int(x, path: str, top: int | None = None) -> int:
+def _int(x, top: int | None = None) -> int:
     """x, an integer, and one in 1..top if top is given: the config counts
     from 1, and Python would read 0 or -1 from the end of a list."""
     if isinstance(x, bool) or not isinstance(x, int) or top is not None and not 1 <= x <= top:
-        raise ConfigError(f"{path}: expected an integer" + (f" in 1..{top}" if top else ""))
+        raise ValueError("expected an integer" + (f" in 1..{top}" if top else ""))
     return x
 
 
-@contextmanager
-def _at(path: str):
-    """A conversion error raised in the block, as ConfigError at path."""
-    try:
-        yield
-    except ConfigError:
-        raise
-    except (TypeError, ValueError, IndexError, ZeroDivisionError) as exc:
-        raise ConfigError(f"{path}: {exc}") from None
+def _list(x, convert=None, length: int | None = None) -> list:
+    """x, a list (of length entries if given), with convert applied to each."""
+    if not isinstance(x, list):
+        raise ValueError("expected a list")
+    if length is not None and len(x) != length:
+        raise ValueError(f"expected {length} entries, got {len(x)}")
+    return [convert(a) for a in x] if convert else x
 
 
-# The keys each level may carry; a key that names a level is checked there,
-# and so is each entry of a list level or of a map of named entries.
-_KEYS = {
-    "top": {"version", "systems", "cases", "modulus_checks", "arch", "algebras", "claims"},
-    "systems": {"aliases", "simple_roots", "multiplicities", "print_scale", "nu",
-                "rho_weighted", "parabolics", "cblocks"},
-    "cases": {"system", "source", "s0", "lambda_printed", "etale_variant", "oracle",
-              "tables", "aliases"},
-    "oracle": {"absolute", "kernel", "nodes", "source_node", "lambda_abs"},
-    "tables": {"target", "rows"},
-    "rows": {"word", "action", "assoc", "trace", "lambda_prime", "pairings", "eis",
-             "intertwiner", "cfunction", "cfunction_arch", "order", "conclusion",
-             "external", "note"},
-    "eis": {"threshold", "status", "root", "functional", "printed"},
-    "order": {"total", "symbols"},
-    "intertwiner": {"local", "global"},
-    "pairings": {"root", "expect"},
-    "modulus_checks": {"system", "parabolic", "expect"},
-    "arch": {"recipes", "unprinted"},
-    "recipes": {"name", "case", "word", "tokens", "checks", "min_vanishing_order"},
-    "checks": {"s0", "value", "derivative"},
-    "unprinted": {"case", "word", "name", "claim"},
-    "algebras": {"definite", "split"},
-    "claims": {"count", "seed", "primes", "qxf_disc"},
-}
-# The keys a level must carry: those a system, a case and its tables, rows
-# and row entries are parsed by, and all keys of the oracle, the modulus
-# checks, the arch entries, algebras and claims but the optional lambda_abs,
-# min_vanishing_order and checks.derivative.
-_REQUIRED = {"systems": {"simple_roots"}, "cases": {"system", "source", "s0"},
-             "tables": {"target"}, "rows": {"word"}, "eis": {"threshold", "status"},
-             "order": {"total"}, "pairings": {"root", "expect"}, "checks": {"s0", "value"},
-             "oracle": _KEYS["oracle"] - {"lambda_abs"},
-             "recipes": _KEYS["recipes"] - {"min_vanishing_order"},
-             **{k: _KEYS[k] for k in ("modulus_checks", "unprinted", "algebras", "claims")}}
-# The levels that are lists of maps, and those that map names to entries;
-# every other level is one map.
-_LISTS = {"tables", "rows", "eis", "pairings", "modulus_checks", "recipes", "unprinted"}
-_NAMED = {"systems", "cases"}
+def _mapping(x, key, value) -> dict:
+    """A map whose keys are data, not config keys: key(k) -> value(v)."""
+    if not isinstance(x, dict):
+        raise ValueError("expected a map")
+    return {key(k): value(v) for k, v in x.items()}
 
 
-def _check_map(level: str, spec, path: str) -> None:
-    """Raise ConfigError, with its dotted path, unless spec is a map that
-    carries every key its level requires and no key it does not allow."""
-    if not isinstance(spec, dict):
-        raise ConfigError(f"{path or 'config'}: expected a map")
-    at = f"{path}." if path else ""
-    missing = sorted(_REQUIRED.get(level, set()) - spec.keys())
-    if missing:
-        raise ConfigError(f"missing config key {at}{missing[0]}")
-    for key in spec:
-        if key not in _KEYS[level]:
-            raise ConfigError(f"unknown config key {at}{key}")
-
-
-def _check_keys(level: str, spec, path: str) -> None:
-    """_check_map on spec and on every level below it; a list level is
-    checked item by item, and a map of named entries entry by entry."""
-    _check_map(level, spec, path)
-    at = f"{path}." if path else ""
-    for key, value in spec.items():
-        if key in _LISTS:
-            if not isinstance(value, list):
-                raise ConfigError(f"{at}{key}: expected a list")
-            for i, item in enumerate(value):
-                _check_keys(key, item, f"{at}{key}[{i}]")
-        elif key in _NAMED:
-            if not isinstance(value, dict):
-                raise ConfigError(f"{at}{key}: expected a map")
-            for name, item in value.items():
-                _check_keys(key, item, f"{at}{key}.{name}")
-        elif key in _KEYS:
-            _check_keys(key, value, f"{at}{key}")
-
-
-def _arch_entries(arch: dict, level: str, claimed: dict):
-    """The arch section's recipes or unprinted claims with their dotted
-    paths.  Each claims one row word of its case that no entry above has
-    claimed; claimed maps each (case, word) of a configured row to the path
-    of the entry that claims it, or to None."""
-    for i, spec in enumerate(arch.get(level, [])):
-        path, key = f"arch.{level}[{i}]", (spec["case"], tuple(spec["word"]))
-        if key not in claimed:
-            raise ConfigError(f"{path}: no row of case {key[0]} has the word {list(key[1])}")
-        if claimed[key]:
-            raise ConfigError(f"{path}: {key[0]} {list(key[1])} is claimed by "
-                              f"{claimed[key]} already")
-        claimed[key] = path
-        yield path, spec
-
-
-def _pattern(x, path: str) -> tuple[str, ...]:
+def _pattern(x) -> tuple[str, ...]:
     if not isinstance(x, list) or len(x) != 3 or not all(p in ("0", "*") for p in x):
-        raise ConfigError(f'{path}: {x!r} is not three entries, each "0" or "*"')
+        raise ValueError(f'{x!r} is not three entries, each "0" or "*"')
     return tuple(x)
 
 
-def _parse_recipes(arch: dict, claimed: dict) -> dict[str, MatrixRecipe]:
+def _action(x, dim: int) -> dict[int, tuple[int, int]]:
+    """{r_i: r_j or -r_j}, each index in 1..dim, as i -> (sign, j)."""
+    action = {}
+    for k, v in _mapping(x, str, str).items():
+        i, j = re.fullmatch(r"r([0-9]+)", k), re.fullmatch(r"(-?)r([0-9]+)", v)
+        if not i or not j:
+            raise ValueError(f"{k}: {v} is not r<i>: r<j> or -r<j>")
+        action[_int(int(i[1]), dim)] = (-1 if j[1] else 1, _int(int(j[2]), dim))
+    return action
+
+
+def _letter(x) -> str:
+    """A symbol of a shifted factor: one lowercase letter, as in the factor
+    grammar."""
+    if not isinstance(x, str) or len(x) != 1 or not "a" <= x <= "z":
+        raise ValueError(f"{x!r} is not one lowercase letter")
+    return x
+
+
+def _distinct(path: str, roots: list[int | None]) -> None:
+    """A row checks a root once among its pairings, and once among its
+    root-form eis entries: a repeat would leave another root unchecked."""
+    for k, root in enumerate(roots):
+        if root is not None and root in roots[:k]:
+            raise ConfigError(f"{path}[{k}].root: root {root} is checked twice")
+
+
+def _parse_system(name: str, m: _Map) -> SystemSpec:
+    """One system: rationals, integers and 1-based simple-root indexes, the
+    simple roots all of one length."""
+    roots = m.req("simple_roots", lambda x: [tuple(_list(v, _fr, len(_list(x)[0]))) for v in x])
+    return SystemSpec(
+        name=name, aliases=m.get("aliases", _list, []), simple_roots=roots,
+        multiplicities=m.get("multiplicities", lambda x: _mapping(x, _fr, _int), {}),
+        print_scale=m.get("print_scale", lambda x: _mapping(x, _fr, _fr), {}),
+        nu=m.get("nu", lambda x: tuple(_list(x, _fr))),
+        rho_weighted=m.get("rho_weighted", lambda x: tuple(_list(x, _fr))),
+        parabolics=m.get("parabolics", lambda x: _mapping(
+            x, str, lambda v: frozenset(_list(v, partial(_int, top=len(roots))))), {}),
+        cblocks=m.get("cblocks", lambda x: _mapping(x, _fr, lambda ts: [
+            (kind, _fr(a), _fr(b), _int(e)) for kind, a, b, e in _list(ts, _list)])))
+
+
+def _system(systems: dict[str, SystemSpec], name, cblocks: bool = False) -> SystemSpec:
+    """The system that a name or alias names; one with cblocks if asked."""
+    spec = systems.get(name)
+    if spec is None or cblocks and spec.cblocks is None:
+        raise ValueError(f"{name} is no system" + " with cblocks" * cblocks)
+    return spec
+
+
+def _parse_oracle(m: _Map, systems: dict[str, SystemSpec], rank: int) -> OracleSpec:
+    """A case's oracle map: kernel and nodes partition the absolute nodes,
+    and each node goes to a node of the case's system, of rank rank."""
+    absolute = m.req("absolute", partial(_system, systems))
+    n = len(absolute.simple_roots)
+    kernel = m.req("kernel", lambda x: _list(x, partial(_int, top=n)))
+    nodes = m.req("nodes", lambda x: _mapping(x, partial(_int, top=n), partial(_int, top=rank)))
+    if sorted(kernel + list(nodes)) != list(range(1, n + 1)):
+        raise ConfigError(f"{m.path}: kernel {kernel} and nodes {sorted(nodes)} do not "
+                          f"partition the absolute nodes 1..{n}")
+    return OracleSpec(absolute=absolute.name, kernel=kernel, nodes=nodes,
+                      source_node=m.req("source_node", partial(_int, top=n)),
+                      lambda_abs=m.get("lambda_abs", partial(_list, convert=_affine)))
+
+
+def _parse_eis(e: _Map, rank: int, dim: int) -> EisCheck:
+    """One eis entry: a root in 1..rank, or a functional of dim rationals."""
+    if "root" in e.spec and "functional" in e.spec:
+        raise ConfigError(f"{e.path}: a root and a functional both")
+    functional = e.get("functional", lambda x: tuple(_list(x, _fr, dim)))
+    return EisCheck(threshold=e.req("threshold", _fr), status=e.req("status"),
+                    root=None if functional else e.req("root", partial(_int, top=rank)),
+                    functional=functional, printed=e.get("printed", bool, True))
+
+
+def _parse_row(r: _Map, rank: int, dim: int) -> RowSpec:
+    """One table row: word letters and root indexes in 1..rank, action
+    indexes (r1, r2, ...) in 1..dim."""
+    index = partial(_int, top=rank)
+    word = r.req("word", lambda x: tuple(_list(x, index)))
+    pairings = [PairingCheck(p.req("root", index), p.req("expect", _affine))
+                for p in r.entries("pairings")]
+    eis = [_parse_eis(e, rank, dim) for e in r.entries("eis")]
+    _distinct(r.at("pairings"), [p.root for p in pairings])
+    _distinct(r.at("eis"), [e.root for e in eis])
+    order = r.map("order") if "order" in r.spec else None
+    intertwiner = r.map("intertwiner")
+    return RowSpec(
+        word=word, assoc=r.get("assoc", lambda x: tuple(_list(x, index))),
+        action=r.get("action", partial(_action, dim=dim)),
+        trace=r.get("trace", lambda x: [(index(l), _affine(a)) for l, a in _list(x, _list)]),
+        lambda_prime=r.get("lambda_prime", partial(_list, convert=_affine)),
+        pairings=pairings, eis=eis,
+        intertwiner_local=intertwiner.get("local"), intertwiner_global=intertwiner.get("global"),
+        cfunction=r.get("cfunction", _list), cfunction_arch=r.get("cfunction_arch", _list),
+        order_total=order.req("total", _int) if order else None,
+        order_symbols=order.get("symbols", lambda x: _mapping(x, _letter, _fr)) if order else None,
+        conclusion=r.get("conclusion", default="Contributes"),
+        external=list(r.get("external", _list, [])), note=r.get("note", default=""))
+
+
+def _parse_case(name: str, m: _Map, systems: dict[str, SystemSpec]) -> CaseSpec:
+    """One case; systems maps each system name and alias to its entry, whose
+    cblocks give the case's c-function rules."""
+    system = m.req("system", partial(_system, systems, cblocks=True))
+    rank, dim = len(system.simple_roots), len(system.simple_roots[0])
+    variant = m.get("etale_variant", default="")
+    return CaseSpec(
+        name=name, system=system.name, source=m.req("source"), s0=m.req("s0", _fr),
+        lambda_printed=m.get("lambda_printed", partial(_list, convert=_affine)),
+        etale_variant=variant,
+        rules={norm2: BlockRule(templates, variant=variant)
+               for norm2, templates in system.cblocks.items()},
+        oracle=_parse_oracle(m.map("oracle"), systems, rank) if "oracle" in m.spec else None,
+        tables=[TableSpec(target=t.req("target"),
+                          rows=[_parse_row(r, rank, dim) for r in t.entries("rows")])
+                for t in m.entries("tables")],
+        aliases=m.get("aliases", _list, []))
+
+
+def _arch_entries(arch: _Map, level: str, claimed: dict):
+    """The arch section's recipes or unprinted claims, each with the case
+    and word it claims.  Each claims one row word of its case that no entry
+    above has claimed; claimed maps each (case, word) of a configured row to
+    the path of the entry that claims it, or to None."""
+    for m in arch.entries(level):
+        key = (m.req("case", str), m.req("word", lambda x: tuple(_list(x, _int))))
+        if key not in claimed:
+            raise ConfigError(f"{m.path}: no row of case {key[0]} has the word {list(key[1])}")
+        if claimed[key]:
+            raise ConfigError(f"{m.path}: {key[0]} {list(key[1])} is claimed by "
+                              f"{claimed[key]} already")
+        claimed[key] = m.path
+        yield m, *key
+
+
+def _parse_recipes(arch: _Map, claimed: dict) -> dict[str, MatrixRecipe]:
     """Each printed recipe, parsed once: a new name, tokens and s0 that parse,
     patterns of three entries, and @name suffixes that name a recipe listed
     above, so that no recipe can lead back to itself."""
     recipes: dict[str, MatrixRecipe] = {}
-    for path, r in _arch_entries(arch, "recipes", claimed):
-        name, checks = r["name"], r["checks"]
+    for r, case, word in _arch_entries(arch, "recipes", claimed):
+        name = r.req("name")
         if name in recipes:
-            raise ConfigError(f"{path}.name: {name} names an earlier recipe too")
-        with _at(path):
-            tokens, s0 = parse_tokens(r["tokens"]), _fr(checks["s0"])
+            raise ConfigError(f"{r.at('name')}: {name} names an earlier recipe too")
+        text, tokens = r.req("tokens", lambda x: (x, parse_tokens(x)))
         unknown = [t.ref for t in tokens if t.kind == "ref" and t.ref not in recipes]
         if unknown:
-            raise ConfigError(f"{path}.tokens: @{unknown[0]} names no recipe listed above")
+            raise ConfigError(f"{r.at('tokens')}: @{unknown[0]} names no recipe listed above")
+        checks = r.map("checks", required=True)
         recipes[name] = MatrixRecipe(
-            case=r["case"], word=tuple(r["word"]), name=name, text=r["tokens"],
-            tokens=tokens, s0=s0, value=_pattern(checks["value"], f"{path}.checks.value"),
-            derivative=_pattern(checks["derivative"], f"{path}.checks.derivative")
-            if "derivative" in checks else None,
-            min_vanishing_order=_int(r["min_vanishing_order"], f"{path}.min_vanishing_order")
-            if "min_vanishing_order" in r else None)
+            case=case, word=word, name=name, text=text, tokens=tokens,
+            s0=checks.req("s0", _fr), value=checks.req("value", _pattern),
+            derivative=checks.get("derivative", _pattern),
+            min_vanishing_order=r.get("min_vanishing_order", _int))
     return recipes
-
-
-def _parse_row(r: dict, path: str, rank: int, dim: int) -> RowSpec:
-    """One table row: word letters and root indexes in 1..rank, action
-    indexes (r1, r2, ...) in 1..dim."""
-    with _at(path):
-        at = f"{path}.action"
-        action = {_int(int(str(k)[1:]), at, dim): (-1 if str(v).startswith("-") else 1,
-                                                   _int(int(str(v).lstrip("-r")), at, dim))
-                  for k, v in r["action"].items()} if "action" in r else None
-        order = r.get("order", {})
-        return RowSpec(
-            word=tuple(_int(x, f"{path}.word", rank) for x in r["word"]),
-            assoc=tuple(r["assoc"]) if "assoc" in r else None,
-            action=action,
-            trace=[(int(st[0]), _parse_affine(st[1])) for st in r["trace"]]
-            if "trace" in r else None,
-            lambda_prime=[_parse_affine(x) for x in r["lambda_prime"]]
-            if "lambda_prime" in r else None,
-            pairings=[PairingCheck(_int(p["root"], f"{path}.pairings[{k}].root", rank),
-                                   _parse_affine(p["expect"]))
-                      for k, p in enumerate(r.get("pairings", []))],
-            eis=[EisCheck(threshold=_fr(e["threshold"]), status=e["status"],
-                          root=_int(e.get("root"), f"{path}.eis[{k}].root", rank)
-                          if "functional" not in e else None,
-                          functional=tuple(_fr(x) for x in e["functional"])
-                          if "functional" in e else None,
-                          printed=bool(e.get("printed", True)))
-                 for k, e in enumerate(r.get("eis", []))],
-            intertwiner_local=(r.get("intertwiner") or {}).get("local"),
-            intertwiner_global=(r.get("intertwiner") or {}).get("global"),
-            cfunction=r.get("cfunction"),
-            cfunction_arch=r.get("cfunction_arch"),
-            order_total=_int(order["total"], f"{path}.order.total") if order else None,
-            order_symbols={k: _fr(v) for k, v in order["symbols"].items()}
-            if "symbols" in order else None,
-            conclusion=r.get("conclusion", "Contributes"),
-            external=list(r.get("external", [])),
-            note=r.get("note", ""))
-
-
-def _parse_case(name: str, spec: dict, systems: dict) -> CaseSpec:
-    """One case; systems maps each system name and alias to its raw map,
-    whose cblocks give the case's c-function rules."""
-    path = f"cases.{name}"
-    with _at(f"{path}.system"):
-        system = systems.get(spec["system"], {})
-        if "cblocks" not in system:
-            raise ConfigError(f"{path}.system: {spec['system']} is no system with cblocks")
-        rank, dim = len(system["simple_roots"]), len(system["simple_roots"][0])
-    tables = [TableSpec(target=t["target"],
-                        rows=[_parse_row(r, f"{path}.tables[{i}].rows[{j}]", rank, dim)
-                              for j, r in enumerate(t.get("rows", []))])
-              for i, t in enumerate(spec.get("tables", []))]
-    variant = spec.get("etale_variant", "")
-    with _at(path):
-        return CaseSpec(
-            name=name, system=spec["system"], source=spec["source"],
-            s0=_fr(spec["s0"]),
-            lambda_printed=[_parse_affine(x) for x in spec["lambda_printed"]]
-            if "lambda_printed" in spec else None,
-            etale_variant=variant,
-            rules={_fr(norm2): BlockRule([(t[0], _fr(t[1]), _fr(t[2]), t[3])
-                                          for t in templates], variant=variant)
-                   for norm2, templates in system["cblocks"].items()},
-            oracle=spec.get("oracle"),
-            tables=tables,
-            aliases=list(spec.get("aliases", [])))
 
 
 class Config:
     def __init__(self, raw: dict):
-        _check_map("top", raw, "")
-        # an absent algebras or claims section fails on its first required key
-        _check_keys("top", {"algebras": {}, "claims": {}, **raw}, "")
-        if raw.get("version") != CONFIG_VERSION:
+        top = _Map(raw, "")
+        if top.get("version") != CONFIG_VERSION:
             raise ConfigError(f"config version {raw.get('version')} != {CONFIG_VERSION}")
         self.raw = raw
-        self._systems: dict[str, RootSystem] = {}
-        self.system_names = {**{alias: name for name, spec in raw["systems"].items()
-                                for alias in spec.get("aliases", [])},
-                             **{name: name for name in raw["systems"]}}
-        systems = {key: raw["systems"][name] for key, name in self.system_names.items()}
-        self.cases = {name: _parse_case(name, spec, systems) for name, spec in raw["cases"].items()}
-        self.case_aliases = {alias: name for name, cs in self.cases.items()
-                             for alias in cs.aliases}
+        specs = [_parse_system(name, m) for name, m in top.named("systems").items()]
+        # every name and alias of a system, to its entry; a name wins over an alias
+        self.systems = {**{alias: spec for spec in specs for alias in spec.aliases},
+                        **{spec.name: spec for spec in specs}}
+        self.cases = {name: _parse_case(name, m, self.systems)
+                      for name, m in top.named("cases").items()}
+        self._case_index = {**{alias: cs for cs in self.cases.values() for alias in cs.aliases},
+                           **self.cases}
         # the arch section claims row words of the cases, one claim a word
         claimed = {(name, row.word): None for name, cs in self.cases.items()
                    for table in cs.tables for row in table.rows}
-        arch = raw.get("arch", {})
+        arch = top.map("arch")
         self.catalog = RecipeCatalog(_parse_recipes(arch, claimed))
-        self.unprinted_arch = [UnprintedArch(u["case"], tuple(u["word"]), u["name"], u["claim"])
-                               for _, u in _arch_entries(arch, "unprinted", claimed)]
+        self.unprinted_arch = [UnprintedArch(case, word, u.req("name"), u.req("claim"))
+                               for u, case, word in _arch_entries(arch, "unprinted", claimed)]
         self.arch_claims: dict[tuple[str, tuple[int, ...]], MatrixRecipe | UnprintedArch] = {
             (c.case, c.word): c for c in [*self.catalog.recipes.values(), *self.unprinted_arch]}
-        self.modulus_checks = [ModulusCheck(m["system"], m["parabolic"], _fr(m["expect"]))
-                               for m in raw.get("modulus_checks", [])]
-        self.algebras = {k: [int(g) for g in v] for k, v in raw["algebras"].items()}
-        c = raw["claims"]
-        self.claims = ClaimsSpec(count=int(c["count"]), seed=int(c["seed"]),
-                                 primes=[int(p) for p in c["primes"]],
-                                 qxf_disc=int(c["qxf_disc"]))
+        self.modulus_checks = [ModulusCheck(m.req("system"), m.req("parabolic"),
+                                            m.req("expect", _fr))
+                               for m in top.entries("modulus_checks")]
+        ints, algebras = partial(_list, convert=_int), top.map("algebras")
+        self.algebras = {k: algebras.req(k, ints) for k in ("definite", "split")}
+        c = top.map("claims")
+        self.claims = ClaimsSpec(count=c.req("count", _int), seed=c.req("seed", _int),
+                                 primes=c.req("primes", ints),
+                                 qxf_disc=c.req("qxf_disc", _int))
+        top.check_all_read()
+        self._systems: dict[str, RootSystem] = {}
         self._oracles: dict[str, AbsoluteOracle] = {}
 
     # -- systems -------------------------------------------------------------
 
-    def system_name(self, name: str) -> str:
-        if name not in self.system_names:
-            raise ConfigError(f"unknown root system {name!r}")
-        return self.system_names[name]
-
     def system(self, name: str) -> RootSystem:
-        name = self.system_name(name)
-        if name not in self._systems:
-            spec = self.raw["systems"][name]
-            mult = {_fr(k): int(v) for k, v in spec.get("multiplicities", {}).items()}
-            pscale = {_fr(k): _fr(v) for k, v in spec.get("print_scale", {}).items()}
-            labels = {}
-            for lab, radical in spec.get("parabolics", {}).items():
-                labels[lab] = frozenset(int(i) for i in radical)
-            sys = RootSystem(
-                name,
-                [[_fr(c) for c in row] for row in spec["simple_roots"]],
-                multiplicities=mult, print_coroot_scale=pscale,
-                nu=[_fr(c) for c in spec["nu"]] if "nu" in spec else None,
-                parabolic_labels=labels)
-            exp_rho = spec.get("rho_weighted")
-            if exp_rho is not None:
-                got = sys.rho_weighted()
-                want = tuple(_fr(c) for c in exp_rho)
-                if got != want:
-                    raise ConfigError(f"{name}: weighted rho {got} != configured {want}")
-            self._systems[name] = sys
-        return self._systems[name]
+        """The root system of a name or alias, built from its parsed entry at
+        the first query; a stated rho_weighted must be the built system's."""
+        if name not in self.systems:
+            raise ConfigError(f"unknown root system {name!r}")
+        spec = self.systems[name]
+        if spec.name not in self._systems:
+            system = RootSystem(spec.name, spec.simple_roots, multiplicities=spec.multiplicities,
+                                print_coroot_scale=spec.print_scale, nu=spec.nu,
+                                parabolic_labels=spec.parabolics)
+            got, want = system.rho_weighted(), spec.rho_weighted
+            if want is not None and got != want:
+                raise ConfigError(f"systems.{spec.name}.rho_weighted: computed "
+                                  f"{[str(c) for c in got]} != configured {[str(c) for c in want]}")
+            self._systems[spec.name] = system
+        return self._systems[spec.name]
 
     # -- cases ----------------------------------------------------------------
 
     def case(self, name: str) -> CaseSpec:
-        if name in self.cases:
-            return self.cases[name]
-        if name in self.case_aliases:
-            return self.cases[self.case_aliases[name]]
-        raise ConfigError(f"unknown case {name!r}")
+        if name not in self._case_index:
+            raise ConfigError(f"unknown case {name!r}")
+        return self._case_index[name]
 
     # -- oracles ---------------------------------------------------------------
 
@@ -405,18 +454,21 @@ class Config:
         case = self.case(name)
         if case.name not in self._oracles:
             spec = case.oracle
-            oracle = AbsoluteOracle(
-                self.system(spec["absolute"]), self.system(case.system),
-                kernel=[int(i) for i in spec["kernel"]],
-                node_map={int(k): int(v) for k, v in spec["nodes"].items()},
-                source_node=int(spec["source_node"]))
-            want = spec.get("lambda_abs")
-            if want is not None and list(oracle.lambda_abs.entries()) != [
-                    _parse_affine(x) for x in want]:
-                raise ConfigError(f"cases.{case.name}.oracle.lambda_abs: computed "
-                                  f"{oracle.lambda_abs} != configured {want}")
+            oracle = AbsoluteOracle(self.system(spec.absolute), self.system(case.system),
+                                    kernel=spec.kernel, node_map=spec.nodes,
+                                    source_node=spec.source_node)
+            check_forms(f"cases.{case.name}.oracle.lambda_abs", oracle.lambda_abs,
+                        spec.lambda_abs)
             self._oracles[case.name] = oracle
         return self._oracles[case.name]
+
+
+def check_forms(path: str, computed, configured: list[AffineForm] | None) -> None:
+    """Raise ConfigError at path unless the computed vector's entries are
+    the configured forms; nothing is checked where none are configured."""
+    if configured is not None and list(computed.entries()) != configured:
+        raise ConfigError(f"{path}: computed {computed} != configured "
+                          f"{[str(f) for f in configured]}")
 
 
 def default_config_path() -> Path:

@@ -200,8 +200,10 @@ class AffineForm:
         t = text.replace(" ", "")
         if not t:
             raise ValueError("empty affine form")
-        # split into signed terms
+        # split into signed terms, which must make up the whole text
         terms = re.findall(r"[+-]?[^+-]+", t)
+        if "".join(terms) != t:
+            raise ValueError(f"cannot parse affine form {text!r}")
         slope = Fraction(0)
         icept = Fraction(0)
         for term in terms:

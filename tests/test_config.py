@@ -86,6 +86,18 @@ def _first_map_of_each_level(raw) -> dict[str, tuple[str, dict]]:
     return found
 
 
+def _every_map(value, path: str):
+    """The dotted path and the map of every map in a parsed config, the
+    config itself first, at the path ''."""
+    if isinstance(value, dict):
+        yield path, value
+        for key, item in value.items():
+            yield from _every_map(item, f"{path}.{key}" if path else str(key))
+    elif isinstance(value, list):
+        for i, item in enumerate(value):
+            yield from _every_map(item, f"{path}[{i}]")
+
+
 LEVELS = ["case", "table", "row", "eis", "order", "intertwiner", "pairings", "recipes",
           "checks", "unprinted", "algebras", "claims", "systems", "oracle",
           "modulus_checks", "arch-section"]
@@ -121,6 +133,24 @@ class TestStrictKeys:
         with pytest.raises(ConfigError) as err:
             Config(raw)
         assert str(err.value) == f"unknown config key {path}.{key}"
+
+    def test_bogus_in_every_map_names_that_map(self):
+        """A planted key fails the load in each of the config's 343 maps,
+        with a message naming that map's own path: an unknown key in a map
+        of config keys, a key that does not convert in a map of data keys
+        (root lengths, labels, nodes, symbols), an entry not a map in a map
+        of names."""
+        raw = copy.deepcopy(load_config().raw)
+        maps = list(_every_map(raw, ""))
+        assert len(maps) == 343
+        for path, spec in maps:
+            spec["bogus"] = 1
+            with pytest.raises(ConfigError) as err:
+                Config(raw)
+            del spec["bogus"]
+            key, message = f"{path}.bogus" if path else "bogus", str(err.value)
+            assert (message == f"unknown config key {key}"
+                    or message.startswith((f"{key}: ", f"{path}: "))), (path, message)
 
     def test_unknown_top_level_key(self):
         assert _load_error(lambda raw: raw.update(bogus=1)) == "unknown config key bogus"
@@ -212,8 +242,8 @@ class TestRecipesAtLoad:
             _recipe(raw, "v212")["tokens"] = "A1 d(s-1"
         def s0(raw):
             _recipe(raw, "v212")["checks"]["s0"] = "five"
-        assert _load_error(tokens) == "arch.recipes[0]: bad recipe token 'd(s-1'"
-        assert _load_error(s0).startswith("arch.recipes[0]: ")
+        assert _load_error(tokens) == "arch.recipes[0].tokens: bad recipe token 'd(s-1'"
+        assert _load_error(s0).startswith("arch.recipes[0].checks.s0: ")
         assert "'five'" in _load_error(s0)
 
     @pytest.mark.parametrize("old,new,args", [
@@ -284,6 +314,33 @@ class TestOracle:
         assert cfg.oracle("E7-siegel").rational is cfg.system("C3-E7rational")
 
 
+class TestCheckedAtBuild:
+    """rho_weighted and lambda_printed are compared with values that need the
+    built system, so a wrong one loads, and the first query that builds the
+    system fails with exit status 1."""
+
+    @pytest.mark.parametrize("old,new,args,message", [
+        ('lambda_printed: ["s-17", "s-9", "s-1"]', 'lambda_printed: ["s-16", "s-9", "s-1"]',
+         ["constant-term", "E7-siegel", "P3", "P3"],
+         "cases.E7-siegel.lambda_printed: computed (s-17, s-9, s-1) != configured "
+         "['s-16', 's-9', 's-1']"),
+        ('lambda_printed: ["s-4"]', 'lambda_printed: ["s-5"]', ["oracle"],
+         "cases.D5-line.lambda_printed: computed (s-4) != configured ['s-5']"),
+        ('rho_weighted: ["17", "9", "1"]', 'rho_weighted: ["17", "9", "2"]',
+         ["cosets", "C3", "P3", "P3"],
+         "systems.C3-E7rational.rho_weighted: computed ['17', '9', '1'] != configured "
+         "['17', '9', '2']"),
+    ], ids=["lambda_printed", "lambda_printed-oracle", "rho_weighted"])
+    def test_planted_value_fails_the_query(self, text, tmp_path, old, new, args, message):
+        planted = tmp_path / "config.yaml"
+        assert text.count(old) == 1
+        planted.write_text(text.replace(old, new), encoding="utf-8")
+        Config(yaml.load(planted.read_text(encoding="utf-8"), Loader=yaml.CSafeLoader))
+        r = CliRunner().invoke(main, ["--config", str(planted), "--format", "json", *args])
+        assert r.exit_code == 1
+        assert r.output == f"Error: {message}\n"
+
+
 class TestRequiredKeys:
     @pytest.mark.parametrize("level,key", REQUIRED, ids=[f"{l}.{k}" for l, k in REQUIRED])
     def test_missing_key_names_its_path(self, level, key):
@@ -330,15 +387,60 @@ LEAVES = [
     (lambda raw: _row(raw, "E7-siegel", 0, 3)["order"].update(total="minus-one"),
      "cases.E7-siegel.tables[0].rows[3].order.total: expected an integer"),
     (lambda raw: raw["cases"]["D5-line"].update(s0="five"),
-     "cases.D5-line: Invalid literal for Fraction: 'five'"),
+     "cases.D5-line.s0: Invalid literal for Fraction: 'five'"),
     (lambda raw: raw["cases"]["D5-line"].update(system=["D5rel"]),
      "cases.D5-line.system: unhashable type: 'list'"),
     (lambda raw: _row(raw, "E7-siegel", 0, 3).update(lambda_prime=[1, "s+q"]),
-     "cases.E7-siegel.tables[0].rows[3]: cannot parse affine term '+q'"),
+     "cases.E7-siegel.tables[0].rows[3].lambda_prime: cannot parse affine term '+q'"),
+    (lambda raw: _row(raw, "E7-siegel", 0, 3)["trace"][0].__setitem__(1, "s--1"),
+     "cases.E7-siegel.tables[0].rows[3].trace: cannot parse affine form 's--1'"),
+    (lambda raw: _row(raw, "E7-siegel", 0, 1)["eis"][0].update(
+        functional=["0", "1/3", "-1/3", "7"]),
+     "cases.E7-siegel.tables[0].rows[1].eis[0].functional: expected 3 entries, got 4"),
+    (lambda raw: _row(raw, "E7-siegel", 0, 1)["eis"][0].update(root=1),
+     "cases.E7-siegel.tables[0].rows[1].eis[0]: a root and a functional both"),
+    (lambda raw: _row(raw, "GE-split", 1, 1)["pairings"][0].update(root=4),
+     "cases.GE-split.tables[1].rows[1].pairings[1].root: root 4 is checked twice"),
+    (lambda raw: _row(raw, "GE-split", 1, 1)["eis"][1].update(root=3),
+     "cases.GE-split.tables[1].rows[1].eis[1].root: root 3 is checked twice"),
+    (lambda raw: _row(raw, "D6-min", 0, 1)["order"]["symbols"].update(jv="0"),
+     "cases.D6-min.tables[0].rows[1].order.symbols: 'jv' is not one lowercase letter"),
+    (lambda raw: _row(raw, "GE-field", 1, 1).update(assoc=[3]),
+     "cases.GE-field.tables[1].rows[1].assoc: expected an integer in 1..2"),
+    (lambda raw: _row(raw, "E7-siegel", 0, 3)["trace"][0].__setitem__(0, 4),
+     "cases.E7-siegel.tables[0].rows[3].trace: expected an integer in 1..3"),
+    (lambda raw: _row(raw, "D6-min", 1, 1)["action"].update(s1="r2"),
+     "cases.D6-min.tables[1].rows[1].action: s1: r2 is not r<i>: r<j> or -r<j>"),
+    (lambda raw: raw["systems"]["G2-GEfield"]["parabolics"].update(P3=[3]),
+     "systems.G2-GEfield.parabolics: expected an integer in 1..2"),
+    (lambda raw: raw["systems"]["G2-GEfield"].update(simple_roots=[["0", "1", "-1"], ["1", "-2"]]),
+     "systems.G2-GEfield.simple_roots: expected 3 entries, got 2"),
+    (lambda raw: raw["systems"]["A2-E6rational"]["cblocks"].update({"2": [["zeta", "1", "0"]]}),
+     "systems.A2-E6rational.cblocks: not enough values to unpack"),
+    (lambda raw: raw["cases"]["E7-siegel"]["oracle"].update(kernel=["a"]),
+     "cases.E7-siegel.oracle.kernel: expected an integer in 1..7"),
+    (lambda raw: raw["cases"]["D5-line"]["oracle"].update(kernel=[2, 3, 4, 5, 1]),
+     "cases.D5-line.oracle: kernel [2, 3, 4, 5, 1] and nodes [1] do not partition the "
+     "absolute nodes 1..5"),
+    (lambda raw: raw["cases"]["D5-line"]["oracle"].update(nodes={1: 2}),
+     "cases.D5-line.oracle.nodes: expected an integer in 1..1"),
+    (lambda raw: raw["cases"]["D5-line"]["oracle"].update(absolute="D9abs"),
+     "cases.D5-line.oracle.absolute: D9abs is no system"),
+    (lambda raw: raw["modulus_checks"][0].update(expect="q"),
+     "modulus_checks[0].expect: Invalid literal for Fraction: 'q'"),
+    (lambda raw: raw["algebras"].update(split=["a", 1, 1]),
+     "algebras.split: expected an integer"),
+    (lambda raw: raw["claims"].update(count="x"), "claims.count: expected an integer"),
+    (lambda raw: raw["claims"].update(count=2.9), "claims.count: expected an integer"),
 ]
 LEAF_IDS = ["word-zero", "word-negative", "pairing-root", "eis-root", "action-r0",
             "action-r3", "no-cblocks", "min_vanishing_order", "order-total", "case-s0",
-            "case-system", "row-affine"]
+            "case-system", "row-affine", "affine-stray-sign", "eis-functional-length",
+            "eis-root-and-functional", "pairing-root-twice", "eis-root-twice",
+            "order-symbol", "assoc-index", "trace-letter", "action-key", "parabolic-index", "simple-roots-length",
+            "cblocks-template", "oracle-kernel", "oracle-partition", "oracle-nodes",
+            "oracle-absolute", "modulus-expect", "algebras-split", "claims-count",
+            "claims-count-float"]
 
 
 class TestShapeAtLoad:
@@ -382,9 +484,18 @@ class TestShapeAtLoad:
         (LEAVES[0][0], ["constant-term", "D5-line", "P1", "P1"], LEAVES[0][1]),
         (LEAVES[7][0], ["constant-term", "GE-field", "P1", "P1"], LEAVES[7][1]),
         (LEAVES[8][0], ["constant-term", "E7-siegel", "P3", "P3"], LEAVES[8][1]),
+        *[(LEAVES[LEAF_IDS.index(leaf)][0], args, LEAVES[LEAF_IDS.index(leaf)][1])
+          for leaf, args in [
+              ("eis-functional-length", ["constant-term", "E7-siegel", "P3", "P3"]),
+              ("pairing-root-twice", ["constant-term", "GE-split", "P2", "P1"]),
+              ("oracle-kernel", ["modulus"]), ("oracle-partition", ["modulus"]),
+              ("modulus-expect", ["modulus"]), ("algebras-split", ["arch"]),
+              ("claims-count", ["modulus"]), ("claims-count-float", ["modulus"])]],
     ], ids=["unprintd", "top-level", "checks-modulus", "checks-arch", "word-modulus",
             "word-constant-term", "systems-modulus", "modulus_checks-oracle",
-            "word-zero", "min_vanishing_order", "order-total"])
+            "word-zero", "min_vanishing_order", "order-total", "eis-functional-length",
+            "pairing-root-twice", "oracle-kernel", "oracle-partition", "modulus-expect",
+            "algebras-split", "claims-count", "claims-count-float"])
     def test_cli_exits_1_at_load(self, tmp_path, edit, args, message):
         raw = copy.deepcopy(load_config().raw)
         edit(raw)

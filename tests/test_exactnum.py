@@ -49,6 +49,12 @@ class TestAffineForm:
         a = AffineForm.parse(text)
         assert a.slope == slope and a.intercept == icept
 
+    @pytest.mark.parametrize("text", ["s-", "2s-", "s-1-", "s--1", "s+-1", "+", "-"])
+    def test_parse_consumes_the_whole_text(self, text):
+        """A stray sign is no term: once dropped, "s--1" read as s-1."""
+        with pytest.raises(ValueError, match="cannot parse affine form"):
+            AffineForm.parse(text)
+
     def test_roundtrip(self):
         for text in ("s-17", "2s-10", "-4", "-s+18", "s"):
             a = AffineForm.parse(text)
