@@ -397,7 +397,7 @@ class Config:
         self.cases = {name: _parse_case(name, m, self.systems)
                       for name, m in top.named("cases").items()}
         self._case_index = {**{alias: cs for cs in self.cases.values() for alias in cs.aliases},
-                           **self.cases}
+                            **self.cases}
         # the arch section claims row words of the cases, one claim a word
         claimed = {(name, row.word): None for name, cs in self.cases.items()
                    for table in cs.tables for row in table.rows}
