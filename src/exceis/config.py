@@ -12,8 +12,8 @@ from __future__ import annotations
 import importlib.resources
 import re
 from dataclasses import dataclass, field
-from functools import partial
 from fractions import Fraction
+from functools import partial
 from pathlib import Path
 
 import yaml
@@ -278,7 +278,7 @@ def _system(systems: dict[str, SystemSpec], name, cblocks: bool = False) -> Syst
 
 def _parse_oracle(m: _Map, systems: dict[str, SystemSpec], rank: int) -> OracleSpec:
     """A case's oracle map: kernel and nodes partition the absolute nodes,
-    and each node goes to a node of the case's system, of rank rank."""
+    and nodes sends each to a node 1..rank of the case's system."""
     absolute = m.req("absolute", partial(_system, systems))
     n = len(absolute.simple_roots)
     kernel = m.req("kernel", lambda x: _list(x, partial(_int, top=n)))
@@ -294,7 +294,7 @@ def _parse_oracle(m: _Map, systems: dict[str, SystemSpec], rank: int) -> OracleS
 def _parse_eis(e: _Map, rank: int, dim: int) -> EisCheck:
     """One eis entry: a root in 1..rank, or a functional of dim rationals."""
     if "root" in e.spec and "functional" in e.spec:
-        raise ConfigError(f"{e.path}: a root and a functional both")
+        raise ConfigError(f"{e.path}: has both a root and a functional")
     functional = e.get("functional", lambda x: tuple(_list(x, _fr, dim)))
     return EisCheck(threshold=e.req("threshold", _fr), status=e.req("status"),
                     root=None if functional else e.req("root", partial(_int, top=rank)),

@@ -398,7 +398,7 @@ LEAVES = [
         functional=["0", "1/3", "-1/3", "7"]),
      "cases.E7-siegel.tables[0].rows[1].eis[0].functional: expected 3 entries, got 4"),
     (lambda raw: _row(raw, "E7-siegel", 0, 1)["eis"][0].update(root=1),
-     "cases.E7-siegel.tables[0].rows[1].eis[0]: a root and a functional both"),
+     "cases.E7-siegel.tables[0].rows[1].eis[0]: has both a root and a functional"),
     (lambda raw: _row(raw, "GE-split", 1, 1)["pairings"][0].update(root=4),
      "cases.GE-split.tables[1].rows[1].pairings[1].root: root 4 is checked twice"),
     (lambda raw: _row(raw, "GE-split", 1, 1)["eis"][1].update(root=3),
