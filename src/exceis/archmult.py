@@ -115,6 +115,31 @@ class RecipeCatalog:
         return vec
 
 
+@dataclass(frozen=True)
+class Reading:
+    """One entry at a point s0: its order of vanishing there (negative at a
+    pole, None for the zero function), and its value and derivative there,
+    None at a pole."""
+
+    order: int | None
+    value: Fraction | None = None
+    derivative: Fraction | None = None
+
+
+def read_at(vec: MultiplierVector, s0) -> list[Reading]:
+    """Each entry's reading at s0; the zero function reads value 0 and
+    derivative 0."""
+    out = []
+    for f in vec:
+        if f.is_zero():
+            out.append(Reading(None, Fraction(0), Fraction(0)))
+        elif f.order_at(s0) < 0:
+            out.append(Reading(f.order_at(s0)))
+        else:
+            out.append(Reading(f.order_at(s0), f.eval_at(s0), f.derivative().eval_at(s0)))
+    return out
+
+
 @dataclass
 class PatternCheck:
     ok: bool
@@ -139,10 +164,7 @@ def pattern_check(vec: MultiplierVector, s0, value_pattern,
 
 def vanishing_order(vec: MultiplierVector, s0) -> int:
     """Minimal order of vanishing at s0 across the three entries."""
-    orders = []
-    for f in vec:
-        if not f.is_zero():
-            orders.append(f.order_at(s0))
+    orders = [r.order for r in read_at(vec, s0) if r.order is not None]
     if not orders:
         raise ValueError("zero multiplier vector")
     return min(orders)
