@@ -2,7 +2,7 @@
 constant-term ledgers, archimedean multiplier recipes, and octonion/Jordan
 algebra identities."""
 
-from .exactnum import AffineForm, Poly, Rational, RatFunc, pochhammer
+from .exactnum import AffineForm, Poly, pochhammer
 from .rootsys import ParabolicSpec, RootSystem
 from .eiscalc import (CoordVector, LambdaTrace, ZetaFactor, ZetaProduct,
                       apply_word, gk_cfunction, order_report, rational_cfunction,
@@ -10,7 +10,7 @@ from .eiscalc import (CoordVector, LambdaTrace, ZetaFactor, ZetaProduct,
 from .config import load_config
 
 __all__ = [
-    "AffineForm", "Poly", "Rational", "RatFunc", "pochhammer",
+    "AffineForm", "Poly", "pochhammer",
     "ParabolicSpec", "RootSystem",
     "CoordVector", "LambdaTrace", "ZetaFactor", "ZetaProduct",
     "apply_word", "gk_cfunction", "order_report", "rational_cfunction",

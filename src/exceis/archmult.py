@@ -1,7 +1,13 @@
 """Archimedean multiplier recipes: A-conjugated diagonal Pochhammer ratios.
 
-A recipe is a token sequence ending in the base vector (0,0,1)^t, evaluated
-exactly over rational functions of s.  The catalog itself is data: only
+A recipe is a token sequence ending in the base vector (0,0,1)^t.  It is
+evaluated exactly, right to left, as three polynomial numerators in s over
+one shared denominator that is never reduced: A1 and A1i multiply the
+numerators by a constant matrix, and d(z) multiplies them by Pochhammer
+polynomials and the denominator by ((1+z)/2)_2.  An entry is read at a
+point s0 once its numerator and the denominator drop their common power of
+(s - s0), so it reads as the function it is: removable singularities read
+their limit, and a pole reads its order.  The catalog itself is data: only
 recipes that the verified tables actually state are present, keyed by name.
 """
 
@@ -11,7 +17,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exactnum import AffineForm, RatFunc, inverse, pochhammer
+from .exactnum import AffineForm, Poly, inverse, pochhammer
 
 BASE_A = ((2, 2, 1), (56, 8, -4), (140, -20, 6))
 
@@ -23,16 +29,24 @@ assert all(sum(A1[i][k] * A1_INV[k][j] for k in range(3)) == (1 if i == j else 0
            for i in range(3) for j in range(3)), "A1 * A1^{-1} != I"
 
 
-def diag_entries(arg: AffineForm) -> tuple[RatFunc, RatFunc, RatFunc]:
-    """d(z) = diag(v2(z), v1(z), 1) with v_k(z) = ((1-z)/2)_k / ((1+z)/2)_k."""
+def diag_factors(arg: AffineForm) -> tuple[tuple[Poly, Poly, Poly], Poly]:
+    """d(z) = diag(v2(z), v1(z), 1) with v_k(z) = ((1-z)/2)_k / ((1+z)/2)_k,
+    as three numerators over the one denominator (h)_2, h = (1+z)/2: (h)_1
+    divides (h)_2 with quotient h+1."""
     half_minus = AffineForm(-arg.slope / 2, (1 - arg.intercept) / 2)
     half_plus = AffineForm(arg.slope / 2, (1 + arg.intercept) / 2)
-    v1 = pochhammer(half_minus, 1) / pochhammer(half_plus, 1)
-    v2 = pochhammer(half_minus, 2) / pochhammer(half_plus, 2)
-    return v2, v1, RatFunc.const(1)
+    den = pochhammer(half_plus, 2)
+    return (pochhammer(half_minus, 2),
+            pochhammer(half_minus, 1) * half_plus.shift(1).as_poly(), den), den
 
 
-MultiplierVector = tuple[RatFunc, RatFunc, RatFunc]
+@dataclass(frozen=True)
+class MultiplierVector:
+    """Three entries nums[i] / den over one shared denominator, which is
+    never reduced: an entry is read at a point by read_at."""
+
+    nums: tuple[Poly, Poly, Poly]
+    den: Poly
 
 
 @dataclass(frozen=True)
@@ -91,26 +105,26 @@ class RecipeCatalog:
         self._values: dict[str, MultiplierVector] = {}
 
     def evaluate(self, recipe: MatrixRecipe) -> MultiplierVector:
-        """Exact right-to-left evaluation over RatFunc entries, memoized by
-        recipe name (RatFunc values are never mutated)."""
+        """Exact right-to-left evaluation over polynomial numerators and one
+        denominator, memoized by recipe name (the vectors are immutable)."""
         if recipe.name in self._values:
             return self._values[recipe.name]
         vec: MultiplierVector | None = None
         for tok in reversed(recipe.tokens):
             if tok.kind == "base":
-                vec = (RatFunc.const(0), RatFunc.const(0), RatFunc.const(1))
+                vec = MultiplierVector((Poly(), Poly(), Poly.const(1)), Poly.const(1))
             elif tok.kind == "ref":
                 vec = self.evaluate(self.recipes[tok.ref])
             elif tok.kind == "d":
-                d = diag_entries(tok.arg)
+                factors, den = diag_factors(tok.arg)
                 for _ in range(tok.power):
-                    vec = tuple(di * vi for di, vi in zip(d, vec))
+                    vec = MultiplierVector(tuple(f * n for f, n in zip(factors, vec.nums)),
+                                           vec.den * den)
             else:
                 m = A1 if tok.kind == "A1" else A1_INV
-                vec = tuple(
-                    sum((RatFunc.const(m[i][k]) * vec[k] for k in range(3)),
-                        RatFunc.const(0))
-                    for i in range(3))
+                vec = MultiplierVector(
+                    tuple(sum((n.scale(c) for c, n in zip(row, vec.nums)), Poly())
+                          for row in m), vec.den)
         self._values[recipe.name] = vec
         return vec
 
@@ -127,16 +141,26 @@ class Reading:
 
 
 def read_at(vec: MultiplierVector, s0) -> list[Reading]:
-    """Each entry's reading at s0; the zero function reads value 0 and
+    """Each entry's reading at s0, once its numerator and the denominator
+    drop their powers of (s - s0): the entry is (s - s0)^order g with g
+    regular and nonzero at s0.  The zero function reads value 0 and
     derivative 0."""
+    s0 = Fraction(s0)
+    e, den = vec.den.deflate(s0)
     out = []
-    for f in vec:
-        if f.is_zero():
+    for num in vec.nums:
+        if num.is_zero():
             out.append(Reading(None, Fraction(0), Fraction(0)))
-        elif f.order_at(s0) < 0:
-            out.append(Reading(f.order_at(s0)))
+            continue
+        k, num = num.deflate(s0)
+        g = num.eval(s0) / den.eval(s0)
+        if k < e:
+            out.append(Reading(k - e))
+        elif k == e:
+            dg = (num.derivative().eval(s0) - g * den.derivative().eval(s0)) / den.eval(s0)
+            out.append(Reading(0, g, dg))
         else:
-            out.append(Reading(f.order_at(s0), f.eval_at(s0), f.derivative().eval_at(s0)))
+            out.append(Reading(k - e, Fraction(0), g if k - e == 1 else Fraction(0)))
     return out
 
 
@@ -149,16 +173,19 @@ class PatternCheck:
 def pattern_check(vec: MultiplierVector, s0, value_pattern,
                   derivative_pattern=None) -> PatternCheck:
     """Check exact vanishing patterns; '*' entries are unconstrained but the
-    exact values are still recorded in the ledger."""
-    checked = [("value", vec, value_pattern)]
+    exact values are still recorded in the ledger.  A pole at s0 fails the
+    check whatever the pattern: the multiplier has no value there."""
+    readings = read_at(vec, s0)
+    checked = [("value", [r.value for r in readings], value_pattern)]
     if derivative_pattern is not None:
-        checked.append(("derivative", [f.derivative() for f in vec], derivative_pattern))
+        checked.append(("derivative", [r.derivative for r in readings], derivative_pattern))
     ledger, ok = [], True
-    for label, fs, pattern in checked:
-        vals = [f.eval_at(s0) for f in fs]  # PoleError if s0 is a pole
-        for i, (v, pat) in enumerate(zip(vals, pattern)):
-            ledger.append(f"{label}[{i}] = {v}")
-            ok = ok and (pat != "0" or v == 0)
+    # the k-th derivative of a pole of order p has a pole of order p + k
+    for k, (label, vals, pattern) in enumerate(checked):
+        for i, (r, v, pat) in enumerate(zip(readings, vals, pattern)):
+            ledger.append(f"{label}[{i}] = "
+                          + (f"pole of order {k - r.order}" if v is None else str(v)))
+            ok = ok and v is not None and (pat != "0" or v == 0)
     return PatternCheck(ok, ledger)
 
 

@@ -1,12 +1,12 @@
-"""Exact univariate rational arithmetic in the parameter s, and exact
-linear algebra over the rationals.
+"""Exact polynomials and affine forms in the parameter s, and exact linear
+algebra over the rationals.
 
 Everything here is built on :class:`fractions.Fraction`; no floating point
 enters at any stage.  Polynomials are stored dense by degree (degrees in
-this project stay below ~30) and rational functions are kept in a canonical
-form (coprime numerator/denominator, monic denominator) so that equality is
-decidable coefficientwise.  Linear systems, inverses and nullspaces all go
-through one Gauss-Jordan elimination, :func:`_eliminate`.
+this project stay below ~30); a quotient of two of them is read at a point
+by dropping the power of (s - s0) from each (:meth:`Poly.deflate`), so no
+rational-function form is kept.  Linear systems, inverses and nullspaces
+all go through one Gauss-Jordan elimination, :func:`_eliminate`.
 """
 
 from __future__ import annotations
@@ -14,22 +14,6 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from typing import Iterable
-
-Rational = Fraction
-
-
-class ZeroFunctionError(ValueError):
-    """Raised when an operation needs a not-identically-zero function."""
-
-
-class PoleError(ArithmeticError):
-    """Evaluation at a pole.  Carries the pole order."""
-
-    def __init__(self, point: Fraction, order: int):
-        self.point = point
-        self.order = order
-        super().__init__(f"pole of order {order} at s = {point}")
-
 
 def _as_fraction(x) -> Fraction:
     if isinstance(x, Fraction):
@@ -56,27 +40,11 @@ class Poly:
     def const(cls, c) -> "Poly":
         return cls([_as_fraction(c)])
 
-    @classmethod
-    def s(cls) -> "Poly":
-        return cls([0, 1])
-
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1  # zero polynomial has degree -1
-
     def is_zero(self) -> bool:
         return not self.coeffs
 
-    def leading(self) -> Fraction:
-        if not self.coeffs:
-            return Fraction(0)
-        return self.coeffs[-1]
-
     def __eq__(self, other) -> bool:
         return isinstance(other, Poly) and self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash(self.coeffs)
 
     def __add__(self, other: "Poly") -> "Poly":
         a, b = self.coeffs, other.coeffs
@@ -115,49 +83,26 @@ class Poly:
     def derivative(self) -> "Poly":
         return Poly([i * c for i, c in enumerate(self.coeffs)][1:])
 
-    def divmod(self, other: "Poly") -> tuple["Poly", "Poly"]:
-        if other.is_zero():
-            raise ZeroDivisionError("polynomial division by zero")
-        q = [Fraction(0)] * max(0, self.degree - other.degree + 1)
-        rem = list(self.coeffs)
-        d = other.degree
-        lead = other.leading()
-        while len(rem) - 1 >= d and any(c != 0 for c in rem):
-            while rem and rem[-1] == 0:
-                rem.pop()
-            if len(rem) - 1 < d:
-                break
-            k = len(rem) - 1 - d
-            f = rem[-1] / lead
-            q[k] = f
-            for i, c in enumerate(other.coeffs):
-                rem[k + i] -= f * c
-            rem.pop()
-        return Poly(q), Poly(rem)
-
-    def root_multiplicity(self, s0) -> int:
-        """Multiplicity of s0 as a root (0 if not a root)."""
-        s0 = _as_fraction(s0)
+    def deflate(self, s0) -> tuple[int, "Poly"]:
+        """(m, q) with self = (s - s0)^m q and q(s0) != 0, by synthetic
+        division; self must not be the zero polynomial."""
         if self.is_zero():
-            raise ZeroFunctionError("zero polynomial has no root multiplicity")
-        m = 0
-        p = self
-        while p.eval(s0) == 0:
-            p, r = p.divmod(Poly([-s0, 1]))
-            assert r.is_zero()
-            m += 1
-        return m
-
-    def monic(self) -> "Poly":
-        if self.is_zero():
-            return self
-        return self.scale(1 / self.leading())
+            raise ValueError("the zero polynomial vanishes to every order")
+        m, coeffs = 0, self.coeffs
+        while True:
+            acc, quot = Fraction(0), []
+            for c in reversed(coeffs):
+                acc = acc * s0 + c
+                quot.append(acc)
+            if acc != 0:            # the remainder, self's value at s0
+                return m, Poly(coeffs)
+            m, coeffs = m + 1, quot[-2::-1]
 
     def __str__(self) -> str:
         if self.is_zero():
             return "0"
         parts = []
-        for i in range(self.degree, -1, -1):
+        for i in reversed(range(len(self.coeffs))):
             c = self.coeffs[i]
             if c == 0:
                 continue
@@ -173,13 +118,6 @@ class Poly:
         return "".join(parts)
 
     __repr__ = __str__
-
-
-def _gcd(a: Poly, b: Poly) -> Poly:
-    while not b.is_zero():
-        _, r = a.divmod(b)
-        a, b = b, r
-    return a.monic() if not a.is_zero() else Poly.const(1)
 
 
 _AFFINE_TERM = re.compile(r"^([+-]?)([0-9/]*)(s)?(?:/([0-9]+))?$")
@@ -277,110 +215,14 @@ class AffineForm:
     __repr__ = __str__
 
 
-class RatFunc:
-    """Rational function num/den in canonical form.
-
-    Invariants: gcd(num, den) = 1, den monic and nonzero; the zero function
-    is 0/1.  Two RatFuncs built along different arithmetic routes from the
-    same function therefore compare equal.
-    """
-
-    __slots__ = ("num", "den")
-
-    def __init__(self, num: Poly, den: Poly = Poly.const(1)):
-        if den.is_zero():
-            raise ZeroDivisionError("zero denominator")
-        if num.is_zero():
-            self.num, self.den = Poly(), Poly.const(1)
-            return
-        g = _gcd(num, den)
-        if g.degree > 0:
-            num, _ = num.divmod(g)
-            den, _ = den.divmod(g)
-        lc = den.leading()
-        self.num = num.scale(1 / lc)
-        self.den = den.scale(1 / lc)
-
-    @classmethod
-    def const(cls, c) -> "RatFunc":
-        return cls(Poly.const(c))
-
-    @classmethod
-    def s(cls) -> "RatFunc":
-        return cls(Poly.s())
-
-    def is_zero(self) -> bool:
-        return self.num.is_zero()
-
-    def is_polynomial(self) -> bool:
-        return self.den.degree == 0
-
-    def __eq__(self, other) -> bool:
-        return (isinstance(other, RatFunc)
-                and self.num == other.num and self.den == other.den)
-
-    def __hash__(self):
-        return hash((self.num, self.den))
-
-    def __add__(self, other: "RatFunc") -> "RatFunc":
-        return RatFunc(self.num * other.den + other.num * self.den,
-                       self.den * other.den)
-
-    def __neg__(self) -> "RatFunc":
-        return RatFunc(-self.num, self.den)
-
-    def __sub__(self, other: "RatFunc") -> "RatFunc":
-        return self + (-other)
-
-    def __mul__(self, other: "RatFunc") -> "RatFunc":
-        return RatFunc(self.num * other.num, self.den * other.den)
-
-    def __truediv__(self, other: "RatFunc") -> "RatFunc":
-        if other.is_zero():
-            raise ZeroDivisionError("division by the zero function")
-        return RatFunc(self.num * other.den, self.den * other.num)
-
-    def scale(self, c) -> "RatFunc":
-        return RatFunc(self.num.scale(c), self.den)
-
-    def derivative(self) -> "RatFunc":
-        """Exact quotient-rule derivative."""
-        n, d = self.num, self.den
-        return RatFunc(n.derivative() * d - n * d.derivative(), d * d)
-
-    def order_at(self, s0) -> int:
-        """Order of vanishing at s0 (negative = pole of that order).
-
-        Returns k with (s-s0)^(-k) * f finite and nonzero at s0.
-        """
-        if self.is_zero():
-            raise ZeroFunctionError("order_at is undefined for the zero function")
-        s0 = _as_fraction(s0)
-        return self.num.root_multiplicity(s0) - self.den.root_multiplicity(s0)
-
-    def eval_at(self, s0) -> Fraction:
-        s0 = _as_fraction(s0)
-        dv = self.den.eval(s0)
-        if dv == 0:
-            raise PoleError(s0, -self.order_at(s0))
-        return self.num.eval(s0) / dv
-
-    def __str__(self) -> str:
-        if self.is_polynomial():
-            return str(self.num)
-        return f"({self.num})/({self.den})"
-
-    __repr__ = __str__
-
-
-def pochhammer(z: AffineForm, n: int) -> RatFunc:
-    """Rising factorial z(z+1)...(z+n-1) as a polynomial RatFunc; n=0 gives 1."""
+def pochhammer(z: AffineForm, n: int) -> Poly:
+    """Rising factorial z(z+1)...(z+n-1) as a polynomial in s; n=0 gives 1."""
     if n < 0:
         raise ValueError("pochhammer needs n >= 0")
     acc = Poly.const(1)
     for k in range(n):
         acc = acc * z.shift(k).as_poly()
-    return RatFunc(acc)
+    return acc
 
 
 def _eliminate(rows: list[list[Fraction]], ncols: int) -> list[int]:

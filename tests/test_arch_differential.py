@@ -2,7 +2,9 @@
 in tests/arch_reference.py.  Every catalog recipe, at its own s0, at its
 case's s0 and at the zeros and poles of its d factors, and random token
 strings, at integers that hit those zeros and poles, read the same order
-for each entry, and the same value and derivative or the same pole."""
+for each entry, and the same value and derivative or the same pole; and
+each entry over the unreduced denominator is the canonical entry as a
+function."""
 
 from fractions import Fraction
 
@@ -30,6 +32,12 @@ def assert_same_readings(vec, ref_vec, points) -> None:
         assert read_at(vec, s0) == ref.read(ref_vec, s0), f"s0 = {s0}"
 
 
+def assert_same_functions(vec, ref_vec) -> None:
+    """num / den = F.num / F.den for each entry, cross-multiplied."""
+    for num, f in zip(vec.nums, ref_vec):
+        assert num * f.den == f.num * vec.den
+
+
 @pytest.mark.parametrize("name", sorted(CATALOG.recipes))
 def test_catalog_recipe(name):
     cfg = load_config()
@@ -39,6 +47,7 @@ def test_catalog_recipe(name):
     points = {recipe.s0, cfg.case(recipe.case).s0}
     assert_same_readings(CATALOG.evaluate(recipe), ref_vec, points)
     assert_same_readings(CATALOG.evaluate(recipe), ref_vec, special_points(recipe.tokens))
+    assert_same_functions(CATALOG.evaluate(recipe), ref_vec)
 
 
 def test_catalog_hits_a_pole():
@@ -61,5 +70,6 @@ def test_random_token_strings(text, s0):
     catalog = RecipeCatalog({"r": MatrixRecipe("x", (1,), "r", text, tokens,
                                                Fraction(0), ("*",) * 3)})
     points = {Fraction(s0)} | {p for p in special_points(tokens) if p.denominator == 1}
-    assert_same_readings(catalog.evaluate(catalog.recipes["r"]),
-                         ref.evaluate(tokens, {}), points)
+    vec, ref_vec = catalog.evaluate(catalog.recipes["r"]), ref.evaluate(tokens, {})
+    assert_same_readings(vec, ref_vec, points)
+    assert_same_functions(vec, ref_vec)

@@ -2,11 +2,11 @@ from fractions import Fraction
 
 import pytest
 
-from exceis.archmult import (A1, A1_INV, BASE_A, RecipeCatalog, Token,
-                             diag_entries, parse_tokens, pattern_check,
+from exceis.archmult import (A1, A1_INV, BASE_A, MultiplierVector, RecipeCatalog, Token,
+                             diag_factors, parse_tokens, pattern_check, read_at,
                              vanishing_order, MatrixRecipe)
 from exceis.config import load_config
-from exceis.exactnum import AffineForm, RatFunc
+from exceis.exactnum import AffineForm, Poly
 
 
 @pytest.fixture(scope="module")
@@ -20,15 +20,15 @@ class TestBaseMatrix:
         assert A1[0] == (2, 56, 140)
 
     def test_diag_entries(self):
-        v2, v1, v0 = diag_entries(AffineForm(1, 0))
-        assert v0 == RatFunc.const(1)
-        assert v1.eval_at(4) == Fraction(-3, 5)
-        assert v2.eval_at(4) == Fraction(3, 35)
+        (v2, v1, v0), den = diag_factors(AffineForm(1, 0))
+        assert v0 == den == Poly([Fraction(3, 4), 1, Fraction(1, 4)])   # ((1+s)/2)_2
+        assert v1.eval(4) / den.eval(4) == Fraction(-3, 5)
+        assert v2.eval(4) / den.eval(4) == Fraction(3, 35)
 
     def test_d_at_one(self):
         # (1-z)/2 vanishes at z=1, so the first two entries of d(1) are 0
-        v2, v1, _ = diag_entries(AffineForm(1, 0))
-        assert v1.eval_at(1) == 0 and v2.eval_at(1) == 0
+        (v2, v1, _), _ = diag_factors(AffineForm(1, 0))
+        assert v1.eval(1) == 0 and v2.eval(1) == 0
 
 
 class TestTokens:
@@ -55,14 +55,14 @@ class TestEvaluation:
         cat = RecipeCatalog({"base-only": MatrixRecipe(
             "x", (9,), "base-only", "e3", parse_tokens("e3"), Fraction(0), ("*",) * 3)})
         vec = cat.evaluate(cat.recipes["base-only"])
-        assert [f.eval_at(0) for f in vec] == [0, 0, 1]
+        assert [r.value for r in read_at(vec, 0)] == [0, 0, 1]
 
     def test_d4_intermediate_witness(self):
         # d(4) applied to A1 (0,0,1)^t gives (12,12,6); then A1^{-1} gives (6,0,0)
         col = [A1[i][2] for i in range(3)]
         assert col == [140, -20, 6]
-        v2, v1, v0 = diag_entries(AffineForm(1, -1))   # d(s-1) at s=5 is d(4)
-        vals = [f.eval_at(5) * c for f, c in zip((v2, v1, v0), col)]
+        factors, den = diag_factors(AffineForm(1, -1))   # d(s-1) at s=5 is d(4)
+        vals = [f.eval(5) / den.eval(5) * c for f, c in zip(factors, col)]
         assert vals == [12, 12, 6]
         back = [sum(A1_INV[i][k] * vals[k] for k in range(3)) for i in range(3)]
         assert back == [6, 0, 0]
@@ -74,32 +74,33 @@ class TestEvaluation:
             assert res.ok, (recipe.name, res.ledger)
 
     def test_no_pole_near_special_point(self, cfg):
-        # denominators of every catalog entry are nonzero at s=5
+        # the shared, unreduced denominator of every catalog recipe is
+        # nonzero at s=5
         for name in sorted(cfg.catalog.recipes):
             vec = cfg.catalog.evaluate(cfg.catalog.recipes[name])
-            for f in vec:
-                assert f.den.eval(5) != 0
+            assert vec.den.eval(5) != 0
 
     def test_prefix_distributes_over_suffix(self, cfg):
         # evaluating "prefix @v212" equals applying the prefix to v212's value
         cat = cfg.catalog
         v212 = cat.evaluate(cat.recipes["v212"])
         full = cat.evaluate(cat.recipes["v1212"])
-        d3 = diag_entries(AffineForm(1, -3))
-        step = [d * v for d, v in zip(d3, v212)]
-        for _ in range(2):
-            step = [d * v for d, v in zip(d3, step)]
-        applied = [sum((RatFunc.const(A1[i][k]) * step[k] for k in range(3)),
-                       RatFunc.const(0)) for i in range(3)]
-        assert applied == list(full)
+        d3, den3 = diag_factors(AffineForm(1, -3))
+        step = v212
+        for _ in range(3):
+            step = MultiplierVector(tuple(d * v for d, v in zip(d3, step.nums)),
+                                    step.den * den3)
+        applied = [sum((step.nums[k].scale(A1[i][k]) for k in range(3)), Poly())
+                   for i in range(3)]
+        assert applied == list(full.nums) and step.den == full.den
 
     def test_derivative_patterns_exact_values(self, cfg):
         cat = cfg.catalog
         v1212 = cat.evaluate(cat.recipes["v1212"])
-        dvals = [f.derivative().eval_at(5) for f in v1212]
+        dvals = [r.derivative for r in read_at(v1212, 5)]
         assert dvals[2] == 0 and (dvals[0] != 0 or dvals[1] != 0)
         v12432 = cat.evaluate(cat.recipes["v12432"])
-        dvals = [f.derivative().eval_at(5) for f in v12432]
+        dvals = [r.derivative for r in read_at(v12432, 5)]
         assert dvals[0] == 0 and dvals[1] == 0 and dvals[2] != 0
 
     def test_vanishing_order(self, cfg):
