@@ -5,7 +5,7 @@ algebra identities."""
 from .exactnum import AffineForm, Poly, pochhammer
 from .rootsys import ParabolicSpec, RootSystem
 from .eiscalc import (CoordVector, LambdaTrace, ZetaFactor, ZetaProduct,
-                      apply_word, gk_cfunction, order_report, rational_cfunction,
+                      apply_word, order_report, rational_cfunction,
                       shifted_exponent)
 from .config import load_config
 
@@ -13,7 +13,7 @@ __all__ = [
     "AffineForm", "Poly", "pochhammer",
     "ParabolicSpec", "RootSystem",
     "CoordVector", "LambdaTrace", "ZetaFactor", "ZetaProduct",
-    "apply_word", "gk_cfunction", "order_report", "rational_cfunction",
+    "apply_word", "order_report", "rational_cfunction",
     "shifted_exponent", "load_config",
 ]
 

@@ -20,9 +20,8 @@ from fractions import Fraction
 
 from .archmult import MatrixRecipe, pattern_check, vanishing_order
 from .config import CaseSpec, Config, RowSpec, TableSpec, UnprintedArch, check_forms
-from .eiscalc import (CoordVector, ZetaProduct, apply_word, convergence,
-                      intertwiner_verdict, order_report, rational_cfunction,
-                      shifted_exponent)
+from .eiscalc import (CoordVector, apply_word, convergence, intertwiner_verdict,
+                      order_report, rational_cfunction, shifted_exponent)
 from .exactnum import AffineForm
 from .rootsys import ParabolicSpec, RootSystem, Word, smul
 
@@ -189,11 +188,11 @@ def build_table_report(cfg: Config, case: CaseSpec, table: TableSpec,
 
         # c-function
         if row.cfunction is not None:
-            full = ZetaProduct.parse(row.cfunction, case.etale_variant)
+            full = row.cfunction
             checks.append(Check("cfunction", iv.cfunction.same_function(full),
                                 f"computed {iv.cfunction}"))
-            if row.cfunction_arch:
-                full = full * ZetaProduct.parse(row.cfunction_arch, case.etale_variant)
+            if row.cfunction_arch is not None:
+                full = full * row.cfunction_arch
             rec["cfunction_printed"] = str(full)
             if row.order_total is not None and with_expect:
                 rep_ord = order_report(full, s0, row.order_symbols)
@@ -352,7 +351,8 @@ def arch_report(cfg: Config, case_name: str | None = None) -> dict:
 
 def oracle_report(cfg: Config) -> dict:
     """GK oracle equivalence: the rational-rule c-function of each configured
-    word equals the absolute-system computation after restriction."""
+    word equals the absolute-system computation after restriction.  A word
+    that is not reduced has no c-function: its row says so and fails."""
     rows = []
     for case_name in sorted(cfg.cases):
         case = cfg.cases[case_name]
@@ -363,6 +363,10 @@ def oracle_report(cfg: Config) -> dict:
         lam = _lambda(system, case)
         words = {tuple(r.word) for t in case.tables for r in t.rows}
         for w in sorted(words, key=lambda w: (len(w), w)):
+            if not system.is_reduced(w):
+                rows.append({"case": case_name, "word": list(w),
+                             "detail": f"word {list(w)} is not reduced", "ok": False})
+                continue
             rat = rational_cfunction(system, case.rules, apply_word(system, lam, w))
             absc = oracle.gk_restricted(w)
             rows.append({"case": case_name, "word": list(w),

@@ -19,7 +19,7 @@ from pathlib import Path
 import yaml
 
 from .archmult import MatrixRecipe, RecipeCatalog, parse_tokens
-from .eiscalc import AbsoluteOracle, BlockRule
+from .eiscalc import AbsoluteOracle, BlockRule, ZetaProduct
 from .exactnum import AffineForm
 from .rootsys import RootSystem
 
@@ -56,8 +56,8 @@ class RowSpec:
     eis: list[EisCheck] = field(default_factory=list)
     intertwiner_local: str | None = None
     intertwiner_global: str | None = None
-    cfunction: list[str] | None = None          # printed finite factors
-    cfunction_arch: list[str] | None = None     # printed archimedean factors
+    cfunction: ZetaProduct | None = None        # printed finite factors
+    cfunction_arch: ZetaProduct | None = None   # printed archimedean factors
     order_total: int | None = None
     order_symbols: dict[str, Fraction] | None = None
     conclusion: str = "Contributes"
@@ -203,6 +203,12 @@ def _int(x, top: int | None = None) -> int:
     return x
 
 
+def _bool(x) -> bool:
+    if not isinstance(x, bool):
+        raise ValueError("expected a boolean")
+    return x
+
+
 def _list(x, convert=None, length: int | None = None) -> list:
     """x, a list (of length entries if given), with convert applied to each."""
     if not isinstance(x, list):
@@ -298,13 +304,18 @@ def _parse_eis(e: _Map, rank: int, dim: int) -> EisCheck:
     functional = e.get("functional", lambda x: tuple(_list(x, _fr, dim)))
     return EisCheck(threshold=e.req("threshold", _fr), status=e.req("status"),
                     root=None if functional else e.req("root", partial(_int, top=rank)),
-                    functional=functional, printed=e.get("printed", bool, True))
+                    functional=functional, printed=e.get("printed", _bool, True))
 
 
-def _parse_row(r: _Map, rank: int, dim: int) -> RowSpec:
+def _parse_row(r: _Map, rank: int, dim: int, variant: str) -> RowSpec:
     """One table row: word letters and root indexes in 1..rank, action
-    indexes (r1, r2, ...) in 1..dim."""
+    indexes (r1, r2, ...) in 1..dim, c-function factors read in the case's
+    etale variant."""
     index = partial(_int, top=rank)
+
+    def factors(x) -> ZetaProduct:
+        return ZetaProduct.parse(_list(x), variant)
+
     word = r.req("word", lambda x: tuple(_list(x, index)))
     pairings = [PairingCheck(p.req("root", index), p.req("expect", _affine))
                 for p in r.entries("pairings")]
@@ -320,7 +331,7 @@ def _parse_row(r: _Map, rank: int, dim: int) -> RowSpec:
         lambda_prime=r.get("lambda_prime", partial(_list, convert=_affine)),
         pairings=pairings, eis=eis,
         intertwiner_local=intertwiner.get("local"), intertwiner_global=intertwiner.get("global"),
-        cfunction=r.get("cfunction", _list), cfunction_arch=r.get("cfunction_arch", _list),
+        cfunction=r.get("cfunction", factors), cfunction_arch=r.get("cfunction_arch", factors),
         order_total=order.req("total", _int) if order else None,
         order_symbols=order.get("symbols", lambda x: _mapping(x, _letter, _fr)) if order else None,
         conclusion=r.get("conclusion", default="Contributes"),
@@ -341,7 +352,7 @@ def _parse_case(name: str, m: _Map, systems: dict[str, SystemSpec]) -> CaseSpec:
                for norm2, templates in system.cblocks.items()},
         oracle=_parse_oracle(m.map("oracle"), systems, rank) if "oracle" in m.spec else None,
         tables=[TableSpec(target=t.req("target"),
-                          rows=[_parse_row(r, rank, dim) for r in t.entries("rows")])
+                          rows=[_parse_row(r, rank, dim, variant) for r in t.entries("rows")])
                 for t in m.entries("tables")],
         aliases=m.get("aliases", _list, []))
 

@@ -412,12 +412,6 @@ def _gk_product(system: RootSystem, lam: CoordVector, roots) -> ZetaProduct:
                        + [(ZetaFactor("zeta", z.shift(1)), -1) for z in zs])
 
 
-def gk_cfunction(system: RootSystem, lam: CoordVector, word) -> ZetaProduct:
-    """Finite-place c-function over a split system: the product over
-    positive roots flipped by w of zeta(<lam, a^vee>)/zeta(<lam, a^vee>+1)."""
-    return _gk_product(system, lam, system.inversions(tuple(word)))
-
-
 class BlockRule:
     """Per-step factor rule for one root length of a rational system: a list
     of (kind, a, b, exponent) templates applied to the step's coroot pairing
@@ -512,9 +506,10 @@ class AbsoluteOracle:
         return sys.vector(solve([list(col) for col in zip(*sys.cartan)], rhs))
 
     def gk_restricted(self, rational_word) -> ZetaProduct:
-        """gk_cfunction over the absolute system for (a lift of) a rational
-        Weyl element: the flipped set is the union of fibres over the
-        rational inversion set."""
+        """The Gindikin-Karpelevich c-function over the absolute system for
+        (a lift of) a rational Weyl element: the product of
+        zeta(<lam, a^vee>)/zeta(<lam, a^vee>+1) over the flipped set, the
+        union of fibres over the rational inversion set."""
         flipped = set(self.rational.inversions(tuple(rational_word)))
         return _gk_product(self.absolute, self.lambda_abs,
                            [r for r in self.absolute.positives if self.restriction[r] in flipped])

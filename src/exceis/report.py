@@ -100,7 +100,7 @@ def to_markdown(report: dict) -> str:
         for r in report["rows"]:
             mark = "ok" if r["ok"] else "MISMATCH"
             lines.append(f"- {r['case']} [{','.join(str(i) for i in r['word'])}]: "
-                         f"{r['rational']} [{mark}]")
+                         f"{r.get('detail', r.get('rational'))} [{mark}]")
         return "\n".join(lines) + "\n"
     if kind == "arch":
         lines.append(f"## Archimedean multiplier catalog ({report['status']})")

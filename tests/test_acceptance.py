@@ -137,7 +137,7 @@ def test_ac3_cfunctions(cfg):
     # the D7 long-intertwiner product including its Pochhammer/Gamma factors
     row = next(r for t in cfg.case("D7-min").tables for r in t.rows
                if r.word == (1, 2, 3, 2, 1))
-    full = ZetaProduct.parse(row.cfunction) * ZetaProduct.parse(row.cfunction_arch)
+    full = row.cfunction * row.cfunction_arch
     ok &= len(full.factors) == 10
     _announce("AC3 c-function reproduction (factor multisets)", ok)
 
@@ -153,7 +153,7 @@ def test_ac4_order_ledgers(cfg):
 
     d7row = next(r for t in cfg.case("D7-min").tables for r in t.rows
                  if r.word == (1, 2, 3, 2, 1))
-    full = ZetaProduct.parse(d7row.cfunction) * ZetaProduct.parse(d7row.cfunction_arch)
+    full = d7row.cfunction * d7row.cfunction_arch
     rep = order_report(full, 7)
     ok &= rep.total == -1
     ledger = {str(e.factor): e.contribution for e in rep.entries}
@@ -164,9 +164,9 @@ def test_ac4_order_ledgers(cfg):
     # the four rank-2 minimal-case terms, weight symbols bound to zero
     p0 = next(t for t in cfg.case("D6-min").tables if t.target == "P0")
     for row in p0.rows:
-        prod = ZetaProduct.parse(row.cfunction or [])
-        if row.cfunction_arch:
-            prod = prod * ZetaProduct.parse(row.cfunction_arch)
+        prod = row.cfunction or ZetaProduct.one()
+        if row.cfunction_arch is not None:
+            prod = prod * row.cfunction_arch
         rep = order_report(prod, 6, row.order_symbols)
         if rep.total != 0:
             ok = False

@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+import arch_reference as ref
 from exceis.archmult import (A1, A1_INV, BASE_A, MultiplierVector, RecipeCatalog, Token,
                              diag_factors, parse_tokens, pattern_check, read_at,
                              vanishing_order, MatrixRecipe)
@@ -102,6 +103,24 @@ class TestEvaluation:
         v12432 = cat.evaluate(cat.recipes["v12432"])
         dvals = [r.derivative for r in read_at(v12432, 5)]
         assert dvals[0] == 0 and dvals[1] == 0 and dvals[2] != 0
+
+    def test_pole_is_a_failed_check(self, cfg):
+        """At a pole the value and the derivative read their pole orders,
+        one more for the derivative, as the canonical RatFunc's do, and the
+        check fails whatever the pattern."""
+        recipe = cfg.catalog.recipes["v12-d4"]
+        vec = cfg.catalog.evaluate(recipe)
+        res = pattern_check(vec, 0, ("*",) * 3, ("*",) * 3)
+        assert not res.ok
+        canonical = ref.evaluate(recipe.tokens, {})
+        want = []
+        for label, fs in (("value", canonical), ("derivative", [f.derivative() for f in canonical])):
+            for i, f in enumerate(fs):
+                with pytest.raises(ref.PoleError) as err:
+                    f.eval_at(0)
+                want.append(f"{label}[{i}] = pole of order {err.value.order}")
+        assert res.ledger == want
+        assert vanishing_order(vec, 0) == -1
 
     def test_vanishing_order(self, cfg):
         cat = cfg.catalog

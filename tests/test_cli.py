@@ -8,6 +8,7 @@ import pytest
 from click.testing import CliRunner
 
 from exceis.cli import main
+from exceis.config import default_config_path
 
 
 @pytest.fixture()
@@ -199,6 +200,7 @@ class TestImportBoundary:
     SCRIPT = """
 import contextlib, io, json, sys
 from exceis.cli import main
+from exceis.config import default_config_path
 loaded = []
 for args in (["constant-term", "GE-field", "P1", "P1"], ["cosets", "F4", "M3", "M1"],
              ["modulus"], ["algebra", "composition", "--count", "1"]):
@@ -216,3 +218,58 @@ print(json.dumps(loaded))
                            text=True, env=env, timeout=300)
         assert r.returncode == 0, r.stderr
         assert json.loads(r.stdout) == [[], [], [], ["exceis.compalg", "exceis.suites"]]
+
+
+class TestPlantedReports:
+    """A planted fault that a report can name gives that report, with the
+    row at fault Mismatch and every other row as it was, and exit status 1."""
+
+    @staticmethod
+    def run_planted(tmp_path, old, new, *args):
+        text = default_config_path().read_text(encoding="utf-8")
+        assert text.count(old) == 1
+        planted = tmp_path / "config.yaml"
+        planted.write_text(text.replace(old, new), encoding="utf-8")
+        return CliRunner().invoke(main, ["--config", str(planted), *args])
+
+    @staticmethod
+    def schema_valid(output: str) -> dict:
+        import importlib.resources
+        import jsonschema
+        doc = json.loads(output)
+        jsonschema.validate(doc, json.loads(
+            (importlib.resources.files("exceis") / "data" / "report-schema.json").read_text()))
+        return doc
+
+    def test_pole_at_the_checked_point_is_a_mismatch(self, tmp_path):
+        """d(s-1) has a pole at s = 0: v12-d4 checked there has no value."""
+        tokens = 'tokens: "d(s-2) A1i d(s-1) A1 e3"\n      checks: {s0: '
+        r = self.run_planted(tmp_path, tokens + '"5"', tokens + '"0"', "--format", "json", "arch")
+        assert r.exit_code == 1 and isinstance(r.exception, SystemExit)
+        doc = self.schema_valid(r.output)
+        assert doc["status"] == "Mismatch"
+        rows = {row["name"]: row for row in doc["rows"]}
+        assert rows["v12-d4"]["status"] == "Mismatch"
+        assert rows["v12-d4"]["ledger"] == [f"value[{i}] = pole of order 1" for i in range(3)]
+        assert all(row["status"] != "Mismatch" for name, row in rows.items() if name != "v12-d4")
+
+    def test_word_not_reduced_keeps_the_oracle_report(self, runner, tmp_path):
+        old = "- word: [3]\n            assoc: [2]"
+        new = old.replace("[3]", "[3, 3, 3]")
+        packaged = json.loads(invoke(runner, "--format", "json", "oracle").output)["rows"]
+        r = self.run_planted(tmp_path, old, new, "--format", "json", "oracle")
+        assert r.exit_code == 1 and isinstance(r.exception, SystemExit)
+        rows = self.schema_valid(r.output)["rows"]
+        assert [row for row in rows if not row["ok"]] == [
+            {"case": "E7-siegel", "word": [3, 3, 3], "detail": "word [3, 3, 3] is not reduced",
+             "ok": False}]
+        assert [row for row in rows if row["ok"]] == [
+            row for row in packaged if (row["case"], row["word"]) != ("E7-siegel", [3])]
+        md = self.run_planted(tmp_path, old, new, "oracle")
+        assert md.exit_code == 1
+        assert "- E7-siegel [3,3,3]: word [3, 3, 3] is not reduced [MISMATCH]" in md.output
+        whole = self.run_planted(tmp_path, old, new, "--format", "json", "all", "--count", "1")
+        assert whole.exit_code == 1
+        oracle = [s for s in json.loads(whole.output)["sections"] if s["kind"] == "gk-oracle"]
+        assert oracle[0]["rows"] == rows
+

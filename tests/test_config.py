@@ -432,6 +432,10 @@ LEAVES = [
      "algebras.split: expected an integer"),
     (lambda raw: raw["claims"].update(count="x"), "claims.count: expected an integer"),
     (lambda raw: raw["claims"].update(count=2.9), "claims.count: expected an integer"),
+    (lambda raw: _row(raw, "E7-siegel", 0, 1)["cfunction"].__setitem__(0, "zeta(s-1"),
+     "cases.E7-siegel.tables[0].rows[1].cfunction: cannot parse factor 'zeta(s-1'"),
+    (lambda raw: _row(raw, "GE-field", 1, 1)["eis"][0].update(printed="no"),
+     "cases.GE-field.tables[1].rows[1].eis[0].printed: expected a boolean"),
 ]
 LEAF_IDS = ["word-zero", "word-negative", "pairing-root", "eis-root", "action-r0",
             "action-r3", "no-cblocks", "min_vanishing_order", "order-total", "case-s0",
@@ -440,7 +444,7 @@ LEAF_IDS = ["word-zero", "word-negative", "pairing-root", "eis-root", "action-r0
             "order-symbol", "assoc-index", "trace-letter", "action-key", "parabolic-index", "simple-roots-length",
             "cblocks-template", "oracle-kernel", "oracle-partition", "oracle-nodes",
             "oracle-absolute", "modulus-expect", "algebras-split", "claims-count",
-            "claims-count-float"]
+            "claims-count-float", "cfunction-factor", "eis-printed"]
 
 
 class TestShapeAtLoad:
@@ -490,12 +494,14 @@ class TestShapeAtLoad:
               ("pairing-root-twice", ["constant-term", "GE-split", "P2", "P1"]),
               ("oracle-kernel", ["modulus"]), ("oracle-partition", ["modulus"]),
               ("modulus-expect", ["modulus"]), ("algebras-split", ["arch"]),
-              ("claims-count", ["modulus"]), ("claims-count-float", ["modulus"])]],
+              ("claims-count", ["modulus"]), ("claims-count-float", ["modulus"]),
+              ("cfunction-factor", ["modulus"]), ("eis-printed", ["arch"])]],
     ], ids=["unprintd", "top-level", "checks-modulus", "checks-arch", "word-modulus",
             "word-constant-term", "systems-modulus", "modulus_checks-oracle",
             "word-zero", "min_vanishing_order", "order-total", "eis-functional-length",
             "pairing-root-twice", "oracle-kernel", "oracle-partition", "modulus-expect",
-            "algebras-split", "claims-count", "claims-count-float"])
+            "algebras-split", "claims-count", "claims-count-float", "cfunction-factor",
+            "eis-printed"])
     def test_cli_exits_1_at_load(self, tmp_path, edit, args, message):
         raw = copy.deepcopy(load_config().raw)
         edit(raw)
@@ -516,6 +522,21 @@ class TestLeavesAtLoad:
     @pytest.mark.parametrize("edit,message", LEAVES, ids=LEAF_IDS)
     def test_leaf_names_its_path(self, edit, message):
         assert _load_error(edit).startswith(message)
+
+    def test_cfunction_factors_parsed_at_load(self):
+        """Each printed c-function is a ZetaProduct in its case's etale
+        variant once the config has loaded."""
+        cfg = load_config()
+        rows = [(case, row) for case in cfg.cases.values() for table in case.tables
+                for row in table.rows]
+        assert sum(row.cfunction is not None for _, row in rows) == 11
+        assert sum(row.cfunction_arch is not None for _, row in rows) == 5
+        for case, row in rows:
+            for product in (row.cfunction, row.cfunction_arch):
+                if product is not None and case.etale_variant:
+                    assert {f.variant for f in product.factors
+                            if f.kind in ("zetaE", "zetaF")} <= {case.etale_variant}
+        assert str(cfg.case("E7").tables[0].rows[1].cfunction) == "zeta(s-1) / [zeta(s)]"
 
     def test_rules_fixed_per_case_at_load(self):
         cfg = load_config()

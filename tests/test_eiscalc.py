@@ -7,11 +7,11 @@ from hypothesis import strategies as st
 from exceis import eiscalc
 from exceis.config import load_config
 from exceis.eiscalc import (KINDS, CoordVector, ZetaFactor, ZetaProduct,
-                            apply_word, convergence, gk_cfunction, order_report,
+                            apply_word, convergence, order_report,
                             parse_factor, rational_cfunction, shifted_exponent)
 from exceis.exactnum import AffineForm
 from exceis.rootsys import RootSystem, dot
-from weyl_reference import mat_vec
+from weyl_reference import gk_cfunction, mat_vec
 
 
 @pytest.fixture(scope="module")

@@ -5,7 +5,9 @@ definition.
 Exempt are the CLI commands (decorated ``@main.command``), which click calls,
 the functions the benchmark's tracer wraps by name (`perfbench/tracer.py`
 ``TARGETS``), and data-model methods such as ``__eq__``, which Python calls
-for an operator.  Helpers that only the tests use belong under tests/."""
+for an operator.  A re-export in ``__init__.py`` is no use: a name that
+only the package's import list and the tests read is a helper that only
+the tests use, and such helpers belong under tests/."""
 
 import io
 import sys
@@ -50,9 +52,11 @@ def definitions_and_uses(text: str) -> tuple[list[tuple[str, int, bool]], set[st
 
 def unused(sources: dict[str, str]) -> list[str]:
     """Each def and class of the sources (file name -> text) whose name no
-    NAME token of the sources uses, and which is not exempt."""
+    NAME token of the sources other than __init__.py uses, and which is not
+    exempt."""
     parsed = {file: definitions_and_uses(text) for file, text in sources.items()}
-    uses = set().union(*(names for _, names in parsed.values()))
+    uses = set().union(*(names for file, (_, names) in parsed.items()
+                         if file != "__init__.py"))
     return [f"{file} line {line}: {name}"
             for file, (defs, _) in parsed.items() for name, line, command in defs
             if name not in uses and not (command or name in TRACED
@@ -80,3 +84,9 @@ def test_every_definition_is_used():
 ])
 def test_detects_unused(snippet, want):
     assert unused({"snippet.py": snippet}) == [f"snippet.py {w}" for w in want]
+
+
+def test_reexport_is_no_use():
+    sources = {"__init__.py": "from .m import f, g\n",
+               "m.py": "def f():\n    pass\n\ndef g():\n    pass\n\nf()\n"}
+    assert unused(sources) == ["m.py line 4: g"]

@@ -9,14 +9,16 @@ and `RootSystem.word_matrix`, against it.
 
 It also holds the root-system facts that only the tests use: positivity of
 a vector, |W| from the heights of the positive roots, the size of a Levi's
-positive system, the longest minimal coset representative, and the sign
-normalisation of an affine pairing.
+positive system, the longest minimal coset representative, the sign
+normalisation of an affine pairing, and the Gindikin-Karpelevich
+c-function of a word over a split system, read off its inversion set.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
+from exceis.eiscalc import CoordVector, ZetaFactor, ZetaProduct
 from exceis.exactnum import AffineForm
 from exceis.rootsys import Matrix, ParabolicSpec, Vector, Word, dot
 
@@ -106,3 +108,11 @@ def normalized_sign(form: AffineForm) -> AffineForm:
     """The form with positive leading coefficient (for sign-insensitive matching)."""
     lead = form.slope if form.slope != 0 else form.intercept
     return form if lead >= 0 else -form
+
+
+def gk_cfunction(sys, lam: CoordVector, word) -> ZetaProduct:
+    """Finite-place c-function over a split system: the product over the
+    positive roots a flipped by w of zeta(<lam, a^vee>)/zeta(<lam, a^vee>+1)."""
+    zs = [lam.pairing(sys, root) for root in sys.inversions(tuple(word))]
+    return ZetaProduct([(ZetaFactor("zeta", z), 1) for z in zs]
+                       + [(ZetaFactor("zeta", z.shift(1)), -1) for z in zs])
