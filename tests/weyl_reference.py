@@ -116,3 +116,77 @@ def gk_cfunction(sys, lam: CoordVector, word) -> ZetaProduct:
     zs = [lam.pairing(sys, root) for root in sys.inversions(tuple(word))]
     return ZetaProduct([(ZetaFactor("zeta", z), 1) for z in zs]
                        + [(ZetaFactor("zeta", z.shift(1)), -1) for z in zs])
+
+
+# ----- the Euclidean build and trace: every sum over Fractions ------------
+#
+# The verifier builds a system on integer numerators over one denominator
+# and takes two dot products per trace step.  What follows is the same
+# build over exact rationals throughout, a Fraction sum for every (root,
+# simple root, coordinate) triple, and the trace loop that takes eight dot
+# products per step; tests/test_kernel_differential.py compares the two.
+
+
+def reference_reflect(alpha: Vector, v: Vector) -> Vector:
+    """v - 2 (v, alpha)/(alpha, alpha) alpha."""
+    c = 2 * dot(v, alpha) / dot(alpha, alpha)
+    return tuple(x - c * a for x, a in zip(v, alpha))
+
+
+class ReferenceSystem:
+    """A configured system entry (a config.SystemSpec) built over Fractions:
+    the roots sorted by their Euclidean vectors, each with its simple-root
+    coordinates, squared length, multiplicity and print scale, and the
+    Cartan matrix, weighted rho and the orthogonal basis."""
+
+    def __init__(self, spec):
+        from exceis.exactnum import nullspace
+        self.simples = [tuple(Fraction(c) for c in v) for v in spec.simple_roots]
+        self.rank, self.dim = len(self.simples), len(self.simples[0])
+        self.cartan = [[int(2 * dot(a, b) / dot(b, b)) for b in self.simples]
+                       for a in self.simples]
+        vectors = {c: self.vector(c) for c in self._close()}
+        self.coords = sorted(vectors, key=vectors.__getitem__)
+        self.roots = [vectors[c] for c in self.coords]
+        self.norm2 = [dot(r, r) for r in self.roots]
+        self.mult = [spec.multiplicities.get(n, 1) for n in self.norm2]
+        self.scales = spec.print_scale
+        self.print_scale = [self.scales.get(n, Fraction(1)) for n in self.norm2]
+        acc = tuple(Fraction(0) for _ in range(self.dim))
+        for c, r, m in zip(self.coords, self.roots, self.mult):
+            if all(x >= 0 for x in c):
+                acc = tuple(x + m * y for x, y in zip(acc, r))
+        self.rho = tuple(x / 2 for x in acc)
+        self.orthogonal = [tuple(v) for v in nullspace(self.simples)]
+
+    def vector(self, coords) -> Vector:
+        return tuple(sum(c * a[d] for c, a in zip(coords, self.simples))
+                     for d in range(self.dim))
+
+    def _close(self) -> set[tuple[int, ...]]:
+        def reflect(i, c):
+            k = sum(x * row[i] for x, row in zip(c, self.cartan))
+            return c[:i] + (c[i] - k,) + c[i + 1:]
+        units = [tuple(int(i == j) for j in range(self.rank)) for i in range(self.rank)]
+        roots = set(units) | {tuple(-x for x in e) for e in units}
+        frontier = set(roots)
+        while frontier:
+            new = {reflect(i, c) for c in frontier for i in range(self.rank)} - roots
+            roots |= new
+            frontier = new
+        return roots
+
+    def trace(self, slope: Vector, icept: Vector, word):
+        """The steps (letter, pairing, printed pairing, slope, intercept) of
+        the word, rightmost letter first, each pairing taken before its
+        reflection: three dot products for the pairing, two for each
+        reflection and one for the print scale."""
+        steps = []
+        for i in reversed(tuple(word)):
+            alpha = self.simples[i - 1]
+            na = dot(alpha, alpha)
+            pairing = AffineForm(2 * dot(slope, alpha) / na, 2 * dot(icept, alpha) / na)
+            slope, icept = reference_reflect(alpha, slope), reference_reflect(alpha, icept)
+            scale = self.scales.get(dot(alpha, alpha), Fraction(1))
+            steps.append((i, pairing, pairing.scale(scale), slope, icept))
+        return steps
