@@ -104,14 +104,14 @@ def apply_word(system: RootSystem, lam: CoordVector, word) -> LambdaTrace:
     sl, ic = lam.slope, lam.icept
     steps = []
     for i in reversed(word):
-        alpha = system.simples[i - 1]
-        pairing = system.coroot_pairing(sl, ic, alpha)
-        sl = system.reflect(alpha, sl)
-        ic = system.reflect(alpha, ic)
+        alpha, coroot = system.simples[i - 1], system.coroots[i - 1]
+        pairing = AffineForm(dot(sl, coroot), dot(ic, coroot))
+        sl = system.reflect(alpha, sl, pairing.slope)
+        ic = system.reflect(alpha, ic, pairing.intercept)
         steps.append(TraceStep(i, pairing, pairing.scale(system.print_scale(alpha)),
                                CoordVector(sl, ic)))
     p = system.element(word)
-    images = [system.roots[p[system.roots.index(a)]] for a in system.simples]
+    images = [system.roots[p[k]] for k in system._simple_idx]
     for got, start in ((sl, lam.slope), (ic, lam.icept)):
         if ([dot(got, b) for b in images + system.orthogonal]
                 != [dot(start, a) for a in system.simples + system.orthogonal]):
@@ -434,8 +434,7 @@ def rational_cfunction(system: RootSystem, rules: dict[Fraction, BlockRule],
     step's coroot pairing, with the rule selected by the root length."""
     pairs = []
     for step in trace.steps:
-        alpha = system.simples[step.letter - 1]
-        norm2 = dot(alpha, alpha)
+        norm2 = system.lengths[system.simples[step.letter - 1]]
         if norm2 not in rules:
             raise KeyError(f"no c-function rule for root length {norm2} in {system.name}")
         pairs += rules[norm2].block(step.pairing)

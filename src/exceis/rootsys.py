@@ -23,6 +23,8 @@ stabilizer is W_M, then filtered by the left condition.
 
 from __future__ import annotations
 
+import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
@@ -82,16 +84,28 @@ class RootSystem:
         self.simples: list[Vector] = [tuple(Fraction(c) for c in v) for v in simple_roots]
         self.rank = len(self.simples)
         self.dim = len(self.simples[0])
-        if nullspace([list(col) for col in zip(*self.simples)]):
+        # the simple roots as integer numerators over one denominator den > 0
+        den = math.lcm(*(c.denominator for v in self.simples for c in v))
+        nums = [tuple(c.numerator * (den // c.denominator) for c in v) for v in self.simples]
+        if nullspace([list(col) for col in zip(*nums)]):
             raise ValueError(f"{name}: simple roots are linearly dependent")
-        cartan = [[2 * dot(a, b) / dot(b, b) for b in self.simples] for a in self.simples]
-        if any(x.denominator != 1 for row in cartan for x in row):
+        gram = [[sum(map(operator.mul, a, b)) for b in nums] for a in nums]
+        if any(2 * g % gram[j][j] for row in gram for j, g in enumerate(row)):
             raise ValueError(f"{name}: Cartan matrix is not integral")
-        self.cartan = [[int(x) for x in row] for row in cartan]  # <alpha_i, alpha_j^vee>
-        vectors = {c: self.vector(c) for c in self._close()}
-        coords = sorted(vectors, key=vectors.__getitem__)
-        self.roots: list[Vector] = [vectors[c] for c in coords]
+        # <alpha_i, alpha_j^vee>
+        self.cartan = [[2 * g // gram[j][j] for j, g in enumerate(row)] for row in gram]
+        self._den, self._cols = den, list(zip(*nums))
+        numerators = {c: tuple(sum(map(operator.mul, c, col)) for col in self._cols)
+                      for c in self._close()}
+        coords = sorted(numerators, key=numerators.__getitem__)
+        fractions = {x: Fraction(x, den) for c in coords for x in numerators[c]}
+        self.roots: list[Vector] = [tuple(map(fractions.__getitem__, numerators[c]))
+                                    for c in coords]
         self._coords: dict[Vector, Coords] = dict(zip(self.roots, coords))
+        # the one table of squared lengths, read by every length-keyed question
+        self.lengths: dict[Vector, Fraction] = {
+            r: Fraction(sum(x * x for x in numerators[c]), den * den)
+            for r, c in zip(self.roots, coords)}
         index = {c: k for k, c in enumerate(coords)}
         self._coord_list = coords
         self._positive = [all(x >= 0 for x in c) for c in coords]
@@ -101,6 +115,9 @@ class RootSystem:
         self.positives: list[Vector] = [self.roots[k] for k in self._pos_idx]
         self._simple_idx = [index[tuple(int(i == j) for j in range(self.rank))]
                             for i in range(self.rank)]
+        # alpha^vee = 2 alpha / (alpha, alpha), one per simple root
+        self.coroots: list[Vector] = [tuple(Fraction(2 * x * den, row[i]) for x in n)
+                                      for i, (n, row) in enumerate(zip(nums, gram))]
         self._reflections = [tuple(index[self._reflect_coords(i, c)] for c in coords)
                              for i in range(self.rank)]
         self._mult = {Fraction(k): int(v) for k, v in (multiplicities or {}).items()}
@@ -108,20 +125,21 @@ class RootSystem:
                              for k, v in (print_coroot_scale or {}).items()}
         self.nu: Vector | None = tuple(Fraction(c) for c in nu) if nu is not None else None
         self.parabolic_labels = dict(parabolic_labels or {})
-        acc = tuple(Fraction(0) for _ in range(self.dim))
-        for r in self.positives:
-            acc = vadd(acc, smul(Fraction(self.multiplicity(r)), r))
-        self._rho = smul(Fraction(1, 2), acc)
+        acc = [0] * self.dim
+        for k in self._pos_idx:
+            m = self.multiplicity(self.roots[k])
+            acc = [a + m * x for a, x in zip(acc, numerators[coords[k]])]
+        self._rho = tuple(Fraction(a, 2 * den) for a in acc)
         # a basis of the vectors orthogonal to every root, which W fixes
-        self.orthogonal: list[Vector] = [tuple(v) for v in nullspace(self.simples)]
+        self.orthogonal: list[Vector] = [tuple(v) for v in nullspace(nums)]
         self._coset_cache: dict[frozenset[int], list[Word]] = {}
         self._census_cache: dict[tuple[frozenset[int], frozenset[int]], list[Word]] = {}
 
     # ----- construction -------------------------------------------------
 
-    def reflect(self, alpha: Vector, v: Vector) -> Vector:
-        c = 2 * dot(v, alpha) / dot(alpha, alpha)
-        return vsub(v, smul(c, alpha))
+    def reflect(self, alpha: Vector, v: Vector, k: Fraction) -> Vector:
+        """v - k alpha: the reflection of v in alpha when k = <v, alpha^vee>."""
+        return tuple(x - k * a for x, a in zip(v, alpha))
 
     def _reflect_coords(self, i: int, c: Coords) -> Coords:
         """s_{i+1} on simple-root coordinates: c - <c, alpha_{i+1}^vee> e_{i+1}."""
@@ -141,8 +159,8 @@ class RootSystem:
 
     def vector(self, coords: Sequence) -> Vector:
         """The Euclidean vector sum_i coords[i] * alpha_{i+1}."""
-        return tuple(sum(c * a[d] for c, a in zip(coords, self.simples))
-                     for d in range(self.dim))
+        return tuple(Fraction(sum(map(operator.mul, coords, col)), self._den)
+                     for col in self._cols)
 
     def coords(self, root: Vector) -> Coords:
         """Coordinates of a root in the simple-root basis."""
@@ -151,7 +169,7 @@ class RootSystem:
     # ----- multiplicities and characters ---------------------------------
 
     def multiplicity(self, root: Vector) -> int:
-        return self._mult.get(dot(root, root), 1)
+        return self._mult.get(self.lengths[root], 1)
 
     def rho_weighted(self) -> Vector:
         """Half the multiplicity-weighted sum of positive roots."""
@@ -176,7 +194,7 @@ class RootSystem:
 
     def act(self, word: Sequence[int], v: Vector) -> Vector:
         for i in reversed(word):
-            v = self.reflect(self.simples[i - 1], v)
+            v = self.reflect(self.simples[i - 1], v, dot(v, self.coroots[i - 1]))
         return v
 
     def inversions(self, word: Sequence[int]) -> list[Vector]:
@@ -242,14 +260,14 @@ class RootSystem:
 
     def coroot_pairing(self, slope: Vector, icept: Vector, root: Vector) -> AffineForm:
         """Pairing <a*s + b, root^vee> as an exact affine form."""
-        na = dot(root, root)
+        na = self.lengths[root]
         return AffineForm(Fraction(2) * dot(slope, root) / na,
                           Fraction(2) * dot(icept, root) / na)
 
     def print_scale(self, root: Vector) -> Fraction:
         """Scale applied to coroot pairings for display, matching the
         per-system convention used in the verified tables."""
-        return self._print_scale.get(dot(root, root), Fraction(1))
+        return self._print_scale.get(self.lengths[root], Fraction(1))
 
     # ----- coset enumeration ----------------------------------------------
 

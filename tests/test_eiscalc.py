@@ -84,8 +84,8 @@ class TestTraceCrossCheck:
         """Make the reflection in the given simple root add `shift`."""
         bad, reflect = system.simples[letter - 1], RootSystem.reflect
 
-        def shifted(self, alpha, v):
-            out = reflect(self, alpha, v)
+        def shifted(self, alpha, v, k):
+            out = reflect(self, alpha, v, k)
             return tuple(x + d for x, d in zip(out, shift)) if alpha == bad else out
 
         monkeypatch.setattr(RootSystem, "reflect", shifted)

@@ -7,7 +7,8 @@ from exceis.eiscalc import AbsoluteOracle
 from exceis.exactnum import solve
 from exceis.rootsys import ParabolicSpec, RootSystem, dot
 from weyl_reference import (enumerate_group, identity_matrix, is_positive_root,
-                            levi_positive_count, longest_rep, mat_mul, mat_vec, weyl_order)
+                            levi_positive_count, longest_rep, mat_mul, mat_vec, reference_reflect,
+                            weyl_order)
 from weyl_reference import word_matrix as reference_word_matrix
 
 
@@ -254,7 +255,7 @@ def _euclidean_coset_reps(sys, right):
         new = {}
         for pt in frontier:
             for i in range(1, sys.rank + 1):
-                pt2 = sys.reflect(sys.simples[i - 1], pt)
+                pt2 = reference_reflect(sys.simples[i - 1], pt)
                 cand = (i,) + words[pt]
                 if pt2 not in words and (pt2 not in new or cand < new[pt2]):
                     new[pt2] = cand
