@@ -74,7 +74,11 @@ def parse_tokens(text: str) -> tuple[Token, ...]:
         elif ref:
             toks.append(Token("ref", ref=ref))
         else:
-            toks.append(Token("d", arg=AffineForm.parse(arg), power=int(power or 1)))
+            z = AffineForm.parse(arg)
+            if z.slope == 0 and z.intercept in (-1, -3):
+                # the denominator ((1+z)/2)_2 of d(z) vanishes at z = -1 and z = -3
+                raise ValueError(f"recipe token {piece!r} has a zero denominator")
+            toks.append(Token("d", arg=z, power=int(power or 1)))
     if not toks or toks[-1].kind not in ("base", "ref"):
         raise ValueError("recipe must end in the base vector or a named suffix")
     return tuple(toks)

@@ -435,7 +435,9 @@ class Config:
 
     def system(self, name: str) -> RootSystem:
         """The root system of a name or alias, built from its parsed entry at
-        the first query; a stated rho_weighted must be the built system's."""
+        the first query; a stated rho_weighted must be the built system's, and
+        each squared length that keys its multiplicities, print_scale and
+        cblocks must be the length of one of its roots."""
         if name not in self.systems:
             raise ConfigError(f"unknown root system {name!r}")
         spec = self.systems[name]
@@ -447,6 +449,13 @@ class Config:
             if want is not None and got != want:
                 raise ConfigError(f"systems.{spec.name}.rho_weighted: computed "
                                   f"{[str(c) for c in got]} != configured {[str(c) for c in want]}")
+            lengths = set(system.lengths.values())
+            for key, table in (("multiplicities", spec.multiplicities),
+                               ("print_scale", spec.print_scale), ("cblocks", spec.cblocks)):
+                stray = [norm2 for norm2 in table or {} if norm2 not in lengths]
+                if stray:
+                    raise ConfigError(f"systems.{spec.name}.{key}: no root of squared "
+                                      f"length {stray[0]}")
             self._systems[spec.name] = system
         return self._systems[spec.name]
 

@@ -1,10 +1,13 @@
 """Root systems, Weyl groups, and minimal coset representatives.
 
 A :class:`RootSystem` is generated from an explicit list of simple roots in
-Euclidean coordinates (exact rationals).  Its roots are closed under the
-simple reflections in simple-root coordinates, with the integer Cartan
-matrix; Euclidean vectors serve only at the boundary (input, pairings,
-characters).  Weyl elements are canonically the permutations they induce on
+Euclidean coordinates, given as rationals and held as integer numerators
+over one denominator.  Its roots are closed under the simple reflections in
+simple-root coordinates, with the integer Cartan matrix; each root's
+numerator vector, its squared length (one table, which every length-keyed
+question reads) and weighted rho are integer sums, and each root's rational
+vector is made once.  Rational vectors serve only at the boundary (input,
+pairings, characters).  Weyl elements are canonically the permutations they induce on
 the roots, a faithful action; bracket words [i1,...,iN] are reduced
 expressions used for display and for factoring intertwining operators, with
 the rightmost letter acting first on vectors.  `RootSystem.word_matrix` is

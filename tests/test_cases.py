@@ -267,6 +267,26 @@ class TestPlantedAlgebraFailures:
         assert suite["failures"] > 0
         assert suite["status"] == doc["status"] == "Mismatch"
 
+    def test_composition_sees_octonion_norm_off_by_one(self, cfg, monkeypatch):
+        norm = compalg.OctonionAlgebra.norm
+        monkeypatch.setattr(compalg.OctonionAlgebra, "norm",
+                            lambda self, x: norm(self, x) + 1)
+        self._suite(cfg, "composition")
+
+    def test_positivity_sees_negated_trace_pairing(self, cfg, monkeypatch):
+        pairing = compalg.JordanAlgebra.trace_pairing
+        monkeypatch.setattr(compalg.JordanAlgebra, "trace_pairing",
+                            lambda self, a, b: -pairing(self, a, b))
+        self._suite(cfg, "positivity")
+
+    def test_rank_one_c1_sees_rank_off_by_minus_one(self, cfg, monkeypatch):
+        # a rank counted one low lets rank-two elements with x2 or x3 nonzero
+        # pass as rank <= 1
+        rank = compalg.JordanAlgebra.rank
+        monkeypatch.setattr(compalg.JordanAlgebra, "rank",
+                            lambda self, a: rank(self, a) - 1)
+        self._suite(cfg, "rank-one-c1")
+
     def test_sharp_sees_norm_off_by_one(self, cfg, monkeypatch):
         norm = compalg.JordanAlgebra.norm
         monkeypatch.setattr(compalg.JordanAlgebra, "norm",

@@ -246,6 +246,14 @@ class TestRecipesAtLoad:
         assert _load_error(s0).startswith("arch.recipes[0].checks.s0: ")
         assert "'five'" in _load_error(s0)
 
+    @pytest.mark.parametrize("c", ["-1", "-3"])
+    def test_d_token_with_a_zero_denominator(self, c):
+        """d(z) divides by ((1+z)/2)_2, which is zero for z = -1 and z = -3."""
+        def edit(raw):
+            _recipe(raw, "v12-d4")["tokens"] = f"d({c}) A1i d(s-1) A1 e3"
+        assert _load_error(edit) == (f"arch.recipes[4].tokens: recipe token 'd({c})' "
+                                     "has a zero denominator")
+
     @pytest.mark.parametrize("old,new,args", [
         ('"A1i d(s-4) A1 d(s-3)^3 @v212"', '"A1i d(s-4) A1 d(s-3)^3 @v999"', ["modulus"]),
         ('"A1i d(2s-5) A1 d(s-2)^3 A1i d(s-1) A1 e3"', '"A1 @v21212"', ["arch"]),
@@ -255,7 +263,8 @@ class TestRecipesAtLoad:
         ("\n\n# Cayley-Dickson",
          '\n    - {case: GE-field, word: [1, 2, 1], name: v121, claim: "value 0"}'
          "\n\n# Cayley-Dickson", ["constant-term", "GE-field", "P1", "P1"]),
-    ], ids=["suffix", "cycle", "second-claim", "no-row"])
+        ('"d(s-2) A1i d(s-1) A1 e3"', '"d(-1) A1i d(s-1) A1 e3"', ["arch"]),
+    ], ids=["suffix", "cycle", "second-claim", "no-row", "zero-denominator"])
     def test_cli_exits_1_at_load(self, text, tmp_path, old, new, args):
         planted = tmp_path / "config.yaml"
         assert text.count(old) == 1
@@ -315,9 +324,10 @@ class TestOracle:
 
 
 class TestCheckedAtBuild:
-    """rho_weighted and lambda_printed are compared with values that need the
-    built system, so a wrong one loads, and the first query that builds the
-    system fails with exit status 1."""
+    """rho_weighted, lambda_printed and the squared lengths that key a
+    system's multiplicities, print_scale and cblocks are compared with values
+    that need the built system, so a wrong one loads, and the first query
+    that builds the system fails with exit status 1."""
 
     @pytest.mark.parametrize("old,new,args,message", [
         ('lambda_printed: ["s-17", "s-9", "s-1"]', 'lambda_printed: ["s-16", "s-9", "s-1"]',
@@ -330,7 +340,19 @@ class TestCheckedAtBuild:
          ["cosets", "C3", "P3", "P3"],
          "systems.C3-E7rational.rho_weighted: computed ['17', '9', '1'] != configured "
          "['17', '9', '2']"),
-    ], ids=["lambda_printed", "lambda_printed-oracle", "rho_weighted"])
+        ('multiplicities: {"2": 3, "6": 1}', 'multiplicities: {"2": 3, "6": 1, "3": 5}',
+         ["cosets", "G2", "P1", "P1"],
+         "systems.G2-GEfield.multiplicities: no root of squared length 3"),
+        ('print_scale: {"2": "1/3", "6": "1"}', 'print_scale: {"2": "1/3", "6": "1", "5": "7"}',
+         ["cosets", "G2", "P1", "P1"],
+         "systems.G2-GEfield.print_scale: no root of squared length 5"),
+        ('      "2": [["zetaE", "1/3", "0", 1], ["zetaE", "1/3", "1", -1]]\n',
+         '      "2": [["zetaE", "1/3", "0", 1], ["zetaE", "1/3", "1", -1]]\n'
+         '      "4": [["zeta", "1", "0", 1]]\n',
+         ["constant-term", "GE-field", "P1", "P1"],
+         "systems.G2-GEfield.cblocks: no root of squared length 4"),
+    ], ids=["lambda_printed", "lambda_printed-oracle", "rho_weighted", "multiplicities",
+            "print_scale", "cblocks"])
     def test_planted_value_fails_the_query(self, text, tmp_path, old, new, args, message):
         planted = tmp_path / "config.yaml"
         assert text.count(old) == 1
