@@ -478,7 +478,7 @@ class AbsoluteOracle:
                 or not set(self.node_map.values()) <= set(range(1, self.rational.rank + 1))):
             raise ValueError(f"kernel {self.kernel} and nodes {sorted(self.node_map)} do not "
                              f"partition the absolute nodes 1..{n} onto rational nodes")
-        rational_roots = set(self.rational.roots)
+        by_coords = {self.rational.coords(root): root for root in self.rational.roots}
         counts: dict[Vector, int] = {}
         for r in self.absolute.roots:
             c = self.absolute.coords(r)
@@ -488,8 +488,8 @@ class AbsoluteOracle:
             if not any(coeff):
                 self.restriction[r] = None
                 continue
-            img = self.rational.vector(coeff)
-            if img not in rational_roots:
+            img = by_coords.get(tuple(coeff))
+            if img is None:
                 raise ValueError("restriction image is not a rational root")
             self.restriction[r] = img
             counts[img] = counts.get(img, 0) + 1

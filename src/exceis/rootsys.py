@@ -44,7 +44,7 @@ Element = tuple[int, ...]
 def dot(x: Vector, y: Vector) -> Fraction:
     if len(x) != len(y):
         raise ValueError("dimension mismatch")
-    return sum(a * b for a, b in zip(x, y))
+    return sum(map(operator.mul, x, y))
 
 
 def vadd(x: Vector, y: Vector) -> Vector:
@@ -97,6 +97,7 @@ class RootSystem:
             raise ValueError(f"{name}: Cartan matrix is not integral")
         # <alpha_i, alpha_j^vee>
         self.cartan = [[2 * g // gram[j][j] for j, g in enumerate(row)] for row in gram]
+        self._cartan_cols = list(zip(*self.cartan))
         self._den, self._cols = den, list(zip(*nums))
         numerators = {c: tuple(sum(map(operator.mul, c, col)) for col in self._cols)
                       for c in self._close()}
@@ -146,7 +147,7 @@ class RootSystem:
 
     def _reflect_coords(self, i: int, c: Coords) -> Coords:
         """s_{i+1} on simple-root coordinates: c - <c, alpha_{i+1}^vee> e_{i+1}."""
-        k = sum(x * row[i] for x, row in zip(c, self.cartan))
+        k = sum(map(operator.mul, c, self._cartan_cols[i]))
         return c[:i] + (c[i] - k,) + c[i + 1:]
 
     def _close(self) -> set[Coords]:
@@ -185,7 +186,7 @@ class RootSystem:
         indices, roots[p[k]] = w(roots[k]); equal elements give equal tuples."""
         p = tuple(range(len(self.roots)))
         for i in word:
-            p = tuple(p[k] for k in self._reflections[i - 1])
+            p = tuple(map(p.__getitem__, self._reflections[i - 1]))
         return p
 
     def word_matrix(self, word: Sequence[int]) -> Matrix:
@@ -233,10 +234,6 @@ class RootSystem:
         nodes = [i for i in range(self.rank) if i + 1 not in levi]
         return [k for k in self._pos_idx if any(self._coord_list[k][i] for i in nodes)]
 
-    def radical_roots(self, p: ParabolicSpec) -> list[Vector]:
-        """Positive roots in the unipotent radical of P."""
-        return [self.roots[k] for k in self._radical(p)]
-
     def modulus_exponent(self, p: ParabolicSpec) -> Fraction:
         """Exponent s_P with delta_P = |nu|^{s_P}, for maximal P.
 
@@ -247,9 +244,11 @@ class RootSystem:
             raise ValueError("modulus exponent needs a maximal parabolic")
         if self.nu is None:
             raise ValueError(f"system {self.name} has no configured character nu")
-        acc = tuple(Fraction(0) for _ in range(self.dim))
-        for r in self.radical_roots(p):
-            acc = vadd(acc, smul(Fraction(self.multiplicity(r)), r))
+        coeff = [0] * self.rank
+        for k in self._radical(p):
+            m = self.multiplicity(self.roots[k])
+            coeff = [a + m * c for a, c in zip(coeff, self._coord_list[k])]
+        acc = self.vector(coeff)
         # proportionality is only required on the root lattice (characters may
         # differ by a central direction, e.g. the sum-zero-plane systems)
         alpha = next(a for a in self.simples if dot(self.nu, a) != 0)

@@ -91,7 +91,9 @@ def weyl_order(sys) -> int:
 
 
 def levi_positive_count(sys, p: ParabolicSpec) -> int:
-    return len(sys.positives) - len(sys.radical_roots(p))
+    """The number of positive roots of the Levi: those with no coordinate on a
+    simple root of the radical."""
+    return sum(all(sys.coords(r)[i - 1] == 0 for i in p.radical) for r in sys.positives)
 
 
 def longest_rep(sys, right: ParabolicSpec) -> Word:
