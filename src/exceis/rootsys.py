@@ -5,10 +5,11 @@ Euclidean coordinates, given as rationals and held as integer numerators
 over one denominator.  Its roots are closed under the simple reflections in
 simple-root coordinates, with the integer Cartan matrix; each root's
 numerator vector, its squared length (one table, which every length-keyed
-question reads) and weighted rho are integer sums, and each root's rational
-vector is made once.  Rational vectors serve only at the boundary (input,
-pairings, characters).  Weyl elements are canonically the permutations they induce on
-the roots, a faithful action; bracket words [i1,...,iN] are reduced
+question reads) and the multiplicity-weighted root sums behind rho and the
+modulus characters are integer sums, and each root's rational vector is made
+once.  Rational vectors serve only at the boundary (input,
+pairings, characters).  Weyl elements are canonically the permutations they
+induce on the roots, a faithful action; bracket words [i1,...,iN] are reduced
 expressions used for display and for factoring intertwining operators, with
 the rightmost letter acting first on vectors.  `RootSystem.word_matrix` is
 the Euclidean matrix of a word, kept as a reference for the tests; the
@@ -99,10 +100,11 @@ class RootSystem:
         self.cartan = [[2 * g // gram[j][j] for j, g in enumerate(row)] for row in gram]
         self._cartan_cols = list(zip(*self.cartan))
         self._den, self._cols = den, list(zip(*nums))
+        images = self._close()
         numerators = {c: tuple(sum(map(operator.mul, c, col)) for col in self._cols)
-                      for c in self._close()}
+                      for c in images}
         coords = sorted(numerators, key=numerators.__getitem__)
-        fractions = {x: Fraction(x, den) for c in coords for x in numerators[c]}
+        fractions = {x: Fraction(x, den) for x in set().union(*numerators.values())}
         self.roots: list[Vector] = [tuple(map(fractions.__getitem__, numerators[c]))
                                     for c in coords]
         self._coords: dict[Vector, Coords] = dict(zip(self.roots, coords))
@@ -122,18 +124,14 @@ class RootSystem:
         # alpha^vee = 2 alpha / (alpha, alpha), one per simple root
         self.coroots: list[Vector] = [tuple(Fraction(2 * x * den, row[i]) for x in n)
                                       for i, (n, row) in enumerate(zip(nums, gram))]
-        self._reflections = [tuple(index[self._reflect_coords(i, c)] for c in coords)
+        self._reflections = [tuple(index[images[c][i]] for c in coords)
                              for i in range(self.rank)]
         self._mult = {Fraction(k): int(v) for k, v in (multiplicities or {}).items()}
         self._print_scale = {Fraction(k): Fraction(v)
                              for k, v in (print_coroot_scale or {}).items()}
         self.nu: Vector | None = tuple(Fraction(c) for c in nu) if nu is not None else None
         self.parabolic_labels = dict(parabolic_labels or {})
-        acc = [0] * self.dim
-        for k in self._pos_idx:
-            m = self.multiplicity(self.roots[k])
-            acc = [a + m * x for a, x in zip(acc, numerators[coords[k]])]
-        self._rho = tuple(Fraction(a, 2 * den) for a in acc)
+        self._rho = tuple(x / 2 for x in self._weighted_sum(self._pos_idx))
         # a basis of the vectors orthogonal to every root, which W fixes
         self.orthogonal: list[Vector] = [tuple(v) for v in nullspace(nums)]
         self._coset_cache: dict[frozenset[int], list[Word]] = {}
@@ -150,21 +148,32 @@ class RootSystem:
         k = sum(map(operator.mul, c, self._cartan_cols[i]))
         return c[:i] + (c[i] - k,) + c[i + 1:]
 
-    def _close(self) -> set[Coords]:
+    def _close(self) -> dict[Coords, list[Coords]]:
+        """The coordinates of every root, each with its images under s_1, ...,
+        s_rank, by breadth-first search from the simple roots and their
+        negatives."""
         units = [tuple(int(i == j) for j in range(self.rank)) for i in range(self.rank)]
-        roots = set(units) | {tuple(-x for x in e) for e in units}
-        frontier = set(roots)
+        images: dict[Coords, list[Coords]] = {}
+        frontier = set(units) | {tuple(-x for x in e) for e in units}
         while frontier:
-            new = {self._reflect_coords(i, c) for c in frontier
-                   for i in range(self.rank)} - roots
-            roots |= new
-            frontier = new
-        return roots
+            for c in frontier:
+                images[c] = [self._reflect_coords(i, c) for i in range(self.rank)]
+            frontier = {d for c in frontier for d in images[c]} - images.keys()
+        return images
 
     def vector(self, coords: Sequence) -> Vector:
         """The Euclidean vector sum_i coords[i] * alpha_{i+1}."""
         return tuple(Fraction(sum(map(operator.mul, coords, col)), self._den)
                      for col in self._cols)
+
+    def _weighted_sum(self, indices: Iterable[int]) -> Vector:
+        """The sum of the roots at the given indices, each times its
+        multiplicity, summed in simple-root coordinates."""
+        coeff = [0] * self.rank
+        for k in indices:
+            m = self.multiplicity(self.roots[k])
+            coeff = [a + m * c for a, c in zip(coeff, self._coord_list[k])]
+        return self.vector(coeff)
 
     def coords(self, root: Vector) -> Coords:
         """Coordinates of a root in the simple-root basis."""
@@ -244,11 +253,7 @@ class RootSystem:
             raise ValueError("modulus exponent needs a maximal parabolic")
         if self.nu is None:
             raise ValueError(f"system {self.name} has no configured character nu")
-        coeff = [0] * self.rank
-        for k in self._radical(p):
-            m = self.multiplicity(self.roots[k])
-            coeff = [a + m * c for a, c in zip(coeff, self._coord_list[k])]
-        acc = self.vector(coeff)
+        acc = self._weighted_sum(self._radical(p))
         # proportionality is only required on the root lattice (characters may
         # differ by a central direction, e.g. the sum-zero-plane systems)
         alpha = next(a for a in self.simples if dot(self.nu, a) != 0)
