@@ -4,15 +4,22 @@ The algebra suites work on cleared-denominator integer representatives
 (`compalg.rank_one_rep`, `ScaledMatrix`).  The functions here give the
 normalised Fraction values, and the polarised norm form, that the tests
 compare those representatives against.
+
+They also hold the test-side references for `compalg.triality_verify`:
+`rational_triality_verify` checks the defining identities on the Fraction
+matrices, and `cube_triality_verify` is the integer verifier that checks
+invariance of the trilinear form on the full 512-entry basis cube, which
+`triality_verify` replaced by the 64-entry Gram identity.
 """
 
 from __future__ import annotations
 
+import operator
 import random
 from fractions import Fraction
 
 from exceis.compalg import (JordanAlgebra, JordanElement, OctonionAlgebra,
-                            RationalScalars, ScaledMatrix, rank_one_rep)
+                            RationalScalars, ScaledMatrix, TrialityTriple, rank_one_rep)
 
 
 def definite_octonions(gammas=(-1, -1, -1)) -> OctonionAlgebra:
@@ -44,3 +51,75 @@ def rational(m: ScaledMatrix) -> tuple[tuple, ...]:
     if m.den == 1:
         return tuple(tuple(row) for row in m.mat)
     return tuple(tuple(Fraction(v, m.den) for v in row) for row in m.mat)
+
+
+def rational_triality_verify(o: OctonionAlgebra, triple: TrialityTriple) -> bool:
+    """triality_verify from its definition, on the Fraction matrices:
+    t1(xy) = t2(x) t3(y), (g(x), g(y)) = (x, y) for each component, and
+    tr(g1(x) (t2(y) t3(z))) = tr(x (yz)), all on basis vectors."""
+    mats = [rational(m) for m in (triple.g1, triple.raw_t1, triple.g2, triple.g3)]
+    g1, t1, t2, t3 = ([tuple(row[i] for row in m) for i in range(8)] for m in mats)
+    e = [o.basis(k) for k in range(8)]
+
+    def t1_of(x):
+        return tuple(sum(c * v for c, v in zip(x, coords)) for coords in zip(*t1))
+
+    prods = [[o.mul(t2[j], t3[k]) for k in range(8)] for j in range(8)]
+    for j in range(8):
+        for k in range(8):
+            if t1_of(o.mul(e[j], e[k])) != prods[j][k]:
+                return False
+    for g in (g1, t2, t3):
+        for i in range(8):
+            for j in range(i, 8):
+                if bilinear(o, g[i], g[j]) != bilinear(o, e[i], e[j]):
+                    return False
+    for c in range(8):
+        for j in range(8):
+            for k in range(8):
+                if o.trace(o.mul(g1[c], prods[j][k])) != o.trilinear(e[c], e[j], e[k]):
+                    return False
+    return True
+
+
+def cube_triality_verify(o: OctonionAlgebra, triple: TrialityTriple) -> bool:
+    """The integer verifier with the trilinear form checked on the full
+    basis cube: t1(xy) = t2(x) t3(y) on all basis pairs, preservation of the
+    norm form by each component (via its Gram matrix), and
+    tr(g1(e_c) (t2(e_j) t3(e_k))) = tr(e_c (e_j e_k)) for all 512 (c, j, k).
+
+    All checks run on the cleared-denominator integer matrices, comparing
+    cross-multiplied sides.  The 64 products t2(e_i) t3(e_j) are formed
+    once and feed both the identity and the trilinear check."""
+    vec = o.scalars.vec
+    t1, t2, t3, g1 = triple.raw_t1, triple.g2, triple.g3, triple.g1
+    d1, d2, d3 = t1.den, t2.den, t3.den
+    cols3 = list(zip(*t3.mat))
+    # p[8i + j] = t2(e_i) t3(e_j), unreduced: every check reduces its differences
+    p = [o._product(c2, c3) for c2 in zip(*t2.mat) for c3 in cols3]
+    # identity on the basis square: t1(e_i e_j) = sg t1(e_k) is a signed column of t1
+    cols1 = list(zip(*t1.mat))
+    for (i, j), (k, sg) in o.table.items():
+        s = sg * d2 * d3
+        if any(vec([s * a - d1 * b for a, b in zip(cols1[k], p[8 * i + j])])):
+            return False
+    # norm preservation: M^T diag(eta) M = den^2 diag(eta), upper triangle
+    eta = o.signature
+    for m in (g1, t2, t3):
+        cols = list(zip(*m.mat))
+        gram = []
+        for i in range(8):
+            ecol = [e * v for e, v in zip(eta, cols[i])]
+            gram += [sum(map(operator.mul, ecol, cols[j])) for j in range(i, 8)]
+            gram[-(8 - i)] -= eta[i] * m.den * m.den
+        if any(vec(gram)):
+            return False
+    # the trilinear form on the basis cube, where tr(g1(e_c) x) is the dot
+    # product of x with the form 2 sq_sign * g1(e_c), since
+    # tr(x y) = 2 sum_r sq_sign_r x_r y_r
+    forms = [[2 * sg * v for sg, v in zip(o.sq_sign, col)] for col in zip(*g1.mat)]
+    got = [[sum(map(operator.mul, f, x)) for x in p] for f in forms]
+    dall = g1.den * d2 * d3
+    for (j, k), (m, sg) in o.table.items():
+        got[m][8 * j + k] -= 2 * sg * o.sq_sign[m] * dall
+    return not any(any(vec(row)) for row in got)

@@ -350,3 +350,14 @@ class TestPlantedAlgebraFailures:
                                           t.g3, t.raw_t1)
         monkeypatch.setattr(compalg, "triality_triple", broken)
         self._suite(cfg, "triality")
+
+    def test_triality_sees_unhatted_g1(self, cfg, monkeypatch):
+        # g1 = raw_t1 passes the identity and every norm check; only the Gram
+        # identity g1^T diag(sq_sign) t1 = g1.den d1 diag(sq_sign) rejects it
+        triple = compalg.triality_triple
+
+        def broken(o, pairs):
+            t = triple(o, pairs)
+            return compalg.TrialityTriple(t.raw_t1, t.g2, t.g3, t.raw_t1)
+        monkeypatch.setattr(compalg, "triality_triple", broken)
+        self._suite(cfg, "triality")

@@ -287,6 +287,22 @@ class TestTriality:
         bad[2][5] += 12      # now a multiple of p away from the original
         assert triality_verify(alg, broken)
 
+    @pytest.mark.parametrize("field", [None, 11, 13], ids=["Q", "GF(11)", "GF(13)"])
+    @pytest.mark.parametrize("plant", ["identity", "unhatted"])
+    def test_g1_defect_only_the_gram_identity_sees(self, oct_def, field, plant):
+        # g1 = I and g1 = raw_t1 preserve the norm form, and g1 takes no part
+        # in t1(xy) = t2(x) t3(y): only the Gram identity ties g1 to t1
+        o = oct_def if field is None else split_octonions(PrimeFieldScalars(field))
+        triple = triality_triple(o, random_triality_pairs(o, random.Random(79)))
+        identity = compalg.ScaledMatrix([[int(i == j) for j in range(8)] for i in range(8)], 1)
+        g1 = identity if plant == "identity" else triple.raw_t1
+        cols, units = list(zip(*rational(g1))), [o.basis(k) for k in range(8)]
+        assert all(bilinear(o, cols[i], cols[j]) == bilinear(o, units[i], units[j])
+                   for i in range(8) for j in range(8))
+        assert triality_verify(o, triple)
+        assert not triality_verify(o, compalg.TrialityTriple(g1, triple.g2, triple.g3,
+                                                             triple.raw_t1))
+
 
 def _compalg_outputs() -> list:
     """Seeded outputs of the octonion, Jordan, triality and etale code over

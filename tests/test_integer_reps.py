@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from compalg_reference import bilinear, rank_one_sample, rational
+from compalg_reference import rank_one_sample, rational_triality_verify
 from exceis import compalg, suites
 from exceis.config import load_config
 from exceis.exactnum import solve
@@ -177,44 +177,15 @@ class TestRankOneC1Family:
         assert jalg.rank(bad) == jalg.rank(_shrink(jalg, bad, c2)) > 1
 
 
-def _rational_verify(o, triple) -> bool:
-    """triality_verify from its definition, on the Fraction matrices:
-    t1(xy) = t2(x) t3(y), (g(x), g(y)) = (x, y) for each component, and
-    tr(g1(x) (t2(y) t3(z))) = tr(x (yz)), all on basis vectors."""
-    mats = [rational(m) for m in (triple.g1, triple.raw_t1, triple.g2, triple.g3)]
-    g1, t1, t2, t3 = ([tuple(row[i] for row in m) for i in range(8)] for m in mats)
-    e = [o.basis(k) for k in range(8)]
-
-    def t1_of(x):
-        return tuple(sum(c * v for c, v in zip(x, coords)) for coords in zip(*t1))
-
-    prods = [[o.mul(t2[j], t3[k]) for k in range(8)] for j in range(8)]
-    for j in range(8):
-        for k in range(8):
-            if t1_of(o.mul(e[j], e[k])) != prods[j][k]:
-                return False
-    for g in (g1, t2, t3):
-        for i in range(8):
-            for j in range(i, 8):
-                if bilinear(o, g[i], g[j]) != bilinear(o, e[i], e[j]):
-                    return False
-    for c in range(8):
-        for j in range(8):
-            for k in range(8):
-                if o.trace(o.mul(g1[c], prods[j][k])) != o.trilinear(e[c], e[j], e[k]):
-                    return False
-    return True
-
-
 class TestTriality:
     @settings(max_examples=6, deadline=None)
     @given(seed=seeds)
     def test_verdict_matches_rational_definition(self, jalg, seed):
         o = jalg.oct
         triple = compalg.triality_triple(o, compalg.random_triality_pairs(o, random.Random(seed)))
-        assert compalg.triality_verify(o, triple) == _rational_verify(o, triple) is True
+        assert compalg.triality_verify(o, triple) == rational_triality_verify(o, triple) is True
         bad = [row[:] for row in triple.g2.mat]
         bad[seed % 8][(seed // 8) % 8] += 1          # planted: one unit in g2
         broken = compalg.TrialityTriple(triple.g1, compalg.ScaledMatrix(bad, triple.g2.den),
                                         triple.g3, triple.raw_t1)
-        assert compalg.triality_verify(o, broken) == _rational_verify(o, broken) is False
+        assert compalg.triality_verify(o, broken) == rational_triality_verify(o, broken) is False
