@@ -18,6 +18,12 @@ appear where a public function returns a rational value.  The octonion
 product is one function compiled from the structure constants
 (``_compile_product``); it takes any scalars and stays in ints on ints.
 
+A triality triple (g1, g2, g3) is checked by the identity
+t1(xy) = t2(x) t3(y) on basis pairs, the norm form of each component, and
+the 64-entry Gram identity that ties g1 to t1; once the identity holds, that
+Gram identity is the trilinear form on the 512-entry basis cube
+(``triality_verify``).
+
 The octonion multiplication table is produced by three Cayley-Dickson
 doublings from the base ring; the doubling parameters are data, with
 (-1,-1,-1) giving the definite flavor (norm = sum of eight squares) and
@@ -759,25 +765,36 @@ def triality_triple(o: OctonionAlgebra, pairs) -> TrialityTriple:
 
 def triality_verify(o: OctonionAlgebra, triple: TrialityTriple) -> bool:
     """Check t1(xy) = t2(x) t3(y) on all basis pairs, preservation of the
-    norm form by each component (via its Gram matrix), and invariance of the
-    trilinear form under the hatted triple on the full basis cube.
+    norm form by each component (via its Gram matrix), and the Gram identity
+    g1^T diag(sq_sign) t1 = g1.den d1 diag(sq_sign) that ties g1 to t1.
+
+    The Gram identity is invariance of the trilinear form under the hatted
+    triple, tr(g1(e_c) (t2(e_j) t3(e_k))) = tr(e_c (e_j e_k)) on the 512
+    entries of the basis cube, in 64 entries.  The identity check runs
+    first; once it has passed, d1 t2(e_j) t3(e_k) = sg d2 d3 t1(e_m)
+    whenever e_j e_k = sg e_m, so cube entry (c; j, k) is
+    sg (d2 d3 / d1) tr(g1(e_c) t1(e_m)), and since e_0 e_m = e_m every m
+    is reached.  With tr(x y) = 2 sum_r sq_sign_r x_r y_r, the cube holds
+    iff the Gram identity does.  The argument holds mod p too, where every
+    denominator is 1 and 2 is a unit.
 
     All checks run on the cleared-denominator integer matrices, comparing
     cross-multiplied sides; each block of differences is tested for zero
-    after one ``vec`` of the scalar ring.  The 64 products t2(e_i) t3(e_j)
-    are formed once and feed both the identity and the trilinear check."""
+    after one ``vec`` of the scalar ring."""
     vec = o.scalars.vec
     t1, t2, t3, g1 = triple.raw_t1, triple.g2, triple.g3, triple.g1
     d1, d2, d3 = t1.den, t2.den, t3.den
-    cols3 = list(zip(*t3.mat))
-    # p[8i + j] = t2(e_i) t3(e_j), unreduced: every check reduces its differences
-    p = [o._product(c2, c3) for c2 in zip(*t2.mat) for c3 in cols3]
-    # identity on the basis square: t1(e_i e_j) = sg t1(e_k) is a signed column of t1
-    cols1 = list(zip(*t1.mat))
+    cols1, cols2, cols3 = (list(zip(*m.mat)) for m in (t1, t2, t3))
+    # identity on the basis square: t1(e_i e_j) = sg t1(e_k) is a signed
+    # column of t1, against the unreduced product t2(e_i) t3(e_j)
+    s = d2 * d3
+    signed = {sg: [[sg * s * a for a in col] for col in cols1] for sg in (1, -1)}
+    diffs = []
     for (i, j), (k, sg) in o.table.items():
-        s = sg * d2 * d3
-        if any(vec([s * a - d1 * b for a, b in zip(cols1[k], p[8 * i + j])])):
-            return False
+        p = o._product(cols2[i], cols3[j])
+        diffs += map(operator.sub, signed[sg][k], p if d1 == 1 else [d1 * b for b in p])
+    if any(vec(diffs)):
+        return False
     # norm preservation: M^T diag(eta) M = den^2 diag(eta), upper triangle
     eta = o.signature
     for m in (g1, t2, t3):
@@ -789,15 +806,14 @@ def triality_verify(o: OctonionAlgebra, triple: TrialityTriple) -> bool:
             gram[-(8 - i)] -= eta[i] * m.den * m.den
         if any(vec(gram)):
             return False
-    # trilinear invariance on the basis cube: tr(g1(e_c) (t2(e_j) t3(e_k))) =
-    # tr(e_c (e_j e_k)), where tr(g1(e_c) x) is the dot product of x with the
-    # form 2 sq_sign * g1(e_c), since tr(x y) = 2 sum_r sq_sign_r x_r y_r
-    forms = [[2 * sg * v for sg, v in zip(o.sq_sign, col)] for col in zip(*g1.mat)]
-    got = [[sum(map(operator.mul, f, x)) for x in p] for f in forms]
-    dall = g1.den * d2 * d3
-    for (j, k), (m, sg) in o.table.items():
-        got[m][8 * j + k] -= 2 * sg * o.sq_sign[m] * dall
-    return not any(any(vec(row)) for row in got)
+    # the Gram identity, row c: sq_sign * g1(e_c) dotted with each column of t1
+    sq, scale = o.sq_sign, g1.den * d1
+    gram = []
+    for c, col in enumerate(zip(*g1.mat)):
+        form = list(map(operator.mul, sq, col))
+        gram += [sum(map(operator.mul, form, col1)) for col1 in cols1]
+        gram[c - 8] -= sq[c] * scale
+    return not any(vec(gram))
 
 
 def random_triality_pairs(o: OctonionAlgebra, rng: random.Random,

@@ -243,8 +243,9 @@ def _freudenthal(cfg: Config, jalg: compalg.JordanAlgebra, count: int, rng) -> d
 def _triality(cfg: Config, jalg: compalg.JordanAlgebra, count: int, rng) -> dict:
     # each triple is carried as integer matrices over denominators, and
     # triality_verify compares cross-multiplied sides: t1(xy) = t2(x) t3(y)
-    # and the trilinear form have degree 1 in each matrix, the norm form
-    # degree 2
+    # and the Gram identity g1^T diag(sq_sign) t1 = diag(sq_sign), which
+    # stands for the trilinear form once the first holds, have degree 1 in
+    # each matrix, the norm form degree 2
     primes = cfg.claims.primes
     algs = [jalg.oct] + [compalg.split_octonions(compalg.PrimeFieldScalars(p),
                                                  cfg.algebras["split"]) for p in primes]
