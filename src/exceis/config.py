@@ -21,7 +21,7 @@ import yaml
 from .archmult import MatrixRecipe, RecipeCatalog, parse_tokens
 from .eiscalc import AbsoluteOracle, BlockRule, ZetaProduct
 from .exactnum import AffineForm
-from .rootsys import RootSystem
+from .rootsys import RootSystem, dot
 
 CONFIG_VERSION = 1
 
@@ -258,6 +258,15 @@ def _distinct(path: str, roots: list[int | None]) -> None:
             raise ConfigError(f"{path}[{k}].root: root {root} is checked twice")
 
 
+def _nu(x, roots: list[tuple[Fraction, ...]]) -> tuple[Fraction, ...]:
+    """The character vector nu, in the simple roots' dimension and paired
+    nonzero with one of them: the modulus exponent divides by that pairing."""
+    nu = tuple(_list(x, _fr, len(roots[0])))
+    if not any(dot(nu, a) for a in roots):
+        raise ValueError("orthogonal to every simple root")
+    return nu
+
+
 def _parse_system(name: str, m: _Map) -> SystemSpec:
     """One system: rationals, integers and 1-based simple-root indexes, the
     simple roots all of one length."""
@@ -266,7 +275,7 @@ def _parse_system(name: str, m: _Map) -> SystemSpec:
         name=name, aliases=m.get("aliases", _list, []), simple_roots=roots,
         multiplicities=m.get("multiplicities", lambda x: _mapping(x, _fr, _int), {}),
         print_scale=m.get("print_scale", lambda x: _mapping(x, _fr, _fr), {}),
-        nu=m.get("nu", lambda x: tuple(_list(x, _fr))),
+        nu=m.get("nu", partial(_nu, roots=roots)),
         rho_weighted=m.get("rho_weighted", lambda x: tuple(_list(x, _fr))),
         parabolics=m.get("parabolics", lambda x: _mapping(
             x, str, lambda v: frozenset(_list(v, partial(_int, top=len(roots))))), {}),

@@ -256,6 +256,7 @@ class RootSystem:
         acc = self._weighted_sum(self._radical(p))
         # proportionality is only required on the root lattice (characters may
         # differ by a central direction, e.g. the sum-zero-plane systems)
+        # the config rejects a nu orthogonal to every simple root at load
         alpha = next(a for a in self.simples if dot(self.nu, a) != 0)
         k = dot(acc, alpha) / dot(self.nu, alpha)
         diff = vsub(acc, smul(k, self.nu))

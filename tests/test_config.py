@@ -458,6 +458,10 @@ LEAVES = [
      "cases.E7-siegel.tables[0].rows[1].cfunction: cannot parse factor 'zeta(s-1'"),
     (lambda raw: _row(raw, "GE-field", 1, 1)["eis"][0].update(printed="no"),
      "cases.GE-field.tables[1].rows[1].eis[0].printed: expected a boolean"),
+    (lambda raw: raw["systems"]["G2-GEfield"].update(nu=["2", "-1", "-1", "0"]),
+     "systems.G2-GEfield.nu: expected 3 entries, got 4"),
+    (lambda raw: raw["systems"]["G2-GEfield"].update(nu=["1", "1", "1"]),
+     "systems.G2-GEfield.nu: orthogonal to every simple root"),
 ]
 LEAF_IDS = ["word-zero", "word-negative", "pairing-root", "eis-root", "action-r0",
             "action-r3", "no-cblocks", "min_vanishing_order", "order-total", "case-s0",
@@ -466,7 +470,8 @@ LEAF_IDS = ["word-zero", "word-negative", "pairing-root", "eis-root", "action-r0
             "order-symbol", "assoc-index", "trace-letter", "action-key", "parabolic-index", "simple-roots-length",
             "cblocks-template", "oracle-kernel", "oracle-partition", "oracle-nodes",
             "oracle-absolute", "modulus-expect", "algebras-split", "claims-count",
-            "claims-count-float", "cfunction-factor", "eis-printed"]
+            "claims-count-float", "cfunction-factor", "eis-printed", "nu-length",
+            "nu-orthogonal"]
 
 
 class TestShapeAtLoad:
@@ -517,13 +522,14 @@ class TestShapeAtLoad:
               ("oracle-kernel", ["modulus"]), ("oracle-partition", ["modulus"]),
               ("modulus-expect", ["modulus"]), ("algebras-split", ["arch"]),
               ("claims-count", ["modulus"]), ("claims-count-float", ["modulus"]),
-              ("cfunction-factor", ["modulus"]), ("eis-printed", ["arch"])]],
+              ("cfunction-factor", ["modulus"]), ("eis-printed", ["arch"]),
+              ("nu-length", ["modulus"]), ("nu-orthogonal", ["modulus"])]],
     ], ids=["unprintd", "top-level", "checks-modulus", "checks-arch", "word-modulus",
             "word-constant-term", "systems-modulus", "modulus_checks-oracle",
             "word-zero", "min_vanishing_order", "order-total", "eis-functional-length",
             "pairing-root-twice", "oracle-kernel", "oracle-partition", "modulus-expect",
             "algebras-split", "claims-count", "claims-count-float", "cfunction-factor",
-            "eis-printed"])
+            "eis-printed", "nu-length", "nu-orthogonal"])
     def test_cli_exits_1_at_load(self, tmp_path, edit, args, message):
         raw = copy.deepcopy(load_config().raw)
         edit(raw)
