@@ -768,15 +768,16 @@ def triality_verify(o: OctonionAlgebra, triple: TrialityTriple) -> bool:
     norm form by each component (via its Gram matrix), and the Gram identity
     g1^T diag(sq_sign) t1 = g1.den d1 diag(sq_sign) that ties g1 to t1.
 
-    The Gram identity is invariance of the trilinear form under the hatted
-    triple, tr(g1(e_c) (t2(e_j) t3(e_k))) = tr(e_c (e_j e_k)) on the 512
-    entries of the basis cube, in 64 entries.  The identity check runs
-    first; once it has passed, d1 t2(e_j) t3(e_k) = sg d2 d3 t1(e_m)
-    whenever e_j e_k = sg e_m, so cube entry (c; j, k) is
-    sg (d2 d3 / d1) tr(g1(e_c) t1(e_m)), and since e_0 e_m = e_m every m
-    is reached.  With tr(x y) = 2 sum_r sq_sign_r x_r y_r, the cube holds
-    iff the Gram identity does.  The argument holds mod p too, where every
-    denominator is 1 and 2 is a unit.
+    The Gram identity stands for invariance of the trilinear form under the
+    hatted triple, tr(g1(e_c) (t2(e_j) t3(e_k))) = tr(e_c (e_j e_k)) on the
+    512 entries of the basis cube.  The identity check runs first; once it
+    has passed, t2(e_j) t3(e_k) = sg t1(e_m) whenever e_j e_k = sg e_m, so
+    cube entry (c; j, k) reads sg tr(g1(e_c) t1(e_m)) = sg tr(e_c e_m).
+    Since e_0 e_m = e_m, every m is reached: the cube holds iff
+    tr(g1(e_c) t1(e_m)) = tr(e_c e_m) = 2 sq_sign_c [c = m] for all c, m,
+    and with tr(x y) = 2 sum_r sq_sign_r x_r y_r that is the Gram identity
+    on the integer matrices, halved and times g1.den d1.  The argument holds
+    mod p too, where every denominator is 1 and 2 is a unit.
 
     All checks run on the cleared-denominator integer matrices, comparing
     cross-multiplied sides; each block of differences is tested for zero
@@ -787,12 +788,10 @@ def triality_verify(o: OctonionAlgebra, triple: TrialityTriple) -> bool:
     cols1, cols2, cols3 = (list(zip(*m.mat)) for m in (t1, t2, t3))
     # identity on the basis square: t1(e_i e_j) = sg t1(e_k) is a signed
     # column of t1, against the unreduced product t2(e_i) t3(e_j)
-    s = d2 * d3
-    signed = {sg: [[sg * s * a for a in col] for col in cols1] for sg in (1, -1)}
     diffs = []
     for (i, j), (k, sg) in o.table.items():
-        p = o._product(cols2[i], cols3[j])
-        diffs += map(operator.sub, signed[sg][k], p if d1 == 1 else [d1 * b for b in p])
+        s = sg * d2 * d3
+        diffs += [s * a - d1 * b for a, b in zip(cols1[k], o._product(cols2[i], cols3[j]))]
     if any(vec(diffs)):
         return False
     # norm preservation: M^T diag(eta) M = den^2 diag(eta), upper triangle
