@@ -10,6 +10,13 @@ They also hold the test-side references for `compalg.triality_verify`:
 matrices, and `cube_triality_verify` is the integer verifier that checks
 invariance of the trilinear form on the full 512-entry basis cube, which
 `triality_verify` replaced by the 64-entry Gram identity.
+
+And they hold the references for the octonion kernels compiled from the
+structure constants: `reference_norm` forms the full product x x* and
+asserts it scalar, `reference_sharp` and `reference_trace_pairing` build
+the adjoint and the trace pairing from octonion products, conjugates and
+scalings.  test_jordan_differential.py compares the compiled path against
+them.
 """
 
 from __future__ import annotations
@@ -44,6 +51,38 @@ def rank_one_sample(jalg: JordanAlgebra, rng: random.Random,
     _, y, d = rank_one_rep(jalg, rng, max_attempts)
     return jalg.sharp(jalg.element([Fraction(v, d) for v in y.c],
                                    [[Fraction(v, d) for v in x] for x in y.x]))
+
+
+def reference_norm(o: OctonionAlgebra, x):
+    """N(x) as the 0-coordinate of the full product x x*, asserted scalar."""
+    prod = o.mul(x, o.conj(x))
+    assert all(c == 0 for c in prod[1:]), "x x* is not scalar"
+    return prod[0]
+
+
+def reference_sharp(jalg: JordanAlgebra, a: JordanElement) -> JordanElement:
+    """The quadratic adjoint in coordinates: c1# = c2 c3 - N(x1) (cyclically)
+    and x1# = (x2 x3)* - c1 x1, from octonion products and conjugates."""
+    o = jalg.oct
+    n = [reference_norm(o, v) for v in a.x]
+    c1, c2, c3 = a.c
+    cs = (c2 * c3 - n[0], c1 * c3 - n[1], c1 * c2 - n[2])
+    xs = []
+    for i in range(3):
+        j, k = (i + 1) % 3, (i + 2) % 3
+        prod = o.conj(o.mul(a.x[j], a.x[k]))
+        xs.append(o.add(prod, o.scale(-a.c[i], a.x[i])))
+    return JordanElement(jalg.scalars.vec(cs), tuple(xs))
+
+
+def reference_trace_pairing(jalg: JordanAlgebra, a: JordanElement, b: JordanElement):
+    """(X, Y) = sum c_i(X) c_i(Y) + sum tr(x_i(X) x_i(Y)^*), each trace read
+    off a full octonion product."""
+    o = jalg.oct
+    val = sum(u * v for u, v in zip(a.c, b.c))
+    for u, v in zip(a.x, b.x):
+        val += o.trace(o.mul(u, o.conj(v)))
+    return jalg.scalars.red(val)
 
 
 def rational(m: ScaledMatrix) -> tuple[tuple, ...]:
