@@ -167,22 +167,65 @@ def _build_table(gammas: Sequence[int]) -> dict[tuple[int, int], tuple[int, int]
     return table
 
 
-def _compile_product(table: dict[tuple[int, int], tuple[int, int]]) -> Callable:
-    """The product of two coordinate 8-sequences as one function compiled
-    from the structure constants: each output coordinate is a single signed
-    sum of its eight products, with no per-term dispatch.  It takes any
-    scalars; on ints it stays in ints."""
-    terms: list[list[str]] = [[] for _ in range(8)]
+_CONJ = (1,) + (-1,) * 7   # x* = diag(1, -1, ..., -1) x
+
+
+def _signed(terms) -> str:
+    """A signed sum of (sign, term) pairs as source text."""
+    return " ".join(f"{'+' if sg > 0 else '-'} {t}" for sg, t in terms).lstrip("+ ")
+
+
+def _source(name: str, octonions: str, value: str, scalar: str = "") -> str:
+    """def name(scalar, *octonions), each octonion unpacked into its eight
+    coordinates, returning value."""
+    lines = [f"def {name}({', '.join([scalar] * bool(scalar) + list(octonions))}):"]
+    lines += [f"    {', '.join(f'{x}{i}' for i in range(8))} = {x}" for x in octonions]
+    return "\n".join(lines + [f"    return {value}", ""])
+
+
+def _kernel_sources(table: dict[tuple[int, int], tuple[int, int]]) -> dict[str, str]:
+    """The source text of the octonion kernels, each compiled from the
+    structure constants: every output coordinate is one signed sum of
+    products, with no per-term dispatch.  They take any scalars and stay in
+    ints on ints.
+
+        product(x, y)         x y
+        norm(x)               N(x) = x x*, a quadratic form in x
+        trace_form(u, v)      (u v*)_0, half of tr(u v*)
+        adjoint(c, x, y, z)   (y z)* + c x, the adjoint's slot for c = -c_i
+
+    Coordinates 1-7 of x x* must vanish for every x: each is a quadratic
+    form in x whose coefficients are read off the table, and a nonzero one
+    raises ValueError naming its coordinate."""
+    prods: list[list[tuple[int, int, int]]] = [[] for _ in range(8)]
     for (i, j), (k, sg) in sorted(table.items()):
-        terms[k].append(f"{'+' if sg > 0 else '-'} x{i} * y{j}")
-    names = ", ".join
-    src = (f"def product(x, y):\n"
-           f"    {names(f'x{i}' for i in range(8))} = x\n"
-           f"    {names(f'y{i}' for i in range(8))} = y\n"
-           f"    return ({names(' '.join(t).lstrip('+ ') for t in terms)})\n")
-    namespace: dict = {}
-    exec(src, namespace)
-    return namespace["product"]
+        prods[k].append((sg, i, j))
+    # x x* coordinate by coordinate: coefficient of x_i x_j, i <= j
+    square: list[dict[tuple[int, int], int]] = [{} for _ in range(8)]
+    for k in range(8):
+        for sg, i, j in prods[k]:
+            key = (min(i, j), max(i, j))
+            square[k][key] = square[k].get(key, 0) + sg * _CONJ[j]
+    for k in range(1, 8):
+        stray = [f"{v} x{i} x{j}" for (i, j), v in square[k].items() if v]
+        if stray:
+            raise ValueError(f"x x* is not scalar: coordinate {k} has the term {stray[0]}")
+    norm = [(v, f"{abs(v)} * " * (abs(v) != 1) + f"x{i} * x{j}")
+            for (i, j), v in square[0].items() if v]
+
+    def coords(terms) -> str:
+        return f"({', '.join(_signed(terms(k)) for k in range(8))})"
+
+    return {
+        "product": _source("product", "xy", coords(
+            lambda k: [(sg, f"x{i} * y{j}") for sg, i, j in prods[k]])),
+        "norm": _source("norm", "x", _signed(norm)),
+        "trace_form": _source("trace_form", "uv", _signed(
+            [(sg * _CONJ[j], f"u{i} * v{j}") for sg, i, j in prods[0]])),
+        "adjoint": _source("adjoint", "xyz", coords(
+            lambda k: [(sg * _CONJ[k], f"y{i} * z{j}") for sg, i, j in prods[k]]
+            + [(1, f"c * x{k}")]), scalar="c"),
+    }
 
 
 class OctonionAlgebra:
@@ -200,7 +243,19 @@ class OctonionAlgebra:
         self.gammas = tuple(gammas)
         self.flavor = flavor
         self.table = _build_table(gammas)
-        self._product = _compile_product(self.table)
+        self.kernel_sources = _kernel_sources(self.table)
+        kernels: dict = {}
+        for src in self.kernel_sources.values():
+            exec(src, kernels)
+        self._product, self._norm, self._trace_form, self._adjoint = (
+            kernels[name] for name in self.kernel_sources)
+        # b e_j and e_j b as signed permutations of b: (b e_j)_k = sg b_i
+        # for e_i e_j = sg e_k, each k once; right[j][k] = (i, sg)
+        self._right = [[(0, 0)] * 8 for _ in range(8)]
+        self._left = [[(0, 0)] * 8 for _ in range(8)]
+        for (i, j), (k, sg) in self.table.items():
+            self._right[j][k] = (i, sg)
+            self._left[i][k] = (j, sg)
         # norm signature: N(e_k) for each basis vector
         self.signature = tuple(self._basis_norm(k) for k in range(8))
         # e_i e_i = sq_sign[i] * e_0; gives tr(xy) = 2 sum sq_sign[i] x_i y_i
@@ -237,9 +292,10 @@ class OctonionAlgebra:
         return self.scalars.red(x[0] + x[0])
 
     def norm(self, x):
-        prod = self.mul(x, self.conj(x))
-        assert all(c == 0 for c in prod[1:]), "x x* is not scalar"
-        return prod[0]
+        """N(x) = x x*, read off the compiled quadratic form: that the other
+        seven coordinates of x x* vanish was checked on the structure
+        constants when the algebra was built."""
+        return self.scalars.red(self._norm(x))
 
     def trilinear(self, x1, x2, x3):
         """tr(x1 (x2 x3)); agrees with tr((x1 x2) x3) (tested, not assumed)."""
@@ -409,23 +465,21 @@ class JordanAlgebra:
     def sharp(self, a: JordanElement) -> JordanElement:
         """Quadratic adjoint from the sigma-based definition; in coordinates
         c1# = c2 c3 - N(x1) (cyclically) and x1# = (x2 x3)* - c1 x1."""
-        o = self.oct
-        n = [o.norm(v) for v in a.x]
+        norm, adjoint = self.oct._norm, self.oct._adjoint
+        vec, of = self.scalars.vec, self.scalars.of
         c1, c2, c3 = a.c
-        cs = (c2 * c3 - n[0], c1 * c3 - n[1], c1 * c2 - n[2])
-        xs = []
-        for i in range(3):
-            j, k = (i + 1) % 3, (i + 2) % 3
-            prod = o.conj(o.mul(a.x[j], a.x[k]))
-            xs.append(o.add(prod, o.scale(-a.c[i], a.x[i])))
-        return JordanElement(self.scalars.vec(cs), tuple(xs))
+        x1, x2, x3 = a.x
+        cs = (c2 * c3 - norm(x1), c1 * c3 - norm(x2), c1 * c2 - norm(x3))
+        return JordanElement(vec(cs), (vec(adjoint(of(-c1), x1, x2, x3)),
+                                       vec(adjoint(of(-c2), x2, x3, x1)),
+                                       vec(adjoint(of(-c3), x3, x1, x2))))
 
     def norm(self, a: JordanElement):
         """N(X) = c1 c2 c3 - sum c_i N(x_i) + tr(x1 (x2 x3))."""
         o = self.oct
         val = a.c[0] * a.c[1] * a.c[2]
         for ci, xi in zip(a.c, a.x):
-            val -= ci * o.norm(xi)
+            val -= ci * o._norm(xi)
         val += o.trilinear(a.x[0], a.x[1], a.x[2])
         return self.scalars.red(val)
 
@@ -439,12 +493,10 @@ class JordanAlgebra:
         return 3
 
     def trace_pairing(self, a: JordanElement, b: JordanElement):
-        """(X, Y) = sum c_i(X) c_i(Y) + sum tr(x_i(X) x_i(Y)^*)."""
-        o = self.oct
-        val = sum(u * v for u, v in zip(a.c, b.c))
-        for u, v in zip(a.x, b.x):
-            val += o.trace(o.mul(u, o.conj(v)))
-        return self.scalars.red(val)
+        """(X, Y) = sum c_i(X) c_i(Y) + sum tr(x_i(X) x_i(Y)^*), where
+        tr(u v*) = 2 (u v*)_0."""
+        val = sum(map(operator.mul, a.c, b.c))
+        return self.scalars.red(val + 2 * sum(map(self.oct._trace_form, a.x, b.x)))
 
 
 def rank_one_rep(jalg: JordanAlgebra, rng: random.Random,
@@ -706,19 +758,16 @@ def _reflection_pair(o: OctonionAlgebra, av, bv, na, nb) -> ScaledMatrix:
     return o.scalars.scaled(mat, na * nb)
 
 
-_UNITS = [[int(i == j) for i in range(8)] for j in range(8)]
-
-
 def _mult_pair(o: OctonionAlgebra, a, b, side: str) -> ScaledMatrix:
     """x -> a (b x) on the left, x -> (x b) a on the right, for a = av/ad
-    and b = bv/bd given by cleared coordinates: each column is two
-    products with a basis vector."""
+    and b = bv/bd given by cleared coordinates: column j is one product,
+    with b e_j or e_j b, a signed permutation of b."""
     (av, ad), (bv, bd) = a, b
     prod = o._product
     if side == "left":
-        cols = [prod(av, prod(bv, e)) for e in _UNITS]
+        cols = [prod(av, [sg * bv[i] for i, sg in perm]) for perm in o._right]
     else:
-        cols = [prod(prod(e, bv), av) for e in _UNITS]
+        cols = [prod([sg * bv[i] for i, sg in perm], av) for perm in o._left]
     return o.scalars.scaled([list(row) for row in zip(*cols)], ad * bd)
 
 
@@ -787,13 +836,15 @@ def triality_verify(o: OctonionAlgebra, triple: TrialityTriple) -> bool:
     d1, d2, d3 = t1.den, t2.den, t3.den
     cols1, cols2, cols3 = (list(zip(*m.mat)) for m in (t1, t2, t3))
     # identity on the basis square: t1(e_i e_j) = sg t1(e_k) is a signed
-    # column of t1, against the unreduced product t2(e_i) t3(e_j)
-    diffs = []
+    # column of t1, which times d2 d3 must be d1 t2(e_i) t3(e_j); the
+    # product is bilinear, so d1 scales the columns of t3 once
+    signed = {sg: [vec([sg * d2 * d3 * a for a in col]) for col in cols1] for sg in (1, -1)}
+    if d1 != 1:
+        cols3 = [[d1 * v for v in col] for col in cols3]
+    prod = o._product
     for (i, j), (k, sg) in o.table.items():
-        s = sg * d2 * d3
-        diffs += [s * a - d1 * b for a, b in zip(cols1[k], o._product(cols2[i], cols3[j]))]
-    if any(vec(diffs)):
-        return False
+        if vec(prod(cols2[i], cols3[j])) != signed[sg][k]:
+            return False
     # norm preservation: M^T diag(eta) M = den^2 diag(eta), upper triangle
     eta = o.signature
     for m in (g1, t2, t3):

@@ -77,6 +77,39 @@ class TestOctonions:
         assert oct_def.trilinear(one, one, one) == 2
 
 
+class TestKernelCompiler:
+    """The kernels are compiled from the multiplication table, and the norm
+    kernel is the 0-coordinate of x x*.  That the other seven coordinates
+    vanish for every x is checked once, on the table's coefficients, when
+    an algebra is built; a table with one flipped sign fails that check,
+    naming the coordinate of x x* that is not scalar."""
+
+    @staticmethod
+    def flipped(entry, gammas=(-1, -1, -1)) -> tuple[dict, int]:
+        table = dict(compalg._build_table(gammas))
+        k, sg = table[entry]
+        table[entry] = (k, -sg)
+        return table, k
+
+    @pytest.mark.parametrize("entry", [(0, 3), (1, 2), (6, 5), (7, 0)])
+    def test_flipped_sign_is_not_scalar(self, entry):
+        table, k = self.flipped(entry)
+        with pytest.raises(ValueError, match=rf"^x x\* is not scalar: coordinate {k} has"):
+            compalg._kernel_sources(table)
+
+    def test_construction_checks_the_table(self, monkeypatch):
+        table, k = self.flipped((2, 5), gammas=(-1, -1, 1))
+        monkeypatch.setattr(compalg, "_build_table", lambda gammas: table)
+        with pytest.raises(ValueError, match=rf"coordinate {k} has the term -?2 x2 x5$"):
+            split_octonions()
+
+    @pytest.mark.parametrize("gammas", [(-1, -1, -1), (-1, -1, 1)])
+    def test_norm_kernel_is_the_signature(self, gammas):
+        o = compalg.OctonionAlgebra(compalg.RationalScalars(), gammas, "")
+        assert [o.norm(o.basis(k)) for k in range(8)] == list(o.signature)
+        assert set(o.kernel_sources) == {"product", "norm", "trace_form", "adjoint"}
+
+
 class TestJordan:
     def test_e11_sharp_rank(self, jalg):
         e11 = jalg.e11()
