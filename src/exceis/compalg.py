@@ -47,7 +47,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Sequence
 
-from .exactnum import inverse, nullspace
+from .exactnum import inverse, is_odd_prime, nullspace
 
 
 class RationalScalars:
@@ -96,7 +96,7 @@ class PrimeFieldScalars:
     """Integers modulo an odd prime, represented as ints in [0, p)."""
 
     def __init__(self, p: int):
-        if p < 3 or any(p % q == 0 for q in range(2, math.isqrt(p) + 1)):
+        if not is_odd_prime(p):
             raise ValueError("need an odd prime")
         self.p = p
 

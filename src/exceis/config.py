@@ -10,6 +10,7 @@ expected value; it recomputes and compares against this file.
 from __future__ import annotations
 
 import importlib.resources
+import math
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -20,7 +21,7 @@ import yaml
 
 from .archmult import MatrixRecipe, RecipeCatalog, parse_tokens
 from .eiscalc import AbsoluteOracle, BlockRule, ZetaProduct
-from .exactnum import AffineForm
+from .exactnum import AffineForm, is_odd_prime
 from .rootsys import RootSystem, dot
 
 CONFIG_VERSION = 1
@@ -201,6 +202,34 @@ def _int(x, top: int | None = None) -> int:
     if isinstance(x, bool) or not isinstance(x, int) or top is not None and not 1 <= x <= top:
         raise ValueError("expected an integer" + (f" in 1..{top}" if top else ""))
     return x
+
+
+def _at_least_1(x) -> int:
+    if _int(x) < 1:
+        raise ValueError(f"expected an integer of at least 1, got {x}")
+    return x
+
+
+def _odd_prime(x) -> int:
+    if not is_odd_prime(_int(x)):
+        raise ValueError(f"{x} is not an odd prime")
+    return x
+
+
+def _nonsquare(x) -> int:
+    """A positive integer that is not a square: the discriminant of a
+    real quadratic field."""
+    if _int(x) < 1 or math.isqrt(x) ** 2 == x:
+        raise ValueError(f"{x} is not a positive non-square")
+    return x
+
+
+def _gammas(x) -> list[int]:
+    """Three Cayley-Dickson doubling parameters, each 1 or -1."""
+    gammas = _list(x, _int, 3)
+    if any(g not in (1, -1) for g in gammas):
+        raise ValueError(f"{gammas} is not three entries of 1 or -1")
+    return gammas
 
 
 def _bool(x) -> bool:
@@ -430,12 +459,12 @@ class Config:
         self.modulus_checks = [ModulusCheck(m.req("system"), m.req("parabolic"),
                                             m.req("expect", _fr))
                                for m in top.entries("modulus_checks")]
-        ints, algebras = partial(_list, convert=_int), top.map("algebras")
-        self.algebras = {k: algebras.req(k, ints) for k in ("definite", "split")}
+        algebras = top.map("algebras")
+        self.algebras = {k: algebras.req(k, _gammas) for k in ("definite", "split")}
         c = top.map("claims")
-        self.claims = ClaimsSpec(count=c.req("count", _int), seed=c.req("seed", _int),
-                                 primes=c.req("primes", ints),
-                                 qxf_disc=c.req("qxf_disc", _int))
+        self.claims = ClaimsSpec(count=c.req("count", _at_least_1), seed=c.req("seed", _int),
+                                 primes=c.req("primes", partial(_list, convert=_odd_prime)),
+                                 qxf_disc=c.req("qxf_disc", _nonsquare))
         top.check_all_read()
         self._systems: dict[str, RootSystem] = {}
         self._oracles: dict[str, AbsoluteOracle] = {}

@@ -478,8 +478,10 @@ class AbsoluteOracle:
                 or not set(self.node_map.values()) <= set(range(1, self.rational.rank + 1))):
             raise ValueError(f"kernel {self.kernel} and nodes {sorted(self.node_map)} do not "
                              f"partition the absolute nodes 1..{n} onto rational nodes")
-        by_coords = {self.rational.coords(root): root for root in self.rational.roots}
-        counts: dict[Vector, int] = {}
+        rational = self.rational.roots
+        by_coords = {self.rational.coords(root): k for k, root in enumerate(rational)}
+        counts: dict[int, int] = {}
+        image: dict[Vector, int] = {}
         for r in self.absolute.roots:
             c = self.absolute.coords(r)
             coeff = [0] * self.rational.rank
@@ -488,15 +490,19 @@ class AbsoluteOracle:
             if not any(coeff):
                 self.restriction[r] = None
                 continue
-            img = by_coords.get(tuple(coeff))
-            if img is None:
+            k = by_coords.get(tuple(coeff))
+            if k is None:
                 raise ValueError("restriction image is not a rational root")
-            self.restriction[r] = img
-            counts[img] = counts.get(img, 0) + 1
-        for root in self.rational.roots:
-            if counts.get(root, 0) != self.rational.multiplicity(root):
+            self.restriction[r] = rational[k]
+            image[r] = k
+            counts[k] = counts.get(k, 0) + 1
+        # the index of each positive root's image among the rational roots,
+        # or None where it restricts to zero
+        self._positive_images = [image.get(r) for r in self.absolute.positives]
+        for k, root in enumerate(rational):
+            if counts.get(k, 0) != self.rational.multiplicity(root):
                 raise ValueError(
-                    f"fibre over {root} has size {counts.get(root, 0)}, "
+                    f"fibre over {root} has size {counts.get(k, 0)}, "
                     f"expected multiplicity {self.rational.multiplicity(root)}")
 
     def fundamental_weight(self, node: int) -> Vector:
@@ -509,9 +515,10 @@ class AbsoluteOracle:
         (a lift of) a rational Weyl element: the product of
         zeta(<lam, a^vee>)/zeta(<lam, a^vee>+1) over the flipped set, the
         union of fibres over the rational inversion set."""
-        flipped = set(self.rational.inversions(tuple(rational_word)))
+        flipped = set(self.rational.inversion_indices(tuple(rational_word)))
         return _gk_product(self.absolute, self.lambda_abs,
-                           [r for r in self.absolute.positives if self.restriction[r] in flipped])
+                           [r for r, k in zip(self.absolute.positives, self._positive_images)
+                            if k in flipped])
 
 
 # ---------------------------------------------------------------------------

@@ -11,9 +11,14 @@ all go through one Gauss-Jordan elimination, :func:`_eliminate`.
 
 from __future__ import annotations
 
+import math
 import re
 from fractions import Fraction
 from typing import Iterable
+
+
+def is_odd_prime(p: int) -> bool:
+    return p >= 3 and all(p % q for q in range(2, math.isqrt(p) + 1))
 
 def _as_fraction(x) -> Fraction:
     if isinstance(x, Fraction):

@@ -210,10 +210,15 @@ class RootSystem:
             v = self.reflect(self.simples[i - 1], v, dot(v, self.coroots[i - 1]))
         return v
 
+    def inversion_indices(self, word: Sequence[int]) -> list[int]:
+        """The indices of the positive roots sent negative by the word's
+        group element."""
+        p = self.element(word)
+        return [k for k in self._pos_idx if not self._positive[p[k]]]
+
     def inversions(self, word: Sequence[int]) -> list[Vector]:
         """Positive roots sent negative by the word's group element."""
-        p = self.element(word)
-        return [self.roots[k] for k in self._pos_idx if not self._positive[p[k]]]
+        return [self.roots[k] for k in self.inversion_indices(word)]
 
     def length(self, word: Sequence[int]) -> int:
         return len(self.inversions(word))

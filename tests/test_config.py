@@ -462,6 +462,19 @@ LEAVES = [
      "systems.G2-GEfield.nu: expected 3 entries, got 4"),
     (lambda raw: raw["systems"]["G2-GEfield"].update(nu=["1", "1", "1"]),
      "systems.G2-GEfield.nu: orthogonal to every simple root"),
+    (lambda raw: raw["claims"].update(primes=[11, 15]),
+     "claims.primes: 15 is not an odd prime"),
+    (lambda raw: raw["claims"].update(primes=[2, 13]),
+     "claims.primes: 2 is not an odd prime"),
+    (lambda raw: raw["claims"].update(qxf_disc=4), "claims.qxf_disc: 4 is not a positive non-square"),
+    (lambda raw: raw["claims"].update(qxf_disc=-2),
+     "claims.qxf_disc: -2 is not a positive non-square"),
+    (lambda raw: raw["claims"].update(count=0),
+     "claims.count: expected an integer of at least 1, got 0"),
+    (lambda raw: raw["algebras"].update(split=[-1, 0, 1]),
+     "algebras.split: [-1, 0, 1] is not three entries of 1 or -1"),
+    (lambda raw: raw["algebras"].update(definite=[-1, -1]),
+     "algebras.definite: expected 3 entries, got 2"),
 ]
 LEAF_IDS = ["word-zero", "word-negative", "pairing-root", "eis-root", "action-r0",
             "action-r3", "no-cblocks", "min_vanishing_order", "order-total", "case-s0",
@@ -471,7 +484,9 @@ LEAF_IDS = ["word-zero", "word-negative", "pairing-root", "eis-root", "action-r0
             "cblocks-template", "oracle-kernel", "oracle-partition", "oracle-nodes",
             "oracle-absolute", "modulus-expect", "algebras-split", "claims-count",
             "claims-count-float", "cfunction-factor", "eis-printed", "nu-length",
-            "nu-orthogonal"]
+            "nu-orthogonal", "claims-primes", "claims-primes-even", "claims-qxf-square",
+            "claims-qxf-negative", "claims-count-zero", "algebras-split-zero",
+            "algebras-definite-length"]
 
 
 class TestShapeAtLoad:
@@ -523,13 +538,16 @@ class TestShapeAtLoad:
               ("modulus-expect", ["modulus"]), ("algebras-split", ["arch"]),
               ("claims-count", ["modulus"]), ("claims-count-float", ["modulus"]),
               ("cfunction-factor", ["modulus"]), ("eis-printed", ["arch"]),
-              ("nu-length", ["modulus"]), ("nu-orthogonal", ["modulus"])]],
+              ("nu-length", ["modulus"]), ("nu-orthogonal", ["modulus"]),
+              ("claims-primes", ["modulus"]), ("claims-qxf-square", ["modulus"]),
+              ("claims-count-zero", ["modulus"]), ("algebras-split-zero", ["modulus"])]],
     ], ids=["unprintd", "top-level", "checks-modulus", "checks-arch", "word-modulus",
             "word-constant-term", "systems-modulus", "modulus_checks-oracle",
             "word-zero", "min_vanishing_order", "order-total", "eis-functional-length",
             "pairing-root-twice", "oracle-kernel", "oracle-partition", "modulus-expect",
             "algebras-split", "claims-count", "claims-count-float", "cfunction-factor",
-            "eis-printed", "nu-length", "nu-orthogonal"])
+            "eis-printed", "nu-length", "nu-orthogonal", "claims-primes",
+            "claims-qxf-square", "claims-count-zero", "algebras-split-zero"])
     def test_cli_exits_1_at_load(self, tmp_path, edit, args, message):
         raw = copy.deepcopy(load_config().raw)
         edit(raw)
