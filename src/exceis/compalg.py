@@ -14,15 +14,24 @@ on x: a rank-one sample is Z = (d y)# = d^2 y# (``rank_one_rep``), E-parts are
 solved against an integer Gram inverse over one denominator, the Jordan
 product is compared doubled (``symmetric_product``), and triality matrices
 are integer matrices over a denominator (``ScaledMatrix``).  Fractions
-appear where a public function returns a rational value.  The octonion
-product is one function compiled from the structure constants
-(``_compile_product``); it takes any scalars and stays in ints on ints.
+appear where a public function returns a rational value.
+
+The octonion arithmetic the suites repeat is compiled from the structure
+constants when an algebra is built (``_kernel_sources``): the product, the
+norm as the quadratic form of x x*, the trace-form coordinate (u v*)_0 that
+the trace pairing reads, and the adjoint slot (y z)* - c x of ``sharp``.
+Each kernel takes any scalars and stays in ints on ints; its source text is
+kept on the algebra (``kernel_sources``).  That x x* is scalar is checked
+there once, on the symbolic coefficients of its coordinates 1-7, for every
+x at once; the norm does not check it per call.
 
 A triality triple (g1, g2, g3) is checked by the identity
-t1(xy) = t2(x) t3(y) on basis pairs, the norm form of each component, and
-the 64-entry Gram identity that ties g1 to t1; once the identity holds, that
-Gram identity is the trilinear form on the 512-entry basis cube
-(``triality_verify``).
+t1(xy) = t2(x) t3(y) on basis pairs, each product against a signed, scaled
+column of t1, the norm form of each component, and the 64-entry Gram
+identity that ties g1 to t1; once the identity holds, that Gram identity is
+the trilinear form on the 512-entry basis cube (``triality_verify``).  The
+maps x -> a (b x) and x -> (x b) a of a triple are built one product per
+column, as b e_j and e_j b are signed permutations of b.
 
 The octonion multiplication table is produced by three Cayley-Dickson
 doublings from the base ring; the doubling parameters are data, with
@@ -45,7 +54,7 @@ import operator
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Sequence
+from typing import Sequence
 
 from .exactnum import inverse, is_odd_prime, nullspace
 
@@ -176,9 +185,10 @@ def _signed(terms) -> str:
 
 
 def _source(name: str, octonions: str, value: str, scalar: str = "") -> str:
-    """def name(scalar, *octonions), each octonion unpacked into its eight
-    coordinates, returning value."""
-    lines = [f"def {name}({', '.join([scalar] * bool(scalar) + list(octonions))}):"]
+    """def name([scalar,] *octonions), each octonion parameter (one letter)
+    unpacked into its eight coordinates, returning value."""
+    params = ([scalar] if scalar else []) + list(octonions)
+    lines = [f"def {name}({', '.join(params)}):"]
     lines += [f"    {', '.join(f'{x}{i}' for i in range(8))} = {x}" for x in octonions]
     return "\n".join(lines + [f"    return {value}", ""])
 

@@ -6,7 +6,9 @@ enters at any stage.  Polynomials are stored dense by degree (degrees in
 this project stay below ~30); a quotient of two of them is read at a point
 by dropping the power of (s - s0) from each (:meth:`Poly.deflate`), so no
 rational-function form is kept.  Linear systems, inverses and nullspaces
-all go through one Gauss-Jordan elimination, :func:`_eliminate`.
+all go through one Gauss-Jordan elimination, :func:`_eliminate`.  The
+odd-prime test that the config and the prime-field scalars share lives here
+too.
 """
 
 from __future__ import annotations
@@ -18,7 +20,9 @@ from typing import Iterable
 
 
 def is_odd_prime(p: int) -> bool:
+    """Whether the integer p is an odd prime, by trial division."""
     return p >= 3 and all(p % q for q in range(2, math.isqrt(p) + 1))
+
 
 def _as_fraction(x) -> Fraction:
     if isinstance(x, Fraction):
