@@ -177,6 +177,7 @@ def _build_table(gammas: Sequence[int]) -> dict[tuple[int, int], tuple[int, int]
 
 
 _CONJ = (1,) + (-1,) * 7   # x* = diag(1, -1, ..., -1) x
+_UPPER = [(i, j) for i in range(8) for j in range(i + 1, 8)]
 
 
 def _signed(terms) -> str:
@@ -839,39 +840,40 @@ def triality_verify(o: OctonionAlgebra, triple: TrialityTriple) -> bool:
     mod p too, where every denominator is 1 and 2 is a unit.
 
     All checks run on the cleared-denominator integer matrices, comparing
-    cross-multiplied sides; each block of differences is tested for zero
-    after one ``vec`` of the scalar ring."""
-    vec = o.scalars.vec
+    cross-multiplied sides after a ``vec`` of the scalar ring: each product
+    t2(e_i) t3(e_j) against its signed, scaled column of t1, and each block
+    of Gram entries, read off the compiled trace form, against zero."""
+    vec, form = o.scalars.vec, o._trace_form
     t1, t2, t3, g1 = triple.raw_t1, triple.g2, triple.g3, triple.g1
-    d1, d2, d3 = t1.den, t2.den, t3.den
     cols1, cols2, cols3 = (list(zip(*m.mat)) for m in (t1, t2, t3))
     # identity on the basis square: t1(e_i e_j) = sg t1(e_k) is a signed
-    # column of t1, which times d2 d3 must be d1 t2(e_i) t3(e_j); the
-    # product is bilinear, so d1 scales the columns of t3 once
-    signed = {sg: [vec([sg * d2 * d3 * a for a in col]) for col in cols1] for sg in (1, -1)}
-    if d1 != 1:
-        cols3 = [[d1 * v for v in col] for col in cols3]
+    # column of t1, and d1 t2(e_i) t3(e_j) = sg d2 d3 t1(e_k) is compared
+    # with g = gcd(d1, d2 d3) divided out; the product is bilinear, so d1/g
+    # scales the columns of t3 once
+    g = math.gcd(t1.den, t2.den * t3.den)
+    scale = t2.den * t3.den // g
+    signed = {sg: [vec([sg * scale * a for a in col]) for col in cols1] for sg in (1, -1)}
+    if t1.den != g:
+        cols3 = [[t1.den // g * v for v in col] for col in cols3]
     prod = o._product
     for (i, j), (k, sg) in o.table.items():
         if vec(prod(cols2[i], cols3[j])) != signed[sg][k]:
             return False
-    # norm preservation: M^T diag(eta) M = den^2 diag(eta), upper triangle
+    # norm preservation: M^T diag(eta) M = den^2 diag(eta), upper triangle;
+    # the trace form (u v*)_0 = sum_r eta_r u_r v_r gives each entry
     eta = o.signature
     for m in (g1, t2, t3):
-        cols = list(zip(*m.mat))
-        gram = []
-        for i in range(8):
-            ecol = [e * v for e, v in zip(eta, cols[i])]
-            gram += [sum(map(operator.mul, ecol, cols[j])) for j in range(i, 8)]
-            gram[-(8 - i)] -= eta[i] * m.den * m.den
-        if any(vec(gram)):
+        cols, sq = list(zip(*m.mat)), m.den * m.den
+        if any(vec([form(u, u) - e * sq for e, u in zip(eta, cols)]
+                   + [form(cols[i], cols[j]) for i, j in _UPPER])):
             return False
-    # the Gram identity, row c: sq_sign * g1(e_c) dotted with each column of t1
-    sq, scale = o.sq_sign, g1.den * d1
+    # the Gram identity, row c: sum_r sq_sign_r g1(e_c)_r t1(e_m)_r for each
+    # column m of t1, which is the trace form of g1(e_c)* and t1(e_m)
+    sq, scale = o.sq_sign, g1.den * t1.den
     gram = []
     for c, col in enumerate(zip(*g1.mat)):
-        form = list(map(operator.mul, sq, col))
-        gram += [sum(map(operator.mul, form, col1)) for col1 in cols1]
+        u = [a * s for a, s in zip(col, _CONJ)]
+        gram += [form(u, col1) for col1 in cols1]
         gram[c - 8] -= sq[c] * scale
     return not any(vec(gram))
 
