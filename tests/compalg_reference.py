@@ -15,8 +15,9 @@ And they hold the references for the octonion kernels compiled from the
 structure constants: `reference_norm` forms the full product x x* and
 asserts it scalar, `reference_sharp` and `reference_trace_pairing` build
 the adjoint and the trace pairing from octonion products, conjugates and
-scalings.  test_jordan_differential.py compares the compiled path against
-them.
+scalings, and `reference_symmetric_product` forms ab + ba from two 3x3
+octonion matrix products and asserts its diagonal scalar.
+test_jordan_differential.py compares the compiled path against them.
 """
 
 from __future__ import annotations
@@ -83,6 +84,40 @@ def reference_trace_pairing(jalg: JordanAlgebra, a: JordanElement, b: JordanElem
     for u, v in zip(a.x, b.x):
         val += o.trace(o.mul(u, o.conj(v)))
     return jalg.scalars.red(val)
+
+
+def _matrix(jalg: JordanAlgebra, a: JordanElement):
+    """The Hermitian 3x3 octonion matrix of a."""
+    o = jalg.oct
+    c1, c2, c3 = ((v,) + (jalg.scalars.of(0),) * 7 for v in a.c)
+    x1, x2, x3 = a.x
+    return ((c1, x3, o.conj(x2)),
+            (o.conj(x3), c2, x1),
+            (x2, o.conj(x1), c3))
+
+
+def matmul(jalg: JordanAlgebra, a: JordanElement, b: JordanElement):
+    """Full 3x3 octonion matrix product (not Hermitian in general)."""
+    o = jalg.oct
+    ma, mb = _matrix(jalg, a), _matrix(jalg, b)
+    return tuple(tuple(
+        o.add(o.add(o.mul(ma[i][0], mb[0][j]), o.mul(ma[i][1], mb[1][j])),
+              o.mul(ma[i][2], mb[2][j]))
+        for j in range(3)) for i in range(3))
+
+
+def reference_symmetric_product(jalg: JordanAlgebra, a: JordanElement,
+                                b: JordanElement) -> JordanElement:
+    """ab + ba from the two 3x3 octonion matrix products, its diagonal
+    asserted scalar, read back in Hermitian coordinates."""
+    m1 = matmul(jalg, a, b)
+    m2 = m1 if b is a else matmul(jalg, b, a)
+    sym = tuple(tuple(jalg.oct.add(m1[i][j], m2[i][j]) for j in range(3))
+                for i in range(3))
+    for i in range(3):
+        assert all(c == 0 for c in sym[i][i][1:]), "diagonal is not scalar"
+    return JordanElement((sym[0][0][0], sym[1][1][0], sym[2][2][0]),
+                         (sym[1][2], sym[2][0], sym[0][1]))
 
 
 def rational(m: ScaledMatrix) -> tuple[tuple, ...]:

@@ -1,6 +1,7 @@
-"""The octonion norm, the Jordan adjoint and the trace pairing against the
-references kept in tests/compalg_reference.py, which build them from full
-octonion products, conjugates and scalings.  Over definite Q, split Q,
+"""The octonion norm, the Jordan adjoint, the trace pairing and the doubled
+Jordan product against the references kept in tests/compalg_reference.py,
+which build them from full octonion products, conjugates and scalings, and
+the product from 3x3 octonion matrices.  Over definite Q, split Q,
 GF(11) and GF(13) the two paths give the same values of the same types,
 compared as repr: ints stay ints, a Fraction input gives a Fraction, and
 over GF(p) an unreduced input gives the reduced residue."""
@@ -11,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from compalg_reference import (definite_octonions, reference_norm, reference_sharp,
-                               reference_trace_pairing)
+                               reference_symmetric_product, reference_trace_pairing)
 from exceis.compalg import JordanAlgebra, JordanElement, PrimeFieldScalars, split_octonions
 
 ALGEBRAS = {"definite-Q": JordanAlgebra(definite_octonions()),
@@ -61,3 +62,13 @@ def test_sharp(case):
 def test_trace_pairing(case):
     jalg, a, b = case
     assert repr(jalg.trace_pairing(a, b)) == repr(reference_trace_pairing(jalg, a, b))
+
+
+@settings(max_examples=200, deadline=None)
+@given(cases(2), st.booleans())
+def test_symmetric_product(case, same):
+    # b is a: the square, where the reference forms one matrix product
+    jalg, a, b = case
+    if same:
+        b = a
+    assert repr(jalg.symmetric_product(a, b)) == repr(reference_symmetric_product(jalg, a, b))
