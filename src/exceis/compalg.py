@@ -18,12 +18,12 @@ appear where a public function returns a rational value.
 
 The octonion arithmetic the suites repeat is compiled from the structure
 constants when an algebra is built (``_kernel_sources``): the product, the
-norm as the quadratic form of x x*, the trace-form coordinate (u v*)_0 that
-the trace pairing reads, and the adjoint slot (y z)* - c x of ``sharp``.
-Each kernel takes any scalars and stays in ints on ints; its source text is
-kept on the algebra (``kernel_sources``).  That x x* is scalar is checked
-there once, on the symbolic coefficients of its coordinates 1-7, for every
-x at once; the norm does not check it per call.
+norm as the quadratic form of x x*, the trace-form coordinate (u v*)_0, and
+the adjoint slot (y z)* + c x.  Each kernel takes any scalars and stays in
+ints on ints; its source text is kept on the algebra (``kernel_sources``).
+That x x* is scalar is checked there once, on the symbolic coefficients of
+its coordinates 1-7, for every x at once; the norm does not check it per
+call.
 
 A triality triple (g1, g2, g3) is checked by the identity
 t1(xy) = t2(x) t3(y) on basis pairs, each product against a signed, scaled
@@ -38,13 +38,12 @@ doublings from the base ring; the doubling parameters are data, with
 (-1,-1,-1) giving the definite flavor (norm = sum of eight squares) and
 (-1,-1,+1) the split flavor.
 
-The quadratic adjoint on H3 is defined through the matrix square:
-
-    X# = X.X - tr(X) X + sigma(X) I,   sigma = (tr(X)^2 - tr(X.X)) / 2,
-
-and the cubic norm by an explicit degree-3 polynomial; the classical adjoint
+H3 is worked on in Hermitian coordinates, never as 3x3 octonion matrices:
+``sharp`` reads the norm and adjoint kernels, ``symmetric_product`` the
+trace form and adjoint (its docstring says why its diagonal needs no check),
+and the cubic norm is an explicit degree-3 polynomial.  The adjoint
 identities X o X# = N(X) I and (X#)# = N(X) X are property-tested rather
-than assumed, since they pin the two formulas against each other.
+than assumed, since they pin these formulas against each other.
 """
 
 from __future__ import annotations
@@ -203,7 +202,8 @@ def _kernel_sources(table: dict[tuple[int, int], tuple[int, int]]) -> dict[str, 
         product(x, y)         x y
         norm(x)               N(x) = x x*, a quadratic form in x
         trace_form(u, v)      (u v*)_0, half of tr(u v*)
-        adjoint(c, x, y, z)   (y z)* + c x, the adjoint's slot for c = -c_i
+        adjoint(c, x, y, z)   (y z)* + c x: sharp's slot for c = -c_i, and a
+                              half of a Jordan product slot
 
     Coordinates 1-7 of x x* must vanish for every x: each is a quadratic
     form in x whose coefficients are read off the table, and a nonzero one
@@ -437,38 +437,30 @@ class JordanAlgebra:
     def trace(self, a: JordanElement):
         return self.scalars.red(a.c[0] + a.c[1] + a.c[2])
 
-    def _matrix(self, a: JordanElement):
-        o = self.oct
-        c1, c2, c3 = ((v,) + (self.scalars.of(0),) * 7 for v in a.c)
-        x1, x2, x3 = a.x
-        return ((c1, x3, o.conj(x2)),
-                (o.conj(x3), c2, x1),
-                (x2, o.conj(x1), c3))
-
-    def matmul(self, a: JordanElement, b: JordanElement):
-        """Full 3x3 octonion matrix product (not Hermitian in general)."""
-        o = self.oct
-        ma, mb = self._matrix(a), self._matrix(b)
-        return tuple(tuple(
-            o.add(o.add(o.mul(ma[i][0], mb[0][j]), o.mul(ma[i][1], mb[1][j])),
-                  o.mul(ma[i][2], mb[2][j]))
-            for j in range(3)) for i in range(3))
-
     def jordan_product(self, a: JordanElement, b: JordanElement) -> JordanElement:
         """(ab + ba)/2, back in Hermitian coordinates."""
         return self.scale(self.scalars.inv(self.scalars.of(2)), self.symmetric_product(a, b))
 
     def symmetric_product(self, a: JordanElement, b: JordanElement) -> JordanElement:
-        """ab + ba = 2 (a o b), back in Hermitian coordinates: the Jordan
-        product with its denominator cleared, integral on integral a, b."""
-        m1 = self.matmul(a, b)
-        m2 = m1 if b is a else self.matmul(b, a)
-        sym = tuple(tuple(self.oct.add(m1[i][j], m2[i][j]) for j in range(3))
-                    for i in range(3))
-        for i in range(3):
-            assert all(c == 0 for c in sym[i][i][1:]), "diagonal is not scalar"
-        return JordanElement((sym[0][0][0], sym[1][1][0], sym[2][2][0]),
-                             (sym[1][2], sym[2][0], sym[0][1]))
+        """ab + ba = 2 (a o b) in Hermitian coordinates: the Jordan product
+        with its denominator cleared, integral on integral a, b.  For
+        a = (c; x), b = (d; y) and (i, j, k) a cyclic order of (1, 2, 3),
+        diagonal i is 2 (c_i d_i + (x_j y_j*)_0 + (x_k y_k*)_0) and slot i is
+        (c_j + c_k) y_i + (d_j + d_k) x_i + (x_j y_k)* + (y_j x_k)*.
+
+        The matrix diagonal is scalar with no check here: its imaginary part
+        comes from u v* + v u* and u* v + v* u, the polarizations of x x* and
+        of x* x = x x* (as x* = 2 x_0 - x), and coordinates 1-7 of x x*
+        vanish by the build-time check of ``_kernel_sources``."""
+        form, adjoint, vec = self.oct._trace_form, self.oct._adjoint, self.scalars.vec
+        c, x, d, y = a.c, a.x, b.c, b.x
+        t = [form(u, v) for u, v in zip(x, y)]
+        cyc = ((0, 1, 2), (1, 2, 0), (2, 0, 1))
+        return JordanElement(
+            vec([2 * (c[i] * d[i] + t[j] + t[k]) for i, j, k in cyc]),
+            tuple(vec(map(operator.add, adjoint(c[j] + c[k], y[i], x[j], y[k]),
+                          adjoint(d[j] + d[k], x[i], y[j], x[k])))
+                  for i, j, k in cyc))
 
     def square(self, a: JordanElement) -> JordanElement:
         return self.jordan_product(a, a)

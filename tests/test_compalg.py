@@ -1,12 +1,13 @@
 import hashlib
 import random
+import re
 from fractions import Fraction
 
 import pytest
 
 from compalg_reference import (bilinear, definite_octonions, rank_one_sample, rational,
                                unit_norm_element)
-from exceis import compalg
+from exceis import compalg, suites
 from exceis.compalg import (CubicEtale, JordanAlgebra, PrimeFieldScalars, freudenthal_r0,
                             random_triality_pairs, split_octonions, triality_triple,
                             triality_verify, we_part_is_zero, we_projection)
@@ -108,6 +109,40 @@ class TestKernelCompiler:
         o = compalg.OctonionAlgebra(compalg.RationalScalars(), gammas, "")
         assert [o.norm(o.basis(k)) for k in range(8)] == list(o.signature)
         assert set(o.kernel_sources) == {"product", "norm", "trace_form", "adjoint"}
+
+
+class TestPlantedKernels:
+    """The adjoint and trace-form kernels are pinned by the identity suites:
+    every single-sign flip in the compiled source of one definite algebra
+    fails ``_sharp_failures`` (x x# + x# x = 2 N(x) 1, (x#)# = N(x) x), and a
+    flip in the trace form fails ``_trace_failures`` too, within a few seeded
+    samples.  ``symmetric_product`` reads both kernels, so neither suite
+    relies on a second representation of the Jordan product."""
+
+    @staticmethod
+    def planted(name: str) -> list[JordanAlgebra]:
+        """One Jordan algebra per sign of the kernel's return expression,
+        with that sign flipped."""
+        head, body = definite_octonions().kernel_sources[name].split("return ")
+        out = []
+        for m in re.finditer(r" [+-] ", body):
+            i = m.start() + 1
+            ns: dict = {}
+            exec(head + "return " + body[:i] + "+-"[body[i] == "+"] + body[i + 1:], ns)
+            o = definite_octonions()
+            setattr(o, "_" + name, ns[name])
+            out.append(JordanAlgebra(o))
+        return out
+
+    @pytest.mark.parametrize("name, check", [("adjoint", "_sharp_failures"),
+                                             ("trace_form", "_sharp_failures"),
+                                             ("trace_form", "_trace_failures")])
+    def test_every_flipped_sign_fails_the_suite(self, name, check):
+        plants = self.planted(name)
+        assert len(plants) == {"adjoint": 71, "trace_form": 7}[name]
+        for n, jalg in enumerate(plants):
+            rng = random.Random(7)
+            assert any(getattr(suites, check)(jalg, jalg.random(rng)) for _ in range(5)), n
 
 
 class TestJordan:

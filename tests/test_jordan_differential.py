@@ -4,7 +4,13 @@ which build them from full octonion products, conjugates and scalings, and
 the product from 3x3 octonion matrices.  Over definite Q, split Q,
 GF(11) and GF(13) the two paths give the same values of the same types,
 compared as repr: ints stay ints, a Fraction input gives a Fraction, and
-over GF(p) an unreduced input gives the reduced residue."""
+over GF(p) an unreduced input gives the reduced residue.
+
+One difference in type is by design: the matrix reference multiplies
+zero-padded diagonal entries, so a Fraction in one coordinate of x_i makes
+every coordinate of slot i a Fraction, where the coordinate formula keeps
+the others ints.  The drawn elements rarely hold so lone a Fraction, and
+test_lone_fraction_stays_in_its_coordinate pins that case."""
 
 from fractions import Fraction
 
@@ -72,3 +78,14 @@ def test_symmetric_product(case, same):
     if same:
         b = a
     assert repr(jalg.symmetric_product(a, b)) == repr(reference_symmetric_product(jalg, a, b))
+
+
+def test_lone_fraction_stays_in_its_coordinate():
+    jalg = ALGEBRAS["definite-Q"]
+    z = (0,) * 8
+    a = JordanElement((1, 2, 3), ((0, 0, 0, Fraction(2), 0, 0, 0, 0), z, z))
+    b = JordanElement((1, 1, 1), ((1,) * 8, z, z))
+    got, ref = jalg.symmetric_product(a, b), reference_symmetric_product(jalg, a, b)
+    assert got == ref and got.x[0] == (5, 5, 5, 9, 5, 5, 5, 5)
+    assert [type(v) for v in got.x[0]] == [int] * 3 + [Fraction] + [int] * 4
+    assert all(type(v) is Fraction for v in ref.x[0])
