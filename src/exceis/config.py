@@ -348,7 +348,7 @@ def _parse_eis(e: _Map, rank: int, dim: int) -> EisCheck:
 def _parse_row(r: _Map, rank: int, dim: int, variant: str) -> RowSpec:
     """One table row: word letters and root indexes in 1..rank, action
     indexes (r1, r2, ...) in 1..dim, c-function factors read in the case's
-    etale variant."""
+    etale variant, and each root-form eis entry naming a root of assoc."""
     index = partial(_int, top=rank)
 
     def factors(x) -> ZetaProduct:
@@ -360,10 +360,16 @@ def _parse_row(r: _Map, rank: int, dim: int, variant: str) -> RowSpec:
     eis = [_parse_eis(e, rank, dim) for e in r.entries("eis")]
     _distinct(r.at("pairings"), [p.root for p in pairings])
     _distinct(r.at("eis"), [e.root for e in eis])
+    assoc = r.get("assoc", lambda x: tuple(_list(x, index)))
+    for k, e in enumerate(eis):
+        if e.root is not None and e.root not in (assoc or ()):
+            why = ("the row gives no assoc" if assoc is None
+                   else f"root {e.root} is not in the row's assoc {list(assoc)}")
+            raise ConfigError(f"{r.at('eis')}[{k}].root: {why}")
     order = r.map("order") if "order" in r.spec else None
     intertwiner = r.map("intertwiner")
     return RowSpec(
-        word=word, assoc=r.get("assoc", lambda x: tuple(_list(x, index))),
+        word=word, assoc=assoc,
         action=r.get("action", partial(_action, dim=dim)),
         trace=r.get("trace", lambda x: [(index(l), _affine(a)) for l, a in _list(x, _list)]),
         lambda_prime=r.get("lambda_prime", partial(_list, convert=_affine)),
@@ -508,13 +514,18 @@ class Config:
 
     def oracle(self, name: str) -> AbsoluteOracle:
         """The GK oracle of a case, built once from the case's oracle map over
-        the case's system; a stated lambda_abs must be the oracle's."""
+        the case's system; a node map whose restriction is not onto the
+        rational roots with their multiplicities fails at its nodes, and a
+        stated lambda_abs must be the oracle's."""
         case = self.case(name)
         if case.name not in self._oracles:
             spec = case.oracle
-            oracle = AbsoluteOracle(self.system(spec.absolute), self.system(case.system),
-                                    kernel=spec.kernel, node_map=spec.nodes,
-                                    source_node=spec.source_node)
+            absolute, rational = self.system(spec.absolute), self.system(case.system)
+            try:
+                oracle = AbsoluteOracle(absolute, rational, kernel=spec.kernel,
+                                        node_map=spec.nodes, source_node=spec.source_node)
+            except ValueError as exc:
+                raise ConfigError(f"cases.{case.name}.oracle.nodes: {exc}") from None
             check_forms(f"cases.{case.name}.oracle.lambda_abs", oracle.lambda_abs,
                         spec.lambda_abs)
             self._oracles[case.name] = oracle

@@ -317,6 +317,23 @@ class TestOracle:
                             "(s-4, -3, -2, -1, 0) != configured "
                             "['s-5', '-3', '-2', '-1', '0']\n")
 
+    @pytest.mark.parametrize("case,old,new,message", [
+        ("E7-siegel", "nodes: {1: 1, 6: 2, 7: 3}", "nodes: {1: 2, 6: 2, 7: 3}",
+         "restriction image is not a rational root"),
+        ("D6-min", "nodes: {1: 1, 2: 2}", "nodes: {1: 2, 2: 2}",
+         "restriction image is not a rational root"),
+        ("D5-line", "kernel: [2, 3, 4, 5]\n      nodes: {1: 1}",
+         "kernel: [1, 2, 3, 5]\n      nodes: {4: 1}",
+         "fibre over (Fraction(-1, 1),) has size 10, expected multiplicity 8"),
+    ], ids=["E7-siegel", "D6-min", "D5-line-fibre"])
+    def test_planted_nodes_fail_at_their_path(self, text, tmp_path, case, old, new, message):
+        planted = tmp_path / "config.yaml"
+        assert text.count(old) == 1
+        planted.write_text(text.replace(old, new), encoding="utf-8")
+        r = CliRunner().invoke(main, ["--config", str(planted), "--format", "json", "oracle"])
+        assert r.exit_code == 1
+        assert r.output == f"Error: cases.{case}.oracle.nodes: {message}\n"
+
     def test_oracle_by_case_name_or_alias(self):
         cfg = load_config()
         assert cfg.oracle("D5") is cfg.oracle("D5-line")
@@ -429,6 +446,10 @@ LEAVES = [
      "cases.D6-min.tables[0].rows[1].order.symbols: 'jv' is not one lowercase letter"),
     (lambda raw: _row(raw, "GE-field", 1, 1).update(assoc=[3]),
      "cases.GE-field.tables[1].rows[1].assoc: expected an integer in 1..2"),
+    (lambda raw: _row(raw, "F4-heis", 0, 2)["eis"][0].update(root=2),
+     "cases.F4-heis.tables[0].rows[2].eis[0].root: root 2 is not in the row's assoc [1]"),
+    (lambda raw: _row(raw, "F4-heis", 0, 2).pop("assoc"),
+     "cases.F4-heis.tables[0].rows[2].eis[0].root: the row gives no assoc"),
     (lambda raw: _row(raw, "E7-siegel", 0, 3)["trace"][0].__setitem__(0, 4),
      "cases.E7-siegel.tables[0].rows[3].trace: expected an integer in 1..3"),
     (lambda raw: _row(raw, "D6-min", 1, 1)["action"].update(s1="r2"),
@@ -480,7 +501,8 @@ LEAF_IDS = ["word-zero", "word-negative", "pairing-root", "eis-root", "action-r0
             "action-r3", "no-cblocks", "min_vanishing_order", "order-total", "case-s0",
             "case-system", "row-affine", "affine-stray-sign", "eis-functional-length",
             "eis-root-and-functional", "pairing-root-twice", "eis-root-twice",
-            "order-symbol", "assoc-index", "trace-letter", "action-key", "parabolic-index", "simple-roots-length",
+            "order-symbol", "assoc-index", "eis-root-not-in-assoc", "eis-root-no-assoc",
+            "trace-letter", "action-key", "parabolic-index", "simple-roots-length",
             "cblocks-template", "oracle-kernel", "oracle-partition", "oracle-nodes",
             "oracle-absolute", "modulus-expect", "algebras-split", "claims-count",
             "claims-count-float", "cfunction-factor", "eis-printed", "nu-length",
@@ -540,14 +562,16 @@ class TestShapeAtLoad:
               ("cfunction-factor", ["modulus"]), ("eis-printed", ["arch"]),
               ("nu-length", ["modulus"]), ("nu-orthogonal", ["modulus"]),
               ("claims-primes", ["modulus"]), ("claims-qxf-square", ["modulus"]),
-              ("claims-count-zero", ["modulus"]), ("algebras-split-zero", ["modulus"])]],
+              ("claims-count-zero", ["modulus"]), ("algebras-split-zero", ["modulus"]),
+              ("eis-root-not-in-assoc", ["constant-term", "F4-heis", "P1", "P4"])]],
     ], ids=["unprintd", "top-level", "checks-modulus", "checks-arch", "word-modulus",
             "word-constant-term", "systems-modulus", "modulus_checks-oracle",
             "word-zero", "min_vanishing_order", "order-total", "eis-functional-length",
             "pairing-root-twice", "oracle-kernel", "oracle-partition", "modulus-expect",
             "algebras-split", "claims-count", "claims-count-float", "cfunction-factor",
             "eis-printed", "nu-length", "nu-orthogonal", "claims-primes",
-            "claims-qxf-square", "claims-count-zero", "algebras-split-zero"])
+            "claims-qxf-square", "claims-count-zero", "algebras-split-zero",
+            "eis-root-not-in-assoc"])
     def test_cli_exits_1_at_load(self, tmp_path, edit, args, message):
         raw = copy.deepcopy(load_config().raw)
         edit(raw)
