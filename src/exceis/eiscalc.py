@@ -55,10 +55,6 @@ class CoordVector:
     def entries(self) -> tuple[AffineForm, ...]:
         return tuple(AffineForm(a, b) for a, b in zip(self.slope, self.icept))
 
-    def eval(self, s0) -> Vector:
-        s0 = Fraction(s0)
-        return tuple(a * s0 + b for a, b in zip(self.slope, self.icept))
-
     def pairing(self, system: RootSystem, root: Vector) -> AffineForm:
         return system.coroot_pairing(self.slope, self.icept, root)
 
