@@ -466,8 +466,8 @@ class JordanAlgebra:
         return self.jordan_product(a, a)
 
     def sharp(self, a: JordanElement) -> JordanElement:
-        """Quadratic adjoint from the sigma-based definition; in coordinates
-        c1# = c2 c3 - N(x1) (cyclically) and x1# = (x2 x3)* - c1 x1."""
+        """The quadratic adjoint in coordinates: c1# = c2 c3 - N(x1) and
+        x1# = (x2 x3)* - c1 x1, cyclically."""
         norm, adjoint = self.oct._norm, self.oct._adjoint
         vec, of = self.scalars.vec, self.scalars.of
         c1, c2, c3 = a.c
