@@ -4,7 +4,9 @@ give the same roots in the same order with the same coordinates, the same
 Cartan matrix, weighted rho and orthogonal basis, and the same squared
 length, multiplicity and print scale for every root; and the same trace
 (every step's pairing, printed pairing and vector) for every configured
-row word and for random reduced words from random start vectors."""
+row word and for random reduced words from random start vectors.  Each
+trace is also compared with `fraction_trace`, the Fraction-vector trace
+the verifier ran before it carried simple-coroot labels."""
 
 import pytest
 from hypothesis import given, settings
@@ -12,7 +14,7 @@ from hypothesis import strategies as st
 
 from exceis.config import load_config
 from exceis.eiscalc import CoordVector, apply_word
-from weyl_reference import ReferenceSystem
+from weyl_reference import ReferenceSystem, fraction_trace
 
 CFG = load_config()
 NAMES = sorted(CFG.raw["systems"])
@@ -50,6 +52,7 @@ def assert_same_trace(name, lam: CoordVector, word) -> None:
     got = [(st.letter, st.pairing, st.printed, st.result.slope, st.result.icept)
            for st in trace.steps]
     assert got == ref.trace(lam.slope, lam.icept, word), (name, word)
+    assert got == fraction_trace(sys, lam, word), (name, word)
 
 
 def test_configured_row_words():

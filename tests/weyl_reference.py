@@ -12,6 +12,10 @@ a vector, |W| from the heights of the positive roots, the size of a Levi's
 positive system, the longest minimal coset representative, the sign
 normalisation of an affine pairing, and the Gindikin-Karpelevich
 c-function of a word over a split system, read off its inversion set.
+
+Last, `fraction_trace` is the verifier's lambda-trace as it stood before
+the trace carried simple-coroot labels: Fraction vectors reflected step by
+step, with the Euclidean cross-check of the final vector.
 """
 
 from __future__ import annotations
@@ -192,3 +196,30 @@ class ReferenceSystem:
             scale = self.scales.get(dot(alpha, alpha), Fraction(1))
             steps.append((i, pairing, pairing.scale(scale), slope, icept))
         return steps
+
+
+def fraction_trace(sys, lam: CoordVector, word):
+    """The steps (letter, pairing, printed pairing, slope, intercept) of the
+    word, rightmost letter first: two dot products against the simple
+    coroot for the pairing, and RootSystem.reflect by it.  The final vector
+    is cross-checked through the root permutation of the word: <w lam, w a>
+    = <lam, a> for every simple root a, and w fixes every vector orthogonal
+    to the roots."""
+    word = tuple(word)
+    if not sys.is_reduced(word):
+        raise ValueError(f"word {list(word)} is not reduced")
+    sl, ic = lam.slope, lam.icept
+    steps = []
+    for i in reversed(word):
+        alpha, coroot = sys.simples[i - 1], sys.coroots[i - 1]
+        pairing = AffineForm(dot(sl, coroot), dot(ic, coroot))
+        sl = sys.reflect(alpha, sl, pairing.slope)
+        ic = sys.reflect(alpha, ic, pairing.intercept)
+        steps.append((i, pairing, pairing.scale(sys.print_scale(alpha)), sl, ic))
+    p = sys.element(word)
+    images = [sys.roots[p[sys.roots.index(a)]] for a in sys.simples]
+    for got, start in ((sl, lam.slope), (ic, lam.icept)):
+        if ([dot(got, b) for b in images + sys.orthogonal]
+                != [dot(start, a) for a in sys.simples + sys.orthogonal]):
+            raise AssertionError("trace disagrees with the root permutation")
+    return steps
