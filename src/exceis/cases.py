@@ -21,7 +21,7 @@ from fractions import Fraction
 from .archmult import MatrixRecipe, pattern_check, vanishing_order
 from .config import CaseSpec, Config, RowSpec, TableSpec, UnprintedArch, check_forms
 from .eiscalc import (CoordVector, apply_word, convergence, intertwiner_verdict,
-                      order_report, rational_cfunction, shifted_exponent)
+                      order_report, rational_cfunction, shifted_exponent, shifted_label)
 from .exactnum import AffineForm
 from .rootsys import ParabolicSpec, RootSystem, Word, smul
 
@@ -138,8 +138,7 @@ def build_table_report(cfg: Config, case: CaseSpec, table: TableSpec,
         # printed pairings of lambda' with Levi roots
         pairs = []
         for pc in row.pairings:
-            alpha = system.simples[pc.root - 1]
-            val = lam_prime.printed_pairing(system, alpha)
+            val = shifted_label(system, trace, pc.root)
             ok = val == pc.expect
             pairs.append({"root": pc.root, "value": str(val),
                           "expected": str(pc.expect), "ok": ok})
@@ -156,8 +155,7 @@ def build_table_report(cfg: Config, case: CaseSpec, table: TableSpec,
                 for c, f in zip(ec.functional, forms):
                     form = form + f.scale(c)
             else:
-                alpha = system.simples[ec.root - 1]
-                form = lam_prime.printed_pairing(system, alpha)
+                form = shifted_label(system, trace, ec.root)
             value = form.eval(s0)
             status = convergence(value - ec.threshold)
             ok = (status == ec.status) if with_expect else True

@@ -21,12 +21,13 @@ Analytic inputs are encoded as order lookups at rational points:
 
 from __future__ import annotations
 
+import operator
 import re
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from .exactnum import AffineForm, solve
-from .rootsys import RootSystem, Vector, Word, dot, smul, vadd
+from .rootsys import RootSystem, Vector, Word, smul, vadd, vsub
 
 # ---------------------------------------------------------------------------
 # exponent vectors and traces
@@ -55,12 +56,6 @@ class CoordVector:
     def entries(self) -> tuple[AffineForm, ...]:
         return tuple(AffineForm(a, b) for a, b in zip(self.slope, self.icept))
 
-    def pairing(self, system: RootSystem, root: Vector) -> AffineForm:
-        return system.coroot_pairing(self.slope, self.icept, root)
-
-    def printed_pairing(self, system: RootSystem, root: Vector) -> AffineForm:
-        return self.pairing(system, root).scale(system.print_scale(root))
-
     def __str__(self) -> str:
         return "(" + ", ".join(str(e) for e in self.entries()) + ")"
 
@@ -70,7 +65,15 @@ class TraceStep:
     letter: int
     pairing: AffineForm          # coroot pairing before the reflection
     printed: AffineForm          # same, in the system's display normalization
-    result: CoordVector
+    moved: tuple                 # the numerators of the m_j after the step, slope and intercept
+    origin: tuple                # the trace's system, start and denominator
+
+    @property
+    def result(self) -> CoordVector:
+        """lambda - sum_j m_j alpha_j after the step, formed on demand."""
+        system, lam, den = self.origin
+        return CoordVector(vsub(lam.slope, system.vector(self.moved[0], den)),
+                           vsub(lam.icept, system.vector(self.moved[1], den)))
 
 
 @dataclass(frozen=True)
@@ -78,6 +81,7 @@ class LambdaTrace:
     word: Word
     start: CoordVector
     steps: tuple[TraceStep, ...]
+    labels: tuple                # of w(lambda): slope and intercept numerators, denominator
 
     @property
     def final(self) -> CoordVector:
@@ -88,37 +92,52 @@ def apply_word(system: RootSystem, lam: CoordVector, word) -> LambdaTrace:
     """Apply a reduced word to an exponent vector, rightmost letter first,
     recording the coroot pairing at each step.
 
-    The final vector is cross-checked through the root permutation of the
-    word, w = system.element(word): <w lam, w a> = <lam, a> for every simple
-    root a, i.e. <w lam, b^vee> = <lam, (w^{-1} b)^vee> with b = w a, and w
-    fixes every vector orthogonal to the roots.  The Euclidean matrix of the
-    word (RootSystem.word_matrix) is never built here.
+    The exponent is carried as its labels a_j = <lam, alpha_j^vee> and the
+    coefficients m_j of lam - w(lam) = sum_j m_j alpha_j, integer numerators
+    over one denominator.  A step by letter j pairs to a_j, subtracts a_j
+    times row j of the Cartan matrix from the labels and adds a_j to m_j.
+    At the end of the word, two integer checks: the final labels are those
+    of w(lam) by the root permutation w = system.element(word), <w lam,
+    (w alpha_k)^vee> = <lam, alpha_k^vee> for every simple root alpha_k;
+    and lam - sum_j m_j alpha_j has the final labels, by the Cartan columns.
     """
     word = tuple(word)
     if not system.is_reduced(word):
         raise ValueError(f"word {list(word)} is not reduced")
-    sl, ic = lam.slope, lam.icept
-    steps = []
+    (first_s, first_i), den = system.labels(lam.slope, lam.icept)
+    ls, li, ms, mi, steps = first_s, first_i, [0] * system.rank, [0] * system.rank, []
     for i in reversed(word):
-        alpha, coroot = system.simples[i - 1], system.coroots[i - 1]
-        pairing = AffineForm(dot(sl, coroot), dot(ic, coroot))
-        sl = system.reflect(alpha, sl, pairing.slope)
-        ic = system.reflect(alpha, ic, pairing.intercept)
-        steps.append(TraceStep(i, pairing, pairing.scale(system.print_scale(alpha)),
-                               CoordVector(sl, ic)))
+        j, row, scale = i - 1, system.cartan[i - 1], system.simple_scales[i - 1]
+        a, b = ls[j], li[j]
+        ls, li = system.reflect(row, ls, a) if a else ls, system.reflect(row, li, b) if b else li
+        ms[j] += a
+        mi[j] += b
+        pairing = AffineForm(Fraction(a, den), Fraction(b, den))
+        steps.append(TraceStep(i, pairing, pairing if scale == 1 else pairing.scale(scale),
+                               (tuple(ms), tuple(mi)), (system, lam, den)))
     p = system.element(word)
-    images = [system.roots[p[k]] for k in system._simple_idx]
-    for got, start in ((sl, lam.slope), (ic, lam.icept)):
-        if ([dot(got, b) for b in images + system.orthogonal]
-                != [dot(start, a) for a in system.simples + system.orthogonal]):
+    images = [system.coroot_coords[p[k]] for k in system._simple_idx]
+    for got, first, m in ((ls, first_s, ms), (li, first_i, mi)):
+        if ([sum(map(operator.mul, c, got)) for c in images] != first
+                or [f - sum(map(operator.mul, m, col)) for f, col in zip(first, zip(*system.cartan))]
+                != list(got)):
             raise AssertionError("trace disagrees with the root permutation")
-    return LambdaTrace(word, lam, tuple(steps))
+    return LambdaTrace(word, lam, tuple(steps), (ls, li, den))
 
 
 def shifted_exponent(system: RootSystem, trace: LambdaTrace) -> CoordVector:
-    """w(lambda) + rho, the exponent of the intertwined section, read off the
-    trace of lambda along w."""
-    return CoordVector(trace.final.slope, vadd(trace.final.icept, system.rho_weighted()))
+    """w(lambda) + rho, the exponent of the intertwined section: the trace's
+    final vector, formed once from its coefficients, plus rho."""
+    final = trace.final
+    return CoordVector(final.slope, vadd(final.icept, system.rho_weighted()))
+
+
+def shifted_label(system: RootSystem, trace: LambdaTrace, j: int) -> AffineForm:
+    """<w(lambda) + rho, alpha_j^vee> in the system's display normalization,
+    read off the trace's final labels."""
+    ls, li, den = trace.labels
+    return AffineForm(Fraction(ls[j - 1], den), Fraction(li[j - 1], den)
+                      + system.rho_labels[j - 1]).scale(system.simple_scales[j - 1])
 
 
 # ---------------------------------------------------------------------------
@@ -401,9 +420,13 @@ def convergence(margin: Fraction, below: str = "NotConvergent") -> str:
 # ---------------------------------------------------------------------------
 
 
-def _gk_product(system: RootSystem, lam: CoordVector, roots) -> ZetaProduct:
-    """The product over the given roots a of zeta(<lam, a^vee>)/zeta(<lam, a^vee>+1)."""
-    zs = [lam.pairing(system, root) for root in roots]
+def _gk_product(system: RootSystem, labels, indices) -> ZetaProduct:
+    """The product over the roots a at the given indices of
+    zeta(<lam, a^vee>)/zeta(<lam, a^vee>+1), lam given by its labels."""
+    (ls, li), den = labels
+    zs = [AffineForm(Fraction(sum(map(operator.mul, c, ls)), den),
+                     Fraction(sum(map(operator.mul, c, li)), den))
+          for c in map(system.coroot_coords.__getitem__, indices)]
     return ZetaProduct([(ZetaFactor("zeta", z), 1) for z in zs]
                        + [(ZetaFactor("zeta", z.shift(1)), -1) for z in zs])
 
@@ -430,7 +453,7 @@ def rational_cfunction(system: RootSystem, rules: dict[Fraction, BlockRule],
     step's coroot pairing, with the rule selected by the root length."""
     pairs = []
     for step in trace.steps:
-        norm2 = system.lengths[system.simples[step.letter - 1]]
+        norm2 = system.simple_lengths[step.letter - 1]
         if norm2 not in rules:
             raise KeyError(f"no c-function rule for root length {norm2} in {system.name}")
         pairs += rules[norm2].block(step.pairing)
@@ -451,8 +474,9 @@ class AbsoluteOracle:
     absolute nodes.  Restriction is the induced map on simple-root
     coordinates (orthogonal projection onto the complement of the kernel
     span, read in the rational basis); the fibre sizes must reproduce the
-    rational multiplicity table.  `restriction` maps each absolute root to
-    its rational image, or to None when it restricts to zero.
+    rational multiplicity table.  `images` holds the index of each absolute
+    root's rational image, in the order of `absolute.roots`, or None where
+    it restricts to zero.
     """
 
     def __init__(self, absolute: RootSystem, rational: RootSystem,
@@ -462,11 +486,14 @@ class AbsoluteOracle:
         self.kernel = list(kernel)
         self.node_map = dict(node_map)
         self.source_node = source_node
-        self.restriction: dict[Vector, Vector | None] = {}
         self._build()
-        # s * omega_{source node} - rho; multiplicities are all 1 here
-        self.lambda_abs = CoordVector(self.fundamental_weight(source_node),
+        # s * omega_{source node} - rho, omega by <omega, alpha_j^vee> = delta;
+        # multiplicities are all 1 here
+        omega = solve([list(col) for col in zip(*absolute.cartan)],
+                      [int(j + 1 == source_node) for j in range(absolute.rank)])
+        self.lambda_abs = CoordVector(absolute.vector(omega),
                                       smul(Fraction(-1), absolute.rho_weighted()))
+        self._labels = absolute.labels(self.lambda_abs.slope, self.lambda_abs.icept)
 
     def _build(self):
         n = self.absolute.rank
@@ -474,37 +501,21 @@ class AbsoluteOracle:
                 or not set(self.node_map.values()) <= set(range(1, self.rational.rank + 1))):
             raise ValueError(f"kernel {self.kernel} and nodes {sorted(self.node_map)} do not "
                              f"partition the absolute nodes 1..{n} onto rational nodes")
-        rational = self.rational.roots
-        by_coords = {self.rational.coords(root): k for k, root in enumerate(rational)}
-        counts: dict[int, int] = {}
-        image: dict[Vector, int] = {}
-        for r in self.absolute.roots:
-            c = self.absolute.coords(r)
-            coeff = [0] * self.rational.rank
+        rational = self.rational
+        by_coords = {rational.coords(root): k for k, root in enumerate(rational.roots)}
+        self.images: list[int | None] = []
+        for c in self.absolute._coord_list:
+            coeff = [0] * rational.rank
             for i, j in self.node_map.items():
                 coeff[j - 1] += c[i - 1]
-            if not any(coeff):
-                self.restriction[r] = None
-                continue
-            k = by_coords.get(tuple(coeff))
-            if k is None:
+            self.images.append(by_coords.get(tuple(coeff)))
+            if self.images[-1] is None and any(coeff):
                 raise ValueError("restriction image is not a rational root")
-            self.restriction[r] = rational[k]
-            image[r] = k
-            counts[k] = counts.get(k, 0) + 1
-        # the index of each positive root's image among the rational roots,
-        # or None where it restricts to zero
-        self._positive_images = [image.get(r) for r in self.absolute.positives]
-        for k, root in enumerate(rational):
-            if counts.get(k, 0) != self.rational.multiplicity(root):
-                raise ValueError(
-                    f"fibre over {root} has size {counts.get(k, 0)}, "
-                    f"expected multiplicity {self.rational.multiplicity(root)}")
-
-    def fundamental_weight(self, node: int) -> Vector:
-        sys = self.absolute
-        rhs = [int(j + 1 == node) for j in range(sys.rank)]
-        return sys.vector(solve([list(col) for col in zip(*sys.cartan)], rhs))
+        for k, root in enumerate(rational.roots):
+            size, mult = self.images.count(k), rational.multiplicity(root)
+            if size != mult:
+                raise ValueError(f"fibre over {list(rational.coords(root))} has size {size}, "
+                                 f"expected multiplicity {mult}")
 
     def gk_restricted(self, rational_word) -> ZetaProduct:
         """The Gindikin-Karpelevich c-function over the absolute system for
@@ -512,9 +523,8 @@ class AbsoluteOracle:
         zeta(<lam, a^vee>)/zeta(<lam, a^vee>+1) over the flipped set, the
         union of fibres over the rational inversion set."""
         flipped = set(self.rational.inversion_indices(tuple(rational_word)))
-        return _gk_product(self.absolute, self.lambda_abs,
-                           [r for r, k in zip(self.absolute.positives, self._positive_images)
-                            if k in flipped])
+        return _gk_product(self.absolute, self._labels,
+                           [r for r in self.absolute._pos_idx if self.images[r] in flipped])
 
 
 # ---------------------------------------------------------------------------

@@ -201,7 +201,9 @@ class AffineForm:
                 and self.slope == other.slope and self.intercept == other.intercept)
 
     def __hash__(self):
-        return hash((self.slope, self.intercept))
+        # Fractions are kept in lowest terms, so equal forms hash alike
+        return hash((self.slope.numerator, self.slope.denominator,
+                     self.intercept.numerator, self.intercept.denominator))
 
     def __str__(self) -> str:
         if self.slope == 0:

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .exactnum import AffineForm, nullspace
+from .exactnum import nullspace
 
 Vector = tuple[Fraction, ...]
 Matrix = tuple[tuple[Fraction, ...], ...]
@@ -91,13 +91,16 @@ class RootSystem:
         # the simple roots as integer numerators over one denominator den > 0
         den = math.lcm(*(c.denominator for v in self.simples for c in v))
         nums = [tuple(c.numerator * (den // c.denominator) for c in v) for v in self.simples]
-        if nullspace([list(col) for col in zip(*nums)]):
+        # a basis of the vectors orthogonal to every root, which W fixes
+        self.orthogonal: list[Vector] = [tuple(v) for v in nullspace(nums)]
+        if len(self.orthogonal) != self.dim - self.rank:
             raise ValueError(f"{name}: simple roots are linearly dependent")
         gram = [[sum(map(operator.mul, a, b)) for b in nums] for a in nums]
         if any(2 * g % gram[j][j] for row in gram for j, g in enumerate(row)):
             raise ValueError(f"{name}: Cartan matrix is not integral")
         # <alpha_i, alpha_j^vee>
         self.cartan = [[2 * g // gram[j][j] for j, g in enumerate(row)] for row in gram]
+        self._nums, self._gdiag = nums, [row[i] for i, row in enumerate(gram)]
         self._cartan_cols = list(zip(*self.cartan))
         self._den, self._cols = den, list(zip(*nums))
         images = self._close()
@@ -107,11 +110,16 @@ class RootSystem:
         fractions = {x: Fraction(x, den) for x in set().union(*numerators.values())}
         self.roots: list[Vector] = [tuple(map(fractions.__getitem__, numerators[c]))
                                     for c in coords]
-        self._coords: dict[Vector, Coords] = dict(zip(self.roots, coords))
+        self._coords: dict[Vector, Coords] | None = None      # made by the first coords()
+        norms = [sum(x * x for x in numerators[c]) for c in coords]
+        norm2 = [Fraction(n, den * den) for n in norms]
         # the one table of squared lengths, read by every length-keyed question
-        self.lengths: dict[Vector, Fraction] = {
-            r: Fraction(sum(x * x for x in numerators[c]), den * den)
-            for r, c in zip(self.roots, coords)}
+        self.lengths: dict[Vector, Fraction] = dict(zip(self.roots, norm2))
+        self._mult = {Fraction(k): int(v) for k, v in (multiplicities or {}).items()}
+        self._mults = [self._mult.get(x, 1) for x in norm2]
+        # a^vee = sum_i c_i (alpha_i, alpha_i)/(a, a) alpha_i^vee for a = sum_i c_i alpha_i
+        self.coroot_coords: list[Coords] = [
+            tuple(x * g // n for x, g in zip(c, self._gdiag)) for c, n in zip(coords, norms)]
         index = {c: k for k, c in enumerate(coords)}
         self._coord_list = coords
         self._positive = [all(x >= 0 for x in c) for c in coords]
@@ -126,14 +134,17 @@ class RootSystem:
                                       for i, (n, row) in enumerate(zip(nums, gram))]
         self._reflections = [tuple(index[images[c][i]] for c in coords)
                              for i in range(self.rank)]
-        self._mult = {Fraction(k): int(v) for k, v in (multiplicities or {}).items()}
         self._print_scale = {Fraction(k): Fraction(v)
                              for k, v in (print_coroot_scale or {}).items()}
         self.nu: Vector | None = tuple(Fraction(c) for c in nu) if nu is not None else None
         self.parabolic_labels = dict(parabolic_labels or {})
-        self._rho = tuple(x / 2 for x in self._weighted_sum(self._pos_idx))
-        # a basis of the vectors orthogonal to every root, which W fixes
-        self.orthogonal: list[Vector] = [tuple(v) for v in nullspace(nums)]
+        # rho from its doubled simple-root coordinates, and its labels <rho, alpha_j^vee>
+        rho2 = self._weighted_coeffs(self._pos_idx)
+        self._rho = tuple(x / 2 for x in self.vector(rho2))
+        self.rho_labels = [Fraction(sum(map(operator.mul, rho2, col)), 2)
+                           for col in self._cartan_cols]
+        self.simple_lengths = [norm2[k] for k in self._simple_idx]
+        self.simple_scales = [self.print_scale(a) for a in self.simples]
         self._coset_cache: dict[frozenset[int], list[Word]] = {}
         self._census_cache: dict[tuple[frozenset[int], frozenset[int]], list[Word]] = {}
 
@@ -161,22 +172,34 @@ class RootSystem:
             frontier = {d for c in frontier for d in images[c]} - images.keys()
         return images
 
-    def vector(self, coords: Sequence) -> Vector:
-        """The Euclidean vector sum_i coords[i] * alpha_{i+1}."""
-        return tuple(Fraction(sum(map(operator.mul, coords, col)), self._den)
+    def vector(self, coords: Sequence, d: int = 1) -> Vector:
+        """The Euclidean vector sum_i coords[i]/d * alpha_{i+1}."""
+        return tuple(Fraction(sum(map(operator.mul, coords, col)), self._den * d)
                      for col in self._cols)
 
-    def _weighted_sum(self, indices: Iterable[int]) -> Vector:
-        """The sum of the roots at the given indices, each times its
-        multiplicity, summed in simple-root coordinates."""
+    def labels(self, *vectors: Vector) -> tuple[list[list[int]], int]:
+        """The labels <v, alpha_j^vee> = 2 (v, alpha_j)/(alpha_j, alpha_j),
+        j = 1..rank, of each vector, integer numerators over one denominator."""
+        e, top = math.lcm(*(x.denominator for v in vectors for x in v)), math.lcm(*self._gdiag)
+        us = [[x.numerator * (e // x.denominator) for x in v] for v in vectors]
+        nums = [[2 * self._den * (top // g) * sum(map(operator.mul, u, n))
+                 for n, g in zip(self._nums, self._gdiag)] for u in us]
+        d = math.gcd(e * top, *(x for row in nums for x in row))
+        return [[x // d for x in row] for row in nums], e * top // d
+
+    def _weighted_coeffs(self, indices: Iterable[int]) -> list[int]:
+        """The simple-root coordinates of the sum of the roots at the given
+        indices, each times its multiplicity."""
         coeff = [0] * self.rank
         for k in indices:
-            m = self.multiplicity(self.roots[k])
+            m = self._mults[k]
             coeff = [a + m * c for a, c in zip(coeff, self._coord_list[k])]
-        return self.vector(coeff)
+        return coeff
 
     def coords(self, root: Vector) -> Coords:
         """Coordinates of a root in the simple-root basis."""
+        if self._coords is None:
+            self._coords = dict(zip(self.roots, self._coord_list))
         return self._coords[root]
 
     # ----- multiplicities and characters ---------------------------------
@@ -258,7 +281,7 @@ class RootSystem:
             raise ValueError("modulus exponent needs a maximal parabolic")
         if self.nu is None:
             raise ValueError(f"system {self.name} has no configured character nu")
-        acc = self._weighted_sum(self._radical(p))
+        acc = self.vector(self._weighted_coeffs(self._radical(p)))
         # proportionality is only required on the root lattice (characters may
         # differ by a central direction, e.g. the sum-zero-plane systems)
         # the config rejects a nu orthogonal to every simple root at load
@@ -270,12 +293,6 @@ class RootSystem:
         return k
 
     # ----- pairings -------------------------------------------------------
-
-    def coroot_pairing(self, slope: Vector, icept: Vector, root: Vector) -> AffineForm:
-        """Pairing <a*s + b, root^vee> as an exact affine form."""
-        na = self.lengths[root]
-        return AffineForm(Fraction(2) * dot(slope, root) / na,
-                          Fraction(2) * dot(icept, root) / na)
 
     def print_scale(self, root: Vector) -> Fraction:
         """Scale applied to coroot pairings for display, matching the

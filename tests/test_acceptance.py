@@ -12,7 +12,7 @@ import pytest
 from exceis import cases
 from exceis.config import load_config
 from exceis.eiscalc import (CoordVector, ZetaProduct, apply_word, order_report,
-                            rational_cfunction, shifted_exponent)
+                            rational_cfunction, shifted_exponent, shifted_label)
 from exceis.report import to_json
 from weyl_reference import longest_rep, normalized_sign
 
@@ -97,9 +97,9 @@ def test_ac2_lambda_traces(cfg):
         case = cfg.case("F4-heis")
         table = next(t for t in case.tables if t.target == target)
         for row in table.rows:
-            lp = shifted_exponent(f4, apply_word(f4, lamf, row.word))
+            tr = apply_word(f4, lamf, row.word)
             for j in range(1, 5):
-                form = normalized_sign(lp.printed_pairing(f4, f4.simples[j - 1]))
+                form = normalized_sign(shifted_label(f4, tr, j))
                 if form.slope != 0:
                     seen.add(str(form))
     for want in ("s-9", "s-17", "s-6", "s-11", "s-15", "s-10", "s-3", "s-1"):

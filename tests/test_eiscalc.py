@@ -1,3 +1,6 @@
+import copy
+import inspect
+import textwrap
 from fractions import Fraction
 
 import pytest
@@ -8,10 +11,11 @@ from exceis import eiscalc
 from exceis.config import load_config
 from exceis.eiscalc import (KINDS, CoordVector, ZetaFactor, ZetaProduct,
                             apply_word, convergence, order_report,
-                            parse_factor, rational_cfunction, shifted_exponent)
+                            parse_factor, rational_cfunction, shifted_exponent,
+                            shifted_label)
 from exceis.exactnum import AffineForm
 from exceis.rootsys import RootSystem, dot
-from weyl_reference import gk_cfunction, mat_vec
+from weyl_reference import gk_cfunction, mat_vec, printed_pairing
 
 
 @pytest.fixture(scope="module")
@@ -69,24 +73,28 @@ class TestLambdaAndTraces:
     def test_shifted_exponent_f4_pairings(self, cfg):
         f4 = cfg.system("F4")
         lam = CoordVector.lambda_s(f4)
-        lp = shifted_exponent(f4, apply_word(f4, lam, (3, 4, 2, 3, 2, 1)))
-        a1, a2 = f4.simples[0], f4.simples[1]
-        assert str(lp.printed_pairing(f4, a1)) == "s-10"
-        assert str(lp.printed_pairing(f4, a2)) == "s-17"
+        tr = apply_word(f4, lam, (3, 4, 2, 3, 2, 1))
+        assert str(shifted_label(f4, tr, 1)) == "s-10"
+        assert str(shifted_label(f4, tr, 2)) == "s-17"
+        # the Euclidean pairings of the Euclidean w(lambda) + rho agree
+        lp = shifted_exponent(f4, tr)
+        assert [printed_pairing(f4, lp, a) for a in f4.simples[:2]] \
+            == [shifted_label(f4, tr, 1), shifted_label(f4, tr, 2)]
 
 
 class TestTraceCrossCheck:
-    """Planted defects in the trace loop must trip apply_word's cross-check of
-    the final vector, which does not go through RootSystem.reflect."""
+    """Planted defects in the trace loop must trip apply_word's end-of-word
+    check, which reads the root permutation, the coroot coordinates and the
+    Cartan columns, not the loop's steps."""
 
     @staticmethod
     def plant_shift(monkeypatch, system, letter, shift):
-        """Make the reflection in the given simple root add `shift`."""
-        bad, reflect = system.simples[letter - 1], RootSystem.reflect
+        """Make the step by the given letter add `shift` to the labels."""
+        bad, reflect = system.cartan[letter - 1], RootSystem.reflect
 
         def shifted(self, alpha, v, k):
             out = reflect(self, alpha, v, k)
-            return tuple(x + d for x, d in zip(out, shift)) if alpha == bad else out
+            return tuple(x + d for x, d in zip(out, shift)) if alpha is bad else out
 
         monkeypatch.setattr(RootSystem, "reflect", shifted)
 
@@ -95,20 +103,9 @@ class TestTraceCrossCheck:
         lam = CoordVector.lambda_s(c3)
         word = (3, 2, 1, 3, 2, 3)
         apply_word(c3, lam, word)
-        self.plant_shift(monkeypatch, c3, 1, (Fraction(1, 7), 0, 0))
+        self.plant_shift(monkeypatch, c3, 1, (1, 0, 0))
         with pytest.raises(AssertionError, match="trace disagrees"):
             apply_word(c3, lam, word)
-
-    def test_shift_orthogonal_to_the_roots(self, cfg, monkeypatch):
-        # G2 sits in the plane x+y+z = 0 of Q^3: a shift along (1,1,1) leaves
-        # every coroot pairing alone but moves the exponent vector
-        g2 = cfg.system("G2")
-        u = (1, 1, 1)
-        assert all(dot(a, u) == 0 for a in g2.simples)
-        lam = CoordVector.lambda_s(g2)
-        self.plant_shift(monkeypatch, g2, 2, tuple(Fraction(x, 7) for x in u))
-        with pytest.raises(AssertionError, match="trace disagrees"):
-            apply_word(g2, lam, (2, 1, 2, 1, 2))
 
     def test_steps_in_the_wrong_order(self, cfg, monkeypatch):
         # the loop runs the leftmost letter first, so the trace ends at
@@ -121,6 +118,39 @@ class TestTraceCrossCheck:
         monkeypatch.setattr(eiscalc, "reversed", iter, raising=False)
         with pytest.raises(AssertionError, match="trace disagrees"):
             apply_word(c3, lam, word)
+
+    @pytest.mark.parametrize("name,entry", [("C3", (1, 0)), ("C3", (2, 1)),
+                                            ("F4", (1, 2)), ("G2", (0, 1))])
+    def test_changed_cartan_entry(self, cfg, name, entry):
+        # a copy of the system whose Cartan matrix is off by one at one
+        # off-diagonal entry, in the steps and the checks alike: the root
+        # permutation and the coroot coordinates still disagree
+        system = cfg.system(name)
+        lam = CoordVector.lambda_s(system)
+        word = system.coset_reps(system.parabolic("P1"))[-1]
+        apply_word(system, lam, word)
+        bad = copy.copy(system)
+        bad.cartan = [list(row) for row in system.cartan]
+        i, j = entry
+        assert i != j and bad.cartan[i][j] != 0
+        bad.cartan[i][j] -= 1
+        with pytest.raises(AssertionError, match="trace disagrees"):
+            apply_word(bad, lam, word)
+
+    def test_dropped_coefficient_update(self, cfg):
+        # the third step forgets to add its pairing to m_j: the labels are
+        # right, lambda - sum m_j alpha_j is not
+        src = textwrap.dedent(inspect.getsource(eiscalc.apply_word))
+        old = "        ms[j] += a\n"
+        assert src.count(old) == 1
+        planted = dict(vars(eiscalc))
+        exec(src.replace(old, "        ms[j] += a if len(steps) != 2 else 0\n"), planted)
+        c3 = cfg.system("C3")
+        lam = CoordVector.lambda_s(c3)
+        word = (3, 2, 1, 3, 2, 3)
+        assert planted["apply_word"] is not apply_word
+        with pytest.raises(AssertionError, match="trace disagrees"):
+            planted["apply_word"](c3, lam, word)
 
 
 class TestZetaProducts:

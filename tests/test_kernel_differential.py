@@ -6,15 +6,17 @@ length, multiplicity and print scale for every root; and the same trace
 (every step's pairing, printed pairing and vector) for every configured
 row word and for random reduced words from random start vectors.  Each
 trace is also compared with `fraction_trace`, the Fraction-vector trace
-the verifier ran before it carried simple-coroot labels."""
+the verifier ran before it carried simple-coroot labels.  Last, the
+pairings read off labels (the printed pairings of w(lambda) + rho, the
+oracle's GK products) against Euclidean pairings."""
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from exceis.config import load_config
-from exceis.eiscalc import CoordVector, apply_word
-from weyl_reference import ReferenceSystem, fraction_trace
+from exceis.eiscalc import CoordVector, apply_word, shifted_exponent, shifted_label
+from weyl_reference import ReferenceSystem, fraction_trace, gk_product, printed_pairing
 
 CFG = load_config()
 NAMES = sorted(CFG.raw["systems"])
@@ -89,3 +91,31 @@ def traced_words(draw):
 @given(traced_words())
 def test_random_reduced_words(case):
     assert_same_trace(*case)
+
+
+def test_shifted_labels_and_oracle_products():
+    """The printed pairings of w(lambda) + rho with the simple roots, read
+    off the trace's labels, against the Euclidean pairings of the Euclidean
+    w(lambda) + rho; and each oracle's GK product, read off labels and
+    coroot coordinates, against the Euclidean pairings of lambda_abs with
+    the flipped absolute roots."""
+    rows = products = 0
+    for name, case in CFG.cases.items():
+        sys = CFG.system(case.system)
+        lam = CoordVector.lambda_s(sys)
+        words = {r.word for t in case.tables for r in t.rows if sys.is_reduced(r.word)}
+        for word in words:
+            trace = apply_word(sys, lam, word)
+            lp = shifted_exponent(sys, trace)
+            assert [shifted_label(sys, trace, j) for j in range(1, sys.rank + 1)] \
+                == [printed_pairing(sys, lp, a) for a in sys.simples], (name, word)
+            rows += 1
+        if case.oracle:
+            oracle = CFG.oracle(name)
+            for word in words:
+                flipped = set(sys.inversion_indices(word))
+                roots = [r for r, k in zip(oracle.absolute.roots, oracle.images)
+                         if r in oracle.absolute.positives and k in flipped]
+                assert oracle.gk_restricted(word) == gk_product(oracle.lambda_abs, roots)
+                products += 1
+    assert rows > 0 and products > 0

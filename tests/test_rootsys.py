@@ -6,9 +6,9 @@ from exceis.config import load_config
 from exceis.eiscalc import AbsoluteOracle
 from exceis.exactnum import solve
 from exceis.rootsys import ParabolicSpec, RootSystem, dot
-from weyl_reference import (enumerate_group, identity_matrix, is_positive_root,
-                            levi_positive_count, longest_rep, mat_mul, mat_vec, reference_reflect,
-                            weyl_order)
+from weyl_reference import (coroot_pairing, enumerate_group, identity_matrix, is_positive_root,
+                            label_pairing, levi_positive_count, longest_rep, mat_mul, mat_vec,
+                            reference_reflect, weyl_order)
 from weyl_reference import word_matrix as reference_word_matrix
 
 
@@ -182,22 +182,29 @@ class TestAssociatedSimples:
 
 
 class TestPairingsAndModulus:
+    """Pairings read off simple-coroot labels and coroot coordinates, each
+    against the Euclidean 2 (lam, a)/(a, a)."""
+
     def test_c3_pairing(self, cfg):
         from exceis.eiscalc import CoordVector
         c3 = cfg.system("C3")
         lam = CoordVector.lambda_s(c3)
         # the long root in the third coordinate pairs to s-1
-        assert str(lam.pairing(c3, (0, 0, 2))) == "s-1"
+        assert str(label_pairing(c3, lam, (0, 0, 2))) == "s-1"
+        assert str(coroot_pairing(lam, (0, 0, 2))) == "s-1"
 
     def test_e6_pairing(self, cfg):
         from exceis.eiscalc import CoordVector
         a2 = cfg.system("A2-E6rational")
         lam = CoordVector.lambda_s(a2)
-        assert str(lam.pairing(a2, (1, -1, 0))) == "s-8"
+        assert str(label_pairing(a2, lam, (1, -1, 0))) == "s-8"
+        assert str(coroot_pairing(lam, (1, -1, 0))) == "s-8"
 
     def test_zero_vector_pairing(self, cfg):
+        from exceis.eiscalc import CoordVector
         c3 = cfg.system("C3")
-        z = c3.coroot_pairing((0, 0, 0), (0, 0, 0), (0, 0, 2))
+        assert c3.labels((0, 0, 0)) == ([[0, 0, 0]], 1)
+        z = label_pairing(c3, CoordVector((0, 0, 0), (0, 0, 0)), (0, 0, 2))
         assert z.slope == 0 and z.intercept == 0
 
     def test_modulus_exponents(self, cfg):
@@ -338,8 +345,9 @@ class TestIntegerKernelAgainstMatrices:
         assert len(names) == 4
         for name in names:
             oracle = cfg.oracle(name)
-            for r in oracle.absolute.roots:
-                assert oracle.restriction[r] == _projected_restriction(oracle, r), (name, r)
+            for r, k in zip(oracle.absolute.roots, oracle.images):
+                image = None if k is None else oracle.rational.roots[k]
+                assert image == _projected_restriction(oracle, r), (name, r)
 
 
 class TestIntegerKernelRejects:

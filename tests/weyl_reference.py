@@ -11,7 +11,8 @@ It also holds the root-system facts that only the tests use: positivity of
 a vector, |W| from the heights of the positive roots, the size of a Levi's
 positive system, the longest minimal coset representative, the sign
 normalisation of an affine pairing, and the Gindikin-Karpelevich
-c-function of a word over a split system, read off its inversion set.
+c-function of a word over a split system, read off its inversion set,
+with the Euclidean coroot pairing <lam, a^vee> = 2 (lam, a)/(a, a).
 
 Last, `fraction_trace` is the verifier's lambda-trace as it stood before
 the trace carried simple-coroot labels: Fraction vectors reflected step by
@@ -116,12 +117,36 @@ def normalized_sign(form: AffineForm) -> AffineForm:
     return form if lead >= 0 else -form
 
 
-def gk_cfunction(sys, lam: CoordVector, word) -> ZetaProduct:
-    """Finite-place c-function over a split system: the product over the
-    positive roots a flipped by w of zeta(<lam, a^vee>)/zeta(<lam, a^vee>+1)."""
-    zs = [lam.pairing(sys, root) for root in sys.inversions(tuple(word))]
+def coroot_pairing(lam: CoordVector, root: Vector) -> AffineForm:
+    """<lam, root^vee> = 2 (lam, root)/(root, root), on Fraction vectors."""
+    na = dot(root, root)
+    return AffineForm(2 * dot(lam.slope, root) / na, 2 * dot(lam.icept, root) / na)
+
+
+def printed_pairing(sys, lam: CoordVector, root: Vector) -> AffineForm:
+    """<lam, root^vee> in the system's display normalization."""
+    return coroot_pairing(lam, root).scale(sys.print_scale(root))
+
+
+def label_pairing(sys, lam: CoordVector, root: Vector) -> AffineForm:
+    """<lam, root^vee> as the verifier reads it: lam's simple-coroot labels
+    against the root's coroot coordinates."""
+    (ls, li), den = sys.labels(lam.slope, lam.icept)
+    c = sys.coroot_coords[sys.roots.index(root)]
+    return AffineForm(Fraction(dot(c, ls), den), Fraction(dot(c, li), den))
+
+
+def gk_product(lam: CoordVector, roots) -> ZetaProduct:
+    """The product over the given roots a of zeta(<lam, a^vee>)/zeta(<lam, a^vee>+1)."""
+    zs = [coroot_pairing(lam, root) for root in roots]
     return ZetaProduct([(ZetaFactor("zeta", z), 1) for z in zs]
                        + [(ZetaFactor("zeta", z.shift(1)), -1) for z in zs])
+
+
+def gk_cfunction(sys, lam: CoordVector, word) -> ZetaProduct:
+    """Finite-place c-function over a split system: the GK product over the
+    positive roots flipped by w."""
+    return gk_product(lam, sys.inversions(tuple(word)))
 
 
 # ----- the Euclidean build and trace: every sum over Fractions ------------
