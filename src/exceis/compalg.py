@@ -97,7 +97,10 @@ class RationalScalars:
         return ScaledMatrix(mat, den)
 
     def randint(self, rng: random.Random, lo=-3, hi=3):
-        return rng.randint(lo, hi)
+        return self.draws(rng, 1, lo, hi)[0]
+
+    def draws(self, rng: random.Random, count: int, lo=-3, hi=3) -> tuple:
+        return _below(rng, hi - lo + 1, count, lo)
 
 
 class PrimeFieldScalars:
@@ -135,7 +138,24 @@ class PrimeFieldScalars:
         return ScaledMatrix([[v * inv % p for v in row] for row in mat], 1)
 
     def randint(self, rng: random.Random, lo=None, hi=None):
-        return rng.randrange(self.p)
+        return self.draws(rng, 1)[0]
+
+    def draws(self, rng: random.Random, count: int, lo=None, hi=None) -> tuple:
+        return _below(rng, self.p, count)
+
+
+def _below(rng: random.Random, n: int, count: int, lo: int = 0) -> tuple:
+    """count draws of lo + rng.randrange(n), in one loop: each a
+    getrandbits(k) word, k = n.bit_length(), drawn again until it is below
+    n.  That is how random.Random draws below n, so the values and the
+    generator's state after them are randrange's (and randint's)."""
+    bits, k, out = rng.getrandbits, n.bit_length(), []
+    for _ in range(count):
+        r = bits(k)
+        while r >= n:
+            r = bits(k)
+        out.append(lo + r)
+    return tuple(out)
 
 
 def _build_table(gammas: Sequence[int]) -> dict[tuple[int, int], tuple[int, int]]:
@@ -323,11 +343,10 @@ class OctonionAlgebra:
         return all(c == 0 for c in x)
 
     def random(self, rng: random.Random, lo=-3, hi=3) -> tuple:
-        return tuple(self.scalars.randint(rng, lo, hi) for _ in range(8))
+        return self.scalars.draws(rng, 8, lo, hi)
 
     def random_imaginary(self, rng: random.Random, lo=-2, hi=2) -> tuple:
-        return (self.scalars.of(0),) + tuple(self.scalars.randint(rng, lo, hi)
-                                             for _ in range(7))
+        return (self.scalars.of(0),) + self.scalars.draws(rng, 7, lo, hi)
 
     def _cayley(self, rng: random.Random) -> tuple[tuple, int]:
         """A norm-1 element (1-u)(1+u)^{-1} = (1 - 2u - N(u)) / (1 + N(u)),
@@ -415,8 +434,8 @@ class JordanAlgebra:
         return self.element(vec[:3], (vec[3:11], vec[11:19], vec[19:27]))
 
     def random(self, rng: random.Random, lo=-2, hi=2) -> JordanElement:
-        return JordanElement(tuple(self.scalars.randint(rng, lo, hi) for _ in range(3)),
-                             tuple(self.oct.random(rng, lo, hi) for _ in range(3)))
+        d = self.scalars.draws(rng, 27, lo, hi)
+        return JordanElement(d[:3], (d[3:11], d[11:19], d[19:27]))
 
     # -- linear structure ----------------------------------------------------
 

@@ -4,6 +4,8 @@ import re
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from compalg_reference import (bilinear, definite_octonions, rank_one_sample, rational,
                                unit_norm_element)
@@ -35,6 +37,30 @@ class TestScalars:
     def test_prime_field_scale_by_fraction(self):
         alg = split_octonions(PrimeFieldScalars(11))
         assert alg.scale(Fraction(1, 2), alg.one()) == (6,) + (0,) * 7
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.text(max_size=8), st.integers(-40, 40), st.integers(1, 300),
+           st.sampled_from([3, 5, 7, 11, 13, 101, 65537]), st.integers(0, 30))
+    def test_draws_are_the_generators_own(self, seed, lo, width, p, count):
+        """The scalar rings' one-loop draws give the values of rng.randint
+        (over Q) and rng.randrange (over GF(p)), and leave the generator in
+        the same state."""
+        hi = lo + width - 1
+        for ours, theirs in [
+                (lambda r: compalg.RationalScalars().draws(r, count, lo, hi),
+                 lambda r: tuple(r.randint(lo, hi) for _ in range(count))),
+                (lambda r: PrimeFieldScalars(p).draws(r, count),
+                 lambda r: tuple(r.randrange(p) for _ in range(count)))]:
+            a, b = random.Random(seed), random.Random(seed)
+            assert ours(a) == theirs(b)
+            assert a.getstate() == b.getstate()
+
+    @pytest.mark.parametrize("p", [5, 7, 11, 13])
+    def test_thousand_draws_mod_p(self, p):
+        ours, theirs = random.Random(p), random.Random(p)
+        assert PrimeFieldScalars(p).draws(ours, 1000) == tuple(
+            theirs.randrange(p) for _ in range(1000))
+        assert ours.random() == theirs.random()
 
 
 class TestOctonions:
