@@ -5,6 +5,18 @@ the complex parameter s, intertwining traces record every simple-reflection
 step with its coroot pairing, and c-functions are canonical multisets of
 zeta/Gamma/Pochhammer factors with affine arguments.
 
+A trace carries the exponent lam by its labels a_j = <lam, alpha_j^vee>
+and the coefficients m_j of lam - w(lam) = sum_j m_j alpha_j, slope and
+intercept each as integer numerators over one denominator fixed at the
+start of the word (`apply_word`).  The Euclidean vector lam - sum_j m_j
+alpha_j is formed on demand, once per row for the printed lambda' and the
+eis functionals (`shifted_exponent`); pairings, c-function blocks and the
+GK oracle read labels.  The end-of-word check is in integers: the final
+labels are those of w(lam) by the root permutation, and lam - sum_j m_j
+alpha_j has them.  That is the Euclidean check of w(lam): a vector is fixed
+by its labels and its part orthogonal to the roots, and lam - sum_j m_j
+alpha_j keeps lam's orthogonal part, which W fixes.
+
 Analytic inputs are encoded as order lookups at rational points:
 
 * zeta: simple pole at argument 1, simple zeros at the negative even
@@ -92,14 +104,11 @@ def apply_word(system: RootSystem, lam: CoordVector, word) -> LambdaTrace:
     """Apply a reduced word to an exponent vector, rightmost letter first,
     recording the coroot pairing at each step.
 
-    The exponent is carried as its labels a_j = <lam, alpha_j^vee> and the
-    coefficients m_j of lam - w(lam) = sum_j m_j alpha_j, integer numerators
-    over one denominator.  A step by letter j pairs to a_j, subtracts a_j
-    times row j of the Cartan matrix from the labels and adds a_j to m_j.
-    At the end of the word, two integer checks: the final labels are those
-    of w(lam) by the root permutation w = system.element(word), <w lam,
-    (w alpha_k)^vee> = <lam, alpha_k^vee> for every simple root alpha_k;
-    and lam - sum_j m_j alpha_j has the final labels, by the Cartan columns.
+    A step by letter j pairs to the label a_j, subtracts a_j times row j of
+    the Cartan matrix from the labels and adds a_j to m_j.  At the end, the
+    root permutation w = system.element(word) must give the final labels,
+    <w lam, (w alpha_k)^vee> = <lam, alpha_k^vee> for every simple root
+    alpha_k, and the Cartan columns must give them from the m_j.
     """
     word = tuple(word)
     if not system.is_reduced(word):

@@ -5,15 +5,19 @@ Euclidean coordinates, given as rationals and held as integer numerators
 over one denominator.  Its roots are closed under the simple reflections in
 simple-root coordinates, with the integer Cartan matrix; each root's
 numerator vector, its squared length (one table, which every length-keyed
-question reads) and the multiplicity-weighted root sums behind rho and the
-modulus characters are integer sums, and each root's rational vector is made
-once.  Rational vectors serve only at the boundary (input,
-pairings, characters).  Weyl elements are canonically the permutations they
-induce on the roots, a faithful action; bracket words [i1,...,iN] are reduced
-expressions used for display and for factoring intertwining operators, with
-the rightmost letter acting first on vectors.  `RootSystem.word_matrix` is
-the Euclidean matrix of a word, kept as a reference for the tests; the
-verifier itself never calls it.
+question reads), its coroot in simple-coroot coordinates and the
+multiplicity-weighted root sums behind rho and the modulus characters are
+integer sums, and each root's rational vector is made once.  A vector v is
+read by its labels <v, alpha_j^vee>, integer numerators over one
+denominator (`labels`): s_j subtracts <v, alpha_j^vee> times row j of the
+Cartan matrix from them, and <v, a^vee> is the labels against a's coroot
+coordinates, so pairings never touch a rational vector.  Rational vectors
+serve only at the boundary (input, printed exponents, characters).  Weyl
+elements are canonically the permutations they induce on the roots, a
+faithful action; bracket words [i1,...,iN] are reduced expressions used for
+display and for factoring intertwining operators, with the rightmost letter
+acting first on vectors.  `RootSystem.word_matrix` is the Euclidean matrix of
+a word, kept as a reference for the tests.
 
 Minimal coset representatives follow the positivity definitions
 
@@ -187,14 +191,11 @@ class RootSystem:
         d = math.gcd(e * top, *(x for row in nums for x in row))
         return [[x // d for x in row] for row in nums], e * top // d
 
-    def _weighted_coeffs(self, indices: Iterable[int]) -> list[int]:
+    def _weighted_coeffs(self, indices: list[int]) -> list[int]:
         """The simple-root coordinates of the sum of the roots at the given
         indices, each times its multiplicity."""
-        coeff = [0] * self.rank
-        for k in indices:
-            m = self._mults[k]
-            coeff = [a + m * c for a, c in zip(coeff, self._coord_list[k])]
-        return coeff
+        return [sum(self._mults[k] * self._coord_list[k][i] for k in indices)
+                for i in range(self.rank)]
 
     def coords(self, root: Vector) -> Coords:
         """Coordinates of a root in the simple-root basis."""
@@ -281,16 +282,16 @@ class RootSystem:
             raise ValueError("modulus exponent needs a maximal parabolic")
         if self.nu is None:
             raise ValueError(f"system {self.name} has no configured character nu")
-        acc = self.vector(self._weighted_coeffs(self._radical(p)))
         # proportionality is only required on the root lattice (characters may
-        # differ by a central direction, e.g. the sum-zero-plane systems)
-        # the config rejects a nu orthogonal to every simple root at load
-        alpha = next(a for a in self.simples if dot(self.nu, a) != 0)
-        k = dot(acc, alpha) / dot(self.nu, alpha)
-        diff = vsub(acc, smul(k, self.nu))
-        if any(dot(diff, a) != 0 for a in self.simples):
+        # differ by a central direction, e.g. the sum-zero-plane systems), so
+        # on the labels; the config rejects a nu orthogonal to every simple root
+        coeffs = self._weighted_coeffs(self._radical(p))
+        acc = [sum(map(operator.mul, coeffs, col)) for col in self._cartan_cols]
+        (nu,), d = self.labels(self.nu)
+        j = next(j for j, x in enumerate(nu) if x)
+        if any(a * nu[j] != x * acc[j] for a, x in zip(acc, nu)):
             raise ValueError("delta_P is not proportional to nu on the root lattice")
-        return k
+        return Fraction(acc[j] * d, nu[j])
 
     # ----- pairings -------------------------------------------------------
 
