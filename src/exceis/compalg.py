@@ -96,9 +96,6 @@ class RationalScalars:
             return ScaledMatrix([[v // g for v in row] for row in mat], den // g)
         return ScaledMatrix(mat, den)
 
-    def randint(self, rng: random.Random, lo=-3, hi=3):
-        return self.draws(rng, 1, lo, hi)[0]
-
     def draws(self, rng: random.Random, count: int, lo=-3, hi=3) -> tuple:
         return _below(rng, hi - lo + 1, count, lo)
 
@@ -137,18 +134,14 @@ class PrimeFieldScalars:
         inv = self.inv(den)
         return ScaledMatrix([[v * inv % p for v in row] for row in mat], 1)
 
-    def randint(self, rng: random.Random, lo=None, hi=None):
-        return self.draws(rng, 1)[0]
-
     def draws(self, rng: random.Random, count: int, lo=None, hi=None) -> tuple:
         return _below(rng, self.p, count)
 
 
 def _below(rng: random.Random, n: int, count: int, lo: int = 0) -> tuple:
-    """count draws of lo + rng.randrange(n), in one loop: each a
-    getrandbits(k) word, k = n.bit_length(), drawn again until it is below
-    n.  That is how random.Random draws below n, so the values and the
-    generator's state after them are randrange's (and randint's)."""
+    """count draws of lo + rng.randrange(n): getrandbits(n.bit_length()),
+    drawn again until below n, as random.Random draws below n, so the values
+    and the generator's state after them are randrange's and randint's."""
     bits, k, out = rng.getrandbits, n.bit_length(), []
     for _ in range(count):
         r = bits(k)

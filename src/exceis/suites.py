@@ -132,7 +132,7 @@ def _rank_one_c1(cfg: Config, jalg: compalg.JordanAlgebra, count: int, rng) -> d
     # c1 = 0, checked as c2 times the element (rank is scale-invariant)
     for _ in range(count // 10):
         x1 = jalg.oct.random(rng)
-        c2 = jalg.scalars.randint(rng)
+        c2, = jalg.scalars.draws(rng, 1)
         if c2 == 0:
             continue
         v = jalg.element((0, c2 * c2, jalg.oct.norm(x1)),

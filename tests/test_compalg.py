@@ -409,7 +409,7 @@ def _compalg_outputs() -> list:
         rng = random.Random(f"digest:{n}")
         for _ in range(6):
             x, y = o.random(rng), o.random(rng)
-            k = o.scalars.randint(rng)
+            k, = o.scalars.draws(rng, 1)
             out.append((o.mul(x, y), o.conj(x), o.add(x, y), o.scale(k, y),
                         o.norm(x), bilinear(o, x, y), o.trace(o.mul(x, y)),
                         o.trace(x)))
