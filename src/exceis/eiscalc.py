@@ -128,8 +128,8 @@ def apply_word(system: RootSystem, lam: CoordVector, word) -> LambdaTrace:
     images = [system.coroot_coords[p[k]] for k in system._simple_idx]
     for got, first, m in ((ls, first_s, ms), (li, first_i, mi)):
         if ([sum(map(operator.mul, c, got)) for c in images] != first
-                or [f - sum(map(operator.mul, m, col)) for f, col in zip(first, zip(*system.cartan))]
-                != list(got)):
+                or list(got) != [f - sum(map(operator.mul, m, col))
+                                 for f, col in zip(first, zip(*system.cartan))]):
             raise AssertionError("trace disagrees with the root permutation")
     return LambdaTrace(word, lam, tuple(steps), (ls, li, den))
 
@@ -451,7 +451,8 @@ class BlockRule:
         self.variant = variant
 
     def block(self, z: AffineForm) -> list[tuple[ZetaFactor, int]]:
-        return [(ZetaFactor(kind, z.scale(a) + AffineForm(0, b), variant=self.variant), e)
+        return [(ZetaFactor(kind, AffineForm(a * z.slope, a * z.intercept + b),
+                            variant=self.variant), e)
                 for kind, a, b, e in self.templates]
 
 
@@ -496,11 +497,8 @@ class AbsoluteOracle:
         self.node_map = dict(node_map)
         self.source_node = source_node
         self._build()
-        # s * omega_{source node} - rho, omega by <omega, alpha_j^vee> = delta;
-        # multiplicities are all 1 here
-        omega = solve([list(col) for col in zip(*absolute.cartan)],
-                      [int(j + 1 == source_node) for j in range(absolute.rank)])
-        self.lambda_abs = CoordVector(absolute.vector(omega),
+        # s * omega_{source node} - rho; multiplicities are all 1 here
+        self.lambda_abs = CoordVector(self.fundamental_weight(source_node),
                                       smul(Fraction(-1), absolute.rho_weighted()))
         self._labels = absolute.labels(self.lambda_abs.slope, self.lambda_abs.icept)
 
@@ -525,6 +523,11 @@ class AbsoluteOracle:
             if size != mult:
                 raise ValueError(f"fibre over {list(rational.coords(root))} has size {size}, "
                                  f"expected multiplicity {mult}")
+
+    def fundamental_weight(self, node: int) -> Vector:
+        sys = self.absolute
+        rhs = [int(j + 1 == node) for j in range(sys.rank)]
+        return sys.vector(solve([list(col) for col in zip(*sys.cartan)], rhs))
 
     def gk_restricted(self, rational_word) -> ZetaProduct:
         """The Gindikin-Karpelevich c-function over the absolute system for
