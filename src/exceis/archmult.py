@@ -102,11 +102,23 @@ class MatrixRecipe:
 
 
 class RecipeCatalog:
-    """The printed recipes by name, and the memo of their values."""
+    """The printed recipes by name, and the memo of their values and
+    verdicts."""
 
     def __init__(self, recipes: dict[str, MatrixRecipe]):
         self.recipes = recipes
         self._values: dict[str, MultiplierVector] = {}
+        self._verdicts: dict[str, tuple[MultiplierVector, PatternCheck]] = {}
+
+    def verdict(self, recipe: MatrixRecipe) -> tuple[MultiplierVector, PatternCheck]:
+        """The recipe's vector and its pattern check at the recipe's own s0,
+        made once: the arch report and every row that names the recipe read
+        this one verdict."""
+        if recipe.name not in self._verdicts:
+            vec = self.evaluate(recipe)
+            self._verdicts[recipe.name] = vec, pattern_check(vec, recipe.s0, recipe.value,
+                                                             recipe.derivative)
+        return self._verdicts[recipe.name]
 
     def evaluate(self, recipe: MatrixRecipe) -> MultiplierVector:
         """Exact right-to-left evaluation over polynomial numerators and one

@@ -18,7 +18,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .archmult import MatrixRecipe, pattern_check, vanishing_order
+from .archmult import vanishing_order
 from .config import CaseSpec, Config, RowSpec, TableSpec, UnprintedArch, check_forms
 from .eiscalc import (CoordVector, apply_word, convergence, intertwiner_verdict,
                       order_report, rational_cfunction, shifted_exponent, shifted_label)
@@ -74,14 +74,6 @@ def _action_check(system: RootSystem, rep: Word, action: dict[int, tuple[int, in
     stated = ", ".join(f"r{i}: {'-' * (sign < 0)}r{j}" for i, (sign, j) in action.items())
     return Check("action", not wrong, f"{{{stated}}} "
                  + (f"differs at {', '.join(wrong)}" if wrong else "matches"))
-
-
-def _recipe_verdict(cfg: Config, recipe: MatrixRecipe):
-    """A recipe's multiplier vector and its pattern check at the recipe's
-    own s0.  The arch report and every row that names the recipe read this
-    one verdict."""
-    vec = cfg.catalog.evaluate(recipe)
-    return vec, pattern_check(vec, recipe.s0, recipe.value, recipe.derivative)
 
 
 def _lambda(system: RootSystem, case: CaseSpec) -> CoordVector:
@@ -213,7 +205,7 @@ def build_table_report(cfg: Config, case: CaseSpec, table: TableSpec,
         if isinstance(claim, UnprintedArch):
             rec["arch"] = {"stated": claim.claim, "status": "unverified: recipe not printed"}
             return True
-        vec, pc = _recipe_verdict(cfg, claim)
+        vec, pc = cfg.catalog.verdict(claim)
         rec["arch"] = {"recipe": claim.name, "ok": pc.ok, "ledger": pc.ledger}
         checks.append(Check("arch_pattern", pc.ok, f"{claim.name}: " + "; ".join(pc.ledger)))
         if with_expect and claim.min_vanishing_order is not None:
@@ -333,7 +325,7 @@ def arch_report(cfg: Config, case_name: str | None = None) -> dict:
     for recipe in cfg.catalog.recipes.values():
         if wanted and recipe.case != wanted:
             continue
-        _, pc = _recipe_verdict(cfg, recipe)
+        _, pc = cfg.catalog.verdict(recipe)
         rows.append({"name": recipe.name, "case": recipe.case,
                      "word": list(recipe.word), "tokens": recipe.text,
                      "ok": pc.ok, "ledger": pc.ledger, "status": _verified(pc.ok)})

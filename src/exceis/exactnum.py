@@ -34,6 +34,12 @@ def _as_fraction(x) -> Fraction:
     raise TypeError(f"not an exact scalar: {x!r}")
 
 
+def _numerators(xs) -> tuple[list[int], int]:
+    """Rationals as integer numerators over their least common denominator."""
+    d = math.lcm(*(x.denominator for x in xs))
+    return [x.numerator * (d // x.denominator) for x in xs], d
+
+
 class Poly:
     """Dense polynomial over Fraction; coeffs[i] is the s^i coefficient."""
 
@@ -68,15 +74,17 @@ class Poly:
         return self + (-other)
 
     def __mul__(self, other: "Poly") -> "Poly":
+        """The product, convolved on integer numerators over one
+        denominator per factor."""
         if self.is_zero() or other.is_zero():
             return Poly()
-        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a == 0:
-                continue
-            for j, b in enumerate(other.coeffs):
-                out[i + j] += a * b
-        return Poly(out)
+        (a, da), (b, db) = _numerators(self.coeffs), _numerators(other.coeffs)
+        out = [0] * (len(a) + len(b) - 1)
+        for i, x in enumerate(a):
+            if x:
+                for j, y in enumerate(b):
+                    out[i + j] += x * y
+        return Poly([Fraction(x, da * db) for x in out])
 
     def scale(self, c) -> "Poly":
         c = _as_fraction(c)
