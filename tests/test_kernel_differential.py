@@ -3,10 +3,12 @@ path kept in tests/weyl_reference.py.  On all 15 configured systems the two
 give the same roots in the same order with the same coordinates, the same
 Cartan matrix, weighted rho and orthogonal basis, and the same squared
 length, multiplicity and print scale for every root; and the same trace
-(every step's pairing, printed pairing and vector) for every configured
-row word and for random reduced words from random start vectors.  Each
-trace is also compared with `fraction_trace`, the Fraction-vector trace
-the verifier ran before it carried simple-coroot labels.  Last, the
+(every step's pairing, printed pairing and vector, the vector read as the
+final vector of the word's suffix of that many letters) for every
+configured row word and for random reduced words from random start
+vectors.  Each trace is also compared with `fraction_trace`, the
+Fraction-vector trace the verifier ran before it carried simple-coroot
+labels.  Last, the
 pairings read off labels (the printed pairings of w(lambda) + rho, the
 oracle's GK products) against Euclidean pairings."""
 
@@ -50,11 +52,13 @@ class TestBuild:
 
 def assert_same_trace(name, lam: CoordVector, word) -> None:
     sys, ref = CFG.system(name), REFERENCE[name]
-    trace = apply_word(sys, lam, word)
-    got = [(st.letter, st.pairing, st.printed, st.result.slope, st.result.icept)
-           for st in trace.steps]
+    # the vector after each step is the final vector of the word's suffix
+    # of that many letters
+    finals = [apply_word(sys, lam, word[k:]).final for k in reversed(range(len(word)))]
+    got = [(st.letter, st.pairing, st.printed, final.slope, final.icept)
+           for st, final in zip(apply_word(sys, lam, word).steps, finals)]
     assert got == ref.trace(lam.slope, lam.icept, word), (name, word)
-    assert got == fraction_trace(sys, lam, word), (name, word)
+    assert got == fraction_trace(sys, ref, lam, word), (name, word)
 
 
 def test_configured_row_words():

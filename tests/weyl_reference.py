@@ -223,13 +223,14 @@ class ReferenceSystem:
         return steps
 
 
-def fraction_trace(sys, lam: CoordVector, word):
+def fraction_trace(sys, ref: ReferenceSystem, lam: CoordVector, word):
     """The steps (letter, pairing, printed pairing, slope, intercept) of the
     word, rightmost letter first: two dot products against the simple
-    coroot for the pairing, and RootSystem.reflect by it.  The final vector
-    is cross-checked through the root permutation of the word: <w lam, w a>
-    = <lam, a> for every simple root a, and w fixes every vector orthogonal
-    to the roots."""
+    coroot for the pairing, and RootSystem.reflect by it, with the print
+    scales of the reference build.  The final vector is cross-checked
+    through the root permutation of the word on the reference build's
+    roots: <w lam, w a> = <lam, a> for every simple root a, and w fixes
+    every vector of the reference's orthogonal basis."""
     word = tuple(word)
     if not sys.is_reduced(word):
         raise ValueError(f"word {list(word)} is not reduced")
@@ -240,11 +241,11 @@ def fraction_trace(sys, lam: CoordVector, word):
         pairing = AffineForm(dot(sl, coroot), dot(ic, coroot))
         sl = sys.reflect(alpha, sl, pairing.slope)
         ic = sys.reflect(alpha, ic, pairing.intercept)
-        steps.append((i, pairing, pairing.scale(sys.print_scale(alpha)), sl, ic))
+        steps.append((i, pairing, pairing.scale(ref.print_scale[ref.roots.index(alpha)]), sl, ic))
     p = sys.element(word)
-    images = [sys.roots[p[sys.roots.index(a)]] for a in sys.simples]
+    images = [ref.roots[p[ref.roots.index(a)]] for a in ref.simples]
     for got, start in ((sl, lam.slope), (ic, lam.icept)):
-        if ([dot(got, b) for b in images + sys.orthogonal]
-                != [dot(start, a) for a in sys.simples + sys.orthogonal]):
+        if ([dot(got, b) for b in images + ref.orthogonal]
+                != [dot(start, a) for a in ref.simples + ref.orthogonal]):
             raise AssertionError("trace disagrees with the root permutation")
     return steps
