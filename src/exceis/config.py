@@ -493,7 +493,7 @@ class Config:
             if want is not None and got != want:
                 raise ConfigError(f"systems.{spec.name}.rho_weighted: computed "
                                   f"{[str(c) for c in got]} != configured {[str(c) for c in want]}")
-            lengths = set(system.lengths.values())
+            lengths = set(system.lengths)
             for key, table in (("multiplicities", spec.multiplicities),
                                ("print_scale", spec.print_scale), ("cblocks", spec.cblocks)):
                 stray = [norm2 for norm2 in table or {} if norm2 not in lengths]

@@ -8,14 +8,14 @@ zeta/Gamma/Pochhammer factors with affine arguments.
 A trace carries the exponent lam by its labels a_j = <lam, alpha_j^vee>
 and the coefficients m_j of lam - w(lam) = sum_j m_j alpha_j, slope and
 intercept each as integer numerators over one denominator fixed at the
-start of the word (`apply_word`).  The Euclidean vector lam - sum_j m_j
-alpha_j is formed on demand, once per row for the printed lambda' and the
-eis functionals (`shifted_exponent`); pairings, c-function blocks and the
-GK oracle read labels.  The end-of-word check is in integers: the final
-labels are those of w(lam) by the root permutation, and lam - sum_j m_j
-alpha_j has them.  That is the Euclidean check of w(lam): a vector is fixed
-by its labels and its part orthogonal to the roots, and lam - sum_j m_j
-alpha_j keeps lam's orthogonal part, which W fixes.
+start of the word (`apply_word`).  The end-of-word check is in integers:
+the final labels are those of w(lam) by the root permutation, and lam -
+sum_j m_j alpha_j has them.  That is the Euclidean check of w(lam): a
+vector is fixed by its labels and its part orthogonal to the roots, and
+lam - sum_j m_j alpha_j keeps lam's orthogonal part, which W fixes.  Only
+then is w(lam) = lam - sum_j m_j alpha_j formed as a vector, once, the
+trace's `final`, which the printed lambda' and the eis functionals read;
+pairings, c-function blocks and the GK oracle read labels.
 
 Analytic inputs are encoded as order lookups at rational points:
 
@@ -62,8 +62,7 @@ class CoordVector:
         """The exponent delta_{P0}^{-1/2} |nu|^s, i.e. s*nu - rho."""
         if system.nu is None:
             raise ValueError(f"system {system.name} has no character nu configured")
-        rho = system.rho_weighted()
-        return cls(system.nu, smul(Fraction(-1), rho))
+        return cls(system.nu, smul(Fraction(-1), system.rho_weighted()))
 
     def entries(self) -> tuple[AffineForm, ...]:
         return tuple(AffineForm(a, b) for a, b in zip(self.slope, self.icept))
@@ -77,27 +76,14 @@ class TraceStep:
     letter: int
     pairing: AffineForm          # coroot pairing before the reflection
     printed: AffineForm          # same, in the system's display normalization
-    moved: tuple                 # the numerators of the m_j after the step, slope and intercept
-    origin: tuple                # the trace's system, start and denominator
-
-    @property
-    def result(self) -> CoordVector:
-        """lambda - sum_j m_j alpha_j after the step, formed on demand."""
-        system, lam, den = self.origin
-        return CoordVector(vsub(lam.slope, system.vector(self.moved[0], den)),
-                           vsub(lam.icept, system.vector(self.moved[1], den)))
 
 
 @dataclass(frozen=True)
 class LambdaTrace:
     word: Word
-    start: CoordVector
     steps: tuple[TraceStep, ...]
     labels: tuple                # of w(lambda): slope and intercept numerators, denominator
-
-    @property
-    def final(self) -> CoordVector:
-        return self.steps[-1].result if self.steps else self.start
+    final: CoordVector           # w(lambda)
 
 
 def apply_word(system: RootSystem, lam: CoordVector, word) -> LambdaTrace:
@@ -108,7 +94,8 @@ def apply_word(system: RootSystem, lam: CoordVector, word) -> LambdaTrace:
     the Cartan matrix from the labels and adds a_j to m_j.  At the end, the
     root permutation w = system.element(word) must give the final labels,
     <w lam, (w alpha_k)^vee> = <lam, alpha_k^vee> for every simple root
-    alpha_k, and the Cartan columns must give them from the m_j.
+    alpha_k, and the Cartan columns must give them from the m_j.  Only then
+    is w(lam) = lam - sum_j m_j alpha_j formed, as the trace's `final`.
     """
     word = tuple(word)
     if not system.is_reduced(word):
@@ -122,8 +109,7 @@ def apply_word(system: RootSystem, lam: CoordVector, word) -> LambdaTrace:
         ms[j] += a
         mi[j] += b
         pairing = AffineForm(Fraction(a, den), Fraction(b, den))
-        steps.append(TraceStep(i, pairing, pairing if scale == 1 else pairing.scale(scale),
-                               (tuple(ms), tuple(mi)), (system, lam, den)))
+        steps.append(TraceStep(i, pairing, pairing if scale == 1 else pairing.scale(scale)))
     p = system.element(word)
     images = [system.coroot_coords[p[k]] for k in system._simple_idx]
     for got, first, m in ((ls, first_s, ms), (li, first_i, mi)):
@@ -131,12 +117,14 @@ def apply_word(system: RootSystem, lam: CoordVector, word) -> LambdaTrace:
                 or list(got) != [f - sum(map(operator.mul, m, col))
                                  for f, col in zip(first, zip(*system.cartan))]):
             raise AssertionError("trace disagrees with the root permutation")
-    return LambdaTrace(word, lam, tuple(steps), (ls, li, den))
+    final = CoordVector(vsub(lam.slope, system.vector(ms, den)),
+                        vsub(lam.icept, system.vector(mi, den)))
+    return LambdaTrace(word, tuple(steps), (ls, li, den), final)
 
 
 def shifted_exponent(system: RootSystem, trace: LambdaTrace) -> CoordVector:
     """w(lambda) + rho, the exponent of the intertwined section: the trace's
-    final vector, formed once from its coefficients, plus rho."""
+    final vector plus rho."""
     final = trace.final
     return CoordVector(final.slope, vadd(final.icept, system.rho_weighted()))
 
@@ -485,8 +473,8 @@ class AbsoluteOracle:
     coordinates (orthogonal projection onto the complement of the kernel
     span, read in the rational basis); the fibre sizes must reproduce the
     rational multiplicity table.  `images` holds the index of each absolute
-    root's rational image, in the order of `absolute.roots`, or None where
-    it restricts to zero.
+    root's rational image, by absolute root index, or None where it
+    restricts to zero.
     """
 
     def __init__(self, absolute: RootSystem, rational: RootSystem,
@@ -509,19 +497,19 @@ class AbsoluteOracle:
             raise ValueError(f"kernel {self.kernel} and nodes {sorted(self.node_map)} do not "
                              f"partition the absolute nodes 1..{n} onto rational nodes")
         rational = self.rational
-        by_coords = {rational.coords(root): k for k, root in enumerate(rational.roots)}
+        by_coords = {c: k for k, c in enumerate(rational.coords)}
         self.images: list[int | None] = []
-        for c in self.absolute._coord_list:
+        for c in self.absolute.coords:
             coeff = [0] * rational.rank
             for i, j in self.node_map.items():
                 coeff[j - 1] += c[i - 1]
             self.images.append(by_coords.get(tuple(coeff)))
             if self.images[-1] is None and any(coeff):
                 raise ValueError("restriction image is not a rational root")
-        for k, root in enumerate(rational.roots):
-            size, mult = self.images.count(k), rational.multiplicity(root)
+        for k, (c, mult) in enumerate(zip(rational.coords, rational.mults)):
+            size = self.images.count(k)
             if size != mult:
-                raise ValueError(f"fibre over {list(rational.coords(root))} has size {size}, "
+                raise ValueError(f"fibre over {list(c)} has size {size}, "
                                  f"expected multiplicity {mult}")
 
     def fundamental_weight(self, node: int) -> Vector:

@@ -3,18 +3,18 @@
 A :class:`RootSystem` is generated from an explicit list of simple roots in
 Euclidean coordinates, given as rationals and held as integer numerators
 over one denominator.  Its roots are closed under the simple reflections in
-simple-root coordinates, with the integer Cartan matrix; each root's
-numerator vector, its squared length (one table, which every length-keyed
-question reads), its coroot in simple-coroot coordinates and the
-multiplicity-weighted root sums behind rho and the modulus characters are
-integer sums, and each root's rational vector is made once.  A vector v is
-read by its labels <v, alpha_j^vee>, integer numerators over one
-denominator (`labels`): s_j subtracts <v, alpha_j^vee> times row j of the
-Cartan matrix from them, and <v, a^vee> is the labels against a's coroot
-coordinates, so pairings never touch a rational vector.  Rational vectors
-serve only at the boundary (input, printed exponents, characters).  Weyl
-elements are canonically the permutations they induce on the roots, a
-faithful action; bracket words [i1,...,iN] are reduced expressions used for
+simple-root coordinates, with the integer Cartan matrix.  A root is its
+index: every table is a list by root index (simple-root coordinates,
+squared length, multiplicity, coroot in simple-coroot coordinates), and
+the squared lengths and the multiplicity-weighted root sums behind rho and
+the modulus characters are integer sums.  A vector v is read by its labels
+<v, alpha_j^vee>, integer numerators over one denominator (`labels`): s_j
+subtracts <v, alpha_j^vee> times row j of the Cartan matrix from them, and
+<v, a^vee> is the labels against a's coroot coordinates, so pairings never
+touch a rational vector.  Rational vectors are made only at the boundary
+(input, printed exponents, characters; `vector`).  Weyl elements are
+canonically the permutations they induce on the root indices, a faithful
+action; bracket words [i1,...,iN] are reduced expressions used for
 display and for factoring intertwining operators, with the rightmost letter
 acting first on vectors.  `RootSystem.word_matrix` is the Euclidean matrix of
 a word, kept as a reference for the tests.
@@ -35,7 +35,7 @@ import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .exactnum import nullspace
 
@@ -64,16 +64,19 @@ def smul(c: Fraction, x: Vector) -> Vector:
     return tuple(c * a for a in x)
 
 
+def builtin_parabolics(rank: int) -> dict[str, frozenset[int]]:
+    """The parabolic labels every system knows, each with its radical's
+    simple roots: G itself as `full` or `G`, the Borel as `P0` or `B`."""
+    borel = frozenset(range(1, rank + 1))
+    return {"full": frozenset(), "G": frozenset(), "P0": borel, "B": borel}
+
+
 @dataclass(frozen=True)
 class ParabolicSpec:
     """Standard parabolic, identified by the simple roots in its unipotent
     radical (empty set means P = G)."""
 
     radical: frozenset[int]
-
-    @classmethod
-    def of(cls, radical: Iterable[int]) -> "ParabolicSpec":
-        return cls(frozenset(radical))
 
     def levi(self, rank: int) -> tuple[int, ...]:
         return tuple(i for i in range(1, rank + 1) if i not in self.radical)
@@ -95,9 +98,7 @@ class RootSystem:
         # the simple roots as integer numerators over one denominator den > 0
         den = math.lcm(*(c.denominator for v in self.simples for c in v))
         nums = [tuple(c.numerator * (den // c.denominator) for c in v) for v in self.simples]
-        # a basis of the vectors orthogonal to every root, which W fixes
-        self.orthogonal: list[Vector] = [tuple(v) for v in nullspace(nums)]
-        if len(self.orthogonal) != self.dim - self.rank:
+        if len(nullspace(nums)) != self.dim - self.rank:
             raise ValueError(f"{name}: simple roots are linearly dependent")
         gram = [[sum(map(operator.mul, a, b)) for b in nums] for a in nums]
         if any(2 * g % gram[j][j] for row in gram for j, g in enumerate(row)):
@@ -110,45 +111,40 @@ class RootSystem:
         images = self._close()
         numerators = {c: tuple(sum(map(operator.mul, c, col)) for col in self._cols)
                       for c in images}
-        coords = sorted(numerators, key=numerators.__getitem__)
-        fractions = {x: Fraction(x, den) for x in set().union(*numerators.values())}
-        self.roots: list[Vector] = [tuple(map(fractions.__getitem__, numerators[c]))
-                                    for c in coords]
-        self._coords: dict[Vector, Coords] | None = None      # made by the first coords()
-        norms = [sum(x * x for x in numerators[c]) for c in coords]
-        norm2 = [Fraction(n, den * den) for n in norms]
+        # the roots' simple-root coordinates, indexed in the order of their vectors
+        self.coords: list[Coords] = sorted(numerators, key=numerators.__getitem__)
+        norms = [sum(x * x for x in numerators[c]) for c in self.coords]
         # the one table of squared lengths, read by every length-keyed question
-        self.lengths: dict[Vector, Fraction] = dict(zip(self.roots, norm2))
-        self._mult = {Fraction(k): int(v) for k, v in (multiplicities or {}).items()}
-        self._mults = [self._mult.get(x, 1) for x in norm2]
+        self.lengths: list[Fraction] = [Fraction(n, den * den) for n in norms]
+        mult = {Fraction(k): int(v) for k, v in (multiplicities or {}).items()}
+        self.mults = [mult.get(x, 1) for x in self.lengths]
         # a^vee = sum_i c_i (alpha_i, alpha_i)/(a, a) alpha_i^vee for a = sum_i c_i alpha_i
         self.coroot_coords: list[Coords] = [
-            tuple(x * g // n for x, g in zip(c, self._gdiag)) for c, n in zip(coords, norms)]
-        index = {c: k for k, c in enumerate(coords)}
-        self._coord_list = coords
-        self._positive = [all(x >= 0 for x in c) for c in coords]
-        if any(not p and any(x > 0 for x in c) for p, c in zip(self._positive, coords)):
+            tuple(x * g // n for x, g in zip(c, self._gdiag)) for c, n in zip(self.coords, norms)]
+        index = {c: k for k, c in enumerate(self.coords)}
+        self._positive = [all(x >= 0 for x in c) for c in self.coords]
+        if any(not p and any(x > 0 for x in c) for p, c in zip(self._positive, self.coords)):
             raise ValueError(f"{name}: simple roots do not form a simple system")
         self._pos_idx = [k for k, p in enumerate(self._positive) if p]
-        self.positives: list[Vector] = [self.roots[k] for k in self._pos_idx]
         self._simple_idx = [index[tuple(int(i == j) for j in range(self.rank))]
                             for i in range(self.rank)]
         # alpha^vee = 2 alpha / (alpha, alpha), one per simple root
         self.coroots: list[Vector] = [tuple(Fraction(2 * x * den, row[i]) for x in n)
                                       for i, (n, row) in enumerate(zip(nums, gram))]
-        self._reflections = [tuple(index[images[c][i]] for c in coords)
+        self._reflections = [tuple(index[images[c][i]] for c in self.coords)
                              for i in range(self.rank)]
-        self._print_scale = {Fraction(k): Fraction(v)
-                             for k, v in (print_coroot_scale or {}).items()}
         self.nu: Vector | None = tuple(Fraction(c) for c in nu) if nu is not None else None
         self.parabolic_labels = dict(parabolic_labels or {})
+        self._parabolics = {**builtin_parabolics(self.rank), **self.parabolic_labels}
         # rho from its doubled simple-root coordinates, and its labels <rho, alpha_j^vee>
         rho2 = self._weighted_coeffs(self._pos_idx)
         self._rho = tuple(x / 2 for x in self.vector(rho2))
         self.rho_labels = [Fraction(sum(map(operator.mul, rho2, col)), 2)
                            for col in self._cartan_cols]
-        self.simple_lengths = [norm2[k] for k in self._simple_idx]
-        self.simple_scales = [self.print_scale(a) for a in self.simples]
+        self.simple_lengths = [self.lengths[k] for k in self._simple_idx]
+        # each simple root's display scale of coroot pairings, as the verified tables print
+        scales = {Fraction(k): Fraction(v) for k, v in (print_coroot_scale or {}).items()}
+        self.simple_scales = [scales.get(x, Fraction(1)) for x in self.simple_lengths]
         self._coset_cache: dict[frozenset[int], list[Word]] = {}
         self._census_cache: dict[tuple[frozenset[int], frozenset[int]], list[Word]] = {}
 
@@ -194,19 +190,10 @@ class RootSystem:
     def _weighted_coeffs(self, indices: list[int]) -> list[int]:
         """The simple-root coordinates of the sum of the roots at the given
         indices, each times its multiplicity."""
-        return [sum(self._mults[k] * self._coord_list[k][i] for k in indices)
+        return [sum(self.mults[k] * self.coords[k][i] for k in indices)
                 for i in range(self.rank)]
 
-    def coords(self, root: Vector) -> Coords:
-        """Coordinates of a root in the simple-root basis."""
-        if self._coords is None:
-            self._coords = dict(zip(self.roots, self._coord_list))
-        return self._coords[root]
-
-    # ----- multiplicities and characters ---------------------------------
-
-    def multiplicity(self, root: Vector) -> int:
-        return self._mult.get(self.lengths[root], 1)
+    # ----- characters -----------------------------------------------------
 
     def rho_weighted(self) -> Vector:
         """Half the multiplicity-weighted sum of positive roots."""
@@ -215,9 +202,9 @@ class RootSystem:
     # ----- words and group elements -------------------------------------
 
     def element(self, word: Sequence[int]) -> Element:
-        """The word's group element as the permutation p it induces on root
-        indices, roots[p[k]] = w(roots[k]); equal elements give equal tuples."""
-        p = tuple(range(len(self.roots)))
+        """The word's group element as the permutation p of the root indices,
+        w(root k) = root p[k]; equal elements give equal tuples."""
+        p = tuple(range(len(self.coords)))
         for i in word:
             p = tuple(map(p.__getitem__, self._reflections[i - 1]))
         return p
@@ -241,36 +228,28 @@ class RootSystem:
         return [k for k in self._pos_idx if not self._positive[p[k]]]
 
     def inversions(self, word: Sequence[int]) -> list[Vector]:
-        """Positive roots sent negative by the word's group element."""
-        return [self.roots[k] for k in self.inversion_indices(word)]
+        """Positive roots sent negative by the word's group element, as vectors."""
+        return [self.vector(self.coords[k]) for k in self.inversion_indices(word)]
 
     def length(self, word: Sequence[int]) -> int:
-        return len(self.inversions(word))
+        return len(self.inversion_indices(word))
 
     def is_reduced(self, word: Sequence[int]) -> bool:
         return self.length(word) == len(word)
 
     # ----- parabolic data -------------------------------------------------
 
-    def parabolic(self, label_or_spec) -> ParabolicSpec:
-        if isinstance(label_or_spec, ParabolicSpec):
-            return label_or_spec
-        if isinstance(label_or_spec, str):
-            label = label_or_spec
-            if label in self.parabolic_labels:
-                return ParabolicSpec(self.parabolic_labels[label])
-            if label in ("full", "G"):
-                return ParabolicSpec(frozenset())
-            if label in ("P0", "B"):
-                return ParabolicSpec(frozenset(range(1, self.rank + 1)))
+    def parabolic(self, label: str) -> ParabolicSpec:
+        """The parabolic of a configured label, or else of a built-in one."""
+        if label not in self._parabolics:
             raise KeyError(f"unknown parabolic {label!r} for system {self.name}")
-        return ParabolicSpec.of(label_or_spec)
+        return ParabolicSpec(self._parabolics[label])
 
     def _radical(self, p: ParabolicSpec) -> list[int]:
         """Indices of the positive roots in the unipotent radical of P."""
         levi = set(p.levi(self.rank))
         nodes = [i for i in range(self.rank) if i + 1 not in levi]
-        return [k for k in self._pos_idx if any(self._coord_list[k][i] for i in nodes)]
+        return [k for k in self._pos_idx if any(self.coords[k][i] for i in nodes)]
 
     def modulus_exponent(self, p: ParabolicSpec) -> Fraction:
         """Exponent s_P with delta_P = |nu|^{s_P}, for maximal P.
@@ -292,13 +271,6 @@ class RootSystem:
         if any(a * nu[j] != x * acc[j] for a, x in zip(acc, nu)):
             raise ValueError("delta_P is not proportional to nu on the root lattice")
         return Fraction(acc[j] * d, nu[j])
-
-    # ----- pairings -------------------------------------------------------
-
-    def print_scale(self, root: Vector) -> Fraction:
-        """Scale applied to coroot pairings for display, matching the
-        per-system convention used in the verified tables."""
-        return self._print_scale.get(self.lengths[root], Fraction(1))
 
     # ----- coset enumeration ----------------------------------------------
 

@@ -15,7 +15,7 @@ from exceis.eiscalc import (KINDS, CoordVector, ZetaFactor, ZetaProduct,
                             shifted_label)
 from exceis.exactnum import AffineForm
 from exceis.rootsys import RootSystem, dot
-from weyl_reference import gk_cfunction, mat_vec, printed_pairing
+from weyl_reference import ReferenceSystem, gk_cfunction, mat_vec, printed_pairing
 
 
 @pytest.fixture(scope="module")
@@ -78,7 +78,8 @@ class TestLambdaAndTraces:
         assert str(shifted_label(f4, tr, 2)) == "s-17"
         # the Euclidean pairings of the Euclidean w(lambda) + rho agree
         lp = shifted_exponent(f4, tr)
-        assert [printed_pairing(f4, lp, a) for a in f4.simples[:2]] \
+        ref = ReferenceSystem(cfg.systems["F4"])
+        assert [printed_pairing(ref, lp, a) for a in f4.simples[:2]] \
             == [shifted_label(f4, tr, 1), shifted_label(f4, tr, 2)]
 
 

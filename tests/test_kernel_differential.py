@@ -1,8 +1,9 @@
 """The verifier's root-system build and lambda-traces against the Fraction
 path kept in tests/weyl_reference.py.  On all 15 configured systems the two
 give the same roots in the same order with the same coordinates, the same
-Cartan matrix, weighted rho and orthogonal basis, and the same squared
-length, multiplicity and print scale for every root; and the same trace
+Cartan matrix and weighted rho, labels zero on the reference's orthogonal
+basis, the same squared length and multiplicity for every root and the
+same print scale for every simple root; and the same trace
 (every step's pairing, printed pairing and vector, the vector read as the
 final vector of the word's suffix of that many letters) for every
 configured row word and for random reduced words from random start
@@ -33,21 +34,22 @@ def test_every_configured_system():
 class TestBuild:
     def test_roots_in_order_with_coordinates(self, name):
         sys, ref = CFG.system(name), REFERENCE[name]
-        assert sys.roots == ref.roots
-        assert [sys.coords(r) for r in sys.roots] == ref.coords
-        assert sys.positives == [r for r, c in zip(ref.roots, ref.coords) if min(c) >= 0]
+        assert [sys.vector(c) for c in sys.coords] == ref.roots
+        assert sys.coords == ref.coords
+        assert sys._pos_idx == [k for k, c in enumerate(ref.coords) if min(c) >= 0]
 
     def test_cartan_rho_orthogonal(self, name):
         sys, ref = CFG.system(name), REFERENCE[name]
         assert sys.cartan == ref.cartan
         assert sys.rho_weighted() == ref.rho
-        assert sys.orthogonal == ref.orthogonal
+        # W fixes the vectors orthogonal to every root: their labels are zero
+        assert sys.labels(*ref.orthogonal)[0] == [[0] * sys.rank] * (sys.dim - sys.rank)
 
     def test_length_multiplicity_print_scale(self, name):
         sys, ref = CFG.system(name), REFERENCE[name]
-        assert [sys.lengths[r] for r in sys.roots] == ref.norm2
-        assert [sys.multiplicity(r) for r in sys.roots] == ref.mult
-        assert [sys.print_scale(r) for r in sys.roots] == ref.print_scale
+        assert sys.lengths == ref.norm2
+        assert sys.mults == ref.mult
+        assert sys.simple_scales == [ref.print_scale[ref.roots.index(a)] for a in ref.simples]
 
 
 def assert_same_trace(name, lam: CoordVector, word) -> None:
@@ -112,14 +114,16 @@ def test_shifted_labels_and_oracle_products():
             trace = apply_word(sys, lam, word)
             lp = shifted_exponent(sys, trace)
             assert [shifted_label(sys, trace, j) for j in range(1, sys.rank + 1)] \
-                == [printed_pairing(sys, lp, a) for a in sys.simples], (name, word)
+                == [printed_pairing(REFERENCE[case.system], lp, a) for a in sys.simples], \
+                (name, word)
             rows += 1
         if case.oracle:
             oracle = CFG.oracle(name)
             for word in words:
                 flipped = set(sys.inversion_indices(word))
-                roots = [r for r, k in zip(oracle.absolute.roots, oracle.images)
-                         if r in oracle.absolute.positives and k in flipped]
+                ref = REFERENCE[oracle.absolute.name]
+                roots = [r for r, c, k in zip(ref.roots, ref.coords, oracle.images)
+                         if min(c) >= 0 and k in flipped]
                 assert oracle.gk_restricted(word) == gk_product(oracle.lambda_abs, roots)
                 products += 1
     assert rows > 0 and products > 0

@@ -8,7 +8,7 @@ from exceis.exactnum import solve
 from exceis.rootsys import ParabolicSpec, RootSystem, dot
 from weyl_reference import (coroot_pairing, enumerate_group, identity_matrix, is_positive_root,
                             label_pairing, levi_positive_count, longest_rep, mat_mul, mat_vec,
-                            reference_reflect, weyl_order)
+                            positive_roots, reference_reflect, root_vectors, weyl_order)
 from weyl_reference import word_matrix as reference_word_matrix
 
 
@@ -20,17 +20,17 @@ def cfg():
 class TestGenerate:
     def test_f4(self, cfg):
         f4 = cfg.system("F4")
-        assert len(f4.roots) == 48
+        assert len(f4.coords) == 48
         assert weyl_order(f4) == 1152
 
     def test_g2(self, cfg):
         g2 = cfg.system("G2")
-        assert len(g2.roots) == 12
+        assert len(g2.coords) == 12
         assert weyl_order(g2) == 12
 
     def test_d4_simple_roots(self, cfg):
         d4 = cfg.system("D4")
-        assert len(d4.roots) == 24
+        assert len(d4.coords) == 24
         assert d4.simples[0] == (1, -1, 0, 0)
         assert d4.simples[3] == (0, 0, 1, 1)
 
@@ -47,24 +47,23 @@ class TestGenerate:
         }
         for name, (nroots, order) in expected.items():
             sys = cfg.system(name)
-            assert len(sys.roots) == nroots
+            assert len(sys.coords) == nroots
             assert weyl_order(sys) == order
 
     def test_coords_recombine_to_root(self, cfg):
         assert len(cfg.raw["systems"]) == 15
         for name in cfg.raw["systems"]:
             sys = cfg.system(name)
-            for r in sys.roots:
-                c = sys.coords(r)
+            for c in sys.coords:
                 assert tuple(sum(c[i] * a[d] for i, a in enumerate(sys.simples))
-                             for d in range(sys.dim)) == r
+                             for d in range(sys.dim)) == sys.vector(c)
 
     def test_reflections_preserve_roots_and_form(self, cfg):
         sys = cfg.system("F4")
-        roots = set(sys.roots)
+        roots = set(root_vectors(sys))
         for i in range(1, sys.rank + 1):
             m = sys.word_matrix([i])
-            for r in sys.roots:
+            for r in roots:
                 assert mat_vec(m, r) in roots
             # orthogonality: columns have the same pairwise dots as the basis
             cols = list(zip(*m))
@@ -138,7 +137,7 @@ class TestCosets:
             sys = cfg.system(name)
             p = sys.parabolic(lab)
             w0 = longest_rep(sys, p)
-            assert len(w0) == len(sys.positives) - levi_positive_count(sys, p)
+            assert len(w0) == len(positive_roots(sys)) - levi_positive_count(sys, p)
 
     def test_c3_siegel_longest(self, cfg):
         # length 6, equal as a group element to the product of the four
@@ -220,7 +219,7 @@ class TestPairingsAndModulus:
     def test_modulus_rejects_non_maximal(self, cfg):
         sys = cfg.system("F4")
         with pytest.raises(ValueError):
-            sys.modulus_exponent(ParabolicSpec.of([1, 2]))
+            sys.modulus_exponent(ParabolicSpec(frozenset({1, 2})))
 
     def test_weighted_rho(self, cfg):
         assert cfg.system("C3").rho_weighted() == (17, 9, 1)
@@ -240,7 +239,7 @@ def _configured_parabolics(sys):
 
 def _matrix_inversions(sys, word):
     m = sys.word_matrix(word)
-    return [r for r in sys.positives if not is_positive_root(sys, mat_vec(m, r))]
+    return [r for r in positive_roots(sys) if not is_positive_root(sys, mat_vec(m, r))]
 
 
 def _matrix_in_left_set(sys, word, left):
@@ -345,8 +344,8 @@ class TestIntegerKernelAgainstMatrices:
         assert len(names) == 4
         for name in names:
             oracle = cfg.oracle(name)
-            for r, k in zip(oracle.absolute.roots, oracle.images):
-                image = None if k is None else oracle.rational.roots[k]
+            for r, k in zip(root_vectors(oracle.absolute), oracle.images):
+                image = None if k is None else root_vectors(oracle.rational)[k]
                 assert image == _projected_restriction(oracle, r), (name, r)
 
 

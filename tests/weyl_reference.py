@@ -7,8 +7,8 @@ product of its letters' matrices, and the whole group by a breadth-first
 search over matrices.  The differential tests compare the integer kernel,
 and `RootSystem.word_matrix`, against it.
 
-It also holds the root-system facts that only the tests use: positivity of
-a vector, |W| from the heights of the positive roots, the size of a Levi's
+It also holds the root-system facts that only the tests use: the
+Euclidean vector of each root index, positivity of a vector, |W| from the heights of the positive roots, the size of a Levi's
 positive system, the longest minimal coset representative, the sign
 normalisation of an affine pairing, and the Gindikin-Karpelevich
 c-function of a word over a split system, read off its inversion set,
@@ -22,6 +22,7 @@ step, with the Euclidean cross-check of the final vector.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cache
 
 from exceis.eiscalc import CoordVector, ZetaFactor, ZetaProduct
 from exceis.exactnum import AffineForm
@@ -77,8 +78,20 @@ def enumerate_group(sys, max_order: int = 2000) -> dict[Matrix, tuple[int, ...]]
     return seen
 
 
+@cache
+def root_vectors(sys) -> list[Vector]:
+    """The Euclidean vector of each root, by root index."""
+    return [sys.vector(c) for c in sys.coords]
+
+
+@cache
+def positive_roots(sys) -> list[Vector]:
+    """The Euclidean vectors of the positive roots, by root index."""
+    return [v for v, c in zip(root_vectors(sys), sys.coords) if min(c) >= 0]
+
+
 def is_positive_root(sys, v: Vector) -> bool:
-    return v in sys.positives
+    return v in positive_roots(sys)
 
 
 def weyl_order(sys) -> int:
@@ -87,7 +100,7 @@ def weyl_order(sys) -> int:
     The partition of Phi+ by height is conjugate to the partition given
     by the exponents, and |W| is the product of (exponent + 1).
     """
-    heights = [sum(sys.coords(r)) for r in sys.positives]
+    heights = [sum(c) for c in sys.coords if min(c) >= 0]
     counts = [heights.count(h) for h in range(1, max(heights) + 1)]
     order = 1
     for k in range(1, sys.rank + 1):
@@ -98,7 +111,7 @@ def weyl_order(sys) -> int:
 def levi_positive_count(sys, p: ParabolicSpec) -> int:
     """The number of positive roots of the Levi: those with no coordinate on a
     simple root of the radical."""
-    return sum(all(sys.coords(r)[i - 1] == 0 for i in p.radical) for r in sys.positives)
+    return sum(min(c) >= 0 and all(c[i - 1] == 0 for i in p.radical) for c in sys.coords)
 
 
 def longest_rep(sys, right: ParabolicSpec) -> Word:
@@ -123,16 +136,16 @@ def coroot_pairing(lam: CoordVector, root: Vector) -> AffineForm:
     return AffineForm(2 * dot(lam.slope, root) / na, 2 * dot(lam.icept, root) / na)
 
 
-def printed_pairing(sys, lam: CoordVector, root: Vector) -> AffineForm:
-    """<lam, root^vee> in the system's display normalization."""
-    return coroot_pairing(lam, root).scale(sys.print_scale(root))
+def printed_pairing(ref, lam: CoordVector, root: Vector) -> AffineForm:
+    """<lam, root^vee> in the display normalization of a ReferenceSystem."""
+    return coroot_pairing(lam, root).scale(ref.print_scale[ref.roots.index(root)])
 
 
 def label_pairing(sys, lam: CoordVector, root: Vector) -> AffineForm:
     """<lam, root^vee> as the verifier reads it: lam's simple-coroot labels
     against the root's coroot coordinates."""
     (ls, li), den = sys.labels(lam.slope, lam.icept)
-    c = sys.coroot_coords[sys.roots.index(root)]
+    c = sys.coroot_coords[root_vectors(sys).index(root)]
     return AffineForm(Fraction(dot(c, ls), den), Fraction(dot(c, li), den))
 
 
