@@ -55,7 +55,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .exactnum import inverse, is_odd_prime, nullspace
+from .exactnum import _numerators, inverse, is_odd_prime, nullspace
 
 
 class RationalScalars:
@@ -738,21 +738,11 @@ def _smat_product(ring, factors: list) -> ScaledMatrix:
     return out
 
 
-def _int_coords(x) -> tuple[list[int], int]:
-    """Clear denominators: x = vec/den with integer vec."""
-    den = 1
-    for c in x:
-        if isinstance(c, Fraction):
-            den = den * c.denominator // math.gcd(den, c.denominator)
-    vec = [int(c * den) for c in x]
-    return vec, den
-
-
 def cleared_inverse(gram) -> ScaledMatrix:
     """The inverse of a rational square matrix as an integer matrix over
     one denominator."""
     n = len(gram)
-    flat, den = _int_coords([v for row in inverse(gram) for v in row])
+    flat, den = _numerators([v for row in inverse(gram) for v in row])
     return ScaledMatrix([flat[i * n:(i + 1) * n] for i in range(n)], den)
 
 
@@ -812,7 +802,7 @@ def triality_triple(o: OctonionAlgebra, pairs) -> TrialityTriple:
     num = den = 1
     f1, f2, f3 = [], [], []
     for a, b in pairs:
-        (av, ad), (bv, bd) = _int_coords(a), _int_coords(b)
+        (av, ad), (bv, bd) = _numerators(a), _numerators(b)
         na, nb = o.norm(av), o.norm(bv)
         if na == 0 or nb == 0:
             raise ValueError("triality generators need nonzero norms")

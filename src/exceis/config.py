@@ -20,9 +20,9 @@ from pathlib import Path
 import yaml
 
 from .archmult import MatrixRecipe, RecipeCatalog, parse_tokens
-from .eiscalc import AbsoluteOracle, BlockRule, ZetaProduct
+from .eiscalc import ETALE_VARIANTS, AbsoluteOracle, BlockRule, ZetaProduct
 from .exactnum import AffineForm, is_odd_prime
-from .rootsys import RootSystem, dot
+from .rootsys import RootSystem, builtin_parabolics, dot
 
 CONFIG_VERSION = 1
 
@@ -232,6 +232,18 @@ def _gammas(x) -> list[int]:
     return gammas
 
 
+def _str(x) -> str:
+    if not isinstance(x, str):
+        raise ValueError("expected a string")
+    return x
+
+
+def _etale_variant(x) -> str:
+    if x not in ETALE_VARIANTS:
+        raise ValueError(f"{x} is not one of {', '.join(ETALE_VARIANTS)}")
+    return x
+
+
 def _bool(x) -> bool:
     if not isinstance(x, bool):
         raise ValueError("expected a boolean")
@@ -320,6 +332,15 @@ def _system(systems: dict[str, SystemSpec], name, cblocks: bool = False) -> Syst
     return spec
 
 
+def _parabolic(x, spec: SystemSpec) -> str:
+    """A parabolic label of the system: one of its parabolics or a built-in
+    label."""
+    labels = {**builtin_parabolics(len(spec.simple_roots)), **spec.parabolics}
+    if not isinstance(x, str) or x not in labels:
+        raise ValueError(f"{x} is no parabolic of {spec.name}")
+    return x
+
+
 def _parse_oracle(m: _Map, systems: dict[str, SystemSpec], rank: int) -> OracleSpec:
     """A case's oracle map: kernel and nodes partition the absolute nodes,
     and nodes sends each to a node 1..rank of the case's system."""
@@ -387,15 +408,16 @@ def _parse_case(name: str, m: _Map, systems: dict[str, SystemSpec]) -> CaseSpec:
     cblocks give the case's c-function rules."""
     system = m.req("system", partial(_system, systems, cblocks=True))
     rank, dim = len(system.simple_roots), len(system.simple_roots[0])
-    variant = m.get("etale_variant", default="")
+    variant = m.get("etale_variant", _etale_variant, "")
+    label = partial(_parabolic, spec=system)
     return CaseSpec(
-        name=name, system=system.name, source=m.req("source"), s0=m.req("s0", _fr),
+        name=name, system=system.name, source=m.req("source", label), s0=m.req("s0", _fr),
         lambda_printed=m.get("lambda_printed", partial(_list, convert=_affine)),
         etale_variant=variant,
         rules={norm2: BlockRule(templates, variant=variant)
                for norm2, templates in system.cblocks.items()},
         oracle=_parse_oracle(m.map("oracle"), systems, rank) if "oracle" in m.spec else None,
-        tables=[TableSpec(target=t.req("target"),
+        tables=[TableSpec(target=t.req("target", label),
                           rows=[_parse_row(r, rank, dim, variant) for r in t.entries("rows")])
                 for t in m.entries("tables")],
         aliases=m.get("aliases", _list, []))
@@ -423,10 +445,10 @@ def _parse_recipes(arch: _Map, claimed: dict) -> dict[str, MatrixRecipe]:
     above, so that no recipe can lead back to itself."""
     recipes: dict[str, MatrixRecipe] = {}
     for r, case, word in _arch_entries(arch, "recipes", claimed):
-        name = r.req("name")
+        name = r.req("name", _str)
         if name in recipes:
             raise ConfigError(f"{r.at('name')}: {name} names an earlier recipe too")
-        text, tokens = r.req("tokens", lambda x: (x, parse_tokens(x)))
+        text, tokens = r.req("tokens", lambda x: (x, parse_tokens(_str(x))))
         unknown = [t.ref for t in tokens if t.kind == "ref" and t.ref not in recipes]
         if unknown:
             raise ConfigError(f"{r.at('tokens')}: @{unknown[0]} names no recipe listed above")
@@ -437,6 +459,13 @@ def _parse_recipes(arch: _Map, claimed: dict) -> dict[str, MatrixRecipe]:
             derivative=checks.get("derivative", _pattern),
             min_vanishing_order=r.get("min_vanishing_order", _int))
     return recipes
+
+
+def _modulus_check(m: _Map, systems: dict[str, SystemSpec]) -> ModulusCheck:
+    """One modulus check, on a parabolic label of the system it names."""
+    spec = m.req("system", partial(_system, systems))
+    return ModulusCheck(m.spec["system"], m.req("parabolic", partial(_parabolic, spec=spec)),
+                        m.req("expect", _fr))
 
 
 class Config:
@@ -462,8 +491,7 @@ class Config:
                                for u, case, word in _arch_entries(arch, "unprinted", claimed)]
         self.arch_claims: dict[tuple[str, tuple[int, ...]], MatrixRecipe | UnprintedArch] = {
             (c.case, c.word): c for c in [*self.catalog.recipes.values(), *self.unprinted_arch]}
-        self.modulus_checks = [ModulusCheck(m.req("system"), m.req("parabolic"),
-                                            m.req("expect", _fr))
+        self.modulus_checks = [_modulus_check(m, self.systems)
                                for m in top.entries("modulus_checks")]
         algebras = top.map("algebras")
         self.algebras = {k: algebras.req(k, _gammas) for k in ("definite", "split")}

@@ -206,20 +206,26 @@ def parse_factor(text: str, variant: str = "") -> tuple[ZetaFactor, int]:
     return f, int(expo) if expo else 1
 
 
+# the Dedekind zeta of a split etale algebra as the product over its field
+# factors, by kind and variant: zetaE over Q^3 = zeta^3, zetaE over Q x F =
+# zeta zetaF, zetaF over Q x Q = zeta^2
+_SPLIT_PIECES = {("zetaE", "split3"): [("zeta", 3)],
+                 ("zetaE", "QxF"): [("zeta", 1), ("zetaF", 1)],
+                 ("zetaF", "split"): [("zeta", 2)]}
+# the etale algebra behind a case's zetaE/zetaF factors: a field, or split
+ETALE_VARIANTS = ("field", *(variant for _, variant in _SPLIT_PIECES))
+
+
 def base_pieces(f: ZetaFactor) -> list[tuple[ZetaFactor, int]]:
     """The factor as (base factor, exponent) pairs: zetaTheta(x) =
-    zeta(x) zeta(x-3), and the Dedekind zeta of a split etale algebra is the
-    product over its field factors (zetaE over Q^3 = zeta^3, zetaE over
-    Q x F = zeta zetaF, zetaF over Q x Q = zeta^2).  Every other factor is
-    its own piece.  The pieces keep the factor's symbol."""
+    zeta(x) zeta(x-3), and a split Dedekind zeta is its _SPLIT_PIECES, a
+    zetaF piece over a field.  Every other factor is its own piece.  The
+    pieces keep the factor's symbol."""
     if f.kind == "zetaTheta":
         return [(replace(f, kind="zeta"), 1), (replace(f, kind="zeta", arg=f.arg.shift(-3)), 1)]
-    if f.kind == "zetaE" and f.variant == "split3":
-        return [(replace(f, kind="zeta"), 3)]
-    if f.kind == "zetaE" and f.variant == "QxF":
-        return [(replace(f, kind="zeta"), 1), (replace(f, kind="zetaF", variant="field"), 1)]
-    if f.kind == "zetaF" and f.variant == "split":
-        return [(replace(f, kind="zeta"), 2)]
+    pieces = _SPLIT_PIECES.get((f.kind, f.variant))
+    if pieces:
+        return [(replace(f, kind=kind, variant="field"), e) for kind, e in pieces]
     return [(f, 1)]
 
 

@@ -496,6 +496,22 @@ LEAVES = [
      "algebras.split: [-1, 0, 1] is not three entries of 1 or -1"),
     (lambda raw: raw["algebras"].update(definite=[-1, -1]),
      "algebras.definite: expected 3 entries, got 2"),
+    (lambda raw: raw["cases"]["GE-field"]["tables"][0].update(target=5),
+     "cases.GE-field.tables[0].target: 5 is no parabolic of G2-GEfield"),
+    (lambda raw: raw["cases"]["GE-field"]["tables"][0].update(target="P9"),
+     "cases.GE-field.tables[0].target: P9 is no parabolic of G2-GEfield"),
+    (lambda raw: raw["cases"]["GE-field"].update(source=[1]),
+     "cases.GE-field.source: [1] is no parabolic of G2-GEfield"),
+    (lambda raw: raw["modulus_checks"][0].update(system="D5abz"),
+     "modulus_checks[0].system: D5abz is no system"),
+    (lambda raw: raw["modulus_checks"][0].update(parabolic="P7"),
+     "modulus_checks[0].parabolic: P7 is no parabolic of D5abs"),
+    (lambda raw: raw["cases"]["GE-field"].update(etale_variant="feld"),
+     "cases.GE-field.etale_variant: feld is not one of field, split3, QxF, split"),
+    (lambda raw: _recipe(raw, "v212").update(name=["v212"]),
+     "arch.recipes[0].name: expected a string"),
+    (lambda raw: _recipe(raw, "v212").update(tokens=[1, 2]),
+     "arch.recipes[0].tokens: expected a string"),
 ]
 LEAF_IDS = ["word-zero", "word-negative", "pairing-root", "eis-root", "action-r0",
             "action-r3", "no-cblocks", "min_vanishing_order", "order-total", "case-s0",
@@ -508,7 +524,9 @@ LEAF_IDS = ["word-zero", "word-negative", "pairing-root", "eis-root", "action-r0
             "claims-count-float", "cfunction-factor", "eis-printed", "nu-length",
             "nu-orthogonal", "claims-primes", "claims-primes-even", "claims-qxf-square",
             "claims-qxf-negative", "claims-count-zero", "algebras-split-zero",
-            "algebras-definite-length"]
+            "algebras-definite-length", "target-type", "target-unknown", "source-type",
+            "modulus-system", "modulus-parabolic", "etale-variant", "recipe-name",
+            "recipe-tokens"]
 
 
 class TestShapeAtLoad:
@@ -563,7 +581,13 @@ class TestShapeAtLoad:
               ("nu-length", ["modulus"]), ("nu-orthogonal", ["modulus"]),
               ("claims-primes", ["modulus"]), ("claims-qxf-square", ["modulus"]),
               ("claims-count-zero", ["modulus"]), ("algebras-split-zero", ["modulus"]),
-              ("eis-root-not-in-assoc", ["constant-term", "F4-heis", "P1", "P4"])]],
+              ("eis-root-not-in-assoc", ["constant-term", "F4-heis", "P1", "P4"]),
+              ("target-type", ["constant-term", "GE-field", "P1", "P1"]),
+              ("target-unknown", ["constant-term", "GE-field", "P1", "P1"]),
+              ("source-type", ["constant-term", "GE-field", "P1", "P1"]),
+              ("modulus-system", ["modulus"]), ("modulus-parabolic", ["modulus"]),
+              ("etale-variant", ["constant-term", "GE-field", "P1", "P1"]),
+              ("recipe-name", ["arch"]), ("recipe-tokens", ["arch"])]],
     ], ids=["unprintd", "top-level", "checks-modulus", "checks-arch", "word-modulus",
             "word-constant-term", "systems-modulus", "modulus_checks-oracle",
             "word-zero", "min_vanishing_order", "order-total", "eis-functional-length",
@@ -571,7 +595,9 @@ class TestShapeAtLoad:
             "algebras-split", "claims-count", "claims-count-float", "cfunction-factor",
             "eis-printed", "nu-length", "nu-orthogonal", "claims-primes",
             "claims-qxf-square", "claims-count-zero", "algebras-split-zero",
-            "eis-root-not-in-assoc"])
+            "eis-root-not-in-assoc", "target-type", "target-unknown", "source-type",
+            "modulus-system", "modulus-parabolic", "etale-variant", "recipe-name",
+            "recipe-tokens"])
     def test_cli_exits_1_at_load(self, tmp_path, edit, args, message):
         raw = copy.deepcopy(load_config().raw)
         edit(raw)

@@ -98,6 +98,17 @@ class TestCosets:
         full = sys.parabolic("full")
         assert sys.double_coset_reps(full, full) == [()]
 
+    def test_builtin_labels(self, cfg):
+        d4 = cfg.system("D4")
+        assert d4.parabolic("full") == d4.parabolic("G") == ParabolicSpec(frozenset())
+        assert d4.parabolic("P0") == d4.parabolic("B") == ParabolicSpec(frozenset({1, 2, 3, 4}))
+        with pytest.raises(KeyError, match="unknown parabolic 'P9' for system D4"):
+            d4.parabolic("P9")
+        # a configured label wins over a built-in one
+        own = RootSystem("A2", [["1", "-1", "0"], ["0", "1", "-1"]],
+                         parabolic_labels={"B": frozenset({1})})
+        assert own.parabolic("B") == ParabolicSpec(frozenset({1}))
+
     def test_f4_coset_count_quotient(self, cfg):
         # |[W/W_M1]| = |W(F4)| / |W(C3)|
         f4 = cfg.system("F4")
