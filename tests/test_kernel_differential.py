@@ -3,15 +3,14 @@ path kept in tests/weyl_reference.py.  On all 15 configured systems the two
 give the same roots in the same order with the same coordinates, the same
 Cartan matrix and weighted rho, labels zero on the reference's orthogonal
 basis, the same squared length and multiplicity for every root and the
-same print scale for every simple root; and the same trace
-(every step's pairing, printed pairing and vector, the vector read as the
-final vector of the word's suffix of that many letters) for every
-configured row word and for random reduced words from random start
-vectors.  Each trace is also compared with `fraction_trace`, the
-Fraction-vector trace the verifier ran before it carried simple-coroot
-labels.  Last, the
-pairings read off labels (the printed pairings of w(lambda) + rho, the
-oracle's GK products) against Euclidean pairings."""
+same print scale for every simple root; and the same trace (every step's
+pairing, printed pairing and vector, the vector read as the final vector
+of the word's suffix of that many letters) for every configured row word
+and for random reduced words from random start vectors.  Each trace is
+also compared with `fraction_trace`, the Fraction-vector trace the
+verifier ran before it carried simple-coroot labels.  Last, the pairings
+read off labels (the printed pairings of w(lambda) + rho, the oracle's GK
+products) against Euclidean pairings."""
 
 import pytest
 from hypothesis import given, settings

@@ -8,15 +8,17 @@ search over matrices.  The differential tests compare the integer kernel,
 and `RootSystem.word_matrix`, against it.
 
 It also holds the root-system facts that only the tests use: the
-Euclidean vector of each root index, positivity of a vector, |W| from the heights of the positive roots, the size of a Levi's
-positive system, the longest minimal coset representative, the sign
-normalisation of an affine pairing, and the Gindikin-Karpelevich
-c-function of a word over a split system, read off its inversion set,
-with the Euclidean coroot pairing <lam, a^vee> = 2 (lam, a)/(a, a).
+Euclidean vector of each root index, positivity of a vector, |W| from the
+heights of the positive roots, the size of a Levi's positive system, the
+longest minimal coset representative, the sign normalisation of an affine
+pairing, and the Gindikin-Karpelevich c-function of a word over a split
+system, read off its inversion set, with the Euclidean coroot pairing
+<lam, a^vee> = 2 (lam, a)/(a, a).
 
 Last, `fraction_trace` is the verifier's lambda-trace as it stood before
 the trace carried simple-coroot labels: Fraction vectors reflected step by
-step, with the Euclidean cross-check of the final vector.
+step, with the Euclidean cross-check of the final vector on the roots and
+orthogonal basis of a `ReferenceSystem`.
 """
 
 from __future__ import annotations
