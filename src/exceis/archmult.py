@@ -102,12 +102,10 @@ class MatrixRecipe:
 
 
 class RecipeCatalog:
-    """The printed recipes by name, and the memo of their values and
-    verdicts."""
+    """The printed recipes by name, and the memo of their verdicts."""
 
     def __init__(self, recipes: dict[str, MatrixRecipe]):
         self.recipes = recipes
-        self._values: dict[str, MultiplierVector] = {}
         self._verdicts: dict[str, tuple[MultiplierVector, PatternCheck]] = {}
 
     def verdict(self, recipe: MatrixRecipe) -> tuple[MultiplierVector, PatternCheck]:
@@ -122,15 +120,13 @@ class RecipeCatalog:
 
     def evaluate(self, recipe: MatrixRecipe) -> MultiplierVector:
         """Exact right-to-left evaluation over polynomial numerators and one
-        denominator, memoized by recipe name (the vectors are immutable)."""
-        if recipe.name in self._values:
-            return self._values[recipe.name]
+        denominator; a referenced recipe's vector is read off its verdict."""
         vec: MultiplierVector | None = None
         for tok in reversed(recipe.tokens):
             if tok.kind == "base":
                 vec = MultiplierVector((Poly(), Poly(), Poly.const(1)), Poly.const(1))
             elif tok.kind == "ref":
-                vec = self.evaluate(self.recipes[tok.ref])
+                vec = self.verdict(self.recipes[tok.ref])[0]
             elif tok.kind == "d":
                 factors, den = diag_factors(tok.arg)
                 for _ in range(tok.power):
@@ -141,7 +137,6 @@ class RecipeCatalog:
                 vec = MultiplierVector(
                     tuple(sum((n.scale(c) for c, n in zip(row, vec.nums)), Poly())
                           for row in m), vec.den)
-        self._values[recipe.name] = vec
         return vec
 
 

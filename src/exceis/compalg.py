@@ -300,9 +300,6 @@ class OctonionAlgebra:
         z = self.scalars.of(0)
         return (z,) * 8
 
-    def one(self) -> tuple:
-        return self.basis(0)
-
     def basis(self, k: int) -> tuple:
         return tuple(self.scalars.of(int(i == k)) for i in range(8))
 
@@ -358,7 +355,7 @@ class OctonionAlgebra:
         return num, den
 
 
-def split_octonions(scalars=None, gammas=(-1, -1, 1)) -> OctonionAlgebra:
+def split_octonions(gammas, scalars=None) -> OctonionAlgebra:
     return OctonionAlgebra(scalars or RationalScalars(), gammas, "split")
 
 
@@ -578,7 +575,7 @@ class CubicEtale:
                 raise ValueError("QxF needs a positive integer discriminant parameter")
             if math.isqrt(d.numerator) ** 2 == d.numerator:
                 raise ValueError("QxF discriminant must be a nonsquare")
-            u = self._imaginary_of_norm(d - 1)
+            u = self._imaginary_of_norm(d.numerator - 1)
             z = j.oct.zero()
             # (1,0) -> diag(1,0,0); (0,1) -> diag(0,1,1); sqrt(d)-part has
             # x2 = x3 = 0 and squares to d on the F-component.
@@ -589,27 +586,18 @@ class CubicEtale:
             return self._field_embedding(self.descriptor[1])
         raise ValueError(f"unknown etale descriptor {kind!r}")
 
-    def _imaginary_of_norm(self, n: Fraction) -> tuple:
-        """A trace-zero octonion of the given norm (definite flavor: an
-        integral sum-of-squares representation on the imaginary units)."""
-        n = Fraction(n)
-        if n.denominator != 1 or n < 0:
-            raise ValueError("need a nonnegative integer norm at desk scale")
-        target = n.numerator
-        # greedy four-square decomposition over the first imaginary units
-        coords = [0] * 8
-        rem = target
-        idx = 1
-        while rem > 0 and idx < 8:
-            c = int(math.isqrt(rem))
-            while c > 0 and not _is_sum_of_squares(rem - c * c, 7 - idx):
-                c -= 1
-            coords[idx] = c
-            rem -= c * c
-            idx += 1
-        if rem != 0:
-            raise ValueError(f"cannot represent {target} on seven imaginary units")
-        return self.jordan.oct.of_coords(coords)
+    def _imaginary_of_norm(self, n: int) -> tuple:
+        """A trace-zero integral octonion of norm n >= 0 (definite flavor):
+        n = a^2 + b^2 + c^2 + e^2 on e1..e4, with a, b and c each counted
+        down from its largest value and e read off the remainder.  By
+        Lagrange's four-square theorem the search always ends."""
+        for a in range(math.isqrt(n), -1, -1):
+            for b in range(math.isqrt(n - a * a), -1, -1):
+                for c in range(math.isqrt(n - a * a - b * b), -1, -1):
+                    rem = n - a * a - b * b - c * c
+                    e = math.isqrt(rem)
+                    if e * e == rem:
+                        return self.jordan.oct.of_coords((0, a, b, c, e, 0, 0, 0))
 
     def _field_embedding(self, minpoly) -> list[JordanElement]:
         """Search a symmetric integer companion (trace, second coefficient,
@@ -726,13 +714,9 @@ def _smat_mul(ring, a: ScaledMatrix, b: ScaledMatrix) -> ScaledMatrix:
     return ring.scaled(out, a.den * b.den)
 
 
-def _sidentity() -> ScaledMatrix:
-    return ScaledMatrix([[int(i == j) for j in range(8)] for i in range(8)], 1)
-
-
 def _smat_product(ring, factors: list) -> ScaledMatrix:
-    """The product of a list of scaled matrices (the identity if empty)."""
-    out = factors[0] if factors else _sidentity()
+    """The product of a nonempty list of scaled matrices."""
+    out = factors[0]
     for m in factors[1:]:
         out = _smat_mul(ring, out, m)
     return out
@@ -898,21 +882,3 @@ def random_triality_pairs(o: OctonionAlgebra, rng: random.Random,
         inv = ring.inv(ring.red(den * na))
         pairs.append((a, ring.vec([v * inv for v in bnum])))
     return pairs
-
-
-def _is_sum_of_squares(n: int, k: int) -> bool:
-    """Whether n is a sum of k squares (small n; k >= 4 is always true by
-    Lagrange for n >= 0)."""
-    if n < 0:
-        return False
-    if n == 0:
-        return True
-    if k <= 0:
-        return False
-    if k >= 4:
-        return True
-    c = int(math.isqrt(n))
-    for a in range(c, -1, -1):
-        if _is_sum_of_squares(n - a * a, k - 1):
-            return True
-    return False

@@ -332,11 +332,16 @@ def _system(systems: dict[str, SystemSpec], name, cblocks: bool = False) -> Syst
     return spec
 
 
+def _radicals(spec: SystemSpec) -> dict[str, frozenset[int]]:
+    """Each parabolic label of the system, configured or built-in, with the
+    simple roots of its radical."""
+    return {**builtin_parabolics(len(spec.simple_roots)), **spec.parabolics}
+
+
 def _parabolic(x, spec: SystemSpec) -> str:
     """A parabolic label of the system: one of its parabolics or a built-in
     label."""
-    labels = {**builtin_parabolics(len(spec.simple_roots)), **spec.parabolics}
-    if not isinstance(x, str) or x not in labels:
+    if not isinstance(x, str) or x not in _radicals(spec):
         raise ValueError(f"{x} is no parabolic of {spec.name}")
     return x
 
@@ -462,10 +467,15 @@ def _parse_recipes(arch: _Map, claimed: dict) -> dict[str, MatrixRecipe]:
 
 
 def _modulus_check(m: _Map, systems: dict[str, SystemSpec]) -> ModulusCheck:
-    """One modulus check, on a parabolic label of the system it names."""
+    """One modulus check, on a maximal parabolic of a system with nu."""
     spec = m.req("system", partial(_system, systems))
-    return ModulusCheck(m.spec["system"], m.req("parabolic", partial(_parabolic, spec=spec)),
-                        m.req("expect", _fr))
+    if spec.nu is None:
+        raise ConfigError(f"{m.at('system')}: {spec.name} has no nu")
+    label = m.req("parabolic", partial(_parabolic, spec=spec))
+    if len(_radicals(spec)[label]) != 1:
+        raise ConfigError(f"{m.at('parabolic')}: {label} is not a maximal parabolic "
+                          f"of {spec.name}")
+    return ModulusCheck(m.spec["system"], label, m.req("expect", _fr))
 
 
 class Config:
@@ -501,7 +511,6 @@ class Config:
                                  qxf_disc=c.req("qxf_disc", _nonsquare))
         top.check_all_read()
         self._systems: dict[str, RootSystem] = {}
-        self._oracles: dict[str, AbsoluteOracle] = {}
 
     # -- systems -------------------------------------------------------------
 
@@ -541,23 +550,20 @@ class Config:
     # -- oracles ---------------------------------------------------------------
 
     def oracle(self, name: str) -> AbsoluteOracle:
-        """The GK oracle of a case, built once from the case's oracle map over
-        the case's system; a node map whose restriction is not onto the
-        rational roots with their multiplicities fails at its nodes, and a
-        stated lambda_abs must be the oracle's."""
+        """The GK oracle of a case, built and checked on each call from the
+        case's oracle map over the case's system; a node map whose
+        restriction is not onto the rational roots with their multiplicities
+        fails at its nodes, and a stated lambda_abs must be the oracle's."""
         case = self.case(name)
-        if case.name not in self._oracles:
-            spec = case.oracle
-            absolute, rational = self.system(spec.absolute), self.system(case.system)
-            try:
-                oracle = AbsoluteOracle(absolute, rational, kernel=spec.kernel,
-                                        node_map=spec.nodes, source_node=spec.source_node)
-            except ValueError as exc:
-                raise ConfigError(f"cases.{case.name}.oracle.nodes: {exc}") from None
-            check_forms(f"cases.{case.name}.oracle.lambda_abs", oracle.lambda_abs,
-                        spec.lambda_abs)
-            self._oracles[case.name] = oracle
-        return self._oracles[case.name]
+        spec = case.oracle
+        absolute, rational = self.system(spec.absolute), self.system(case.system)
+        try:
+            oracle = AbsoluteOracle(absolute, rational, kernel=spec.kernel,
+                                    node_map=spec.nodes, source_node=spec.source_node)
+        except ValueError as exc:
+            raise ConfigError(f"cases.{case.name}.oracle.nodes: {exc}") from None
+        check_forms(f"cases.{case.name}.oracle.lambda_abs", oracle.lambda_abs, spec.lambda_abs)
+        return oracle
 
 
 def check_forms(path: str, computed, configured: list[AffineForm] | None) -> None:

@@ -242,10 +242,6 @@ class ZetaProduct:
         self.factors = {f: e for f, e in factors.items() if e != 0}
 
     @classmethod
-    def one(cls) -> "ZetaProduct":
-        return cls()
-
-    @classmethod
     def parse(cls, texts, variant: str = "") -> "ZetaProduct":
         return cls(parse_factor(t, variant) for t in texts)
 

@@ -146,7 +146,6 @@ class RootSystem:
         scales = {Fraction(k): Fraction(v) for k, v in (print_coroot_scale or {}).items()}
         self.simple_scales = [scales.get(x, Fraction(1)) for x in self.simple_lengths]
         self._coset_cache: dict[frozenset[int], list[Word]] = {}
-        self._census_cache: dict[tuple[frozenset[int], frozenset[int]], list[Word]] = {}
 
     # ----- construction -------------------------------------------------
 
@@ -312,11 +311,7 @@ class RootSystem:
                    for j in left.levi(self.rank))
 
     def double_coset_reps(self, left: ParabolicSpec, right: ParabolicSpec) -> list[Word]:
-        key = (left.radical, right.radical)
-        if key not in self._census_cache:
-            self._census_cache[key] = [w for w in self.coset_reps(right)
-                                       if self.in_left_set(w, left)]
-        return self._census_cache[key]
+        return [w for w in self.coset_reps(right) if self.in_left_set(w, left)]
 
     def associated_simple_roots(self, word: Sequence[int],
                                 left: ParabolicSpec, source: ParabolicSpec) -> tuple[int, ...]:

@@ -26,7 +26,7 @@ def _small_height(jalg, diagonals, unit_counts):
 
 
 def _composition(cfg: Config, jalg: compalg.JordanAlgebra, count: int, rng) -> dict:
-    algs = [jalg.oct, compalg.split_octonions(gammas=cfg.algebras["split"])]
+    algs = [jalg.oct, compalg.split_octonions(cfg.algebras["split"])]
     fails = 0
     for alg in algs:
         for _ in range(count):
@@ -247,8 +247,8 @@ def _triality(cfg: Config, jalg: compalg.JordanAlgebra, count: int, rng) -> dict
     # stands for the trilinear form once the first holds, have degree 1 in
     # each matrix, the norm form degree 2
     primes = cfg.claims.primes
-    algs = [jalg.oct] + [compalg.split_octonions(compalg.PrimeFieldScalars(p),
-                                                 cfg.algebras["split"]) for p in primes]
+    algs = [jalg.oct] + [compalg.split_octonions(cfg.algebras["split"],
+                                                 compalg.PrimeFieldScalars(p)) for p in primes]
     fails = 0
     for alg in algs:
         for _ in range(count):

@@ -30,6 +30,10 @@ from exceis.compalg import (JordanAlgebra, JordanElement, OctonionAlgebra,
                             RationalScalars, ScaledMatrix, TrialityTriple, rank_one_rep)
 
 
+# the doubling parameters of the configured split flavor (algebras.split)
+SPLIT_GAMMAS = (-1, -1, 1)
+
+
 def definite_octonions(gammas=(-1, -1, -1)) -> OctonionAlgebra:
     return OctonionAlgebra(RationalScalars(), gammas, "definite")
 

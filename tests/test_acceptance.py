@@ -164,7 +164,7 @@ def test_ac4_order_ledgers(cfg):
     # the four rank-2 minimal-case terms, weight symbols bound to zero
     p0 = next(t for t in cfg.case("D6-min").tables if t.target == "P0")
     for row in p0.rows:
-        prod = row.cfunction or ZetaProduct.one()
+        prod = row.cfunction or ZetaProduct()
         if row.cfunction_arch is not None:
             prod = prod * row.cfunction_arch
         rep = order_report(prod, 6, row.order_symbols)

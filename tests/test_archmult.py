@@ -6,7 +6,8 @@ import arch_reference as ref
 from exceis.archmult import (A1, A1_INV, BASE_A, MultiplierVector, RecipeCatalog, Token,
                              diag_factors, parse_tokens, pattern_check, read_at,
                              vanishing_order, MatrixRecipe)
-from exceis.config import load_config
+from exceis.cases import arch_report, build_table_report, modulus_report, oracle_report
+from exceis.config import Config, load_config
 from exceis.exactnum import AffineForm, Poly
 
 
@@ -126,3 +127,20 @@ class TestEvaluation:
         cat = cfg.catalog
         assert vanishing_order(cat.evaluate(cat.recipes["v21212"]), 5) >= 2
         assert vanishing_order(cat.evaluate(cat.recipes["v212"]), 5) >= 1
+
+
+def test_tables_pass_evaluates_each_recipe_once(monkeypatch):
+    """A fresh tables pass (every table, then modulus, oracle and arch)
+    evaluates each printed recipe once: a `@ref` token and every row that
+    names a recipe read its one verdict."""
+    calls = []
+    evaluate = RecipeCatalog.evaluate
+    monkeypatch.setattr(RecipeCatalog, "evaluate",
+                        lambda self, recipe: calls.append(recipe.name) or evaluate(self, recipe))
+    cfg = Config(load_config().raw)
+    for case in cfg.cases.values():
+        for table in case.tables:
+            build_table_report(cfg, case, table)
+    modulus_report(cfg), oracle_report(cfg), arch_report(cfg)
+    assert len(cfg.catalog.recipes) == 7
+    assert sorted(calls) == sorted(cfg.catalog.recipes)

@@ -7,12 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from compalg_reference import (bilinear, definite_octonions, rank_one_sample, rational,
-                               unit_norm_element)
+from compalg_reference import (SPLIT_GAMMAS, bilinear, definite_octonions, rank_one_sample,
+                               rational, unit_norm_element)
 from exceis import compalg, suites
 from exceis.compalg import (CubicEtale, JordanAlgebra, PrimeFieldScalars, freudenthal_r0,
                             random_triality_pairs, split_octonions, triality_triple,
                             triality_verify, we_part_is_zero, we_projection)
+from exceis.config import load_config
 
 
 @pytest.fixture(scope="module")
@@ -35,8 +36,8 @@ class TestScalars:
             gf11.of(Fraction(1, 11))
 
     def test_prime_field_scale_by_fraction(self):
-        alg = split_octonions(PrimeFieldScalars(11))
-        assert alg.scale(Fraction(1, 2), alg.one()) == (6,) + (0,) * 7
+        alg = split_octonions(SPLIT_GAMMAS, PrimeFieldScalars(11))
+        assert alg.scale(Fraction(1, 2), alg.basis(0)) == (6,) + (0,) * 7
 
     @settings(max_examples=200, deadline=None)
     @given(st.text(max_size=8), st.integers(-40, 40), st.integers(1, 300),
@@ -65,7 +66,7 @@ class TestScalars:
 
 class TestOctonions:
     def test_unit(self, oct_def):
-        one = oct_def.one()
+        one = oct_def.basis(0)
         assert oct_def.norm(one) == 1
         assert oct_def.trace(one) == 2
 
@@ -73,12 +74,12 @@ class TestOctonions:
         assert oct_def.signature == (1,) * 8
 
     def test_split_signature(self):
-        alg = split_octonions()
+        alg = split_octonions(SPLIT_GAMMAS)
         assert sorted(alg.signature) == [-1] * 4 + [1] * 4
 
     def test_composition_law_samples(self, oct_def):
         rng = random.Random(3)
-        for alg in (oct_def, split_octonions()):
+        for alg in (oct_def, split_octonions(SPLIT_GAMMAS)):
             for _ in range(200):
                 x, y = alg.random(rng), alg.random(rng)
                 assert alg.norm(alg.mul(x, y)) == alg.norm(x) * alg.norm(y)
@@ -100,7 +101,7 @@ class TestOctonions:
                 oct_def.trace(oct_def.mul(oct_def.mul(x, y), z))
 
     def test_trilinear_of_units(self, oct_def):
-        one = oct_def.one()
+        one = oct_def.basis(0)
         assert oct_def.trilinear(one, one, one) == 2
 
 
@@ -128,7 +129,7 @@ class TestKernelCompiler:
         table, k = self.flipped((2, 5), gammas=(-1, -1, 1))
         monkeypatch.setattr(compalg, "_build_table", lambda gammas: table)
         with pytest.raises(ValueError, match=rf"coordinate {k} has the term -?2 x2 x5$"):
-            split_octonions()
+            split_octonions(SPLIT_GAMMAS)
 
     @pytest.mark.parametrize("gammas", [(-1, -1, -1), (-1, -1, 1)])
     def test_norm_kernel_is_the_signature(self, gammas):
@@ -263,6 +264,22 @@ class TestEtale:
             # the embedded algebra keeps the last two octonion slots empty
             assert all(c == 0 for c in x.x[1]) and all(c == 0 for c in x.x[2])
 
+    def test_imaginary_of_norm(self, jalg):
+        # Lagrange: every n >= 0 is a sum of four squares, here on e1..e4
+        o, et = jalg.oct, CubicEtale(jalg, ("split3",))
+        for n in range(2001):
+            u = et._imaginary_of_norm(n)
+            assert all(Fraction(c).denominator == 1 for c in u)
+            assert o.trace(u) == 0 and o.norm(u) == n
+            assert u[5:] == (0, 0, 0)
+
+    def test_qxf_unit_is_e1(self, jalg):
+        # d = 2 asks for norm d - 1 = 1: the first imaginary unit
+        assert CubicEtale(jalg, ("QxF", 2)).basis_elements[2].x[0] == jalg.oct.basis(1)
+
+    def test_split_gammas_are_the_configured_ones(self):
+        assert tuple(load_config().algebras["split"]) == SPLIT_GAMMAS
+
     def test_qxf_square_disc_rejected(self, jalg):
         with pytest.raises(ValueError):
             CubicEtale(jalg, ("QxF", 4))
@@ -316,7 +333,7 @@ class TestFreudenthal:
 
 class TestTriality:
     def test_identity_triple(self, oct_def):
-        one = oct_def.one()
+        one = oct_def.basis(0)
         triple = triality_triple(oct_def, [(one, one)])
         assert triality_verify(oct_def, triple)
         assert rational(triple.g2) == tuple(
@@ -330,7 +347,7 @@ class TestTriality:
 
     def test_random_over_prime_fields(self):
         for p in (11, 13):
-            alg = split_octonions(PrimeFieldScalars(p))
+            alg = split_octonions(SPLIT_GAMMAS, PrimeFieldScalars(p))
             rng = random.Random(61 + p)
             for _ in range(40):
                 pairs = random_triality_pairs(alg, rng)
@@ -347,12 +364,12 @@ class TestTriality:
         assert len(random_triality_pairs(oct_def, rng)) == want
 
     def test_norm_product_condition_enforced(self, oct_def):
-        two = oct_def.scale(2, oct_def.one())
+        two = oct_def.scale(2, oct_def.basis(0))
         with pytest.raises(ValueError):
             triality_triple(oct_def, [(two, two)])
 
     def test_zero_norm_rejected(self):
-        alg = split_octonions()
+        alg = split_octonions(SPLIT_GAMMAS)
         null = alg.of_coords([1, 0, 0, 0, 1, 0, 0, 0])   # norm 1 - 1 = 0
         assert alg.norm(null) == 0
         with pytest.raises(ValueError):
@@ -371,7 +388,7 @@ class TestTriality:
 
     def test_failure_detected_over_prime_field(self):
         # an entry off by a unit (not by a multiple of p) is caught mod p
-        alg = split_octonions(PrimeFieldScalars(13))
+        alg = split_octonions(SPLIT_GAMMAS, PrimeFieldScalars(13))
         triple = triality_triple(alg, random_triality_pairs(alg, random.Random(71)))
         bad = [row[:] for row in triple.g3.mat]
         bad[2][5] += 1
@@ -386,7 +403,7 @@ class TestTriality:
     def test_g1_defect_only_the_gram_identity_sees(self, oct_def, field, plant):
         # g1 = I and g1 = raw_t1 preserve the norm form, and g1 takes no part
         # in t1(xy) = t2(x) t3(y): only the Gram identity ties g1 to t1
-        o = oct_def if field is None else split_octonions(PrimeFieldScalars(field))
+        o = oct_def if field is None else split_octonions(SPLIT_GAMMAS, PrimeFieldScalars(field))
         triple = triality_triple(o, random_triality_pairs(o, random.Random(79)))
         identity = compalg.ScaledMatrix([[int(i == j) for j in range(8)] for i in range(8)], 1)
         g1 = identity if plant == "identity" else triple.raw_t1
@@ -403,8 +420,8 @@ def _compalg_outputs() -> list:
     definite Q, split Q, split GF(11) and split GF(13).  Their repr pins the
     values, int versus Fraction, and the order in which samplers draw."""
     out = []
-    algs = [definite_octonions(), split_octonions(),
-            split_octonions(PrimeFieldScalars(11)), split_octonions(PrimeFieldScalars(13))]
+    algs = [definite_octonions(), split_octonions(SPLIT_GAMMAS),
+            split_octonions(SPLIT_GAMMAS, PrimeFieldScalars(11)), split_octonions(SPLIT_GAMMAS, PrimeFieldScalars(13))]
     for n, o in enumerate(algs):
         rng = random.Random(f"digest:{n}")
         for _ in range(6):

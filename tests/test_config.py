@@ -336,7 +336,7 @@ class TestOracle:
 
     def test_oracle_by_case_name_or_alias(self):
         cfg = load_config()
-        assert cfg.oracle("D5") is cfg.oracle("D5-line")
+        assert cfg.oracle("D5").images == cfg.oracle("D5-line").images
         assert cfg.oracle("E7-siegel").rational is cfg.system("C3-E7rational")
 
 
@@ -506,6 +506,9 @@ LEAVES = [
      "modulus_checks[0].system: D5abz is no system"),
     (lambda raw: raw["modulus_checks"][0].update(parabolic="P7"),
      "modulus_checks[0].parabolic: P7 is no parabolic of D5abs"),
+    (lambda raw: raw["modulus_checks"][0].update(parabolic="P0"),
+     "modulus_checks[0].parabolic: P0 is not a maximal parabolic of D5abs"),
+    (lambda raw: raw["systems"]["D5abs"].pop("nu"), "modulus_checks[0].system: D5abs has no nu"),
     (lambda raw: raw["cases"]["GE-field"].update(etale_variant="feld"),
      "cases.GE-field.etale_variant: feld is not one of field, split3, QxF, split"),
     (lambda raw: _recipe(raw, "v212").update(name=["v212"]),
@@ -525,8 +528,8 @@ LEAF_IDS = ["word-zero", "word-negative", "pairing-root", "eis-root", "action-r0
             "nu-orthogonal", "claims-primes", "claims-primes-even", "claims-qxf-square",
             "claims-qxf-negative", "claims-count-zero", "algebras-split-zero",
             "algebras-definite-length", "target-type", "target-unknown", "source-type",
-            "modulus-system", "modulus-parabolic", "etale-variant", "recipe-name",
-            "recipe-tokens"]
+            "modulus-system", "modulus-parabolic", "modulus-not-maximal", "modulus-no-nu",
+            "etale-variant", "recipe-name", "recipe-tokens"]
 
 
 class TestShapeAtLoad:
@@ -586,6 +589,7 @@ class TestShapeAtLoad:
               ("target-unknown", ["constant-term", "GE-field", "P1", "P1"]),
               ("source-type", ["constant-term", "GE-field", "P1", "P1"]),
               ("modulus-system", ["modulus"]), ("modulus-parabolic", ["modulus"]),
+              ("modulus-not-maximal", ["arch"]), ("modulus-no-nu", ["arch"]),
               ("etale-variant", ["constant-term", "GE-field", "P1", "P1"]),
               ("recipe-name", ["arch"]), ("recipe-tokens", ["arch"])]],
     ], ids=["unprintd", "top-level", "checks-modulus", "checks-arch", "word-modulus",
@@ -596,8 +600,8 @@ class TestShapeAtLoad:
             "eis-printed", "nu-length", "nu-orthogonal", "claims-primes",
             "claims-qxf-square", "claims-count-zero", "algebras-split-zero",
             "eis-root-not-in-assoc", "target-type", "target-unknown", "source-type",
-            "modulus-system", "modulus-parabolic", "etale-variant", "recipe-name",
-            "recipe-tokens"])
+            "modulus-system", "modulus-parabolic", "modulus-not-maximal", "modulus-no-nu",
+            "etale-variant", "recipe-name", "recipe-tokens"])
     def test_cli_exits_1_at_load(self, tmp_path, edit, args, message):
         raw = copy.deepcopy(load_config().raw)
         edit(raw)

@@ -174,7 +174,7 @@ class TestZetaProducts:
 
     def test_cancellation(self):
         p = ZetaProduct.parse(["zeta(s-1)", "zeta(s-1)^-1"])
-        assert p == ZetaProduct.one()
+        assert p == ZetaProduct()
 
     def test_expansion_keeps_the_symbol(self):
         shifted = ZetaProduct.parse(["zetaTheta(s-3+j)"])
@@ -189,7 +189,7 @@ class TestZetaProducts:
         p = ZetaProduct.parse(["zetaTheta(s-5)", "zeta(s-1)", "zeta(s)^-1"])
         # expanded numerator arguments at s=14: 9, 6, 13
         assert p.min_numerator_argument(14) == 6
-        assert ZetaProduct.one().min_numerator_argument(5) is None
+        assert ZetaProduct().min_numerator_argument(5) is None
 
     def test_min_numerator_argument_undecided_by_unbound_symbol(self):
         # zeta(s+j) and zeta(s-j) are different functions: neither has a
@@ -204,7 +204,7 @@ class TestGK:
     def test_identity_is_one(self, cfg):
         d5 = cfg.system("D5abs")
         oracle = cfg.oracle("D5")
-        assert gk_cfunction(d5, oracle.lambda_abs, ()) == ZetaProduct.one()
+        assert gk_cfunction(d5, oracle.lambda_abs, ()) == ZetaProduct()
 
     def test_d5_printed_form(self, cfg):
         oracle = cfg.oracle("D5")
@@ -241,7 +241,7 @@ class TestRationalCFunctions:
                                   apply_word(system, CoordVector.lambda_s(system), word))
 
     def test_e7_list(self, cfg):
-        assert self.c(cfg, "E7-siegel", ()) == ZetaProduct.one()
+        assert self.c(cfg, "E7-siegel", ()) == ZetaProduct()
         assert self.c(cfg, "E7-siegel", (3, 2, 3)).same_function(
             ZetaProduct.parse(["zeta(s-5)", "zeta(s-9)",
                                "zeta(s)^-1", "zeta(s-4)^-1"]))

@@ -17,14 +17,15 @@ from fractions import Fraction
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from compalg_reference import (definite_octonions, reference_norm, reference_sharp,
-                               reference_symmetric_product, reference_trace_pairing)
+from compalg_reference import (SPLIT_GAMMAS, definite_octonions, reference_norm,
+                               reference_sharp, reference_symmetric_product,
+                               reference_trace_pairing)
 from exceis.compalg import JordanAlgebra, JordanElement, PrimeFieldScalars, split_octonions
 
 ALGEBRAS = {"definite-Q": JordanAlgebra(definite_octonions()),
-            "split-Q": JordanAlgebra(split_octonions()),
-            "GF(11)": JordanAlgebra(split_octonions(PrimeFieldScalars(11))),
-            "GF(13)": JordanAlgebra(split_octonions(PrimeFieldScalars(13)))}
+            "split-Q": JordanAlgebra(split_octonions(SPLIT_GAMMAS)),
+            "GF(11)": JordanAlgebra(split_octonions(SPLIT_GAMMAS, PrimeFieldScalars(11))),
+            "GF(13)": JordanAlgebra(split_octonions(SPLIT_GAMMAS, PrimeFieldScalars(13)))}
 
 # Over Q: ints, Fractions, and integral Fractions, which keep their type.
 # Over GF(p): ints in and out of [0, p), as the cleared triality

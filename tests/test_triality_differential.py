@@ -11,14 +11,14 @@ import random
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from compalg_reference import cube_triality_verify, definite_octonions
+from compalg_reference import SPLIT_GAMMAS, cube_triality_verify, definite_octonions
 from exceis.compalg import (PrimeFieldScalars, ScaledMatrix, TrialityTriple,
                             random_triality_pairs, split_octonions, triality_triple,
                             triality_verify)
 
-ALGEBRAS = {"definite-Q": definite_octonions(), "split-Q": split_octonions(),
-            "GF(11)": split_octonions(PrimeFieldScalars(11)),
-            "GF(13)": split_octonions(PrimeFieldScalars(13))}
+ALGEBRAS = {"definite-Q": definite_octonions(), "split-Q": split_octonions(SPLIT_GAMMAS),
+            "GF(11)": split_octonions(SPLIT_GAMMAS, PrimeFieldScalars(11)),
+            "GF(13)": split_octonions(SPLIT_GAMMAS, PrimeFieldScalars(13))}
 MATRICES = ("g1", "raw_t1", "g2", "g3")
 
 
