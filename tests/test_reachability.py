@@ -52,7 +52,7 @@ def definitions(path: Path) -> list[tuple[str, int]]:
 
     def walk(node, prefix):
         for child in ast.iter_child_nodes(node):
-            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            if isinstance(child, ast.FunctionDef):
                 out.append((prefix + child.name, child.lineno))
                 walk(child, f"{prefix}{child.name}.<locals>.")
             elif isinstance(child, ast.ClassDef):
