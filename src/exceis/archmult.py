@@ -3,11 +3,11 @@
 A recipe is a token sequence ending in the base vector (0,0,1)^t.  It is
 evaluated exactly, right to left, as three polynomial numerators in s over
 one shared denominator that is never reduced: A1 and A1i multiply the
-numerators by a constant matrix, and d(z) multiplies them by Pochhammer
-polynomials and the denominator by ((1+z)/2)_2.  An entry is read at a
-point s0 once its numerator and the denominator drop their common power of
-(s - s0), so it reads as the function it is: removable singularities read
-their limit, and a pole reads its order.  The catalog itself is data: only
+numerators by an integer matrix (A1i the denominator by A1_DEN), and d(z)
+multiplies both by integer polynomials (`diag_factors`).  An entry is read
+at a point s0 once its numerator and the denominator drop their common power
+of (s - s0), so it reads as the function it is: removable singularities
+read their limit, and a pole reads its order.  The catalog itself is data: only
 recipes that the verified tables actually state are present, keyed by name.
 """
 
@@ -17,27 +17,28 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exactnum import AffineForm, Poly, inverse, pochhammer
+from .exactnum import AffineForm, Poly, _numerators, inverse
 
 BASE_A = ((2, 2, 1), (56, 8, -4), (140, -20, 6))
 
 # A1 is the transpose of BASE_A; every recipe token A1 / A1i multiplies by it
-# or by its inverse.
-A1 = tuple(tuple(Fraction(BASE_A[k][i]) for k in range(3)) for i in range(3))
-A1_INV = tuple(map(tuple, inverse(A1)))
-assert all(sum(A1[i][k] * A1_INV[k][j] for k in range(3)) == (1 if i == j else 0)
-           for i in range(3) for j in range(3)), "A1 * A1^{-1} != I"
+# or by its inverse, the integer matrix A1_INV over A1_DEN.
+A1 = tuple(zip(*BASE_A))
+A1_INV, A1_DEN = inverse(A1)
+assert all(sum(A1[i][k] * A1_INV[k][j] for k in range(3)) == A1_DEN * (i == j)
+           for i in range(3) for j in range(3)), "A1 * A1_INV != A1_DEN * I"
 
 
 def diag_factors(arg: AffineForm) -> tuple[tuple[Poly, Poly, Poly], Poly]:
     """d(z) = diag(v2(z), v1(z), 1) with v_k(z) = ((1-z)/2)_k / ((1+z)/2)_k,
-    as three numerators over the one denominator (h)_2, h = (1+z)/2: (h)_1
-    divides (h)_2 with quotient h+1."""
-    half_minus = AffineForm(-arg.slope / 2, (1 - arg.intercept) / 2)
-    half_plus = AffineForm(arg.slope / 2, (1 + arg.intercept) / 2)
-    den = pochhammer(half_plus, 2)
-    return (pochhammer(half_minus, 2),
-            pochhammer(half_minus, 1) * half_plus.shift(1).as_poly(), den), den
+    as integer polynomials over one denominator: with m the least common
+    denominator of z, u = m(1+z) and v = m(1-z) are integral, and times
+    (2m)^2 the entries are v(v+2m), v(u+2m) and u(u+2m) over u(u+2m)."""
+    (a, b), m = _numerators((arg.slope, arg.intercept))
+    u, u2 = Poly([m + b, a]), Poly([3 * m + b, a])
+    v, v2 = Poly([m - b, -a]), Poly([3 * m - b, -a])
+    den = u * u2
+    return (v * v2, v * u2, den), den
 
 
 @dataclass(frozen=True)
@@ -124,7 +125,7 @@ class RecipeCatalog:
         vec: MultiplierVector | None = None
         for tok in reversed(recipe.tokens):
             if tok.kind == "base":
-                vec = MultiplierVector((Poly(), Poly(), Poly.const(1)), Poly.const(1))
+                vec = MultiplierVector((Poly(), Poly(), Poly([1])), Poly([1]))
             elif tok.kind == "ref":
                 vec = self.verdict(self.recipes[tok.ref])[0]
             elif tok.kind == "d":
@@ -133,10 +134,10 @@ class RecipeCatalog:
                     vec = MultiplierVector(tuple(f * n for f, n in zip(factors, vec.nums)),
                                            vec.den * den)
             else:
-                m = A1 if tok.kind == "A1" else A1_INV
+                m, den = (A1, 1) if tok.kind == "A1" else (A1_INV, A1_DEN)
                 vec = MultiplierVector(
                     tuple(sum((n.scale(c) for c, n in zip(row, vec.nums)), Poly())
-                          for row in m), vec.den)
+                          for row in m), vec.den.scale(den))
         return vec
 
 

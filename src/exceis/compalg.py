@@ -11,10 +11,10 @@ Over Q the checks run on integers wherever they can.  Every identity the
 algebra suites check is homogeneous, so each is checked on a
 cleared-denominator integer representative X = d x, with the verdict it has
 on x: a rank-one sample is Z = (d y)# = d^2 y# (``rank_one_rep``), E-parts are
-solved against an integer Gram inverse over one denominator, the Jordan
-product is compared doubled (``symmetric_product``), and triality matrices
-are integer matrices over a denominator (``ScaledMatrix``).  Fractions
-appear where a public function returns a rational value.
+solved against the Gram inverse as ``exactnum.inverse`` returns it, the
+Jordan product is compared doubled (``symmetric_product``), and triality
+matrices are integer matrices over a denominator (``ScaledMatrix``).
+Fractions appear where a public function returns a rational value.
 
 The octonion arithmetic the suites repeat is compiled from the structure
 constants when an algebra is built (``_kernel_sources``): the product, the
@@ -335,8 +335,8 @@ class OctonionAlgebra:
     def random(self, rng: random.Random, lo=-3, hi=3) -> tuple:
         return self.scalars.draws(rng, 8, lo, hi)
 
-    def random_imaginary(self, rng: random.Random, lo=-2, hi=2) -> tuple:
-        return (self.scalars.of(0),) + self.scalars.draws(rng, 7, lo, hi)
+    def random_imaginary(self, rng: random.Random) -> tuple:
+        return (self.scalars.of(0),) + self.scalars.draws(rng, 7, -2, 2)
 
     def _cayley(self, rng: random.Random) -> tuple[tuple, int]:
         """A norm-1 element (1-u)(1+u)^{-1} = (1 - 2u - N(u)) / (1 + N(u)),
@@ -423,8 +423,8 @@ class JordanAlgebra:
         vec = list(vec)
         return self.element(vec[:3], (vec[3:11], vec[11:19], vec[19:27]))
 
-    def random(self, rng: random.Random, lo=-2, hi=2) -> JordanElement:
-        d = self.scalars.draws(rng, 27, lo, hi)
+    def random(self, rng: random.Random) -> JordanElement:
+        d = self.scalars.draws(rng, 27, -2, 2)
         return JordanElement(d[:3], (d[3:11], d[11:19], d[19:27]))
 
     # -- linear structure ----------------------------------------------------
@@ -511,8 +511,8 @@ class JordanAlgebra:
         return self.scalars.red(val + 2 * sum(map(self.oct._trace_form, a.x, b.x)))
 
 
-def rank_one_rep(jalg: JordanAlgebra, rng: random.Random,
-                 max_attempts: int = 200) -> tuple[JordanElement, JordanElement, int]:
+def rank_one_rep(jalg: JordanAlgebra,
+                 rng: random.Random) -> tuple[JordanElement, JordanElement, int]:
     """(Z, Y, d) for a pseudorandom rank-one sample Z = Y# drawn from rng.
 
     Y = d y is an integral rank-two element: N(y) is affine in c1 once the
@@ -521,7 +521,7 @@ def rank_one_rep(jalg: JordanAlgebra, rng: random.Random,
     Z = d^2 y# != 0.  The checks N(Y) = 0 (degree 3), Z != 0 (degree 2) and
     Z# = 0 (degree 4) have the verdicts they have on y."""
     o = jalg.oct
-    for _ in range(max_attempts):
+    for _ in range(200):
         y = jalg.random(rng)
         d = jalg.scalars.red(y.c[1] * y.c[2] - o.norm(y.x[0]))  # dN/dc1
         if d == 0:
@@ -561,7 +561,7 @@ class CubicEtale:
         basis27 = jalg.basis()
         self._rows = [[jalg.trace_pairing(b, e) for e in basis27]
                       for b in self.basis_elements]
-        self._gram_inv = cleared_inverse([self.pairings(b) for b in self.basis_elements])
+        self._gram_inv = ScaledMatrix(*inverse([self.pairings(b) for b in self.basis_elements]))
         self.ve_basis = self._complement()
 
     def _build(self) -> list[JordanElement]:
@@ -720,14 +720,6 @@ def _smat_product(ring, factors: list) -> ScaledMatrix:
     for m in factors[1:]:
         out = _smat_mul(ring, out, m)
     return out
-
-
-def cleared_inverse(gram) -> ScaledMatrix:
-    """The inverse of a rational square matrix as an integer matrix over
-    one denominator."""
-    n = len(gram)
-    flat, den = _numerators([v for row in inverse(gram) for v in row])
-    return ScaledMatrix([flat[i * n:(i + 1) * n] for i in range(n)], den)
 
 
 def _reflection_pair(o: OctonionAlgebra, av, bv, na, nb) -> ScaledMatrix:

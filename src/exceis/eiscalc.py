@@ -264,12 +264,12 @@ class ZetaProduct:
         return sorted(self.factors.items(), key=lambda fe: fe[0].sort_key())
 
     def min_numerator_argument(self, s0) -> Fraction | None:
-        """Smallest argument among expanded numerator zeta-type factors at s0;
-        the global intertwining integral converges absolutely iff this
-        exceeds 1.  None when there is no such factor, or when one carries
-        an unbound symbolic shift (as in factor_order)."""
+        """Smallest argument among numerator zeta-type factors at s0 of this
+        product, expanded; the global intertwining integral converges
+        absolutely iff this exceeds 1.  None when there is no such factor, or
+        when one carries an unbound symbolic shift (as in factor_order)."""
         s0 = Fraction(s0)
-        nums = [f for f, e in self.expanded().factors.items() if e > 0 and f.is_finite()]
+        nums = [f for f, e in self.factors.items() if e > 0 and f.is_finite()]
         if not nums or any(f.sym for f in nums):
             return None
         return min(f.arg.eval(s0) for f in nums)
@@ -517,7 +517,7 @@ class AbsoluteOracle:
     def fundamental_weight(self, node: int) -> Vector:
         sys = self.absolute
         rhs = [int(j + 1 == node) for j in range(sys.rank)]
-        return sys.vector(solve([list(col) for col in zip(*sys.cartan)], rhs))
+        return sys.vector(*solve([list(col) for col in zip(*sys.cartan)], rhs))
 
     def gk_restricted(self, rational_word) -> ZetaProduct:
         """The Gindikin-Karpelevich c-function over the absolute system for
@@ -542,6 +542,7 @@ class IntertwinerVerdict:
     integral converges iff its pairing is positive).
     global_order: exact order of the finite c-function at s0 when the rule
     table decides it; None otherwise.
+    expanded: the c-function, expanded once; a row compares and prints it.
     """
 
     local_status: str
@@ -549,6 +550,7 @@ class IntertwinerVerdict:
     global_status: str
     global_order: int | None
     cfunction: ZetaProduct
+    expanded: ZetaProduct
 
 
 def intertwiner_verdict(system: RootSystem, rules: dict[Fraction, BlockRule],
@@ -558,7 +560,8 @@ def intertwiner_verdict(system: RootSystem, rules: dict[Fraction, BlockRule],
     local = "AbsolutelyConvergent" if mn is None else convergence(mn, "NeedsContinuation")
     c = rational_cfunction(system, rules, trace)
     order = order_report(c, s0).total
-    mna = c.min_numerator_argument(s0)
+    expanded = c.expanded()
+    mna = expanded.min_numerator_argument(s0)
     if not trace.word or (mna is not None and mna > 1):
         gstat = "AbsolutelyConvergent"
     elif order is None:
@@ -567,4 +570,4 @@ def intertwiner_verdict(system: RootSystem, rules: dict[Fraction, BlockRule],
         gstat = f"PoleOrder({-order})"
     else:
         gstat = "DefinedByContinuation" if local == "NeedsContinuation" else "Regular"
-    return IntertwinerVerdict(local, mn, gstat, order, c)
+    return IntertwinerVerdict(local, mn, gstat, order, c, expanded)

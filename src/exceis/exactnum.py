@@ -1,19 +1,22 @@
 """Exact polynomials and affine forms in the parameter s, and exact linear
-algebra over the rationals.
+algebra over the integers.
 
-Everything here is built on :class:`fractions.Fraction`; no floating point
-enters at any stage.  Polynomials are stored dense by degree (degrees in
-this project stay below ~30); a quotient of two of them is read at a point
+No floating point enters at any stage.  Polynomials are stored dense by
+degree (degrees in this project stay below ~30), with their coefficients
+as given, ints or Fractions; a quotient of two of them is read at a point
 by dropping the power of (s - s0) from each (:meth:`Poly.deflate`), so no
-rational-function form is kept.  Linear systems, inverses and nullspaces
-all go through one Gauss-Jordan elimination, :func:`_eliminate`.  The
-odd-prime test that the config and the prime-field scalars share lives here
-too.
+rational-function form is kept.  Linear systems, inverses, nullspaces and
+ranks take integer matrices and all go through one fraction-free
+elimination, :func:`_eliminate`: solutions and inverses come back as
+integer numerators over one denominator, nullspace vectors as primitive
+integer vectors.  The odd-prime test that the config and the prime-field
+scalars share lives here too.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 import re
 from fractions import Fraction
 from typing import Iterable
@@ -41,19 +44,18 @@ def _numerators(xs) -> tuple[list[int], int]:
 
 
 class Poly:
-    """Dense polynomial over Fraction; coeffs[i] is the s^i coefficient."""
+    """Dense polynomial over the rationals; coeffs[i] is the s^i coefficient,
+    kept as given: ints stay ints, as in the rational scalars of compalg."""
 
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs: Iterable = ()):
-        cs = [_as_fraction(c) for c in coeffs]
+        cs = list(coeffs)
+        if not all(isinstance(c, (int, Fraction)) for c in cs):
+            raise TypeError(f"not an exact scalar among {cs!r}")
         while cs and cs[-1] == 0:
             cs.pop()
-        self.coeffs: tuple[Fraction, ...] = tuple(cs)
-
-    @classmethod
-    def const(cls, c) -> "Poly":
-        return cls([_as_fraction(c)])
+        self.coeffs: tuple[int | Fraction, ...] = tuple(cs)
 
     def is_zero(self) -> bool:
         return not self.coeffs
@@ -67,32 +69,22 @@ class Poly:
         return Poly([(a[i] if i < len(a) else 0) + (b[i] if i < len(b) else 0)
                      for i in range(n)])
 
-    def __neg__(self) -> "Poly":
-        return Poly([-c for c in self.coeffs])
-
-    def __sub__(self, other: "Poly") -> "Poly":
-        return self + (-other)
-
     def __mul__(self, other: "Poly") -> "Poly":
-        """The product, convolved on integer numerators over one
-        denominator per factor."""
         if self.is_zero() or other.is_zero():
             return Poly()
-        (a, da), (b, db) = _numerators(self.coeffs), _numerators(other.coeffs)
+        a, b = self.coeffs, other.coeffs
         out = [0] * (len(a) + len(b) - 1)
         for i, x in enumerate(a):
             if x:
                 for j, y in enumerate(b):
                     out[i + j] += x * y
-        return Poly([Fraction(x, da * db) for x in out])
+        return Poly(out)
 
     def scale(self, c) -> "Poly":
-        c = _as_fraction(c)
         return Poly([c * a for a in self.coeffs])
 
-    def eval(self, s0) -> Fraction:
-        s0 = _as_fraction(s0)
-        acc = Fraction(0)
+    def eval(self, s0):
+        acc = 0
         for c in reversed(self.coeffs):
             acc = acc * s0 + c
         return acc
@@ -107,7 +99,7 @@ class Poly:
             raise ValueError("the zero polynomial vanishes to every order")
         m, coeffs = 0, self.coeffs
         while True:
-            acc, quot = Fraction(0), []
+            acc, quot = 0, []
             for c in reversed(coeffs):
                 acc = acc * s0 + c
                 quot.append(acc)
@@ -201,9 +193,6 @@ class AffineForm:
     def shift(self, c) -> "AffineForm":
         return AffineForm(self.slope, self.intercept + _as_fraction(c))
 
-    def as_poly(self) -> Poly:
-        return Poly([self.intercept, self.slope])
-
     def __eq__(self, other) -> bool:
         return (isinstance(other, AffineForm)
                 and self.slope == other.slope and self.intercept == other.intercept)
@@ -234,66 +223,79 @@ class AffineForm:
     __repr__ = __str__
 
 
-def pochhammer(z: AffineForm, n: int) -> Poly:
-    """Rising factorial z(z+1)...(z+n-1) as a polynomial in s; n=0 gives 1."""
-    if n < 0:
-        raise ValueError("pochhammer needs n >= 0")
-    acc = Poly.const(1)
-    for k in range(n):
-        acc = acc * z.shift(k).as_poly()
-    return acc
+def _lowest(nums: list[int], den: int) -> tuple[list[int], int]:
+    """nums/den with the common factor of all of them divided out and the
+    denominator made positive."""
+    g = math.gcd(den, *nums)
+    g = -g if den < 0 else g
+    return [x // g for x in nums], den // g
 
 
-def _eliminate(rows: list[list[Fraction]], ncols: int) -> list[int]:
-    """Reduce `rows` in place to reduced row echelon form on its first
-    `ncols` columns (later columns ride along as an augmentation) and
-    return the pivot columns."""
+def _eliminate(rows, ncols: int) -> tuple[list[list[int]], list[int]]:
+    """The integer `rows` reduced fraction-free on their first `ncols`
+    columns (later columns ride along as an augmentation), and the pivot
+    columns.  Each step multiplies the other rows by the new pivot and
+    divides exactly by the one before (Bareiss: by Sylvester's identity
+    every entry is an integer minor), so at the end the rows are the last
+    pivot d times the reduced row echelon form.  Entries must be ints or
+    Fractions with denominator 1."""
+    rows = [list(row) for row in rows]
+    if any(getattr(x, "denominator", 0) != 1 for row in rows for x in row):
+        raise TypeError("exact linear algebra takes integer entries; clear denominators first")
+    rows = [[x.numerator for x in row] for row in rows]
     pivots: list[int] = []
+    prev = 1
     for col in range(ncols):
         r = len(pivots)
-        piv = next((k for k in range(r, len(rows)) if rows[k][col] != 0), None)
+        piv = next((k for k in range(r, len(rows)) if rows[k][col]), None)
         if piv is None:
             continue
         rows[r], rows[piv] = rows[piv], rows[r]
-        p = rows[r][col]
-        rows[r] = [x / p for x in rows[r]]
-        for k in range(len(rows)):
-            if k != r and rows[k][col] != 0:
-                f = rows[k][col]
-                rows[k] = [x - f * y for x, y in zip(rows[k], rows[r])]
+        p, top = rows[r][col], rows[r]
+        for k, row in enumerate(rows):
+            if k != r:
+                f = row[col]
+                rows[k] = [(p * x - f * y) // prev for x, y in zip(row, top)]
+        prev = p
         pivots.append(col)
-    return pivots
+    return rows, pivots
 
 
-def solve(a, b) -> list[Fraction]:
-    """The unique x with a x = b; ValueError if the square matrix a is singular."""
+def inverse(a) -> tuple[list[list[int]], int]:
+    """The inverse of an integer square matrix as an integer matrix over one
+    positive denominator in lowest terms; ValueError if a is singular."""
     n = len(a)
-    m = [[Fraction(x) for x in row] + [Fraction(y)] for row, y in zip(a, b)]
-    if len(_eliminate(m, n)) < n:
-        raise ValueError("singular system")
-    return [row[n] for row in m]
-
-
-def inverse(a) -> list[list[Fraction]]:
-    """The inverse of a square matrix; ValueError if it is singular."""
-    n = len(a)
-    m = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
-         for i, row in enumerate(a)]
-    if len(_eliminate(m, n)) < n:
+    m, pivots = _eliminate(([*row, *(int(i == j) for j in range(n))] for i, row in enumerate(a)), n)
+    if len(pivots) < n:
         raise ValueError("singular matrix")
-    return [row[n:] for row in m]
+    flat, den = _lowest([x for row in m for x in row[n:]], m[0][0])
+    return [flat[i * n:(i + 1) * n] for i in range(n)], den
 
 
-def nullspace(a) -> list[list[Fraction]]:
-    """The basis of {v : a v = 0} read off the reduced row echelon form: one
-    vector per free column, with a 1 there and 0 in the other free columns."""
+def solve(a, b) -> tuple[list[int], int]:
+    """The unique x = a^-1 b for an integer square matrix a and integer
+    vector b, as numerators over one positive denominator in lowest terms;
+    ValueError if a is singular."""
+    inv, den = inverse(a)
+    return _lowest([sum(map(operator.mul, row, b)) for row in inv], den)
+
+
+def nullspace(a) -> list[list[int]]:
+    """A basis of {v : a v = 0} for an integer matrix a, one primitive
+    integer vector per free column, positive there and 0 in the other free
+    columns: the reduced row echelon form's basis, each vector scaled."""
     ncols = len(a[0])
-    m = [[Fraction(x) for x in row] for row in a]
-    pivots = _eliminate(m, ncols)
+    m, pivots = _eliminate(a, ncols)
+    d = m[0][pivots[0]] if pivots else 1
     out = []
     for free in (c for c in range(ncols) if c not in pivots):
-        v = [Fraction(int(c == free)) for c in range(ncols)]
+        v = [d * (c == free) for c in range(ncols)]
         for row, pc in zip(m, pivots):
             v[pc] = -row[free]
-        out.append(v)
+        out.append(_lowest(v, d)[0])
     return out
+
+
+def rank(a) -> int:
+    """The rank of an integer matrix."""
+    return len(_eliminate(a, len(a[0]))[1])

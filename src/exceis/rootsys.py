@@ -37,7 +37,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .exactnum import nullspace
+from .exactnum import rank
 
 Vector = tuple[Fraction, ...]
 Matrix = tuple[tuple[Fraction, ...], ...]
@@ -98,7 +98,7 @@ class RootSystem:
         # the simple roots as integer numerators over one denominator den > 0
         den = math.lcm(*(c.denominator for v in self.simples for c in v))
         nums = [tuple(c.numerator * (den // c.denominator) for c in v) for v in self.simples]
-        if len(nullspace(nums)) != self.dim - self.rank:
+        if rank(nums) != self.rank:
             raise ValueError(f"{name}: simple roots are linearly dependent")
         gram = [[sum(map(operator.mul, a, b)) for b in nums] for a in nums]
         if any(2 * g % gram[j][j] for row in gram for j, g in enumerate(row)):

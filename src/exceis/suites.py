@@ -9,6 +9,7 @@ import operator
 
 from . import compalg
 from .config import Config
+from .exactnum import inverse
 
 
 
@@ -155,8 +156,8 @@ def _f_complement(jalg: compalg.JordanAlgebra, qxf: compalg.CubicEtale):
     D v = D x - D (G^-1 (x, e))_0 e2 - D (G^-1 (x, e))_1 e3 is integral for
     integral x.  The projection is linear (degree 1)."""
     e2, e3 = qxf.basis_elements[1:]
-    inv = compalg.cleared_inverse([[jalg.trace_pairing(a, b) for b in (e2, e3)]
-                                   for a in (e2, e3)])
+    inv = compalg.ScaledMatrix(*inverse([[jalg.trace_pairing(a, b) for b in (e2, e3)]
+                                         for a in (e2, e3)]))
 
     def project(x: compalg.JordanElement) -> compalg.JordanElement:
         rhs = qxf.pairings(x)[1:]

@@ -21,8 +21,12 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from exceis.archmult import A1, A1_INV, Reading
+from exceis.archmult import A1, Reading
 from exceis.exactnum import AffineForm, Poly
+from linalg_reference import inverse
+
+# the inverse of A1 over Fractions, from the reference elimination
+A1_INV = inverse(A1)
 
 
 class ZeroFunctionError(ValueError):
@@ -42,7 +46,7 @@ def divmod_poly(a: Poly, b: Poly) -> tuple[Poly, Poly]:
     """Quotient and remainder of a by the nonzero polynomial b."""
     if b.is_zero():
         raise ZeroDivisionError("polynomial division by zero")
-    rem, top = list(a.coeffs), len(b.coeffs) - 1
+    rem, top = [Fraction(c) for c in a.coeffs], len(b.coeffs) - 1
     quot = [Fraction(0)] * max(0, len(rem) - top)
     for k in reversed(range(len(quot))):
         quot[k] = rem[k + top] / b.coeffs[top]
@@ -66,7 +70,7 @@ def _gcd(a: Poly, b: Poly) -> Poly:
     """The monic gcd of a and b; 1 when both are zero."""
     while not b.is_zero():
         a, b = b, divmod_poly(a, b)[1]
-    return a.scale(1 / a.coeffs[-1]) if not a.is_zero() else Poly.const(1)
+    return a.scale(1 / Fraction(a.coeffs[-1])) if not a.is_zero() else Poly([1])
 
 
 class RatFunc:
@@ -79,22 +83,22 @@ class RatFunc:
 
     __slots__ = ("num", "den")
 
-    def __init__(self, num: Poly, den: Poly = Poly.const(1)):
+    def __init__(self, num: Poly, den: Poly = Poly([1])):
         if den.is_zero():
             raise ZeroDivisionError("zero denominator")
         if num.is_zero():
-            self.num, self.den = Poly(), Poly.const(1)
+            self.num, self.den = Poly(), Poly([1])
             return
         g = _gcd(num, den)
         if len(g.coeffs) > 1:
             num, den = divmod_poly(num, g)[0], divmod_poly(den, g)[0]
-        lc = den.coeffs[-1]
+        lc = Fraction(den.coeffs[-1])
         self.num = num.scale(1 / lc)
         self.den = den.scale(1 / lc)
 
     @classmethod
     def const(cls, c) -> RatFunc:
-        return cls(Poly.const(c))
+        return cls(Poly([c]))
 
     def is_zero(self) -> bool:
         return self.num.is_zero()
@@ -118,7 +122,7 @@ class RatFunc:
     def derivative(self) -> RatFunc:
         """Exact quotient-rule derivative."""
         n, d = self.num, self.den
-        return RatFunc(n.derivative() * d - n * d.derivative(), d * d)
+        return RatFunc(n.derivative() * d + (n * d.derivative()).scale(-1), d * d)
 
     def order_at(self, s0) -> int:
         """Order of vanishing at s0 (negative = pole of that order)."""
@@ -127,20 +131,21 @@ class RatFunc:
         return root_multiplicity(self.num, s0) - root_multiplicity(self.den, s0)
 
     def eval_at(self, s0) -> Fraction:
+        s0 = Fraction(s0)
         dv = self.den.eval(s0)
         if dv == 0:
-            raise PoleError(Fraction(s0), -self.order_at(s0))
+            raise PoleError(s0, -self.order_at(s0))
         return self.num.eval(s0) / dv
 
     def __repr__(self) -> str:
         return f"({self.num})/({self.den})"
 
 
-def _rising(z: AffineForm, n: int) -> Poly:
+def rising(z: AffineForm, n: int) -> Poly:
     """z(z+1)...(z+n-1) as a polynomial in s."""
-    acc = Poly.const(1)
+    acc = Poly([1])
     for k in range(n):
-        acc = acc * z.shift(k).as_poly()
+        acc = acc * Poly([z.intercept + k, z.slope])
     return acc
 
 
@@ -148,8 +153,8 @@ def diag_entries(arg: AffineForm) -> tuple[RatFunc, RatFunc, RatFunc]:
     """d(z) = diag(v2(z), v1(z), 1) with v_k(z) = ((1-z)/2)_k / ((1+z)/2)_k."""
     half_minus = AffineForm(-arg.slope / 2, (1 - arg.intercept) / 2)
     half_plus = AffineForm(arg.slope / 2, (1 + arg.intercept) / 2)
-    v1 = RatFunc(_rising(half_minus, 1)) / RatFunc(_rising(half_plus, 1))
-    v2 = RatFunc(_rising(half_minus, 2)) / RatFunc(_rising(half_plus, 2))
+    v1 = RatFunc(rising(half_minus, 1)) / RatFunc(rising(half_plus, 1))
+    v2 = RatFunc(rising(half_minus, 2)) / RatFunc(rising(half_plus, 2))
     return v2, v1, RatFunc.const(1)
 
 

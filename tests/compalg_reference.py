@@ -50,10 +50,9 @@ def unit_norm_element(o: OctonionAlgebra, rng: random.Random) -> tuple:
     return o.scalars.vec([c * inv for c in num])
 
 
-def rank_one_sample(jalg: JordanAlgebra, rng: random.Random,
-                    max_attempts: int = 200) -> JordanElement:
+def rank_one_sample(jalg: JordanAlgebra, rng: random.Random) -> JordanElement:
     """The rank-one sample of rank_one_rep normalised: y# = Z/d^2 for y = Y/d."""
-    _, y, d = rank_one_rep(jalg, rng, max_attempts)
+    _, y, d = rank_one_rep(jalg, rng)
     return jalg.sharp(jalg.element([Fraction(v, d) for v in y.c],
                                    [[Fraction(v, d) for v in x] for x in y.x]))
 

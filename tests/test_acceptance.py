@@ -6,6 +6,7 @@ equality).
 """
 
 import hashlib
+from fractions import Fraction
 
 import pytest
 
@@ -206,14 +207,14 @@ def test_ac6_arch_patterns(cfg):
     ok &= {"v212", "v21212", "v1212", "v12-g2", "v12-d4", "v12432",
            "v32312"} <= names
     # intermediate witness of the split-case v12 computation
-    from exceis.archmult import A1, A1_INV, diag_factors
+    from exceis.archmult import A1, A1_DEN, A1_INV, diag_factors
     from exceis.exactnum import AffineForm
     col = [A1[i][2] for i in range(3)]
     factors, den = diag_factors(AffineForm(1, -1))
-    d4 = [f.eval(5) / den.eval(5) for f in factors]
+    d4 = [Fraction(f.eval(5), den.eval(5)) for f in factors]
     vals = [d * c for d, c in zip(d4, col)]
     ok &= vals == [12, 12, 6]
-    back = [sum(A1_INV[i][k] * vals[k] for k in range(3)) for i in range(3)]
+    back = [Fraction(sum(A1_INV[i][k] * vals[k] for k in range(3)), A1_DEN) for i in range(3)]
     ok &= back == [6, 0, 0]
     _announce("AC6 archimedean multiplier patterns at s=5 (exact)", ok)
 

@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 
 import arch_reference as ref
-from exceis.archmult import (A1, A1_INV, BASE_A, MultiplierVector, RecipeCatalog, Token,
+from exceis.archmult import (A1, A1_DEN, A1_INV, BASE_A, MultiplierVector, RecipeCatalog, Token,
                              diag_factors, parse_tokens, pattern_check, read_at,
                              vanishing_order, MatrixRecipe)
 from exceis.cases import arch_report, build_table_report, modulus_report, oracle_report
@@ -23,9 +23,14 @@ class TestBaseMatrix:
 
     def test_diag_entries(self):
         (v2, v1, v0), den = diag_factors(AffineForm(1, 0))
-        assert v0 == den == Poly([Fraction(3, 4), 1, Fraction(1, 4)])   # ((1+s)/2)_2
-        assert v1.eval(4) / den.eval(4) == Fraction(-3, 5)
-        assert v2.eval(4) / den.eval(4) == Fraction(3, 35)
+        assert v0 == den == Poly([3, 4, 1])   # (1+s)(3+s) = 4 ((1+s)/2)_2
+        assert Fraction(v1.eval(4), den.eval(4)) == Fraction(-3, 5)
+        assert Fraction(v2.eval(4), den.eval(4)) == Fraction(3, 35)
+        # z = s/2 - 7/2 has m = 2: (1+z)/2 = (s-5)/4 and (1-z)/2 = (9-s)/4
+        (v2, v1, v0), den = diag_factors(AffineForm(Fraction(1, 2), Fraction(-7, 2)))
+        assert v0 == den == Poly([-5, 1]) * Poly([-1, 1])
+        assert (v1, v2) == (Poly([9, -1]) * Poly([-1, 1]), Poly([9, -1]) * Poly([13, -1]))
+        assert all(isinstance(c, int) for p in (v2, v1, den) for c in p.coeffs)
 
     def test_d_at_one(self):
         # (1-z)/2 vanishes at z=1, so the first two entries of d(1) are 0
@@ -64,9 +69,10 @@ class TestEvaluation:
         col = [A1[i][2] for i in range(3)]
         assert col == [140, -20, 6]
         factors, den = diag_factors(AffineForm(1, -1))   # d(s-1) at s=5 is d(4)
-        vals = [f.eval(5) / den.eval(5) * c for f, c in zip(factors, col)]
+        vals = [Fraction(f.eval(5), den.eval(5)) * c for f, c in zip(factors, col)]
         assert vals == [12, 12, 6]
-        back = [sum(A1_INV[i][k] * vals[k] for k in range(3)) for i in range(3)]
+        back = [Fraction(sum(A1_INV[i][k] * vals[k] for k in range(3)), A1_DEN)
+                for i in range(3)]
         assert back == [6, 0, 0]
 
     def test_catalog_patterns(self, cfg):

@@ -1,10 +1,12 @@
 import dataclasses
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
-from exceis import cases, compalg
-from exceis.config import RowSpec, TableSpec, load_config
+from exceis import cases, compalg, eiscalc
+from exceis.config import Config, RowSpec, TableSpec, load_config
+from exceis.eiscalc import ZetaProduct
 from exceis.report import to_json, to_markdown
 
 
@@ -124,6 +126,25 @@ def test_off_point_table_neither_raises_nor_mismatches(cfg, case_name, target, p
     assert doc["status"] != "Mismatch", [
         (r["word"], c) for r in doc["rows"] for c in r["checks"] if not c["ok"]]
     assert {r["status"] for r in doc["rows"]} == {"UnverifiedExternal"}
+
+
+def test_tables_pass_expands_each_computed_cfunction_once(monkeypatch):
+    """A fresh tables pass expands each row's computed c-function once: the
+    intertwiner verdict carries the expanded product, which the global
+    verdict reads and the row compares and prints."""
+    computed, expanded = [], []
+    build, expand = eiscalc.rational_cfunction, ZetaProduct.expanded
+    monkeypatch.setattr(eiscalc, "rational_cfunction",
+                        lambda *args: computed.append(build(*args)) or computed[-1])
+    monkeypatch.setattr(ZetaProduct, "expanded",
+                        lambda self: expanded.append(self) or expand(self))
+    cfg = Config(load_config().raw)
+    for case in cfg.cases.values():
+        for table in case.tables:
+            cases.build_table_report(cfg, case, table)
+    times = Counter(map(id, expanded))
+    assert len(computed) > 80
+    assert [times[id(c)] for c in computed] == [1] * len(computed)
 
 
 def _cosets_unmatched(doc: dict) -> list:

@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 from itertools import combinations, permutations
 
@@ -5,8 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from arch_reference import PoleError, RatFunc, ZeroFunctionError, divmod_poly
-from exceis.exactnum import AffineForm, Poly, inverse, nullspace, pochhammer, solve
+from arch_reference import PoleError, RatFunc, ZeroFunctionError, divmod_poly, rising
+from exceis.exactnum import AffineForm, Poly, inverse, nullspace, solve
 from weyl_reference import normalized_sign
 
 
@@ -105,20 +106,18 @@ class TestRatFunc:
 
 
 class TestPochhammer:
+    """The rising factorial that the reference d(z) entries are built from."""
+
     def test_empty_product(self):
-        assert pochhammer(AffineForm(1, 0), 0) == Poly.const(1)
+        assert rising(AffineForm(1, 0), 0) == Poly([1])
 
     def test_single(self):
         z = AffineForm(Fraction(-1, 2), Fraction(1, 2))   # (1-s)/2
-        assert pochhammer(z, 1) == Poly([Fraction(1, 2), Fraction(-1, 2)])
+        assert rising(z, 1) == Poly([Fraction(1, 2), Fraction(-1, 2)])
 
     def test_zero_at_special_point(self):
         z = AffineForm(Fraction(1, 2), Fraction(-11, 2))  # (s-11)/2
-        assert pochhammer(z, 3).eval(7) == 0
-
-    def test_negative_rejected(self):
-        with pytest.raises(ValueError):
-            pochhammer(AffineForm(1, 0), -1)
+        assert rising(z, 3).eval(7) == 0
 
 
 coeffs = st.integers(min_value=-6, max_value=6)
@@ -154,8 +153,8 @@ def test_order_additive(f, g, s0):
        st.integers(min_value=0, max_value=8), st.integers(min_value=0, max_value=8))
 def test_pochhammer_composition(a, b, m, n):
     z = AffineForm(a, b)
-    lhs = pochhammer(z, m + n)
-    rhs = pochhammer(z, m) * pochhammer(z.shift(m), n)
+    lhs = rising(z, m + n)
+    rhs = rising(z, m) * rising(z.shift(m), n)
     assert lhs == rhs
 
 
@@ -187,6 +186,13 @@ def mat_vec(a, v):
     return [sum((x * y for x, y in zip(row, v)), Fraction(0)) for row in a]
 
 
+def cleared(rows):
+    """Rational rows as integer rows m * rows, with m their least common
+    denominator."""
+    m = math.lcm(*(Fraction(x).denominator for row in rows for x in row))
+    return [[int(x * m) for x in row] for row in rows], m
+
+
 def det(a):
     total = Fraction(0)
     for perm in permutations(range(len(a))):
@@ -212,11 +218,15 @@ def rank(a):
 @given(square_systems())
 def test_solve(system):
     a, b = system
+    rows, _ = cleared([row + [y] for row, y in zip(a, b)])
+    ia, ib = [row[:-1] for row in rows], [row[-1] for row in rows]
     if det(a) == 0:
         with pytest.raises(ValueError):
-            solve(a, b)
+            solve(ia, ib)
     else:
-        assert mat_vec(a, solve(a, b)) == b
+        nums, den = solve(ia, ib)
+        assert den > 0 and math.gcd(den, *nums) == 1
+        assert mat_vec(a, [Fraction(x, den) for x in nums]) == b
 
 
 @settings(max_examples=60, deadline=None)
@@ -225,9 +235,9 @@ def test_solve_rejects_singular(system, k):
     a, b = system
     k %= len(a)
     # append row k again, with one more column taken from b: row n repeats row k
-    a = [row + [y] for row, y in zip(a + [a[k]], b + [b[k]])]
+    a, _ = cleared([row + [y] for row, y in zip(a + [a[k]], b + [b[k]])])
     with pytest.raises(ValueError):
-        solve(a, [Fraction(1)] * len(a))
+        solve(a, [1] * len(a))
     with pytest.raises(ValueError):
         inverse(a)
 
@@ -237,20 +247,25 @@ def test_solve_rejects_singular(system, k):
 def test_inverse(system):
     a, _ = system
     n = len(a)
+    ia, m = cleared(a)
     if det(a) == 0:
         with pytest.raises(ValueError):
-            inverse(a)
+            inverse(ia)
         return
-    inv = inverse(a)
+    inv, den = inverse(ia)
+    assert den > 0 and math.gcd(den, *(x for row in inv for x in row)) == 1
+    # a = ia/m, so a^-1 = m inv/den
     for j in range(n):
-        assert mat_vec(a, [row[j] for row in inv]) == [int(i == j) for i in range(n)]
+        assert mat_vec(a, [Fraction(m * row[j], den) for row in inv]) == [int(i == j)
+                                                                           for i in range(n)]
 
 
 @settings(max_examples=150, deadline=None)
 @given(st.tuples(st.integers(min_value=1, max_value=4),
                  st.integers(min_value=1, max_value=5)).flatmap(lambda nm: matrices(*nm)))
 def test_nullspace(a):
-    basis = nullspace(a)
+    basis = nullspace(cleared(a)[0])
     for v in basis:
+        assert all(isinstance(x, int) for x in v) and math.gcd(*v) == 1
         assert mat_vec(a, v) == [0] * len(a)
     assert len(basis) == len(a[0]) - rank(a)

@@ -4,8 +4,8 @@ from hypothesis import strategies as st
 
 from exceis.config import load_config
 from exceis.eiscalc import AbsoluteOracle
-from exceis.exactnum import solve
 from exceis.rootsys import ParabolicSpec, RootSystem, dot
+from linalg_reference import solve
 from weyl_reference import (coroot_pairing, enumerate_group, identity_matrix, is_positive_root,
                             label_pairing, levi_positive_count, longest_rep, mat_mul, mat_vec,
                             positive_roots, reference_reflect, root_vectors, weyl_order)

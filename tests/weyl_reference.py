@@ -186,7 +186,7 @@ class ReferenceSystem:
     Cartan matrix, weighted rho and the orthogonal basis."""
 
     def __init__(self, spec):
-        from exceis.exactnum import nullspace
+        from linalg_reference import nullspace
         self.simples = [tuple(Fraction(c) for c in v) for v in spec.simple_roots]
         self.rank, self.dim = len(self.simples), len(self.simples[0])
         self.cartan = [[int(2 * dot(a, b) / dot(b, b)) for b in self.simples]
