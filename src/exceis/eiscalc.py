@@ -264,10 +264,10 @@ class ZetaProduct:
         return sorted(self.factors.items(), key=lambda fe: fe[0].sort_key())
 
     def min_numerator_argument(self, s0) -> Fraction | None:
-        """Smallest argument among numerator zeta-type factors at s0 of this
-        product, expanded; the global intertwining integral converges
-        absolutely iff this exceeds 1.  None when there is no such factor, or
-        when one carries an unbound symbolic shift (as in factor_order)."""
+        """Smallest argument at s0 among the numerator zeta-type factors of
+        this product, which must be expanded; the global intertwining integral
+        converges absolutely iff this exceeds 1.  None when there is no such
+        factor, or when one carries an unbound symbolic shift (as in factor_order)."""
         s0 = Fraction(s0)
         nums = [f for f, e in self.factors.items() if e > 0 and f.is_finite()]
         if not nums or any(f.sym for f in nums):

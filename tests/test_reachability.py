@@ -9,14 +9,17 @@ def that no query enters is code only the tests run, and fails the test.
 Exempt are data-model methods such as ``__eq__``, the names the benchmark's
 tracer wraps (`perfbench/tracer.py` ``TARGETS``, read as
 test_no_dead_code.py reads them), and the ``KEPT`` names, each with its
-reason.  test_no_dead_code.py asks the weaker question, whether a name is
-mentioned anywhere in src; this one asks whether a query runs it.
+reason.  The defs that no query enters and that only the tracer exemption
+keeps are pinned as ``TRACER_ONLY``: one more fails the test too.
+test_no_dead_code.py asks the weaker question, whether a name is mentioned
+anywhere in src; this one asks whether a query runs it.
 """
 
 import ast
 import sys
 from pathlib import Path
 
+import pytest
 from click.testing import CliRunner
 
 from exceis import config
@@ -43,6 +46,9 @@ KEPT = {
     "Poly.derivative": "read_at needs it for an entry that is nonzero at its point: valid "
                        "config, but no packaged recipe has one",
 }
+
+# tracer targets that no query enters; they leave src with ROADMAP items 4 and 13
+TRACER_ONLY = {"RootSystem.word_matrix", "RootSystem.inversions", "we_projection"}
 
 
 def definitions(path: Path) -> list[tuple[str, int]]:
@@ -101,17 +107,32 @@ def entered(queries, monkeypatch) -> set[tuple[str, str]]:
     return seen
 
 
-def test_every_definition_is_entered(monkeypatch):
-    seen = entered(catalogue(), monkeypatch)
-    missed = [f"{p.name} line {line}: {name}" for p in SOURCES
-              for name, line in definitions(p)
-              if (p.name, name) not in seen and name not in KEPT
-              and not (name.split(".")[-1] in TRACED
-                       or name.split(".")[-1].startswith("__")
-                       and name.endswith("__"))]
+@pytest.fixture(scope="module")
+def seen():
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        return entered(catalogue(), monkeypatch)
+
+
+def unentered(seen) -> list[tuple[str, str, int]]:
+    """(file name, qualified name, line) of each def no query enters, but
+    dunders and the KEPT names."""
+    return [(p.name, name, line) for p in SOURCES for name, line in definitions(p)
+            if (p.name, name) not in seen and name not in KEPT
+            and not (name.split(".")[-1].startswith("__") and name.endswith("__"))]
+
+
+def test_every_definition_is_entered(seen):
+    missed = [f"{file} line {line}: {name}" for file, name, line in unentered(seen)
+              if name.split(".")[-1] not in TRACED]
     assert missed == []
     # a kept name that some query enters needs no reason
     assert set(KEPT) & {name for _, name in seen} == set()
+
+
+def test_tracer_only_names_are_pinned(seen):
+    """The tracer exemption keeps no def beyond TRACER_ONLY unentered."""
+    assert {name for _, name, _ in unentered(seen)
+            if name.split(".")[-1] in TRACED} == TRACER_ONLY
 
 
 def test_kept_names_are_definitions():
