@@ -20,6 +20,17 @@ class TestPoly:
         assert Poly([1, 2, 0, 0]) == Poly([1, 2])
         assert Poly([0, 0]).is_zero()
 
+    def test_coefficients_kept_as_given(self):
+        """Ints stay ints through every operation; a Fraction stays a
+        Fraction; anything else is no exact scalar."""
+        p, q = Poly([1, -2]), Poly([3, 0, 4])
+        for r in (p * q, p + q, p.scale(3), p.derivative(), q.deflate(0)[1]):
+            assert all(type(c) is int for c in r.coeffs)
+        assert Poly([Fraction(1, 2)]).coeffs == (Fraction(1, 2),)
+        for bad in ("1", 0.5, None):
+            with pytest.raises(TypeError, match="not an exact scalar"):
+                Poly([1, bad])
+
     def test_divmod(self):
         p = Poly([-1, 0, 1])          # s^2 - 1
         q, r = divmod_poly(p, Poly([1, 1]))  # s + 1
