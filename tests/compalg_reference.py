@@ -18,6 +18,11 @@ the adjoint and the trace pairing from octonion products, conjugates and
 scalings, and `reference_symmetric_product` forms ab + ba from two 3x3
 octonion matrix products and asserts its diagonal scalar.
 test_jordan_differential.py compares the compiled path against them.
+
+Last, `reference_table` is the Cayley-Dickson structure table as
+`compalg._build_table` built it before it read the four block rules off the
+smaller table: each entry a doubling product of basis vectors, formed with
+the conjugate and the product of the smaller algebra.
 """
 
 from __future__ import annotations
@@ -121,6 +126,43 @@ def reference_symmetric_product(jalg: JordanAlgebra, a: JordanElement,
         assert all(c == 0 for c in sym[i][i][1:]), "diagonal is not scalar"
     return JordanElement((sym[0][0][0], sym[1][1][0], sym[2][2][0]),
                          (sym[1][2], sym[2][0], sym[0][1]))
+
+
+def reference_table(gammas) -> dict[tuple[int, int], tuple[int, int]]:
+    """Structure constants e_i e_j = sign * e_k by iterated doubling,
+    using (a,b)(c,d) = (ac + g d* b, d a + b c*) on coordinate vectors."""
+    table = {(0, 0): (0, 1)}
+    dim = 1
+    for g in gammas:
+        def conj(v, dm):
+            return [v[0]] + [-x for x in v[1:dm]]
+
+        def mul(x, y, dm, tbl):
+            out = [0] * dm
+            for (i, j), (k, sg) in tbl.items():
+                if x[i] and y[j]:
+                    out[k] += sg * x[i] * y[j]
+            return out
+
+        dim2 = dim * 2
+        new = {}
+        for i in range(dim2):
+            a = [int(t == i) for t in range(dim)]
+            b = [int(t == i - dim) for t in range(dim)]
+            for j in range(dim2):
+                c = [int(t == j) for t in range(dim)]
+                d = [int(t == j - dim) for t in range(dim)]
+                p1 = [u + g * v for u, v in
+                      zip(mul(a, c, dim, table), mul(conj(d, dim), b, dim, table))]
+                p2 = [u + v for u, v in
+                      zip(mul(d, a, dim, table), mul(b, conj(c, dim), dim, table))]
+                vec = p1 + p2
+                nz = [(k, vec[k]) for k in range(dim2) if vec[k]]
+                assert len(nz) == 1 and nz[0][1] in (1, -1)
+                new[(i, j)] = nz[0]
+        table = new
+        dim = dim2
+    return table
 
 
 def rational(m: ScaledMatrix) -> tuple[tuple, ...]:

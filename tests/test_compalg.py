@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import random
 import re
 from fractions import Fraction
@@ -8,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from compalg_reference import (SPLIT_GAMMAS, bilinear, definite_octonions, rank_one_sample,
-                               rational, unit_norm_element)
+                               rational, reference_table, unit_norm_element)
 from exceis import compalg, suites
 from exceis.compalg import (CubicEtale, JordanAlgebra, PrimeFieldScalars, freudenthal_r0,
                             random_triality_pairs, split_octonions, triality_triple,
@@ -111,6 +112,12 @@ class TestKernelCompiler:
     vanish for every x is checked once, on the table's coefficients, when
     an algebra is built; a table with one flipped sign fails that check,
     naming the coordinate of x x* that is not scalar."""
+
+    @pytest.mark.parametrize("gammas", list(itertools.product((1, -1), repeat=3)))
+    def test_table_is_the_doubling_reference(self, gammas):
+        table = compalg._build_table(gammas)
+        assert table == reference_table(gammas)
+        assert list(table) == [(i, j) for i in range(8) for j in range(8)]
 
     @staticmethod
     def flipped(entry, gammas=(-1, -1, -1)) -> tuple[dict, int]:

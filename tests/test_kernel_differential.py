@@ -10,7 +10,10 @@ and for random reduced words from random start vectors.  Each trace is
 also compared with `fraction_trace`, the Fraction-vector trace the
 verifier ran before it carried simple-coroot labels.  Last, the pairings
 read off labels (the printed pairings of w(lambda) + rho, the oracle's GK
-products) against Euclidean pairings."""
+products) against Euclidean pairings.  And the action check's images:
+w(e), read off the lambda trace of each coordinate unit vector e, is
+column e of the reference matrix of w, for the representative of every
+configured row that states an action."""
 
 import pytest
 from hypothesis import given, settings
@@ -18,7 +21,8 @@ from hypothesis import strategies as st
 
 from exceis.config import load_config
 from exceis.eiscalc import CoordVector, apply_word, shifted_exponent, shifted_label
-from weyl_reference import ReferenceSystem, fraction_trace, gk_product, printed_pairing
+from weyl_reference import (ReferenceSystem, fraction_trace, gk_product, mat_vec,
+                            printed_pairing, word_matrix)
 
 CFG = load_config()
 NAMES = sorted(CFG.raw["systems"])
@@ -126,3 +130,23 @@ def test_shifted_labels_and_oracle_products():
                 assert oracle.gk_restricted(word) == gk_product(oracle.lambda_abs, roots)
                 products += 1
     assert rows > 0 and products > 0
+
+
+def test_action_images_are_reference_matrix_columns():
+    rows = 0
+    for case in CFG.cases.values():
+        sys = CFG.system(case.system)
+        zero = (0,) * sys.dim
+        for table in case.tables:
+            reps = sys.double_coset_reps(sys.parabolic(table.target), sys.parabolic(case.source))
+            for row in table.rows:
+                if row.action is None:
+                    continue
+                rep = next(w for w in reps if sys.element(w) == sys.element(row.word))
+                m = word_matrix(sys, rep)
+                for d in range(sys.dim):
+                    e = tuple(int(i == d) for i in range(sys.dim))
+                    assert apply_word(sys, CoordVector(e, zero), rep).final.slope \
+                        == mat_vec(m, e), (case.name, rep, d)
+                rows += 1
+    assert rows == 8
