@@ -16,14 +16,13 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .archmult import vanishing_order
 from .config import CaseSpec, Config, RowSpec, TableSpec, UnprintedArch, check_forms
 from .eiscalc import (CoordVector, apply_word, convergence, intertwiner_verdict,
                       order_report, rational_cfunction, shifted_exponent, shifted_label)
 from .exactnum import AffineForm
-from .rootsys import ParabolicSpec, RootSystem, Word, smul
+from .rootsys import ParabolicSpec, RootSystem, Word
 
 
 @dataclass
@@ -67,10 +66,13 @@ def _census(system: RootSystem, rows: list[RowSpec], reps: list[Word]):
 
 def _action_check(system: RootSystem, rep: Word, action: dict[int, tuple[int, int]]) -> Check:
     """The row's stated images r_i -> +-r_j of the coordinate forms against
-    those of its representative."""
-    units = [tuple(Fraction(int(d == i)) for d in range(system.dim)) for i in range(system.dim)]
+    those of its representative, each read off the lambda trace of a
+    coordinate unit vector."""
+    units = [tuple(int(d == i) for d in range(system.dim)) for i in range(system.dim)]
+    zero = (0,) * system.dim
     wrong = [f"r{i}" for i, (sign, j) in action.items()
-             if system.act(rep, units[i - 1]) != smul(Fraction(sign), units[j - 1])]
+             if apply_word(system, CoordVector(units[i - 1], zero), rep).final.slope
+             != tuple(sign * x for x in units[j - 1])]
     stated = ", ".join(f"r{i}: {'-' * (sign < 0)}r{j}" for i, (sign, j) in action.items())
     return Check("action", not wrong, f"{{{stated}}} "
                  + (f"differs at {', '.join(wrong)}" if wrong else "matches"))
@@ -84,13 +86,11 @@ def _lambda(system: RootSystem, case: CaseSpec) -> CoordVector:
     return lam
 
 
-def build_table_report(cfg: Config, case: CaseSpec, table: TableSpec,
-                       s0: Fraction | None = None) -> dict:
+def build_table_report(cfg: Config, case: CaseSpec, table: TableSpec) -> dict:
     system = cfg.system(case.system)
     source = system.parabolic(case.source)
     target = system.parabolic(table.target)
-    s0 = case.s0 if s0 is None else Fraction(s0)
-    with_expect = s0 == case.s0
+    s0 = case.s0
     lam = _lambda(system, case)
     reps = system.double_coset_reps(target, source)
     matches, unmatched, census_ok = _census(system, table.rows, reps)
@@ -149,10 +149,11 @@ def build_table_report(cfg: Config, case: CaseSpec, table: TableSpec,
             else:
                 form = shifted_label(system, trace, ec.root)
             value = form.eval(s0)
-            status = convergence(value - ec.threshold)
-            ok = (status == ec.status) if with_expect else True
+            margin = value - ec.threshold
+            status = convergence(margin)
+            ok = status == ec.status
             eis_rows.append({"value": str(value), "threshold": str(ec.threshold),
-                             "margin": str(value - ec.threshold), "status": status,
+                             "margin": str(margin), "status": status,
                              "expected": ec.status, "ok": ok,
                              "printed": ec.printed})
             checks.append(Check("eisenstein", ok,
@@ -167,11 +168,11 @@ def build_table_report(cfg: Config, case: CaseSpec, table: TableSpec,
             "order": iv.global_order,
             "min_pairing": None if iv.min_pairing is None else str(iv.min_pairing),
         }
-        if with_expect and row.intertwiner_local is not None:
+        if row.intertwiner_local is not None:
             checks.append(Check("intertwiner_local",
                                 iv.local_status == row.intertwiner_local,
                                 f"{iv.local_status} (expected {row.intertwiner_local})"))
-        if with_expect and row.intertwiner_global is not None:
+        if row.intertwiner_global is not None:
             checks.append(Check("intertwiner_global",
                                 iv.global_status == row.intertwiner_global,
                                 f"{iv.global_status} (expected {row.intertwiner_global})"))
@@ -184,7 +185,7 @@ def build_table_report(cfg: Config, case: CaseSpec, table: TableSpec,
             if row.cfunction_arch is not None:
                 full = full * row.cfunction_arch
             rec["cfunction_printed"] = str(full)
-            if row.order_total is not None and with_expect:
+            if row.order_total is not None:
                 rep_ord = order_report(full, s0, row.order_symbols)
                 rec["order_report"] = {
                     "total": rep_ord.total,
@@ -197,8 +198,8 @@ def build_table_report(cfg: Config, case: CaseSpec, table: TableSpec,
         rec["cfunction"] = str(iv.expanded)
 
         # archimedean multiplier: the arch section's claim on this word of the
-        # case, a recipe's own verdict and its vanishing order compared at the
-        # case's s0 only, or a claim stated without a recipe
+        # case, a recipe's own verdict (at the recipe's checks.s0) and its
+        # vanishing order at the case's s0, or a claim stated without a recipe
         claim = cfg.arch_claims.get((case.name, row.word))
         if claim is None:
             return False
@@ -208,7 +209,7 @@ def build_table_report(cfg: Config, case: CaseSpec, table: TableSpec,
         vec, pc = cfg.catalog.verdict(claim)
         rec["arch"] = {"recipe": claim.name, "ok": pc.ok, "ledger": pc.ledger}
         checks.append(Check("arch_pattern", pc.ok, f"{claim.name}: " + "; ".join(pc.ledger)))
-        if with_expect and claim.min_vanishing_order is not None:
+        if claim.min_vanishing_order is not None:
             vo = vanishing_order(vec, s0)
             rec["arch"]["vanishing_order"] = vo
             checks.append(Check("arch_order", vo >= claim.min_vanishing_order,
@@ -228,8 +229,7 @@ def build_table_report(cfg: Config, case: CaseSpec, table: TableSpec,
             "external": list(row.external),
             "note": row.note,
         }
-        unverified = rep is not None and (recompute(row, rep, rec, checks)
-                                          or bool(row.external) or not with_expect)
+        unverified = rep is not None and (recompute(row, rep, rec, checks) or bool(row.external))
         rec["checks"] = [c.as_dict() for c in checks]
         rec["status"] = ("Mismatch" if not all(c.ok for c in checks)
                          else "UnverifiedExternal" if unverified else "Verified")
@@ -264,8 +264,7 @@ def _find_table(system: RootSystem, cases, left: ParabolicSpec,
     return None
 
 
-def constant_term_report(cfg: Config, case_name: str, source: str, target: str,
-                         s0=None) -> dict:
+def constant_term_report(cfg: Config, case_name: str, source: str, target: str) -> dict:
     case = cfg.case(case_name)
     system = cfg.system(case.system)
     if system.parabolic(source).radical != system.parabolic(case.source).radical:
@@ -274,7 +273,7 @@ def constant_term_report(cfg: Config, case_name: str, source: str, target: str,
                         system.parabolic(source))
     if found is None:
         raise ValueError(f"case {case.name} has no configured table for target {target}")
-    return build_table_report(cfg, *found, s0=s0)
+    return build_table_report(cfg, *found)
 
 
 def cosets_report(cfg: Config, system_name: str, left: str, right: str) -> dict:

@@ -65,11 +65,10 @@ def cosets(ctx, system, left, right):
 @click.argument("case_name", metavar="CASE")
 @click.argument("source")
 @click.argument("target")
-@click.option("--s0", default=None, help="Evaluation point (defaults to the case's).")
 @click.pass_context
-def constant_term(ctx, case_name, source, target, s0):
-    """Constant-term table of CASE from SOURCE down to TARGET."""
-    _report(ctx, cases.constant_term_report, case_name, source, target, s0=s0)
+def constant_term(ctx, case_name, source, target):
+    """Constant-term table of CASE from SOURCE down to TARGET, at the case's s0."""
+    _report(ctx, cases.constant_term_report, case_name, source, target)
 
 
 @main.command()

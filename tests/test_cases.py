@@ -1,6 +1,5 @@
 import dataclasses
 from collections import Counter
-from fractions import Fraction
 
 import pytest
 
@@ -105,27 +104,6 @@ class TestTableReports:
         from exceis.config import ConfigError
         with pytest.raises(ConfigError):
             cfg.case("nonsense")
-
-
-# every configured table, as (case, target)
-TABLES = [(case.name, table.target) for case in load_config().cases.values()
-          for table in case.tables]
-
-
-@pytest.mark.parametrize("point", ["s0+1", "s0+1/2", "0"])
-@pytest.mark.parametrize("case_name, target", TABLES)
-def test_off_point_table_neither_raises_nor_mismatches(cfg, case_name, target, point):
-    """Expectations stated at the case's s0 are recorded but not compared
-    elsewhere: every off-point row of a constant-term table reads
-    UnverifiedExternal, and no check fails, archimedean rows included."""
-    case = cfg.case(case_name)
-    table = next(t for t in case.tables if t.target == target)
-    s0 = {"s0+1": case.s0 + 1, "s0+1/2": case.s0 + Fraction(1, 2), "0": Fraction(0)}[point]
-    doc = cases.build_table_report(cfg, case, table, s0=s0)
-    assert doc["s0"] == str(s0)
-    assert doc["status"] != "Mismatch", [
-        (r["word"], c) for r in doc["rows"] for c in r["checks"] if not c["ok"]]
-    assert {r["status"] for r in doc["rows"]} == {"UnverifiedExternal"}
 
 
 def test_tables_pass_expands_each_computed_cfunction_once(monkeypatch):

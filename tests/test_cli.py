@@ -49,7 +49,7 @@ class TestCosets:
 class TestConstantTerm:
     def test_ge_field(self, runner):
         r = invoke(runner, "--format", "json", "constant-term",
-                   "GE-field", "P1", "P1", "--s0", "5")
+                   "GE-field", "P1", "P1")
         assert r.exit_code == 0
         doc = json.loads(r.output)
         assert doc["census_size"] == 4
@@ -58,7 +58,7 @@ class TestConstantTerm:
 
     def test_e7(self, runner):
         r = invoke(runner, "--format", "json", "constant-term",
-                   "E7", "P3", "P3", "--s0", "14")
+                   "E7", "P3", "P3")
         doc = json.loads(r.output)
         assert doc["census_size"] == 4
         w0 = doc["rows"][-1]
@@ -74,23 +74,11 @@ class TestConstantTerm:
         r = invoke(runner, "constant-term", "E7", "P1", "P3")
         assert r.exit_code != 0
 
-    def test_off_point_evaluation_suppresses_expectations(self, runner):
-        r = invoke(runner, "--format", "json", "constant-term",
-                   "D5", "P", "P", "--s0", "9")
-        assert r.exit_code == 0
-        doc = json.loads(r.output)
-        assert doc["s0"] == "9"
-
-    @pytest.mark.parametrize("s0", ["6", "0"])
-    def test_off_point_arch_rows_keep_the_recipe_verdict(self, runner, s0):
-        # the recipe rows are checked at the recipe's own s0, whatever --s0 is
-        r = invoke(runner, "--format", "json", "constant-term",
-                   "GE-field", "P1", "P1", "--s0", s0)
-        assert r.exit_code == 0, r.output
-        doc = json.loads(r.output)
-        assert doc["s0"] == s0 and doc["status"] == "UnverifiedExternal"
-        w0 = next(row for row in doc["rows"] if row["word"] == [2, 1, 2, 1, 2])
-        assert w0["arch"]["ok"] and "vanishing_order" not in w0["arch"]
+    def test_no_evaluation_point_option(self, runner):
+        # a table is evaluated at its case's s0 only
+        r = invoke(runner, "constant-term", "D5", "P", "P", "--s0", "9")
+        assert r.exit_code == 2
+        assert "Error: No such option '--s0'." in r.output
 
 
 class TestArchAndAlgebra:
