@@ -152,39 +152,23 @@ def _below(rng: random.Random, n: int, count: int, lo: int = 0) -> tuple:
 
 
 def _build_table(gammas: Sequence[int]) -> dict[tuple[int, int], tuple[int, int]]:
-    """Structure constants e_i e_j = sign * e_k by iterated doubling,
-    using (a,b)(c,d) = (ac + g d* b, d a + b c*)."""
-    table = {(0, 0): (0, 1)}
-    dim = 1
+    """Structure constants e_i e_j = sign * e_k by iterated doubling.  With
+    (a,b)(c,d) = (ac + g d* b, d a + b c*), e_0* = e_0 and e_q* = -e_q for
+    q > 0, the four blocks read off the smaller table are
+
+        (e_p,0)(e_q,0) = (e_p e_q, 0),    (e_p,0)(0,e_q) = (0, e_q e_p),
+        (0,e_p)(e_q,0) = (0, e_p e_q*),   (0,e_p)(0,e_q) = (g e_q* e_p, 0)."""
+    table, dim = {(0, 0): (0, 1)}, 1
     for g in gammas:
-        def conj(v, dm):
-            return [v[0]] + [-x for x in v[1:dm]]
-
-        def mul(x, y, dm, tbl):
-            out = [0] * dm
-            for (i, j), (k, sg) in tbl.items():
-                if x[i] and y[j]:
-                    out[k] += sg * x[i] * y[j]
-            return out
-
-        dim2 = dim * 2
         new = {}
-        for i in range(dim2):
-            a = [int(t == i) for t in range(dim)]
-            b = [int(t == i - dim) for t in range(dim)]
-            for j in range(dim2):
-                c = [int(t == j) for t in range(dim)]
-                d = [int(t == j - dim) for t in range(dim)]
-                p1 = [u + g * v for u, v in
-                      zip(mul(a, c, dim, table), mul(conj(d, dim), b, dim, table))]
-                p2 = [u + v for u, v in
-                      zip(mul(d, a, dim, table), mul(b, conj(c, dim), dim, table))]
-                vec = p1 + p2
-                nz = [(k, vec[k]) for k in range(dim2) if vec[k]]
-                assert len(nz) == 1 and nz[0][1] in (1, -1)
-                new[(i, j)] = nz[0]
-        table = new
-        dim = dim2
+        for i in range(2 * dim):
+            for j in range(2 * dim):
+                (b, p), (d, q) = divmod(i, dim), divmod(j, dim)
+                k, sg = table[(q, p) if d else (p, q)]
+                if b:
+                    sg *= (g if d else 1) * (1 if q == 0 else -1)
+                new[i, j] = (k + dim * (b ^ d), sg)
+        table, dim = new, 2 * dim
     return table
 
 
@@ -447,8 +431,10 @@ class JordanAlgebra:
         return self.scalars.red(a.c[0] + a.c[1] + a.c[2])
 
     def jordan_product(self, a: JordanElement, b: JordanElement) -> JordanElement:
-        """(ab + ba)/2, back in Hermitian coordinates."""
-        return self.scale(self.scalars.inv(self.scalars.of(2)), self.symmetric_product(a, b))
+        """(ab + ba)/2, back in Hermitian coordinates, each coordinate a
+        value of the scalar ring (an integral rational is an int)."""
+        half = self.scale(self.scalars.inv(self.scalars.of(2)), self.symmetric_product(a, b))
+        return self.element(half.c, half.x)
 
     def symmetric_product(self, a: JordanElement, b: JordanElement) -> JordanElement:
         """ab + ba = 2 (a o b) in Hermitian coordinates: the Jordan product
@@ -848,21 +834,16 @@ def triality_verify(o: OctonionAlgebra, triple: TrialityTriple) -> bool:
     return not any(vec(gram))
 
 
-def random_triality_pairs(o: OctonionAlgebra, rng: random.Random,
-                          npairs: int | None = None) -> list:
-    """Random generator pairs with each N(a)N(b) = 1, via b = c a*/N(a) for
-    a random norm-1 factor c; one or two pairs unless npairs is given.
+def random_triality_pairs(o: OctonionAlgebra, rng: random.Random) -> list:
+    """One or two random generator pairs with each N(a)N(b) = 1, via
+    b = c a*/N(a) for a random norm-1 factor c.
 
     c = num/den comes from the Cayley transform, so b = (num a*)/(den N(a))
     has an integral numerator, and N(a)N(b) = 1 is checked as
     N(num a*) = den^2 N(a) (degree 2)."""
-    if npairs is None:
-        npairs = rng.randint(1, 2)
-    elif npairs < 1:
-        raise ValueError(f"need at least one generator pair, got {npairs}")
     ring = o.scalars
     pairs = []
-    for _ in range(npairs):
+    for _ in range(rng.randint(1, 2)):
         while True:
             a = o.random(rng, -2, 2)
             na = o.norm(a)

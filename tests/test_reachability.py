@@ -6,10 +6,9 @@ The catalogue below runs in process through click's CliRunner under
 case, and ``constant-term`` and ``cosets`` for every configured table.  A
 def that no query enters is code only the tests run, and fails the test.
 
-Exempt are data-model methods such as ``__eq__``, the names the benchmark's
-tracer wraps (`perfbench/tracer.py` ``TARGETS``, read as
-test_no_dead_code.py reads them), and the ``KEPT`` names, each with its
-reason.  The defs that no query enters and that only the tracer exemption
+Exempt are data-model methods such as ``__eq__``, the defs the benchmark's
+tracer wraps (`perfbench/tracer.py` ``TARGETS``, each by its file and
+qualified name), and the ``KEPT`` names, each with its reason.  The defs that no query enters and that only the tracer exemption
 keeps are pinned as ``TRACER_ONLY``: one more fails the test too.
 test_no_dead_code.py asks the weaker question, whether a name is mentioned
 anywhere in src; this one asks whether a query runs it.
@@ -32,8 +31,9 @@ sys.path.insert(0, str(ROOT / "perfbench"))
 
 import tracer  # noqa: E402
 
-TRACED = {part for module, attr, _ in tracer.TARGETS if module.startswith("exceis")
-          for part in attr.split(".")}
+# (file name, qualified name) of each src def the tracer wraps
+TRACED = {(module.split(".")[-1] + ".py", attr) for module, attr, _ in tracer.TARGETS
+          if module.startswith("exceis.")}
 
 KEPT = {
     "CubicEtale.project": "reached only through the tracer target we_projection",
@@ -113,26 +113,41 @@ def seen():
         return entered(catalogue(), monkeypatch)
 
 
-def unentered(seen) -> list[tuple[str, str, int]]:
+def unentered(seen, sources=SOURCES) -> list[tuple[str, str, int]]:
     """(file name, qualified name, line) of each def no query enters, but
     dunders and the KEPT names."""
-    return [(p.name, name, line) for p in SOURCES for name, line in definitions(p)
+    return [(p.name, name, line) for p in sources for name, line in definitions(p)
             if (p.name, name) not in seen and name not in KEPT
             and not (name.split(".")[-1].startswith("__") and name.endswith("__"))]
 
 
+def missed(seen, sources=SOURCES) -> list[str]:
+    """Each def no query enters that no exemption keeps."""
+    return [f"{file} line {line}: {name}" for file, name, line in unentered(seen, sources)
+            if (file, name) not in TRACED]
+
+
 def test_every_definition_is_entered(seen):
-    missed = [f"{file} line {line}: {name}" for file, name, line in unentered(seen)
-              if name.split(".")[-1] not in TRACED]
-    assert missed == []
+    assert missed(seen) == []
     # a kept name that some query enters needs no reason
     assert set(KEPT) & {name for _, name in seen} == set()
 
 
 def test_tracer_only_names_are_pinned(seen):
     """The tracer exemption keeps no def beyond TRACER_ONLY unentered."""
-    assert {name for _, name, _ in unentered(seen)
-            if name.split(".")[-1] in TRACED} == TRACER_ONLY
+    assert {name for file, name, _ in unentered(seen) if (file, name) in TRACED} == TRACER_ONLY
+
+
+def test_tracer_exemption_reads_file_and_qualified_name(tmp_path):
+    """A def that shares its last name with a tracer target, in another
+    class or another file, is not exempt."""
+    (tmp_path / "compalg.py").write_text(
+        "class JordanAlgebra:\n    def sharp(self):\n        pass\n\n"
+        "class _Unused:\n    def sharp(self):\n        pass\n")
+    (tmp_path / "rootsys.py").write_text("def sharp():\n    pass\n")
+    sources = sorted(tmp_path.glob("*.py"))
+    assert missed(set(), sources) == ["compalg.py line 6: _Unused.sharp",
+                                      "rootsys.py line 1: sharp"]
 
 
 def test_kept_names_are_definitions():
