@@ -8,8 +8,9 @@ def that no query enters is code only the tests run, and fails the test.
 
 Exempt are data-model methods such as ``__eq__``, the defs the benchmark's
 tracer wraps (`perfbench/tracer.py` ``TARGETS``, each by its file and
-qualified name), and the ``KEPT`` names, each with its reason.  The defs that no query enters and that only the tracer exemption
-keeps are pinned as ``TRACER_ONLY``: one more fails the test too.
+qualified name), and the ``KEPT`` names, each with its reason.  The defs
+that no query enters and that only the tracer exemption keeps are pinned
+as ``TRACER_ONLY``: one more fails the test too.
 test_no_dead_code.py asks the weaker question, whether a name is mentioned
 anywhere in src; this one asks whether a query runs it.
 """
