@@ -2,9 +2,13 @@
 `inverse`, `nullspace`, `rank`) against the Fraction Gauss-Jordan path kept
 in tests/linalg_reference.py, on rational matrices, singular and
 rank-deficient ones included: each matrix goes to the verifier with its
-denominators cleared, and the answers are read back as Fractions."""
+denominators cleared, and the answers are read back as Fractions.  Two of
+its callers are compared with a reference solve as well: the fundamental
+weights of the oracles' absolute systems, and the E-parts of the etale
+projection."""
 
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -12,7 +16,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import linalg_reference as ref
-from exceis import exactnum
+from compalg_reference import definite_octonions
+from exceis import compalg, exactnum
+from exceis.config import load_config
 
 scalars = st.one_of(st.integers(min_value=-3, max_value=3),
                     st.fractions(min_value=-3, max_value=3, max_denominator=4))
@@ -104,3 +110,34 @@ def test_rejects_rational_entries():
                  lambda: exactnum.rank([[1, Fraction(1, 2)]])):
         with pytest.raises(TypeError, match="integer entries"):
             call()
+
+
+def test_fundamental_weights():
+    """omega_node has the coefficients c with C^T c = e_node, C the Cartan
+    matrix of the oracle's absolute system."""
+    cfg = load_config()
+    names = [name for name, case in sorted(cfg.cases.items()) if case.oracle]
+    assert names
+    for name in names:
+        oracle = cfg.oracle(name)
+        sys = oracle.absolute
+        cartan_t = [list(col) for col in zip(*sys.cartan)]
+        for node in range(1, sys.rank + 1):
+            coeff = ref.solve(cartan_t, [int(j + 1 == node) for j in range(sys.rank)])
+            assert oracle.fundamental_weight(node) == sys.vector(coeff), (name, node)
+
+
+@pytest.mark.parametrize("descriptor", [("split3",), ("QxF", 2), ("field", (1, -2, -1))])
+def test_etale_projection(descriptor):
+    """The E-coefficients of x are the solution of the Gram system of the
+    E-basis against the pairings (x, b), and x minus its E-part is in V_E."""
+    jalg = compalg.JordanAlgebra(definite_octonions())
+    et = compalg.CubicEtale(jalg, descriptor)
+    basis = et.basis_elements
+    gram = [[jalg.trace_pairing(a, b) for b in basis] for a in basis]
+    rng = random.Random(f"projection:{descriptor[0]}")
+    for _ in range(50):
+        x = jalg.random(rng)
+        coeffs, v = et.project(x)
+        assert list(coeffs) == ref.solve(gram, [jalg.trace_pairing(x, b) for b in basis])
+        assert et.in_ve(v) and jalg.add(et.embed(coeffs), v) == x
