@@ -11,10 +11,12 @@ Over Q the checks run on integers wherever they can.  Every identity the
 algebra suites check is homogeneous, so each is checked on a
 cleared-denominator integer representative X = d x, with the verdict it has
 on x: a rank-one sample is Z = (d y)# = d^2 y# (``rank_one_rep``), E-parts are
-solved against the Gram inverse as ``exactnum.inverse`` returns it, the
-Jordan product is compared doubled (``symmetric_product``), and triality
-matrices are integer matrices over a denominator (``ScaledMatrix``).
-Fractions appear where a public function returns a rational value.
+integer numerators over the denominator of the etale's one Gram inverse
+(``CubicEtale.coefficients``), V_E is tested by its three pairing rows
+alone, the Jordan product is compared doubled (``symmetric_product``), and
+triality matrices are integer matrices over a denominator
+(``ScaledMatrix``).  Fractions appear where a public function returns a
+rational value that is not an integer.
 
 The octonion arithmetic the suites repeat is compiled from the structure
 constants when an algebra is built (``_kernel_sources``): the product, the
@@ -55,7 +57,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .exactnum import _numerators, inverse, is_odd_prime, nullspace
+from .exactnum import _numerators, inverse, is_odd_prime, rank
 
 
 class RationalScalars:
@@ -403,10 +405,6 @@ class JordanAlgebra:
     def coords(self, el: JordanElement) -> tuple:
         return tuple(el.c) + el.x[0] + el.x[1] + el.x[2]
 
-    def from_coords(self, vec) -> JordanElement:
-        vec = list(vec)
-        return self.element(vec[:3], (vec[3:11], vec[11:19], vec[19:27]))
-
     def random(self, rng: random.Random) -> JordanElement:
         d = self.scalars.draws(rng, 27, -2, 2)
         return JordanElement(d[:3], (d[3:11], d[11:19], d[19:27]))
@@ -533,6 +531,11 @@ class CubicEtale:
     """An embedded cubic etale subalgebra E of H3 and its trace-pairing
     complement V_E.
 
+    V_E is held as the kernel of the three pairing rows (b, e_k) of the
+    E-basis b against the standard coordinates: x is in V_E when its three
+    pairings vanish (``in_ve``), and ``ve_dim`` is 27 minus their rank.  The
+    E-part of x is solved against the one Gram inverse of the E-basis.
+
     descriptors: ("split3",) for Q^3 diagonally, ("QxF", d) for Q x Q(sqrt d),
     ("field", (a0,a1,a2)) for Q[t]/(t^3 + a2 t^2 + a1 t + a0) via a symmetric
     rational companion found by bounded search.
@@ -548,7 +551,7 @@ class CubicEtale:
         self._rows = [[jalg.trace_pairing(b, e) for e in basis27]
                       for b in self.basis_elements]
         self._gram_inv = ScaledMatrix(*inverse([self.pairings(b) for b in self.basis_elements]))
-        self.ve_basis = self._complement()
+        self.ve_dim = 27 - rank(self._rows)
 
     def _build(self) -> list[JordanElement]:
         j = self.jordan
@@ -615,29 +618,24 @@ class CubicEtale:
             out = j.add(out, j.scale(c, b))
         return out
 
-    def _complement(self) -> list[JordanElement]:
-        """Exact nullspace of the 3x27 pairing matrix with the E-basis."""
-        j = self.jordan
-        out = [j.from_coords(v) for v in nullspace(self._rows)]
-        assert len(out) == 27 - len(self.basis_elements)
-        return out
-
     def pairings(self, el: JordanElement) -> tuple:
         """The trace pairings (el, b) with the E-basis elements b."""
         coords = self.jordan.coords(el)
         return tuple(sum(map(operator.mul, row, coords)) for row in self._rows)
 
-    def coefficients(self, el: JordanElement) -> tuple:
-        """The E-coefficients of el, solved against the Gram inverse of the
-        E-basis: the E-part of el along J = E + V_E is embed(coefficients)."""
+    def coefficients(self, el: JordanElement) -> tuple[tuple, int]:
+        """The E-coefficients of el as integer numerators over the positive
+        denominator of the Gram inverse of the E-basis (for integral el):
+        the E-part of el along J = E + V_E is embed(numerators) / den."""
         inv = self._gram_inv
         rhs = self.pairings(el)
-        return tuple(Fraction(sum(map(operator.mul, row, rhs)), inv.den) for row in inv.mat)
+        return tuple(sum(map(operator.mul, row, rhs)) for row in inv.mat), inv.den
 
     def project(self, el: JordanElement) -> tuple[tuple, JordanElement]:
         """Split x = x_E + x_V along J = E + V_E; returns (E-coefficients,
-        V_E component)."""
-        coeffs = self.coefficients(el)
+        V_E component), each coefficient a value of the scalar ring."""
+        nums, den = self.coefficients(el)
+        coeffs = tuple(self.jordan.scalars.of(Fraction(n, den)) for n in nums)
         return coeffs, self.jordan.sub(el, self.embed(coeffs))
 
     def in_ve(self, el: JordanElement) -> bool:
@@ -651,16 +649,15 @@ class CubicEtale:
 
 @dataclass(frozen=True)
 class FreudenthalElement:
-    a: Fraction
+    a: int | Fraction
     b: JordanElement
     c: JordanElement
-    d: Fraction
+    d: int | Fraction
 
 
-def freudenthal_r0(jalg: JordanAlgebra, z: JordanElement,
-                   lam=Fraction(1)) -> FreudenthalElement:
-    """lam * (1, -Z, Z#, -N(Z))."""
-    lam = Fraction(lam)
+def freudenthal_r0(jalg: JordanAlgebra, z: JordanElement, lam=1) -> FreudenthalElement:
+    """lam * (1, -Z, Z#, -N(Z)), with lam a value of the scalar ring."""
+    lam = jalg.scalars.of(lam)
     return FreudenthalElement(lam, jalg.scale(-lam, z),
                               jalg.scale(lam, jalg.sharp(z)),
                               -lam * jalg.norm(z))

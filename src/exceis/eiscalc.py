@@ -38,7 +38,7 @@ import re
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
-from .exactnum import AffineForm, solve
+from .exactnum import AffineForm, inverse
 from .rootsys import RootSystem, Vector, Word, smul, vadd, vsub
 
 # ---------------------------------------------------------------------------
@@ -515,9 +515,10 @@ class AbsoluteOracle:
                                  f"expected multiplicity {mult}")
 
     def fundamental_weight(self, node: int) -> Vector:
-        sys = self.absolute
-        rhs = [int(j + 1 == node) for j in range(sys.rank)]
-        return sys.vector(*solve([list(col) for col in zip(*sys.cartan)], rhs))
+        """omega_node, whose coefficients c solve C^T c = e_node for the
+        Cartan matrix C: they are row `node` of C^-1."""
+        inv, den = inverse(self.absolute.cartan)
+        return self.absolute.vector(inv[node - 1], den)
 
     def gk_restricted(self, rational_word) -> ZetaProduct:
         """The Gindikin-Karpelevich c-function over the absolute system for

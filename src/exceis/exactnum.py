@@ -5,18 +5,16 @@ No floating point enters at any stage.  Polynomials are stored dense by
 degree (degrees in this project stay below ~30), with their coefficients
 as given, ints or Fractions; a quotient of two of them is read at a point
 by dropping the power of (s - s0) from each (:meth:`Poly.deflate`), so no
-rational-function form is kept.  Linear systems, inverses, nullspaces and
-ranks take integer matrices and all go through one fraction-free
-elimination, :func:`_eliminate`: solutions and inverses come back as
-integer numerators over one denominator, nullspace vectors as primitive
-integer vectors.  The odd-prime test that the config and the prime-field
+rational-function form is kept.  Inverses and ranks take integer
+matrices and go through one fraction-free elimination,
+:func:`_eliminate`: an inverse comes back as an integer matrix over one
+denominator.  The odd-prime test that the config and the prime-field
 scalars share lives here too.
 """
 
 from __future__ import annotations
 
 import math
-import operator
 import re
 from fractions import Fraction
 from typing import Iterable
@@ -107,27 +105,6 @@ class Poly:
                 return m, Poly(coeffs)
             m, coeffs = m + 1, quot[-2::-1]
 
-    def __str__(self) -> str:
-        if self.is_zero():
-            return "0"
-        parts = []
-        for i in reversed(range(len(self.coeffs))):
-            c = self.coeffs[i]
-            if c == 0:
-                continue
-            if i == 0:
-                term = str(c)
-            else:
-                sc = "" if c == 1 else ("-" if c == -1 else str(c))
-                term = f"{sc}s" if i == 1 else f"{sc}s^{i}"
-            if parts and not term.startswith("-"):
-                parts.append("+" + term)
-            else:
-                parts.append(term)
-        return "".join(parts)
-
-    __repr__ = __str__
-
 
 _AFFINE_TERM = re.compile(r"^([+-]?)([0-9/]*)(s)?(?:/([0-9]+))?$")
 
@@ -178,14 +155,6 @@ class AffineForm:
             return AffineForm(self.slope + other.slope, self.intercept + other.intercept)
         return AffineForm(self.slope, self.intercept + _as_fraction(other))
 
-    def __sub__(self, other):
-        if isinstance(other, AffineForm):
-            return AffineForm(self.slope - other.slope, self.intercept - other.intercept)
-        return AffineForm(self.slope, self.intercept - _as_fraction(other))
-
-    def __neg__(self):
-        return AffineForm(-self.slope, -self.intercept)
-
     def scale(self, c) -> "AffineForm":
         c = _as_fraction(c)
         return AffineForm(c * self.slope, c * self.intercept)
@@ -223,26 +192,16 @@ class AffineForm:
     __repr__ = __str__
 
 
-def _lowest(nums: list[int], den: int) -> tuple[list[int], int]:
-    """nums/den with the common factor of all of them divided out and the
-    denominator made positive."""
-    g = math.gcd(den, *nums)
-    g = -g if den < 0 else g
-    return [x // g for x in nums], den // g
-
-
 def _eliminate(rows, ncols: int) -> tuple[list[list[int]], list[int]]:
     """The integer `rows` reduced fraction-free on their first `ncols`
     columns (later columns ride along as an augmentation), and the pivot
     columns.  Each step multiplies the other rows by the new pivot and
     divides exactly by the one before (Bareiss: by Sylvester's identity
     every entry is an integer minor), so at the end the rows are the last
-    pivot d times the reduced row echelon form.  Entries must be ints or
-    Fractions with denominator 1."""
+    pivot d times the reduced row echelon form.  Entries must be ints."""
     rows = [list(row) for row in rows]
-    if any(getattr(x, "denominator", 0) != 1 for row in rows for x in row):
+    if not all(isinstance(x, int) for row in rows for x in row):
         raise TypeError("exact linear algebra takes integer entries; clear denominators first")
-    rows = [[x.numerator for x in row] for row in rows]
     pivots: list[int] = []
     prev = 1
     for col in range(ncols):
@@ -268,32 +227,10 @@ def inverse(a) -> tuple[list[list[int]], int]:
     m, pivots = _eliminate(([*row, *(int(i == j) for j in range(n))] for i, row in enumerate(a)), n)
     if len(pivots) < n:
         raise ValueError("singular matrix")
-    flat, den = _lowest([x for row in m for x in row[n:]], m[0][0])
-    return [flat[i * n:(i + 1) * n] for i in range(n)], den
-
-
-def solve(a, b) -> tuple[list[int], int]:
-    """The unique x = a^-1 b for an integer square matrix a and integer
-    vector b, as numerators over one positive denominator in lowest terms;
-    ValueError if a is singular."""
-    inv, den = inverse(a)
-    return _lowest([sum(map(operator.mul, row, b)) for row in inv], den)
-
-
-def nullspace(a) -> list[list[int]]:
-    """A basis of {v : a v = 0} for an integer matrix a, one primitive
-    integer vector per free column, positive there and 0 in the other free
-    columns: the reduced row echelon form's basis, each vector scaled."""
-    ncols = len(a[0])
-    m, pivots = _eliminate(a, ncols)
-    d = m[0][pivots[0]] if pivots else 1
-    out = []
-    for free in (c for c in range(ncols) if c not in pivots):
-        v = [d * (c == free) for c in range(ncols)]
-        for row, pc in zip(m, pivots):
-            v[pc] = -row[free]
-        out.append(_lowest(v, d)[0])
-    return out
+    # the rows are d times [1 | a^-1]: divide out the common factor, sign first
+    d = m[0][0]
+    g = math.gcd(d, *(x for row in m for x in row[n:])) * (1 if d > 0 else -1)
+    return [[x // g for x in row[n:]] for row in m], d // g
 
 
 def rank(a) -> int:

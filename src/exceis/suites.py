@@ -5,12 +5,9 @@ this module, so a table query never loads ``compalg``."""
 from __future__ import annotations
 
 import itertools
-import operator
 
 from . import compalg
 from .config import Config
-from .exactnum import inverse
-
 
 
 def _small_height(jalg, diagonals, unit_counts):
@@ -98,7 +95,7 @@ def _ve_claims(cfg: Config, jalg: compalg.JordanAlgebra, count: int, rng) -> dic
     split3 = compalg.CubicEtale(jalg, ("split3",))
     qxf = compalg.CubicEtale(jalg, ("QxF", cfg.claims.qxf_disc))
     fails = 0
-    dims_ok = (len(split3.ve_basis) == 24 and len(qxf.ve_basis) == 24)
+    dims_ok = split3.ve_dim == 24 and qxf.ve_dim == 24
     for _ in range(count):
         z, _y, _d = compalg.rank_one_rep(jalg, rng)   # z = d^2 rank_one_sample
         for et in (split3, qxf):
@@ -152,18 +149,17 @@ def _rank_one_c1(cfg: Config, jalg: compalg.JordanAlgebra, count: int, rng) -> d
 
 def _f_complement(jalg: compalg.JordanAlgebra, qxf: compalg.CubicEtale):
     """x -> D v, where v is x with its F-components (the span of e2, e3 in
-    Q x F) projected away and D the cleared denominator of that projection:
-    D v = D x - D (G^-1 (x, e))_0 e2 - D (G^-1 (x, e))_1 e3 is integral for
-    integral x.  The projection is linear (degree 1)."""
+    Q x F) projected away and D the denominator of qxf's Gram inverse:
+    D v = D x - k2 e2 - k3 e3, with (k1, k2, k3) over D the E-coefficients
+    of x, is integral for integral x.  The Gram matrix is diag(1, 2, 2d):
+    e1 is orthogonal to e2 and e3, so the F-rows of its inverse are the
+    inverse of the F-block, over the same denominator 2d.  The projection
+    is linear (degree 1)."""
     e2, e3 = qxf.basis_elements[1:]
-    inv = compalg.ScaledMatrix(*inverse([[jalg.trace_pairing(a, b) for b in (e2, e3)]
-                                         for a in (e2, e3)]))
 
     def project(x: compalg.JordanElement) -> compalg.JordanElement:
-        rhs = qxf.pairings(x)[1:]
-        k2, k3 = (sum(map(operator.mul, row, rhs)) for row in inv.mat)
-        return jalg.sub(jalg.scale(inv.den, x),
-                        jalg.add(jalg.scale(k2, e2), jalg.scale(k3, e3)))
+        (_, k2, k3), den = qxf.coefficients(x)
+        return jalg.sub(jalg.scale(den, x), jalg.add(jalg.scale(k2, e2), jalg.scale(k3, e3)))
     return project
 
 
@@ -211,10 +207,11 @@ def _we_failures(etales, w: compalg.FreudenthalElement) -> int:
     """For each etale E: 1 if the W_E-part (a, b_E, c_E, d) of w is zero,
     and 1 if that of its symplectic flip (-d, c, -b, a) is zero.  Both are
     linear in w (degree 1); the flip reuses the E-coefficients of b and c,
-    and the V_E-parts are not needed."""
+    read as numerators since only their vanishing matters, and the V_E-parts
+    are not needed."""
     fails = 0
     for et in etales:
-        b_e, c_e = et.coefficients(w.b), et.coefficients(w.c)
+        b_e, c_e = et.coefficients(w.b)[0], et.coefficients(w.c)[0]
         if compalg.we_part_is_zero((w.a, b_e, c_e, w.d)):
             fails += 1
         # symplectic flip translate keeps a nonzero corner too

@@ -19,6 +19,9 @@ scalings, and `reference_symmetric_product` forms ab + ba from two 3x3
 octonion matrix products and asserts its diagonal scalar.
 test_jordan_differential.py compares the compiled path against them.
 
+`ve_basis` gives V_E as elements, the Fraction nullspace of an etale's
+pairing rows; `CubicEtale` keeps only the rows and the kernel's dimension.
+
 Last, `reference_table` is the Cayley-Dickson structure table as
 `compalg._build_table` built it before it read the four block rules off the
 smaller table: each entry a doubling product of basis vectors, formed with
@@ -31,8 +34,9 @@ import operator
 import random
 from fractions import Fraction
 
-from exceis.compalg import (JordanAlgebra, JordanElement, OctonionAlgebra,
+from exceis.compalg import (CubicEtale, JordanAlgebra, JordanElement, OctonionAlgebra,
                             RationalScalars, ScaledMatrix, TrialityTriple, rank_one_rep)
+from linalg_reference import nullspace
 
 
 # the doubling parameters of the configured split flavor (algebras.split)
@@ -53,6 +57,13 @@ def unit_norm_element(o: OctonionAlgebra, rng: random.Random) -> tuple:
     num, den = o._cayley(rng)
     inv = o.scalars.inv(den)
     return o.scalars.vec([c * inv for c in num])
+
+
+def ve_basis(etale: CubicEtale) -> list[JordanElement]:
+    """A basis of V_E: the nullspace of the etale's 3x27 pairing rows, each
+    coordinate vector read back as an element."""
+    j = etale.jordan
+    return [j.element(v[:3], (v[3:11], v[11:19], v[19:27])) for v in nullspace(etale._rows)]
 
 
 def rank_one_sample(jalg: JordanAlgebra, rng: random.Random) -> JordanElement:

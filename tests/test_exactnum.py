@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from arch_reference import PoleError, RatFunc, ZeroFunctionError, divmod_poly, rising
-from exceis.exactnum import AffineForm, Poly, inverse, nullspace, solve
+from exceis.exactnum import AffineForm, Poly, inverse, rank
 from weyl_reference import normalized_sign
 
 
@@ -42,10 +42,6 @@ class TestPoly:
         assert p.deflate(5) == (0, p)
         with pytest.raises(ValueError):
             Poly().deflate(1)
-
-    def test_str(self):
-        assert str(Poly([-5, 2])) == "2s-5"
-        assert str(Poly([0, 0, 1])) == "s^2"
 
 
 class TestAffineForm:
@@ -215,7 +211,7 @@ def det(a):
     return total
 
 
-def rank(a):
+def minor_rank(a):
     """Largest order of a nonzero minor."""
     for k in range(min(len(a), len(a[0])), 0, -1):
         for rows in combinations(range(len(a)), k):
@@ -225,30 +221,13 @@ def rank(a):
     return 0
 
 
-@settings(max_examples=150, deadline=None)
-@given(square_systems())
-def test_solve(system):
-    a, b = system
-    rows, _ = cleared([row + [y] for row, y in zip(a, b)])
-    ia, ib = [row[:-1] for row in rows], [row[-1] for row in rows]
-    if det(a) == 0:
-        with pytest.raises(ValueError):
-            solve(ia, ib)
-    else:
-        nums, den = solve(ia, ib)
-        assert den > 0 and math.gcd(den, *nums) == 1
-        assert mat_vec(a, [Fraction(x, den) for x in nums]) == b
-
-
 @settings(max_examples=60, deadline=None)
 @given(square_systems(), st.integers(min_value=0, max_value=3))
-def test_solve_rejects_singular(system, k):
+def test_inverse_rejects_singular(system, k):
     a, b = system
     k %= len(a)
     # append row k again, with one more column taken from b: row n repeats row k
     a, _ = cleared([row + [y] for row, y in zip(a + [a[k]], b + [b[k]])])
-    with pytest.raises(ValueError):
-        solve(a, [1] * len(a))
     with pytest.raises(ValueError):
         inverse(a)
 
@@ -274,9 +253,5 @@ def test_inverse(system):
 @settings(max_examples=150, deadline=None)
 @given(st.tuples(st.integers(min_value=1, max_value=4),
                  st.integers(min_value=1, max_value=5)).flatmap(lambda nm: matrices(*nm)))
-def test_nullspace(a):
-    basis = nullspace(cleared(a)[0])
-    for v in basis:
-        assert all(isinstance(x, int) for x in v) and math.gcd(*v) == 1
-        assert mat_vec(a, v) == [0] * len(a)
-    assert len(basis) == len(a[0]) - rank(a)
+def test_rank(a):
+    assert rank(cleared(a)[0]) == minor_rank(a)

@@ -6,9 +6,10 @@ The catalogue below runs in process through click's CliRunner under
 case, and ``constant-term`` and ``cosets`` for every configured table.  A
 def that no query enters is code only the tests run, and fails the test.
 
-Exempt are data-model methods such as ``__eq__``, the defs the benchmark's
-tracer wraps (`perfbench/tracer.py` ``TARGETS``, each by its file and
-qualified name), and the ``KEPT`` names, each with its reason.  The defs
+Exempt are the defs the benchmark's tracer wraps (`perfbench/tracer.py`
+``TARGETS``, each by its file and qualified name) and the ``KEPT`` names,
+each with its reason; a data-model method such as ``__eq__`` is no
+exception.  The defs
 that no query enters and that only the tracer exemption keeps are pinned
 as ``TRACER_ONLY``: one more fails the test too.
 test_no_dead_code.py asks the weaker question, whether a name is mentioned
@@ -46,6 +47,7 @@ KEPT = {
     "JordanAlgebra.jordan_product": "the ('field', ...) etale path (ROADMAP item 12)",
     "Poly.derivative": "read_at needs it for an entry that is nonzero at its point: valid "
                        "config, but no packaged recipe has one",
+    "Poly.__eq__": "the tests compare polynomials by value",
 }
 
 # tracer targets that no query enters; they leave src with ROADMAP items 4 and 13
@@ -116,10 +118,9 @@ def seen():
 
 def unentered(seen, sources=SOURCES) -> list[tuple[str, str, int]]:
     """(file name, qualified name, line) of each def no query enters, but
-    dunders and the KEPT names."""
+    the KEPT names."""
     return [(p.name, name, line) for p in sources for name, line in definitions(p)
-            if (p.name, name) not in seen and name not in KEPT
-            and not (name.split(".")[-1].startswith("__") and name.endswith("__"))]
+            if (p.name, name) not in seen and name not in KEPT]
 
 
 def missed(seen, sources=SOURCES) -> list[str]:

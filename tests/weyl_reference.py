@@ -129,7 +129,7 @@ def longest_rep(sys, right: ParabolicSpec) -> Word:
 def normalized_sign(form: AffineForm) -> AffineForm:
     """The form with positive leading coefficient (for sign-insensitive matching)."""
     lead = form.slope if form.slope != 0 else form.intercept
-    return form if lead >= 0 else -form
+    return form if lead >= 0 else form.scale(-1)
 
 
 def coroot_pairing(lam: CoordVector, root: Vector) -> AffineForm:
