@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from arch_reference import PoleError, RatFunc, ZeroFunctionError, divmod_poly, rising
-from exceis.exactnum import AffineForm, Poly, inverse, rank
+from exceis.exactnum import AffineForm, Poly, inverse
 from weyl_reference import normalized_sign
 
 
@@ -184,9 +184,8 @@ def matrices(nrows, ncols):
                     min_size=nrows, max_size=nrows)
 
 
-def square_systems():
-    return st.integers(min_value=1, max_value=4).flatmap(
-        lambda n: st.tuples(matrices(n, n), st.lists(scalars, min_size=n, max_size=n)))
+def square_matrices():
+    return st.integers(min_value=1, max_value=4).flatmap(lambda n: matrices(n, n))
 
 
 def mat_vec(a, v):
@@ -211,31 +210,9 @@ def det(a):
     return total
 
 
-def minor_rank(a):
-    """Largest order of a nonzero minor."""
-    for k in range(min(len(a), len(a[0])), 0, -1):
-        for rows in combinations(range(len(a)), k):
-            for cols in combinations(range(len(a[0])), k):
-                if det([[a[r][c] for c in cols] for r in rows]) != 0:
-                    return k
-    return 0
-
-
-@settings(max_examples=60, deadline=None)
-@given(square_systems(), st.integers(min_value=0, max_value=3))
-def test_inverse_rejects_singular(system, k):
-    a, b = system
-    k %= len(a)
-    # append row k again, with one more column taken from b: row n repeats row k
-    a, _ = cleared([row + [y] for row, y in zip(a + [a[k]], b + [b[k]])])
-    with pytest.raises(ValueError):
-        inverse(a)
-
-
 @settings(max_examples=150, deadline=None)
-@given(square_systems())
-def test_inverse(system):
-    a, _ = system
+@given(square_matrices())
+def test_inverse(a):
     n = len(a)
     ia, m = cleared(a)
     if det(a) == 0:
@@ -248,10 +225,3 @@ def test_inverse(system):
     for j in range(n):
         assert mat_vec(a, [Fraction(m * row[j], den) for row in inv]) == [int(i == j)
                                                                            for i in range(n)]
-
-
-@settings(max_examples=150, deadline=None)
-@given(st.tuples(st.integers(min_value=1, max_value=4),
-                 st.integers(min_value=1, max_value=5)).flatmap(lambda nm: matrices(*nm)))
-def test_rank(a):
-    assert rank(cleared(a)[0]) == minor_rank(a)
