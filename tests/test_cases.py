@@ -158,6 +158,16 @@ class TestArchClaims:
                         seen.add((case.name, tuple(r["word"])))
         assert seen == set(cfg.arch_claims)
 
+    def test_arch_case_lists_its_own_claims_only(self, cfg):
+        """`exceis arch CASE` lists the case's recipes, then its unprinted
+        claims, and nothing of another case."""
+        for name in sorted(cfg.cases):
+            doc = cases.arch_report(cfg, name)
+            want = ([(r.name, r.case) for r in cfg.catalog.recipes.values() if r.case == name]
+                    + [(u.name, u.case) for u in cfg.unprinted_arch if u.case == name])
+            assert [(r["name"], r["case"]) for r in doc["rows"]] == want, name
+        assert any(u.case != cfg.unprinted_arch[0].case for u in cfg.unprinted_arch)
+
 
 class TestCensusRule:
     """The table and cosets reports apply one census rule: the configured
@@ -254,6 +264,31 @@ class TestRunAll:
         # 23 constant-term tables + modulus, oracle, arch, algebra
         assert kinds.count("constant-term") == 23
         assert {"modulus", "gk-oracle", "arch", "algebra"} <= set(kinds)
+
+
+def _tuples(value, path="report") -> list[str]:
+    """The path of each tuple in a report: a record that leaked into one
+    would be a tuple, which json.dumps writes as a list without a word."""
+    if isinstance(value, tuple):
+        return [path]
+    if isinstance(value, dict):
+        return [p for k, v in value.items() for p in _tuples(v, f"{path}.{k}")]
+    if isinstance(value, list):
+        return [p for i, v in enumerate(value) for p in _tuples(v, f"{path}[{i}]")]
+    return []
+
+
+def test_reports_hold_no_tuples(cfg):
+    docs = [cases.run_all(cfg, seed=7, count=3), cases.modulus_report(cfg),
+            cases.oracle_report(cfg), cases.arch_report(cfg),
+            cases.algebra_report(cfg, "all", seed=7, count=3)]
+    docs += [cases.arch_report(cfg, name) for name in sorted(cfg.cases)]
+    for name, case in sorted(cfg.cases.items()):
+        for table in case.tables:
+            docs.append(cases.constant_term_report(cfg, name, case.source, table.target))
+            docs.append(cases.cosets_report(cfg, case.system, table.target, case.source))
+    assert [p for doc in docs for p in _tuples(doc)] == []
+    assert _tuples({"a": [1, {"b": (2,)}]}) == ["report.a[1].b"]
 
 
 class TestPlantedAlgebraFailures:

@@ -645,3 +645,15 @@ class TestLeavesAtLoad:
             assert {rule.variant for rule in case.rules.values()} == {case.etale_variant}
         assert cfg.case("GE-field").etale_variant == "field"
         assert cfg.case("D6-min").etale_variant == ""
+
+
+@pytest.mark.parametrize("x, ok", [("a", True), ("j", True), ("z", True), ("A", False),
+                                   ("ab", False), ("{", False), ("", False), ("`", False),
+                                   (1, False)])
+def test_symbol_letter(x, ok):
+    """A shifted factor's symbol is one lowercase letter, "a" to "z"."""
+    if ok:
+        assert config._letter(x) == x
+    else:
+        with pytest.raises(ValueError, match="is not one lowercase letter"):
+            config._letter(x)

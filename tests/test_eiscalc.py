@@ -418,3 +418,34 @@ class TestConvergence:
         assert got[0] == ("AbsolutelyConvergent", None)
         assert got[1][0] == "AbsolutelyConvergent" and got[1][1] > 0
         assert got[2][0] == "NeedsContinuation" and got[2][1] < 0
+
+
+class TestRecordRules:
+    """The rules the two validating records keep at construction."""
+
+    def test_coord_vector_lengths_must_agree(self):
+        with pytest.raises(ValueError, match="slope/intercept dimension mismatch"):
+            CoordVector((Fraction(1), Fraction(2)), (Fraction(0),))
+
+    def test_unknown_factor_kind(self):
+        with pytest.raises(ValueError, match="unknown factor kind 'eta'"):
+            ZetaFactor("eta", AffineForm(1, 0))
+
+    def test_pochhammer_needs_a_length(self):
+        with pytest.raises(ValueError, match="pochhammer factor needs n >= 1"):
+            ZetaFactor("poch", AffineForm(1, 0), n=0)
+        assert ZetaFactor("poch", AffineForm(1, 0), n=1).n == 1
+
+    def test_variant_dropped_off_the_dedekind_kinds(self):
+        plain = ZetaFactor("zeta", AffineForm(1, -1))
+        tagged = ZetaFactor("zeta", AffineForm(1, -1), variant="field")
+        assert tagged.variant == "" and tagged == plain and hash(tagged) == hash(plain)
+        assert ZetaFactor("zetaE", AffineForm(1, 0), variant="field").variant == "field"
+
+
+def test_zeta_order_at_the_integers():
+    """zeta has its pole at 1 and its trivial zeros at -2, -4, ...; at 0 it
+    is -1/2 and at the odd negative integers it is nonzero."""
+    got = {a: eiscalc._zeta_order(Fraction(a)) for a in (1, 0, -1, -2, -3, -4, 2)}
+    assert got == {1: -1, 0: 0, -1: 0, -2: 1, -3: 0, -4: 1, 2: 0}
+    assert eiscalc._zeta_order(Fraction(-2, 3)) == 0
