@@ -14,8 +14,8 @@ recipes that the verified tables actually state are present, keyed by name.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .exactnum import AffineForm, Poly, _numerators, inverse
 
@@ -41,8 +41,7 @@ def diag_factors(arg: AffineForm) -> tuple[tuple[Poly, Poly, Poly], Poly]:
     return (v * v2, v * u2, den), den
 
 
-@dataclass(frozen=True)
-class MultiplierVector:
+class MultiplierVector(NamedTuple):
     """Three entries nums[i] / den over one shared denominator, which is
     never reduced: an entry is read at a point by read_at."""
 
@@ -50,8 +49,7 @@ class MultiplierVector:
     den: Poly
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: str                  # "A1" | "A1inv" | "d" | "base" | "ref"
     arg: AffineForm | None = None
     power: int = 1
@@ -85,8 +83,7 @@ def parse_tokens(text: str) -> tuple[Token, ...]:
     return tuple(toks)
 
 
-@dataclass(frozen=True)
-class MatrixRecipe:
+class MatrixRecipe(NamedTuple):
     """One printed recipe, parsed at load: its printed text and tokens, the
     point and vanishing patterns ("0" or "*" per entry) it is checked at, and
     the least vanishing order a row compares at its case's s0, if stated."""
@@ -141,8 +138,7 @@ class RecipeCatalog:
         return vec
 
 
-@dataclass(frozen=True)
-class Reading:
+class Reading(NamedTuple):
     """One entry at a point s0: its order of vanishing there (negative at a
     pole, None for the zero function), and its value and derivative there,
     None at a pole."""
@@ -176,8 +172,7 @@ def read_at(vec: MultiplierVector, s0) -> list[Reading]:
     return out
 
 
-@dataclass
-class PatternCheck:
+class PatternCheck(NamedTuple):
     ok: bool
     ledger: list[str]
 

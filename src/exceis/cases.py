@@ -15,7 +15,7 @@ values carried by the config.  A row's status is
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .archmult import vanishing_order
 from .config import CaseSpec, Config, RowSpec, TableSpec, UnprintedArch, check_forms
@@ -25,8 +25,7 @@ from .exactnum import AffineForm
 from .rootsys import ParabolicSpec, RootSystem, Word
 
 
-@dataclass
-class Check:
+class Check(NamedTuple):
     name: str
     ok: bool
     detail: str

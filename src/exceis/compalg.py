@@ -53,9 +53,8 @@ from __future__ import annotations
 import math
 import operator
 import random
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .exactnum import _numerators, inverse, is_odd_prime, rank
 
@@ -350,8 +349,7 @@ def split_octonions(gammas, scalars=None) -> OctonionAlgebra:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class JordanElement:
+class JordanElement(NamedTuple):
     """(c1,c2,c3; x1,x2,x3): the Hermitian 3x3 layout with x3 in the (1,2)
     slot, x2* in the (1,3) slot and x1 in the (2,3) slot."""
 
@@ -647,8 +645,7 @@ class CubicEtale:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class FreudenthalElement:
+class FreudenthalElement(NamedTuple):
     a: int | Fraction
     b: JordanElement
     c: JordanElement
@@ -685,8 +682,7 @@ def we_part_is_zero(we_part) -> bool:
 # scalar ring's ``scaled`` normalises each pair (over a prime field the
 # denominator is 1 and entries are residues mod p).
 
-@dataclass
-class ScaledMatrix:
+class ScaledMatrix(NamedTuple):
     mat: list            # square list of int rows (8x8 for triality)
     den: int
 
@@ -742,8 +738,7 @@ def hat(m: ScaledMatrix) -> ScaledMatrix:
                          for i in range(8)], m.den)
 
 
-@dataclass
-class TrialityTriple:
+class TrialityTriple(NamedTuple):
     """(g1, g2, g3) with t1(xy) = t2(x) t3(y) for the unhatted t1 = raw_t1;
     g1 = hat(t1) so that the triple preserves the trilinear form."""
 

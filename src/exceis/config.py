@@ -12,10 +12,10 @@ from __future__ import annotations
 import importlib.resources
 import math
 import re
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import partial
 from pathlib import Path
+from typing import NamedTuple, Sequence
 
 import yaml
 
@@ -31,8 +31,7 @@ class ConfigError(ValueError):
     pass
 
 
-@dataclass
-class EisCheck:
+class EisCheck(NamedTuple):
     threshold: Fraction
     status: str
     root: int | None = None
@@ -40,21 +39,19 @@ class EisCheck:
     printed: bool = True
 
 
-@dataclass
-class PairingCheck:
+class PairingCheck(NamedTuple):
     root: int
     expect: AffineForm
 
 
-@dataclass
-class RowSpec:
+class RowSpec(NamedTuple):
     word: tuple[int, ...]
     assoc: tuple[int, ...] | None = None
     action: dict[int, tuple[int, int]] | None = None   # r_i -> (sign, r_j)
     trace: list[tuple[int, AffineForm]] | None = None
     lambda_prime: list[AffineForm] | None = None
-    pairings: list[PairingCheck] = field(default_factory=list)
-    eis: list[EisCheck] = field(default_factory=list)
+    pairings: Sequence[PairingCheck] = ()   # lists once parsed
+    eis: Sequence[EisCheck] = ()
     intertwiner_local: str | None = None
     intertwiner_global: str | None = None
     cfunction: ZetaProduct | None = None        # printed finite factors
@@ -62,18 +59,16 @@ class RowSpec:
     order_total: int | None = None
     order_symbols: dict[str, Fraction] | None = None
     conclusion: str = "Contributes"
-    external: list[str] = field(default_factory=list)
+    external: Sequence[str] = ()
     note: str = ""
 
 
-@dataclass
-class TableSpec:
+class TableSpec(NamedTuple):
     target: str
-    rows: list[RowSpec] = field(default_factory=list)
+    rows: list[RowSpec]
 
 
-@dataclass
-class SystemSpec:
+class SystemSpec(NamedTuple):
     """One system entry, parsed; Config.system builds its RootSystem."""
     name: str
     aliases: list[str]
@@ -86,8 +81,7 @@ class SystemSpec:
     cblocks: dict[Fraction, list[tuple]] | None   # (kind, a, b, e) per squared length
 
 
-@dataclass
-class OracleSpec:
+class OracleSpec(NamedTuple):
     """A case's oracle map, parsed; Config.oracle builds its AbsoluteOracle."""
     absolute: str
     kernel: list[int]
@@ -96,8 +90,7 @@ class OracleSpec:
     lambda_abs: list[AffineForm] | None           # compared when the oracle is built
 
 
-@dataclass
-class CaseSpec:
+class CaseSpec(NamedTuple):
     name: str
     system: str
     source: str
@@ -107,26 +100,23 @@ class CaseSpec:
     rules: dict[Fraction, BlockRule]   # the system's cblocks, in that variant
     oracle: OracleSpec | None
     tables: list[TableSpec]
-    aliases: list[str] = field(default_factory=list)
+    aliases: list[str]
 
 
-@dataclass
-class ModulusCheck:
+class ModulusCheck(NamedTuple):
     system: str
     parabolic: str
     expect: Fraction
 
 
-@dataclass
-class UnprintedArch:
+class UnprintedArch(NamedTuple):
     case: str
     word: tuple[int, ...]
     name: str
     claim: str
 
 
-@dataclass
-class ClaimsSpec:
+class ClaimsSpec(NamedTuple):
     count: int
     seed: int
     primes: list[int]

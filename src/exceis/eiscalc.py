@@ -35,8 +35,8 @@ from __future__ import annotations
 
 import operator
 import re
-from dataclasses import dataclass, replace
 from fractions import Fraction
+from typing import NamedTuple
 
 from .exactnum import AffineForm, inverse
 from .rootsys import RootSystem, Vector, Word, smul, vadd, vsub
@@ -46,16 +46,19 @@ from .rootsys import RootSystem, Vector, Word, smul, vadd, vsub
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class CoordVector:
     """Vector of affine forms a_i*s + b_i in a root system's coordinates."""
 
-    slope: Vector
-    icept: Vector
+    __slots__ = ("slope", "icept")
 
-    def __post_init__(self):
-        if len(self.slope) != len(self.icept):
+    def __init__(self, slope: Vector, icept: Vector):
+        if len(slope) != len(icept):
             raise ValueError("slope/intercept dimension mismatch")
+        self.slope, self.icept = slope, icept
+
+    def __eq__(self, other) -> bool:
+        return (isinstance(other, CoordVector)
+                and self.slope == other.slope and self.icept == other.icept)
 
     @classmethod
     def lambda_s(cls, system: RootSystem) -> "CoordVector":
@@ -71,15 +74,13 @@ class CoordVector:
         return "(" + ", ".join(str(e) for e in self.entries()) + ")"
 
 
-@dataclass(frozen=True)
-class TraceStep:
+class TraceStep(NamedTuple):
     letter: int
     pairing: AffineForm          # coroot pairing before the reflection
     printed: AffineForm          # same, in the system's display normalization
 
 
-@dataclass(frozen=True)
-class LambdaTrace:
+class LambdaTrace(NamedTuple):
     word: Word
     steps: tuple[TraceStep, ...]
     labels: tuple                # of w(lambda): slope and intercept numerators, denominator
@@ -147,30 +148,35 @@ KINDS = FINITE_KINDS + ARCH_KINDS
 DEDEKIND_KINDS = ("zetaE", "zetaF")
 
 
-@dataclass(frozen=True)
 class ZetaFactor:
     """One zeta/Gamma/Pochhammer factor with an affine argument.
 
     `sym`/`sym_sign` carry an opaque symbolic shift of the argument (the
     weight parameters the source leaves undefined); such factors only get
     an order once the symbol is bound.  `variant` distinguishes the etale
-    algebra behind zetaE/zetaF factors; other kinds drop it.
+    algebra behind zetaE/zetaF factors; other kinds drop it.  Factors are
+    equal, and hash alike, when all six fields agree.
     """
 
-    kind: str
-    arg: AffineForm
-    n: int = 0
-    sym: str = ""
-    sym_sign: int = 0
-    variant: str = ""
+    __slots__ = ("kind", "arg", "n", "sym", "sym_sign", "variant")
 
-    def __post_init__(self):
-        if self.kind not in KINDS:
-            raise ValueError(f"unknown factor kind {self.kind!r}")
-        if self.kind == "poch" and self.n < 1:
+    def __init__(self, kind: str, arg: AffineForm, n: int = 0, sym: str = "",
+                 sym_sign: int = 0, variant: str = ""):
+        if kind not in KINDS:
+            raise ValueError(f"unknown factor kind {kind!r}")
+        if kind == "poch" and n < 1:
             raise ValueError("pochhammer factor needs n >= 1")
-        if self.kind not in DEDEKIND_KINDS:
-            object.__setattr__(self, "variant", "")
+        self.kind, self.arg, self.n, self.sym, self.sym_sign = kind, arg, n, sym, sym_sign
+        self.variant = variant if kind in DEDEKIND_KINDS else ""
+
+    def _key(self) -> tuple:
+        return self.kind, self.arg, self.n, self.sym, self.sym_sign, self.variant
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, ZetaFactor) and self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
 
     def sort_key(self):
         return (self.kind, self.arg.slope, self.arg.intercept, self.n,
@@ -222,10 +228,12 @@ def base_pieces(f: ZetaFactor) -> list[tuple[ZetaFactor, int]]:
     zetaF piece over a field.  Every other factor is its own piece.  The
     pieces keep the factor's symbol."""
     if f.kind == "zetaTheta":
-        return [(replace(f, kind="zeta"), 1), (replace(f, kind="zeta", arg=f.arg.shift(-3)), 1)]
+        return [(ZetaFactor("zeta", arg, f.n, f.sym, f.sym_sign), 1)
+                for arg in (f.arg, f.arg.shift(-3))]
     pieces = _SPLIT_PIECES.get((f.kind, f.variant))
     if pieces:
-        return [(replace(f, kind=kind, variant="field"), e) for kind, e in pieces]
+        return [(ZetaFactor(kind, f.arg, f.n, f.sym, f.sym_sign, "field"), e)
+                for kind, e in pieces]
     return [(f, 1)]
 
 
@@ -356,8 +364,7 @@ def factor_order(f: ZetaFactor, s0, symbols: dict[str, Fraction] | None = None) 
     return total
 
 
-@dataclass
-class OrderEntry:
+class OrderEntry(NamedTuple):
     factor: ZetaFactor
     exponent: int
     own_order: int | None      # order of the bare factor; None = undecided
@@ -367,8 +374,7 @@ class OrderEntry:
         return None if self.own_order is None else self.own_order * self.exponent
 
 
-@dataclass
-class OrderReport:
+class OrderReport(NamedTuple):
     """Per-factor order ledger of a ZetaProduct at a rational point."""
 
     s0: Fraction
@@ -535,8 +541,7 @@ class AbsoluteOracle:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class IntertwinerVerdict:
+class IntertwinerVerdict(NamedTuple):
     """Local and global behaviour of M(w) at s0.
 
     local_status: from the per-step coroot pairings (each simple-reflection

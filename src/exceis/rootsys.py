@@ -33,9 +33,8 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .exactnum import rank
 
@@ -71,8 +70,7 @@ def builtin_parabolics(rank: int) -> dict[str, frozenset[int]]:
     return {"full": frozenset(), "G": frozenset(), "P0": borel, "B": borel}
 
 
-@dataclass(frozen=True)
-class ParabolicSpec:
+class ParabolicSpec(NamedTuple):
     """Standard parabolic, identified by the simple roots in its unipotent
     radical (empty set means P = G)."""
 

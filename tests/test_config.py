@@ -6,11 +6,10 @@ import copy
 
 import pytest
 import yaml
-from click.testing import CliRunner
 
 from exceis import config
-from exceis.cli import main
 from exceis.config import Config, ConfigError, default_config_path, load_config
+from cli_invoke import invoke
 
 
 @pytest.fixture(scope="module")
@@ -164,8 +163,8 @@ class TestStrictKeys:
         planted = tmp_path / "config.yaml"
         tail = tail.replace("lambda_prime:", "lambda_prme:", 1)
         planted.write_text(head + "\n  E7-siegel:\n" + tail, encoding="utf-8")
-        r = CliRunner().invoke(main, ["--config", str(planted), "--format", "json",
-                                      "constant-term", "E7", "P3", "P3"])
+        r = invoke("--config", str(planted), "--format", "json",
+                   "constant-term", "E7", "P3", "P3")
         assert r.exit_code == 1
         assert r.output == ("Error: unknown config key "
                             "cases.E7-siegel.tables[0].rows[1].lambda_prme\n")
@@ -272,7 +271,7 @@ class TestRecipesAtLoad:
         raw = yaml.load(planted.read_text(encoding="utf-8"), Loader=yaml.CSafeLoader)
         with pytest.raises(ConfigError) as err:
             Config(raw)
-        r = CliRunner().invoke(main, ["--config", str(planted), "--format", "json", *args])
+        r = invoke("--config", str(planted), "--format", "json", *args)
         assert r.exit_code == 1
         assert r.output == f"Error: {err.value}\n"
         assert isinstance(r.exception, SystemExit)
@@ -311,7 +310,7 @@ class TestOracle:
         old = '["s-4", "-3", "-2", "-1", "0"]'
         assert text.count(old) == 1
         planted.write_text(text.replace(old, '["s-5", "-3", "-2", "-1", "0"]'), encoding="utf-8")
-        r = CliRunner().invoke(main, ["--config", str(planted), "--format", "json", "oracle"])
+        r = invoke("--config", str(planted), "--format", "json", "oracle")
         assert r.exit_code == 1
         assert r.output == ("Error: cases.D5-line.oracle.lambda_abs: computed "
                             "(s-4, -3, -2, -1, 0) != configured "
@@ -330,7 +329,7 @@ class TestOracle:
         planted = tmp_path / "config.yaml"
         assert text.count(old) == 1
         planted.write_text(text.replace(old, new), encoding="utf-8")
-        r = CliRunner().invoke(main, ["--config", str(planted), "--format", "json", "oracle"])
+        r = invoke("--config", str(planted), "--format", "json", "oracle")
         assert r.exit_code == 1
         assert r.output == f"Error: cases.{case}.oracle.nodes: {message}\n"
 
@@ -375,7 +374,7 @@ class TestCheckedAtBuild:
         assert text.count(old) == 1
         planted.write_text(text.replace(old, new), encoding="utf-8")
         Config(yaml.load(planted.read_text(encoding="utf-8"), Loader=yaml.CSafeLoader))
-        r = CliRunner().invoke(main, ["--config", str(planted), "--format", "json", *args])
+        r = invoke("--config", str(planted), "--format", "json", *args)
         assert r.exit_code == 1
         assert r.output == f"Error: {message}\n"
 
@@ -607,7 +606,7 @@ class TestShapeAtLoad:
         edit(raw)
         planted = tmp_path / "config.yaml"
         planted.write_text(yaml.safe_dump(raw), encoding="utf-8")
-        r = CliRunner().invoke(main, ["--config", str(planted), "--format", "json", *args])
+        r = invoke("--config", str(planted), "--format", "json", *args)
         assert r.exit_code == 1
         assert r.output == f"Error: {message}\n"
         assert isinstance(r.exception, SystemExit)

@@ -2,8 +2,7 @@
 appears as a NAME token somewhere in src/exceis other than at its own
 definition.
 
-Exempt are the CLI commands (decorated ``@main.command``), which click calls,
-the functions the benchmark's tracer wraps by name (`perfbench/tracer.py`
+Exempt are the functions the benchmark's tracer wraps by name (`perfbench/tracer.py`
 ``TARGETS``), and data-model methods such as ``__eq__``, which Python calls
 for an operator.  A re-export in ``__init__.py`` is no use: a name that
 only the package's import list and the tests read is a helper that only
@@ -27,23 +26,17 @@ TRACED = {part for module, attr, _ in tracer.TARGETS if module.startswith("excei
           for part in attr.split(".")}
 
 
-def definitions_and_uses(text: str) -> tuple[list[tuple[str, int, bool]], set[str]]:
-    """The (name, line, is a CLI command) of each def and class in text, and
-    every other NAME token in it."""
+def definitions_and_uses(text: str) -> tuple[list[tuple[str, int]], set[str]]:
+    """The (name, line) of each def and class in text, and every other NAME
+    token in it."""
     defs, uses = [], set()
-    prev, decorator, command = None, [], False
+    prev = None
     for tok in tokenize.generate_tokens(io.StringIO(text).readline):
         if tok.type in (tokenize.NL, tokenize.COMMENT, tokenize.INDENT, tokenize.DEDENT):
             continue
-        if decorator and tok.type == tokenize.NEWLINE:
-            command |= "".join(decorator).startswith("@main.command")
-            decorator = []
-        elif decorator or (tok.type == tokenize.OP and tok.string == "@"):
-            decorator.append(tok.string)
         if tok.type == tokenize.NAME:
             if prev is not None and prev.string in ("def", "class"):
-                defs.append((tok.string, tok.start[0], command))
-                command = False
+                defs.append((tok.string, tok.start[0]))
             else:
                 uses.add(tok.string)
         prev = tok
@@ -58,8 +51,8 @@ def unused(sources: dict[str, str]) -> list[str]:
     uses = set().union(*(names for file, (_, names) in parsed.items()
                          if file != "__init__.py"))
     return [f"{file} line {line}: {name}"
-            for file, (defs, _) in parsed.items() for name, line, command in defs
-            if name not in uses and not (command or name in TRACED
+            for file, (defs, _) in parsed.items() for name, line in defs
+            if name not in uses and not (name in TRACED
                                          or name.startswith("__") and name.endswith("__"))]
 
 
@@ -78,8 +71,7 @@ def test_every_definition_is_used():
     ("class A:\n    def m(self):\n        pass\n\nclass B(A):\n    def m(self):\n"
      "        return A()\nB()\n", ["line 2: m", "line 6: m"]),
     ("class C:\n    def __eq__(self, o):\n        return True\nC()\n", []),
-    ("@main.command()\ndef cosets():\n    pass\n", []),
-    ("@other.command()\ndef cosets():\n    pass\n", ["line 2: cosets"]),
+    ("@main.command()\ndef cosets():\n    pass\n", ["line 2: cosets"]),
     ("def we_projection():\n    pass\n", []),
 ])
 def test_detects_unused(snippet, want):

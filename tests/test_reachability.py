@@ -1,6 +1,6 @@
 """Every def in src/exceis is entered by some CLI query.
 
-The catalogue below runs in process through click's CliRunner under
+The catalogue below runs in process through ``exceis.cli.main`` under
 ``sys.setprofile``: ``all --count 3`` in json and md, ``modulus``,
 ``oracle``, ``arch`` and ``algebra --count 3``, ``arch <case>`` for every
 case, and ``constant-term`` and ``cosets`` for every configured table.  A
@@ -21,10 +21,8 @@ import sys
 from pathlib import Path
 
 import pytest
-from click.testing import CliRunner
 
 from exceis import config
-from exceis.cli import main
 
 ROOT = Path(__file__).parent.parent
 SOURCES = sorted((ROOT / "src" / "exceis").glob("*.py"))
@@ -32,6 +30,7 @@ SOURCES = sorted((ROOT / "src" / "exceis").glob("*.py"))
 sys.path.insert(0, str(ROOT / "perfbench"))
 
 import tracer  # noqa: E402
+from cli_invoke import invoke  # noqa: E402
 
 # (file name, qualified name) of each src def the tracer wraps
 TRACED = {(module.split(".")[-1] + ".py", attr) for module, attr, _ in tracer.TARGETS
@@ -48,6 +47,7 @@ KEPT = {
     "Poly.derivative": "read_at needs it for an entry that is nonzero at its point: valid "
                        "config, but no packaged recipe has one",
     "Poly.__eq__": "the tests compare polynomials by value",
+    "CoordVector.__eq__": "the tests compare exponent vectors by value",
 }
 
 # tracer targets that no query enters; they leave src with ROADMAP items 4 and 13
@@ -98,12 +98,11 @@ def entered(queries, monkeypatch) -> set[tuple[str, str]]:
         if event == "call" and frame.f_code.co_filename in files:
             seen.add((files[frame.f_code.co_filename], frame.f_code.co_qualname))
 
-    runner = CliRunner()
     monkeypatch.setattr(config, "_cache", {})
     for args in queries:
         sys.setprofile(hook)
         try:
-            result = runner.invoke(main, args)
+            result = invoke(*args)
         finally:
             sys.setprofile(None)
         assert result.exit_code == 0, (args, result.output)
