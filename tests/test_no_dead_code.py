@@ -72,6 +72,7 @@ def test_every_definition_is_used():
      "        return A()\nB()\n", ["line 2: m", "line 6: m"]),
     ("class C:\n    def __eq__(self, o):\n        return True\nC()\n", []),
     ("@main.command()\ndef cosets():\n    pass\n", ["line 2: cosets"]),
+    ("@other.command()\ndef cosets():\n    pass\n", ["line 2: cosets"]),
     ("def we_projection():\n    pass\n", []),
 ])
 def test_detects_unused(snippet, want):
