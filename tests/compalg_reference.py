@@ -22,10 +22,16 @@ test_jordan_differential.py compares the compiled path against them.
 `ve_basis` gives V_E as elements, the Fraction nullspace of an etale's
 pairing rows; `CubicEtale` keeps only the rows and the kernel's dimension.
 
-Last, `reference_table` is the Cayley-Dickson structure table as
+`reference_table` is the Cayley-Dickson structure table as
 `compalg._build_table` built it before it read the four block rules off the
 smaller table: each entry a doubling product of basis vectors, formed with
 the conjugate and the product of the smaller algebra.
+
+Last, `reference_algebra_report` is the algebra report as one serial loop in
+one process: each suite in report order on its own seeded stream, and the
+triality suite's fields one after another on one stream
+(`reference_triality`).  test_algebra_fanout.py compares
+`cases.algebra_report`, which runs the suites in forked children, against it.
 """
 
 from __future__ import annotations
@@ -34,6 +40,8 @@ import operator
 import random
 from fractions import Fraction
 
+from exceis import compalg, suites
+from exceis.cases import _verified, _worst
 from exceis.compalg import (CubicEtale, JordanAlgebra, JordanElement, OctonionAlgebra,
                             RationalScalars, ScaledMatrix, TrialityTriple, rank_one_rep)
 from linalg_reference import nullspace
@@ -253,3 +261,36 @@ def cube_triality_verify(o: OctonionAlgebra, triple: TrialityTriple) -> bool:
     for (j, k), (m, sg) in o.table.items():
         got[m][8 * j + k] -= 2 * sg * o.sq_sign[m] * dall
     return not any(any(vec(row)) for row in got)
+
+
+def reference_triality(cfg, jalg: JordanAlgebra, count: int, rng: random.Random) -> dict:
+    """The triality suite over Q and each configured prime field, the fields
+    one after another on the one stream rng."""
+    primes = cfg.claims.primes
+    algs = [jalg.oct] + [compalg.split_octonions(cfg.algebras["split"],
+                                                 compalg.PrimeFieldScalars(p)) for p in primes]
+    fails = 0
+    for alg in algs:
+        for _ in range(count):
+            triple = compalg.triality_triple(alg, compalg.random_triality_pairs(alg, rng))
+            if not compalg.triality_verify(alg, triple):
+                fails += 1
+    return {"cases": count * len(algs), "failures": fails,
+            "fields": ["Q"] + [f"GF({p})" for p in primes]}
+
+
+def reference_algebra_report(cfg, suite: str, seed: int, count: int) -> dict:
+    """cases.algebra_report as a serial loop in this process: each chosen
+    suite in report order, on random.Random(f"{seed}:{name}")."""
+    fns = [(name, fn) for name, fn in suites.SUITES if name != "triality"]
+    fns.append(("triality", reference_triality))
+    jalg = JordanAlgebra(OctonionAlgebra(RationalScalars(), cfg.algebras["definite"],
+                                         "definite"))
+    entries = []
+    for name, fn in fns:
+        if suite in ("all", name):
+            res = fn(cfg, jalg, count, random.Random(f"{seed}:{name}"))
+            ok = res["failures"] == 0 and res.get("dims_ok") is not False
+            entries.append({"name": name, **res, "status": _verified(ok)})
+    return {"kind": "algebra", "suite": suite, "seed": seed, "count": count,
+            "suites": entries, "status": _worst(s["status"] for s in entries)}
