@@ -14,7 +14,6 @@ values carried by the config.  A row's status is
 
 from __future__ import annotations
 
-import random
 from typing import NamedTuple
 
 from .archmult import vanishing_order
@@ -366,20 +365,24 @@ def oracle_report(cfg: Config) -> dict:
 
 def algebra_report(cfg: Config, suite: str = "all", seed: int | None = None,
                    count: int | None = None) -> dict:
+    """The seeded algebra suites, all or the one named, in report order.
+
+    `suites.suite_results` runs them in forked children: one job per suite,
+    and one per field (Q, then each configured prime) for triality, whose
+    jobs start first.  The triality fields share the stream
+    ``{seed}:triality``; the parent walks it field by field and hands each
+    field's job the stream's state at that field's start.  At most
+    ``len(os.sched_getaffinity(0))`` children run at once."""
     seed = cfg.claims.seed if seed is None else seed
     count = cfg.claims.count if count is None else count
     if count < 1:
         raise ValueError(f"algebra sample count must be at least 1, got {count}")
-    from . import compalg   # the algebra layer: a table query never loads it
-    from .suites import SUITES
-    chosen = [(name, fn) for name, fn in SUITES if suite in ("all", name)]
-    if not chosen:
+    from .suites import SUITES, suite_results   # a table query never loads them
+    names = [name for name, _ in SUITES if suite in ("all", name)]
+    if not names:
         raise ValueError(f"unknown algebra suite {suite!r}")
-    jalg = compalg.JordanAlgebra(compalg.OctonionAlgebra(
-        compalg.RationalScalars(), cfg.algebras["definite"], "definite"))
     suites = []
-    for name, fn in chosen:
-        res = fn(cfg, jalg, count, random.Random(f"{seed}:{name}"))
+    for name, res in zip(names, suite_results(cfg, names, seed, count)):
         ok = res["failures"] == 0 and res.get("dims_ok") is not False
         suites.append({"name": name, **res, "status": _verified(ok)})
     return {"kind": "algebra", "suite": suite, "seed": seed, "count": count,

@@ -1,10 +1,28 @@
 """The seeded algebra suites: octonions, the Albert algebra, V_E, Freudenthal
 corners and triality.  In the package only ``cases.algebra_report`` imports
-this module, so a table query never loads ``compalg``."""
+this module, so a table query never loads ``compalg``.
+
+`suite_results` runs the suites as jobs in forked children (`_fan_out`).
+Each suite is one job, but triality, which is one job per field (Q and each
+configured prime): its fields are the longest jobs, and they start first.
+A suite draws from its own ``random.Random(f"{seed}:{name}")``, so the jobs
+are independent.  The triality fields share one stream, ``{seed}:triality``:
+the parent walks it through `random_triality_pairs` field by field, drops
+the pairs and hands each field's job the stream's ``getstate()`` at that
+field's start, so each field draws what the serial loop drew.  At most
+``len(os.sched_getaffinity(0))`` children run at once, the CPUs this
+process may run on.  A child sends its result, or its exception, back by
+``pickle`` over a pipe."""
 
 from __future__ import annotations
 
+import functools
 import itertools
+import os
+import pickle
+import random
+import select
+import signal
 
 from . import compalg
 from .config import Config
@@ -238,27 +256,144 @@ def _freudenthal(cfg: Config, jalg: compalg.JordanAlgebra, count: int, rng) -> d
     return {"cases": count, "failures": fails}
 
 
-def _triality(cfg: Config, jalg: compalg.JordanAlgebra, count: int, rng) -> dict:
+def _triality_field(alg: compalg.OctonionAlgebra, count: int, state) -> int:
+    """The failed triples of the triality suite over one field, drawn from a
+    stream restored to state."""
     # each triple is carried as integer matrices over denominators, and
     # triality_verify compares cross-multiplied sides: t1(xy) = t2(x) t3(y)
     # and the Gram identity g1^T diag(sq_sign) t1 = diag(sq_sign), which
     # stands for the trilinear form once the first holds, have degree 1 in
     # each matrix, the norm form degree 2
-    primes = cfg.claims.primes
-    algs = [jalg.oct] + [compalg.split_octonions(cfg.algebras["split"],
-                                                 compalg.PrimeFieldScalars(p)) for p in primes]
+    rng = random.Random()
+    rng.setstate(state)
     fails = 0
-    for alg in algs:
-        for _ in range(count):
-            triple = compalg.triality_triple(alg, compalg.random_triality_pairs(alg, rng))
-            if not compalg.triality_verify(alg, triple):
-                fails += 1
-    return {"cases": count * len(algs), "failures": fails,
-            "fields": ["Q"] + [f"GF({p})" for p in primes]}
+    for _ in range(count):
+        triple = compalg.triality_triple(alg, compalg.random_triality_pairs(alg, rng))
+        if not compalg.triality_verify(alg, triple):
+            fails += 1
+    return fails
+
+
+def _triality_fields(cfg: Config, jalg: compalg.JordanAlgebra) -> list:
+    """(label, octonions) of Q and of each configured prime field."""
+    return [("Q", jalg.oct)] + [(f"GF({p})", compalg.split_octonions(
+        cfg.algebras["split"], compalg.PrimeFieldScalars(p))) for p in cfg.claims.primes]
+
+
+def _triality_jobs(fields: list, count: int, rng):
+    """(label, job) for each triality field, in order.  Each job starts from
+    the state rng has when the walk reaches its field.  The walk past a
+    field, count draws of generator pairs that it drops, runs only when the
+    next field's job is asked for, so it overlaps the jobs already running."""
+    for k, (field, alg) in enumerate(fields):
+        if k:
+            for _ in range(count):
+                compalg.random_triality_pairs(fields[k - 1][1], rng)
+        yield f"triality {field}", functools.partial(_triality_field, alg, count,
+                                                     rng.getstate())
+
+
+def _child(job, fd: int) -> None:
+    """Run job in a forked child, write (True, result) or (False, exception,
+    traceback) to fd as a pickle, and end the process with status 0 once
+    the reply is written: it never returns into the caller's code.  An
+    exception that does not survive pickling is sent as a RuntimeError that
+    carries the traceback."""
+    code = 1
+    try:
+        try:
+            reply = (True, job())
+        except BaseException as exc:
+            import traceback   # only a failed child needs it: the parent stays smaller
+            text = traceback.format_exc()
+            try:
+                pickle.loads(pickle.dumps(exc))
+            except Exception:
+                exc = RuntimeError(f"an algebra job raised an exception that cannot be "
+                                   f"pickled:\n{text}")
+            reply = (False, exc, text)
+        view = memoryview(pickle.dumps(reply))
+        while view:
+            view = view[os.write(fd, view):]
+        code = 0
+    finally:
+        os._exit(code)
+
+
+def _fan_out(jobs) -> dict:
+    """The result of each (label, job) of jobs by its label, each job run in
+    a forked child.  Children start in the order of jobs, at most
+    len(os.sched_getaffinity(0)) at a time, and jobs is read only when a
+    child can start.  A child's exception is raised here, with the child's
+    traceback as a note; a child that is killed, or ends without a reply,
+    raises a RuntimeError that names its job.  Every child is waited for: on an
+    error, the ones still running are killed first."""
+    width = len(os.sched_getaffinity(0))
+    pending = iter(jobs)
+    results = {}
+    running = {}   # read end of a child's pipe -> (its label, its pid, what it sent)
+    try:
+        while True:
+            while len(running) < width and (item := next(pending, None)) is not None:
+                read_fd, write_fd = os.pipe()
+                pid = os.fork()
+                if pid == 0:
+                    _child(item[1], write_fd)
+                os.close(write_fd)
+                running[read_fd] = (item[0], pid, [])
+            if not running:
+                return results
+            for fd in select.select(list(running), [], [])[0]:
+                chunk = os.read(fd, 1 << 16)
+                if chunk:
+                    running[fd][2].append(chunk)
+                    continue
+                label, pid, chunks = running.pop(fd)
+                os.close(fd)
+                code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+                if code < 0:
+                    raise RuntimeError(f"algebra job {label} was killed by signal "
+                                       f"{signal.Signals(-code).name}")
+                if code:
+                    raise RuntimeError(f"algebra job {label} exited with status {code} "
+                                       f"and no result")
+                reply = pickle.loads(b"".join(chunks))
+                if not reply[0]:
+                    reply[1].add_note(f"raised in algebra job {label}:\n{reply[2]}")
+                    raise reply[1]
+                results[label] = reply[1]
+    finally:
+        for fd, (_, pid, _) in running.items():
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+            os.close(fd)
+
+
+def suite_results(cfg: Config, names: list[str], seed: int, count: int) -> list[dict]:
+    """The counts and extras of each named suite, in the order of names,
+    each suite on its own stream random.Random(f"{seed}:{name}").  The
+    triality entry sums the failures of its fields."""
+    jalg = compalg.JordanAlgebra(compalg.OctonionAlgebra(
+        compalg.RationalScalars(), cfg.algebras["definite"], "definite"))
+    fields = _triality_fields(cfg, jalg) if "triality" in names else []
+    results = _fan_out(itertools.chain(
+        _triality_jobs(fields, count, random.Random(f"{seed}:triality")),
+        ((name, functools.partial(fn, cfg, jalg, count, random.Random(f"{seed}:{name}")))
+         for name, fn in SUITES if name in names and fn is not None)))
+    out = []
+    for name in names:
+        if name == "triality":
+            out.append({"cases": count * len(fields),
+                        "failures": sum(results[f"triality {field}"] for field, _ in fields),
+                        "fields": [field for field, _ in fields]})
+        else:
+            out.append(results[name])
+    return out
 
 
 # The suites in report order.  Each returns its counts and extras;
-# algebra_report adds the name and derives the status.
+# algebra_report adds the name and derives the status.  Triality has no
+# function here: it is one job per field (_triality_jobs).
 SUITES = (
     ("composition", _composition),
     ("sharp", _sharp),
@@ -269,5 +404,5 @@ SUITES = (
     ("rank-one-c1", _rank_one_c1),
     ("rank-one-orth-f", _rank_one_orth_f),
     ("freudenthal", _freudenthal),
-    ("triality", _triality),
+    ("triality", None),
 )

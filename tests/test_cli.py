@@ -188,9 +188,10 @@ class TestImportBoundary:
     an algebra query loads it on its first report.  Neither a table query
     nor the benchmark's set-up path loads click, dataclasses or inspect
     beyond what a bare interpreter has loaded: their import costs a query
-    more than the query's own work."""
+    more than the query's own work.  Nor does either load pickle, which
+    carries the results of the algebra suites' forked children."""
 
-    HEAVY = ("click", "dataclasses", "inspect")
+    HEAVY = ("click", "dataclasses", "inspect", "pickle")
 
     SCRIPT = """
 import sys
@@ -206,7 +207,7 @@ for args in (["constant-term", "GE-field", "P1", "P1"], ["cosets", "F4", "M3", "
     with contextlib.redirect_stdout(io.StringIO()):
         main(["--format", "json", *args])
     loaded.append(sorted(m for m in ("exceis.compalg", "exceis.suites") if m in sys.modules))
-print(json.dumps({"loaded": loaded, "heavy": heavy}))
+print(json.dumps({"loaded": loaded, "heavy": heavy, "pickle": "pickle" in sys.modules}))
 """
 
     # the set-up path of perfbench/child.py
@@ -235,6 +236,7 @@ print(json.dumps(sorted(m for m in HEAVY if m in sys.modules and m not in bare))
         got = self.run(self.SCRIPT)
         assert got["loaded"] == [[], [], [], [], ["exceis.compalg", "exceis.suites"]]
         assert got["heavy"] == []
+        assert got["pickle"]   # the algebra query's children report through it
 
     def test_setup_path_loads_no_heavy_module(self):
         assert self.run(self.SETUP) == []

@@ -5,6 +5,9 @@ The catalogue below runs in process through ``exceis.cli.main`` under
 ``oracle``, ``arch`` and ``algebra --count 3``, ``arch <case>`` for every
 case, and ``constant-term`` and ``cosets`` for every configured table.  A
 def that no query enters is code only the tests run, and fails the test.
+The algebra suites run in forked children, which inherit the hook but not
+the set it fills: a child appends what it enters to an unbuffered log,
+which is merged in after the queries.
 
 Exempt are the defs the benchmark's tracer wraps (`perfbench/tracer.py`
 ``TARGETS``, each by its file and qualified name) and the ``KEPT`` names,
@@ -17,6 +20,7 @@ anywhere in src; this one asks whether a query runs it.
 """
 
 import ast
+import os
 import sys
 from pathlib import Path
 
@@ -88,31 +92,52 @@ def catalogue() -> list[list[str]]:
     return queries
 
 
-def entered(queries, monkeypatch) -> set[tuple[str, str]]:
+def entered(queries, monkeypatch, log_path) -> set[tuple[str, str]]:
     """The (file name, qualified name) of every src function the queries
-    enter; the first query parses the config afresh."""
+    enter, in this process or in a child forked from it; the first query
+    parses the config afresh."""
     files = {str(p): p.name for p in SOURCES}
     seen = set()
+    pid = os.getpid()
 
     def hook(frame, event, arg):
         if event == "call" and frame.f_code.co_filename in files:
-            seen.add((files[frame.f_code.co_filename], frame.f_code.co_qualname))
+            key = (files[frame.f_code.co_filename], frame.f_code.co_qualname)
+            if key not in seen:
+                seen.add(key)
+                if os.getpid() != pid:   # a forked child: its set is lost at exit
+                    log.write(f"{key[0]}\t{key[1]}\n".encode())
 
     monkeypatch.setattr(config, "_cache", {})
-    for args in queries:
-        sys.setprofile(hook)
-        try:
-            result = invoke(*args)
-        finally:
-            sys.setprofile(None)
-        assert result.exit_code == 0, (args, result.output)
+    with open(log_path, "ab", buffering=0) as log:
+        for args in queries:
+            sys.setprofile(hook)
+            try:
+                result = invoke(*args)
+            finally:
+                sys.setprofile(None)
+            assert result.exit_code == 0, (args, result.output)
+    seen |= {tuple(line.split("\t")) for line in log_path.read_text().splitlines()}
     return seen
 
 
 @pytest.fixture(scope="module")
-def seen():
+def seen(tmp_path_factory):
     with pytest.MonkeyPatch.context() as monkeypatch:
-        return entered(catalogue(), monkeypatch)
+        return entered(catalogue(), monkeypatch,
+                       tmp_path_factory.mktemp("reachability") / "children.log")
+
+
+def test_children_report_what_they_enter(tmp_path):
+    """The algebra suites run only in forked children; the log brings them
+    in, and the parent's own defs are entered too."""
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        got = entered([["--format", "json", "algebra", "sharp", "--count", "1"]],
+                      monkeypatch, tmp_path / "children.log")
+    logged = {tuple(line.split("\t")) for line in
+              (tmp_path / "children.log").read_text().splitlines()}
+    assert {("suites.py", "_sharp"), ("suites.py", "_child")} <= logged
+    assert ("suites.py", "_fan_out") in got - logged
 
 
 def unentered(seen, sources=SOURCES) -> list[tuple[str, str, int]]:
