@@ -12,7 +12,9 @@ the pairs and hands each field's job the stream's ``getstate()`` at that
 field's start, so each field draws what the serial loop drew.  At most
 ``len(os.sched_getaffinity(0))`` children run at once, the CPUs this
 process may run on.  A child sends its result, or its exception, back by
-``pickle`` over a pipe."""
+``pickle`` over a pipe.  The package starts no thread, so a forked child
+holds no lock that another thread left taken; ``os.fork`` and
+``os.sched_getaffinity`` tie this path to Linux."""
 
 from __future__ import annotations
 
