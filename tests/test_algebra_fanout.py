@@ -7,9 +7,9 @@ JSON bytes and the same repr as the reference's, over several seeds and
 counts: the repr pins int against Fraction and list against tuple, which
 the JSON bytes would not show.
 
-A child that raises, that is killed, or whose exception cannot be pickled
-fails the report with an error that says so; after each, no child is left
-running or unreaped."""
+A child that raises, that is killed, that exits early, or whose exception
+cannot be pickled fails the report with an error that says so; after each,
+no child is left running or unreaped."""
 
 import os
 import signal
@@ -49,6 +49,21 @@ def test_all_suites_match_serial_loop(cfg, seed, count):
 @pytest.mark.parametrize("suite", [name for name, _ in SUITES])
 def test_each_suite_alone_matches_serial_loop(cfg, suite, seed, count):
     _same(cfg, suite, seed, count)
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_triality_fields_draw_the_serial_stream(cfg, monkeypatch, seed):
+    """Every triple passes, so the report alone does not show which triples
+    were drawn.  A verifier that also fails a triple on the parity of its g1
+    entries makes the failure count a fingerprint of the draws of all three
+    fields."""
+    verify = compalg.triality_verify
+    monkeypatch.setattr(compalg, "triality_verify", lambda o, triple: verify(o, triple)
+                        and sum(map(sum, triple.g1.mat)) % 2 == 1)
+    got = cases.algebra_report(cfg, "triality", seed=seed, count=20)
+    want = reference_algebra_report(cfg, "triality", seed, 20)
+    assert 0 < got["suites"][0]["failures"] < 60
+    assert repr(got) == repr(want)
 
 
 def _no_child_left():
